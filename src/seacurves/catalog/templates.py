@@ -113,8 +113,10 @@ class EquationTemplate:
             exps = [t.exp for t in factor.all_terms()]
             if len(set(exps)) != len(exps):
                 raise TemplateError("duplicate exponent inside a factor")
-        lead = self.symbolic().get(self.degree, {})
-        if list(lead.keys()) != [()] or lead[()].is_zero:
+        # the classification is all later callers need of the expansion
+        self._support = {e: ("const", poly[()]) if list(poly) == [()] else "param"
+                         for e, poly in self.symbolic().items()}
+        if not isinstance(self._support.get(self.degree), tuple):
             raise TemplateError("template leading coefficient must be a nonzero constant")
 
     @property
@@ -182,14 +184,9 @@ class EquationTemplate:
 
     def support_classification(self) -> dict:
         """exp -> ("const", Scalar) for parameter-free coefficients,
-        exp -> "param" for parameter-dependent ones."""
-        out = {}
-        for e, poly in self.symbolic().items():
-            if list(poly.keys()) == [()]:
-                out[e] = ("const", poly[()])
-            else:
-                out[e] = "param"
-        return out
+        exp -> "param" for parameter-dependent ones; computed once, when the
+        template is built."""
+        return dict(self._support)
 
     def to_string(self) -> str:
         bodies = []
@@ -286,7 +283,9 @@ def _split_top(s: str, seps: str) -> list[str]:
     if depth:
         raise TemplateError(f"unbalanced parentheses in {s!r}")
     parts.append(s[start:])
-    return [p for p in parts if p]
+    if "" in parts:
+        raise TemplateError(f"empty factor in {s!r}")
+    return parts
 
 
 def _parse_term(text: str):

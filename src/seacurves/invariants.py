@@ -1,8 +1,6 @@
 """Invariant and covariant systems of binary forms built from transvectants.
 
-Four systems are provided, each as a chain of transvections applied exactly
-as defined, with the transvection-order bookkeeping re-checked on every
-invocation:
+The systems provided are:
 
 * sextics (degree 6): J2, J4, J6, J10 and absolute invariants t1..t3,
 * octavics (degree 8): J2..J10 with their integer prefactors and t1..t6,
@@ -12,7 +10,21 @@ invocation:
 * the degree-22 special quantities I6*_g10, S, I12* and v5, defined only
   when I12 vanishes.
 
-Absolute invariants are ratios; a ratio whose denominator vanishes is
+Each system is a table of nodes ``(name, left, right, op, expected_order)``
+that one evaluator runs in order.  ``op`` is an int r for the transvectant
+``(left, right)^r``, or ``"*"`` / ``"+"`` for a product / sum of forms;
+``left`` and ``right`` name the input form (``f``, or ``F`` in the general
+system) or an earlier node.  A node named ``None`` is named by its formula,
+e.g. ``"(k,m)^1"`` or ``"k*k"``, and an entry's definition is its node's
+formula: decimic J9 reads ``((k,m)^1,k*k)^8``.  On every call the evaluator
+checks each node's order against ``expected_order`` (0 for an invariant),
+raising :class:`OrderBookkeepingError` on a mismatch, and derives coefficient
+degrees from the tree: the input form has degree 1, and degrees add under
+transvection and product.  Named transvectant nodes of positive order are the
+covariants a system exposes.
+
+Absolute invariants are tables too: name -> (numerator, denominator), each a
+map from invariant name to exponent.  A ratio whose denominator vanishes is
 *undefined* (a first-class state, never an exception and never zero), and a
 ratio whose ingredients do not exist at the given degree is *unavailable*.
 """
@@ -20,6 +32,7 @@ ratio whose ingredients do not exist at the given degree is *unavailable*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .forms import BinaryForm, DegreeError, dehomogenize, discriminant
 from .scalars import Scalar, rational
@@ -66,18 +79,6 @@ SEXTIC_NAMES = ("J2", "J4", "J6", "J10")
 OCTAVIC_NAMES = ("J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10")
 DECIMIC_NAMES = ("J2", "J4", "A6", "C6", "J8", "J9", "J10", "J14", "A14", "J14_plus_A14")
 GENERAL_NAMES = ("I2", "I3", "I4", "I4p", "I6", "I6p", "I6star", "I12")
-
-
-def _expect_order(form: BinaryForm, order: int, what: str) -> BinaryForm:
-    if form.degree != order:
-        raise OrderBookkeepingError(
-            f"{what} has order {form.degree}, expected {order}"
-        )
-    return form
-
-
-def _inv(form: BinaryForm, what: str) -> Scalar:
-    return _expect_order(form, 0, what).constant_value()
 
 
 class InvariantVector:
@@ -176,24 +177,67 @@ class AbsoluteInvariants:
         return f"AbsoluteInvariants[{self.kind}](" + ", ".join(bits) + ")"
 
 
-def _ratios(kind, names, parts, available=None):
-    """Build AbsoluteInvariants from name -> (numerator, denominator) pairs.
+def _leaf(name: str, form: BinaryForm) -> dict:
+    return {name: (form, 1, name)}
 
-    ``available``, when given, maps a name to False to mark it unavailable.
-    """
-    values = {}
-    undefined = set()
-    unavailable = set()
+
+def _evaluate(nodes, values: dict) -> dict:
+    """Run a node table over ``values``, a map name -> (form, coefficient
+    degree, formula) holding at least the leaves; it is extended in place
+    and returned."""
+    for name, left, right, op, order in nodes:
+        a, da, _ = values[left]
+        b, db, _ = values[right]
+        if op == "*":
+            form, degree, formula = a * b, da + db, f"{left}*{right}"
+        elif op == "+":
+            form, degree, formula = a + b, da, f"{left}+{right}"
+        else:
+            form, degree, formula = transvect(a, b, op), da + db, f"({left},{right})^{op}"
+        name = name or formula
+        if form.degree != order:
+            raise OrderBookkeepingError(f"{name} has order {form.degree}, expected {order}")
+        values[name] = (form, degree, formula)
+    return values
+
+
+def _system(kind, nodes, values, names, definitions=None, prefactors=None) -> InvariantVector:
+    """Evaluate ``nodes`` over ``values`` and collect the entries ``names``;
+    an entry the table did not reach is unavailable.  ``definitions``
+    overrides the nodes' formulas, ``prefactors`` scales entries."""
+    values = _evaluate(nodes, values)
+    entries = []
     for name in names:
-        if available is not None and not available.get(name, True):
+        if name not in values:
+            continue
+        form, degree, definition = values[name]
+        value = form.constant_value()
+        if definitions:
+            definition = definitions[name]
+        if prefactors:
+            value = prefactors[name] * value
+            definition = f"{prefactors[name]}*{definition}"
+        entries.append((name, value, degree, definition))
+    covariants = {name: values[name][0] for name, _, _, op, order in nodes
+                  if name and isinstance(op, int) and order}
+    unavailable = [name for name in names if name not in values]
+    return InvariantVector(kind, entries, covariants, unavailable)
+
+
+def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
+    """Absolute invariants of ``v`` from ``table``: name -> (numerator,
+    denominator), each a map invariant name -> exponent."""
+    values, undefined, unavailable = {}, set(), set()
+    for name, (num, den) in table.items():
+        if not all(v.available(n) for n in (*num, *den)):
             unavailable.add(name)
             continue
-        num, den = parts[name]
-        if den.is_zero:
+        den_value = prod(v[n] ** e for n, e in den.items())
+        if den_value.is_zero:
             undefined.add(name)
         else:
-            values[name] = num / den
-    return AbsoluteInvariants(kind, names, values, undefined, unavailable)
+            values[name] = prod(v[n] ** e for n, e in num.items()) / den_value
+    return AbsoluteInvariants(kind, table, values, undefined, unavailable)
 
 
 def _require_degree(f: BinaryForm, d: int):
@@ -220,45 +264,29 @@ def form_is_squarefree(f: BinaryForm) -> bool:
 # sextics
 # ---------------------------------------------------------------------------
 
-def sextic_invariants(f: BinaryForm) -> InvariantVector:
-    """J2, J4, J6, J10 of a binary sextic.
+_SEXTIC = (
+    ("H", "f", "f", 2, 8), ("i", "f", "f", 4, 4), ("l", "i", "f", 4, 2),
+    ("J2", "f", "f", 6, 0), ("J4", "i", "i", 4, 0), ("J6", "l", "l", 2, 0),
+    (None, "l", "l", "*", 4), ("l^3", "l*l", "l", "*", 6), ("J10", "f", "l^3", 6, 0),
+)
 
-    Covariant chain: H = (f,f)^2, i = (f,f)^4, l = (i,f)^4; then
-    J2 = (f,f)^6, J4 = (i,i)^4, J6 = (l,l)^2, J10 = (f, l^3)^6.
-    """
+_SEXTIC_ABSOLUTE = {
+    "t1": ({"J2": 5}, {"J10": 1}),
+    "t2": ({"J2": 3, "J4": 1}, {"J10": 1}),
+    "t3": ({"J2": 2, "J6": 1}, {"J10": 1}),
+}
+
+
+def sextic_invariants(f: BinaryForm) -> InvariantVector:
+    """J2, J4, J6, J10 of a binary sextic, with the covariants H, i, l."""
     _require_degree(f, 6)
-    H = _expect_order(transvect(f, f, 2), 8, "H")
-    i = _expect_order(transvect(f, f, 4), 4, "i")
-    l = _expect_order(transvect(i, f, 4), 2, "l")
-    J2 = _inv(transvect(f, f, 6), "J2")
-    J4 = _inv(transvect(i, i, 4), "J4")
-    J6 = _inv(transvect(l, l, 2), "J6")
-    J10 = _inv(transvect(f, l ** 3, 6), "J10")
-    return InvariantVector(
-        "sextic",
-        [
-            ("J2", J2, 2, "(f,f)^6"),
-            ("J4", J4, 4, "(i,i)^4"),
-            ("J6", J6, 6, "(l,l)^2"),
-            ("J10", J10, 10, "(f,l^3)^6"),
-        ],
-        {"H": H, "i": i, "l": l},
-    )
+    return _system("sextic", _SEXTIC, _leaf("f", f), SEXTIC_NAMES)
 
 
 def sextic_absolute(f) -> AbsoluteInvariants:
     """t1 = J2^5/J10, t2 = J2^3*J4/J10, t3 = J2^2*J6/J10."""
     v = f if isinstance(f, InvariantVector) else sextic_invariants(f)
-    J2, J4, J6, J10 = v["J2"], v["J4"], v["J6"], v["J10"]
-    return _ratios(
-        "sextic",
-        ("t1", "t2", "t3"),
-        {
-            "t1": (J2 ** 5, J10),
-            "t2": (J2 ** 3 * J4, J10),
-            "t3": (J2 ** 2 * J6, J10),
-        },
-    )
+    return _ratios("sextic", v, _SEXTIC_ABSOLUTE)
 
 
 def genus2_isomorphic(f1: BinaryForm, f2: BinaryForm) -> bool:
@@ -282,6 +310,14 @@ def genus2_isomorphic(f1: BinaryForm, f2: BinaryForm) -> bool:
 # octavics
 # ---------------------------------------------------------------------------
 
+_OCTAVIC = (
+    ("g", "f", "f", 4, 8), ("k", "f", "f", 6, 4), ("h", "k", "k", 2, 4),
+    ("m", "f", "k", 4, 4), ("n", "f", "h", 4, 4), ("p", "g", "k", 4, 4), ("q", "g", "h", 4, 4),
+    ("J2", "f", "f", 8, 0), ("J3", "f", "g", 8, 0), ("J4", "k", "k", 4, 0),
+    ("J5", "m", "k", 4, 0), ("J6", "k", "h", 4, 0), ("J7", "m", "h", 4, 0),
+    ("J8", "p", "h", 4, 0), ("J9", "n", "h", 4, 0), ("J10", "q", "h", 4, 0),
+)
+
 _OCT_PREF = {
     "J2": rational(2 ** 2 * 5 * 7),
     "J3": rational(2 ** 4 * 5 ** 2 * 7 ** 3, 3),
@@ -294,56 +330,27 @@ _OCT_PREF = {
     "J10": rational(2 ** 22 * 3 ** 2 * 5 ** 2 * 7 ** 11),
 }
 
+_OCTAVIC_ABSOLUTE = {
+    "t1": ({"J3": 2}, {"J2": 3}),
+    "t2": ({"J4": 1}, {"J2": 2}),
+    "t3": ({"J5": 1}, {"J2": 1, "J3": 1}),
+    "t4": ({"J6": 1}, {"J2": 1, "J4": 1}),
+    "t5": ({"J7": 1}, {"J2": 1, "J5": 1}),
+    "t6": ({"J8": 1}, {"J2": 4}),
+}
+
 
 def octavic_invariants(f: BinaryForm) -> InvariantVector:
     """J2..J10 of a binary octavic, with their exact rational prefactors."""
     _require_degree(f, 8)
-    g = _expect_order(transvect(f, f, 4), 8, "g")
-    k = _expect_order(transvect(f, f, 6), 4, "k")
-    h = _expect_order(transvect(k, k, 2), 4, "h")
-    m = _expect_order(transvect(f, k, 4), 4, "m")
-    n = _expect_order(transvect(f, h, 4), 4, "n")
-    p = _expect_order(transvect(g, k, 4), 4, "p")
-    q = _expect_order(transvect(g, h, 4), 4, "q")
-    raw = {
-        "J2": (transvect(f, f, 8), "(f,f)^8"),
-        "J3": (transvect(f, g, 8), "(f,g)^8"),
-        "J4": (transvect(k, k, 4), "(k,k)^4"),
-        "J5": (transvect(m, k, 4), "(m,k)^4"),
-        "J6": (transvect(k, h, 4), "(k,h)^4"),
-        "J7": (transvect(m, h, 4), "(m,h)^4"),
-        "J8": (transvect(p, h, 4), "(p,h)^4"),
-        "J9": (transvect(n, h, 4), "(n,h)^4"),
-        "J10": (transvect(q, h, 4), "(q,h)^4"),
-    }
-    entries = []
-    for idx, name in enumerate(OCTAVIC_NAMES):
-        form, definition = raw[name]
-        value = _OCT_PREF[name] * _inv(form, name)
-        entries.append((name, value, idx + 2, f"{_OCT_PREF[name]}*{definition}"))
-    return InvariantVector(
-        "octavic", entries,
-        {"g": g, "k": k, "h": h, "m": m, "n": n, "p": p, "q": q},
-    )
+    return _system("octavic", _OCTAVIC, _leaf("f", f), OCTAVIC_NAMES, prefactors=_OCT_PREF)
 
 
 def octavic_absolute(f) -> AbsoluteInvariants:
     """t1 = J3^2/J2^3, t2 = J4/J2^2, t3 = J5/(J2*J3), t4 = J6/(J2*J4),
     t5 = J7/(J2*J5), t6 = J8/J2^4."""
     v = f if isinstance(f, InvariantVector) else octavic_invariants(f)
-    J = v.scalars()
-    return _ratios(
-        "octavic",
-        ("t1", "t2", "t3", "t4", "t5", "t6"),
-        {
-            "t1": (J["J3"] ** 2, J["J2"] ** 3),
-            "t2": (J["J4"], J["J2"] ** 2),
-            "t3": (J["J5"], J["J2"] * J["J3"]),
-            "t4": (J["J6"], J["J2"] * J["J4"]),
-            "t5": (J["J7"], J["J2"] * J["J5"]),
-            "t6": (J["J8"], J["J2"] ** 4),
-        },
-    )
+    return _ratios("octavic", v, _OCTAVIC_ABSOLUTE)
 
 
 def genus3_isomorphic(f1: BinaryForm, f2: BinaryForm) -> bool:
@@ -371,59 +378,76 @@ def genus3_isomorphic(f1: BinaryForm, f2: BinaryForm) -> bool:
 # decimics
 # ---------------------------------------------------------------------------
 
+_DECIMIC = (
+    ("k", "f", "f", 8, 4), ("q", "f", "f", 6, 8), ("m", "f", "k", 4, 6), ("r", "f", "q", 8, 2),
+    ("k_q", "q", "q", 6, 4), ("k_m", "m", "m", 4, 4), ("m_q", "q", "k_q", 4, 4),
+    (None, "k", "k", "*", 8), (None, "m", "m", 2, 8), (None, "k", "k", 2, 4),
+    (None, "k", "m", 1, 8), (None, "k_q", "k_q", 2, 4),
+    ("J2", "f", "f", 10, 0), ("J4", "k", "k", 4, 0), ("A6", "m", "m", 6, 0),
+    ("C6", "r", "r", 2, 0), ("J8", "k", "k_m", 4, 0),
+    ("J9", "(k,m)^1", "k*k", 8, 0), ("J10", "(m,m)^2", "k*k", 8, 0),
+    ("J14", "(k_q,k_q)^2", "m_q", 4, 0),
+    (None, "(k,k)^2", "(k,k)^2", "*", 8), ("A14", "(k,k)^2*(k,k)^2", "(m,m)^2", 8, 0),
+    ("J14_plus_A14", "J14", "A14", "+", 0),
+)
+
+
 def decimic_invariants(f: BinaryForm) -> InvariantVector:
     """J2, J4, A6, C6, J8, J9, J10, J14, A14 of a binary decimic.
 
     The covariant m is (f, k)^4 (order 6); with that choice every invariant
-    below has transvection order exactly 0, which is re-checked on each call.
+    has transvection order exactly 0, which is re-checked on each call.
     The combined J14 + A14 is exposed as the extra entry "J14_plus_A14".
     """
     _require_degree(f, 10)
-    k = _expect_order(transvect(f, f, 8), 4, "k")
-    q = _expect_order(transvect(f, f, 6), 8, "q")
-    m = _expect_order(transvect(f, k, 4), 6, "m")
-    r = _expect_order(transvect(f, q, 8), 2, "r")
-    k_q = _expect_order(transvect(q, q, 6), 4, "k_q")
-    k_m = _expect_order(transvect(m, m, 4), 4, "k_m")
-    m_q = _expect_order(transvect(q, k_q, 4), 4, "m_q")
-
-    kk = k * k
-    mm2 = _expect_order(transvect(m, m, 2), 8, "(m,m)^2")
-    kk2 = _expect_order(transvect(k, k, 2), 4, "(k,k)^2")
-    km1 = _expect_order(transvect(k, m, 1), 8, "(k,m)^1")
-    kq2 = _expect_order(transvect(k_q, k_q, 2), 4, "(k_q,k_q)^2")
-
-    J2 = _inv(transvect(f, f, 10), "J2")
-    J4 = _inv(transvect(k, k, 4), "J4")
-    A6 = _inv(transvect(m, m, 6), "A6")
-    C6 = _inv(transvect(r, r, 2), "C6")
-    J8 = _inv(transvect(k, k_m, 4), "J8")
-    J9 = _inv(transvect(km1, kk, 8), "J9")
-    J10 = _inv(transvect(mm2, kk, 8), "J10")
-    J14 = _inv(transvect(kq2, m_q, 4), "J14")
-    A14 = _inv(transvect(kk2 * kk2, mm2, 8), "A14")
-
-    return InvariantVector(
-        "decimic",
-        [
-            ("J2", J2, 2, "(f,f)^10"),
-            ("J4", J4, 4, "(k,k)^4"),
-            ("A6", A6, 6, "(m,m)^6"),
-            ("C6", C6, 6, "(r,r)^2"),
-            ("J8", J8, 8, "(k,k_m)^4"),
-            ("J9", J9, 9, "((k,m)^1,k*k)^8"),
-            ("J10", J10, 10, "((m,m)^2,k*k)^8"),
-            ("J14", J14, 14, "((k_q,k_q)^2,m_q)^4"),
-            ("A14", A14, 14, "((k,k)^2*(k,k)^2,(m,m)^2)^8"),
-            ("J14_plus_A14", J14 + A14, 14, "J14+A14"),
-        ],
-        {"k": k, "q": q, "m": m, "r": r, "k_q": k_q, "k_m": k_m, "m_q": m_q},
-    )
+    return _system("decimic", _DECIMIC, _leaf("f", f), DECIMIC_NAMES)
 
 
 # ---------------------------------------------------------------------------
 # general even degree
 # ---------------------------------------------------------------------------
+
+def _general_nodes(d: int) -> tuple:
+    """The general system's table at degree d; nodes whose index arithmetic
+    fails at d are left out, so their entries are unavailable."""
+    nodes = tuple((f"J{4 * j}", "F", "F", d - 2 * j, 4 * j) for j in range(1, d // 2))
+    rows = (  # (available at d, *node)
+        (True, "I2", "F", "F", d, 0), (d % 4 == 0, "I3", "F", f"J{d}", d, 0),
+        (True, "I4", "J4", "J4", 4, 0), (d >= 8, "I4p", "J8", "J8", 8, 0),
+        (True, None, "F", "J4", 4, d - 4), (True, "I6", "(F,J4)^4", "(F,J4)^4", d - 4, 0),
+        (d >= 8, None, "F", "J8", 8, d - 8), (d >= 8, "I6p", "(F,J8)^8", "(F,J8)^8", d - 8, 0),
+        (d >= 12, None, "F", "J12", 12, d - 12),
+        (d >= 12, "I6star", "(F,J12)^12", "(F,J12)^12", d - 12, 0),
+        (d >= 10, "M", "(F,J4)^4", "(F,J8)^8", d - 10, 8), (d >= 10, "I12", "M", "M", 8, 0),
+    )
+    return nodes + tuple(node for ok, *node in rows if ok)
+
+
+_GENERAL_DEFINITIONS = {
+    "I2": "(F,F)^d",
+    "I3": "(F,J_d)^d",
+    "I4": "(J4,J4)^4",
+    "I4p": "(J8,J8)^8",
+    "I6": "((F,J4)^4,(F,J4)^4)^(d-4)",
+    "I6p": "((F,J8)^8,(F,J8)^8)^(d-8)",
+    "I6star": "((F,J12)^12,(F,J12)^12)^(d-12)",
+    "I12": "(M,M)^8",
+}
+
+_GENERAL_ABSOLUTE = {
+    "i1": ({"I4p": 1}, {"I2": 2}),
+    "i2": ({"I3": 2}, {"I2": 3}),
+    "i3": ({"I6star": 1}, {"I3": 2}),
+    "j1": ({"I6p": 1}, {"I3": 2}),
+    "j2": ({"I6": 1}, {"I3": 2}),
+    "s1": ({"I6": 2}, {"I12": 1}),
+    "s2": ({"I6p": 2}, {"I12": 1}),
+    "v1": ({"I6": 1}, {"I6star": 1}),
+    "v2": ({"I4p": 3}, {"I3": 4}),
+    "v3": ({"I6": 1}, {"I6p": 1}),
+    "v4": ({"I6star": 2}, {"I3": 3}),
+}
+
 
 def general_invariants(F: BinaryForm) -> InvariantVector:
     """The even-degree system over J_{4j} = (F,F)^(d-2j), j = 1..g.
@@ -435,78 +459,8 @@ def general_invariants(F: BinaryForm) -> InvariantVector:
     d = F.degree
     if d < 6 or d % 2:
         raise DegreeError(f"general invariants need even degree >= 6, got {d}")
-    g = (d - 2) // 2
-
-    covs = {}
-    J = {}
-    for j in range(1, g + 1):
-        order = 4 * j
-        Jj = _expect_order(transvect(F, F, d - 2 * j), order, f"J{order}")
-        J[order] = Jj
-        covs[f"J{order}"] = Jj
-
-    entries = []
-    unavailable = set()
-
-    entries.append(("I2", _inv(transvect(F, F, d), "I2"), 2, "(F,F)^d"))
-
-    if d % 4 == 0:
-        entries.append(("I3", _inv(transvect(F, J[d], d), "I3"), 3, "(F,J_d)^d"))
-    else:
-        unavailable.add("I3")
-
-    entries.append(("I4", _inv(transvect(J[4], J[4], 4), "I4"), 4, "(J4,J4)^4"))
-
-    if d >= 8:
-        entries.append(("I4p", _inv(transvect(J[8], J[8], 8), "I4p"), 4, "(J8,J8)^8"))
-    else:
-        unavailable.add("I4p")
-
-    T4 = _expect_order(transvect(F, J[4], 4), d - 4, "(F,J4)^4")
-    entries.append(("I6", _inv(transvect(T4, T4, d - 4), "I6"), 6,
-                    "((F,J4)^4,(F,J4)^4)^(d-4)"))
-
-    T8 = None
-    if d >= 8:
-        T8 = _expect_order(transvect(F, J[8], 8), d - 8, "(F,J8)^8")
-        entries.append(("I6p", _inv(transvect(T8, T8, d - 8), "I6p"), 6,
-                        "((F,J8)^8,(F,J8)^8)^(d-8)"))
-    else:
-        unavailable.add("I6p")
-
-    if d >= 12:
-        T12 = _expect_order(transvect(F, J[12], 12), d - 12, "(F,J12)^12")
-        entries.append(("I6star", _inv(transvect(T12, T12, d - 12), "I6star"), 6,
-                        "((F,J12)^12,(F,J12)^12)^(d-12)"))
-    else:
-        unavailable.add("I6star")
-
-    if d >= 10:
-        M = _expect_order(transvect(T4, T8, d - 10), 8, "M")
-        covs["M"] = M
-        entries.append(("I12", _inv(transvect(M, M, 8), "I12"), 12, "(M,M)^8"))
-    else:
-        unavailable.add("I12")
-
-    return InvariantVector("general", entries, covs, unavailable)
-
-
-_GENERAL_ABS_NAMES = ("i1", "i2", "i3", "j1", "j2", "s1", "s2", "v1", "v2", "v3", "v4")
-
-_GENERAL_ABS_PARTS = {
-    # name -> (numerator ingredients, denominator ingredients)
-    "i1": (("I4p",), ("I2",)),
-    "i2": (("I3",), ("I2",)),
-    "i3": (("I6star",), ("I3",)),
-    "j1": (("I6p",), ("I3",)),
-    "j2": (("I6",), ("I3",)),
-    "s1": (("I6",), ("I12",)),
-    "s2": (("I6p",), ("I12",)),
-    "v1": (("I6",), ("I6star",)),
-    "v2": (("I4p",), ("I3",)),
-    "v3": (("I6",), ("I6p",)),
-    "v4": (("I6star",), ("I3",)),
-}
+    return _system("general", _general_nodes(d), _leaf("F", F), GENERAL_NAMES,
+                   definitions=_GENERAL_DEFINITIONS)
 
 
 def general_absolute(F) -> AbsoluteInvariants:
@@ -518,40 +472,7 @@ def general_absolute(F) -> AbsoluteInvariants:
     scaling-invariant; it is computed as printed and documented as such.
     """
     v = F if isinstance(F, InvariantVector) else general_invariants(F)
-
-    def have(*names):
-        return all(v.available(n) for n in names)
-
-    available = {}
-    parts = {}
-    for name, (num_req, den_req) in _GENERAL_ABS_PARTS.items():
-        ok = have(*num_req, *den_req)
-        available[name] = ok
-        if not ok:
-            continue
-        if name == "i1":
-            parts[name] = (v["I4p"], v["I2"] ** 2)
-        elif name == "i2":
-            parts[name] = (v["I3"] ** 2, v["I2"] ** 3)
-        elif name == "i3":
-            parts[name] = (v["I6star"], v["I3"] ** 2)
-        elif name == "j1":
-            parts[name] = (v["I6p"], v["I3"] ** 2)
-        elif name == "j2":
-            parts[name] = (v["I6"], v["I3"] ** 2)
-        elif name == "s1":
-            parts[name] = (v["I6"] ** 2, v["I12"])
-        elif name == "s2":
-            parts[name] = (v["I6p"] ** 2, v["I12"])
-        elif name == "v1":
-            parts[name] = (v["I6"], v["I6star"])
-        elif name == "v2":
-            parts[name] = (v["I4p"] ** 3, v["I3"] ** 4)
-        elif name == "v3":
-            parts[name] = (v["I6"], v["I6p"])
-        elif name == "v4":
-            parts[name] = (v["I6star"] ** 2, v["I3"] ** 3)
-    return _ratios("general", _GENERAL_ABS_NAMES, parts, available)
+    return _ratios("general", v, _GENERAL_ABSOLUTE)
 
 
 @dataclass(frozen=True)
@@ -560,29 +481,22 @@ class Genus10Result:
     absolute: AbsoluteInvariants      # v5 = I6star_g10 / I12star
 
 
+_GENUS10 = (
+    (None, "F", "J16", 16, 6), ("I6star_g10", "(F,J16)^16", "(F,J16)^16", 6, 0),
+    ("S", "J12", "J16", 12, 4), (None, "J16", "S", 4, 12),
+    ("I12star", "(J16,S)^4", "(J16,S)^4", 12, 0),
+)
+
+_GENUS10_ABSOLUTE = {"v5": ({"I6star_g10": 1}, {"I12star": 1})}
+
+
 def genus10_special(F: BinaryForm) -> Genus10Result:
     """The auxiliary degree-22 quantities, defined only when I12(F) = 0."""
     _require_degree(F, 22)
-    base = general_invariants(F)
-    if not base["I12"].is_zero:
-        raise Genus10CaseError(
-            f"I12 = {base['I12']} != 0; the special invariants are only "
-            "defined on the I12 = 0 locus"
-        )
-    J12 = base.covariants["J12"]
-    J16 = base.covariants["J16"]
-    T16 = _expect_order(transvect(F, J16, 16), 6, "(F,J16)^16")
-    I6s = _inv(transvect(T16, T16, 6), "I6star_g10")
-    S = _expect_order(transvect(J12, J16, 12), 4, "S")
-    U = _expect_order(transvect(J16, S, 4), 12, "(J16,S)^4")
-    I12s = _inv(transvect(U, U, 12), "I12star")
-    vec = InvariantVector(
-        "genus10",
-        [
-            ("I6star_g10", I6s, 6, "((F,J16)^16,(F,J16)^16)^6"),
-            ("I12star", I12s, 12, "((J16,S)^4,(J16,S)^4)^12"),
-        ],
-        {"S": S},
-    )
-    absolute = _ratios("genus10", ("v5",), {"v5": (I6s, I12s)})
-    return Genus10Result(vec, absolute)
+    values = _evaluate(_general_nodes(22), _leaf("F", F))
+    I12 = values["I12"][0].constant_value()
+    if not I12.is_zero:
+        raise Genus10CaseError(f"I12 = {I12} != 0; the special invariants are only "
+                               "defined on the I12 = 0 locus")
+    vec = _system("genus10", _GENUS10, values, ("I6star_g10", "I12star"))
+    return Genus10Result(vec, _ratios("genus10", vec, _GENUS10_ABSOLUTE))

@@ -47,6 +47,10 @@ class ScalarParseError(ValueError):
     """Raised on malformed scalar strings."""
 
 
+# _is_squarefree trial-divides up to sqrt|D|: at most ~5*10^5 steps below this bound
+_MAX_RADICAND = 10 ** 12
+
+
 def _is_squarefree(n: int) -> bool:
     n = abs(n)
     if n == 0:
@@ -88,6 +92,8 @@ class Scalar:
         b = _as_rat(b)
         if b == 0:
             disc = 0
+        elif abs(disc) > _MAX_RADICAND:
+            raise ValueError(f"radicand {disc} is outside the supported range |D| <= 10^12")
         elif disc in (0, 1) or not _is_squarefree(disc):
             raise ValueError(f"discriminant must be squarefree and != 0, 1, got {disc}")
         object.__setattr__(self, "a", a)
@@ -194,8 +200,9 @@ class Scalar:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square beyond the top bit
+                base = base * base
         return result
 
     # -- comparison / hashing --------------------------------------------------
@@ -235,14 +242,6 @@ class Scalar:
         if self.disc != 0:
             raise ValueError(f"{self} is not rational")
         return Fraction(int(self.a.numerator), int(self.a.denominator))
-
-    def to_complex(self) -> complex:
-        """Floating approximation; the cross-check oracles use this, never the core."""
-        val = complex(self.a.numerator / self.a.denominator)
-        if self.disc != 0:
-            root = complex(self.disc) ** 0.5
-            val += (self.b.numerator / self.b.denominator) * root
-        return val
 
 
 def _raw(a, b, disc: int) -> Scalar:
@@ -290,7 +289,9 @@ _RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
 def parse_scalar(text: str) -> Scalar:
     """Parse "p/q", "p/q+r/s*sqrt(D)", "sqrt(-3)", "-2*sqrt(5)", etc.
 
-    Whitespace-insensitive; inverse of :meth:`Scalar.__str__`.
+    Whitespace-insensitive; inverse of :meth:`Scalar.__str__`.  The radicand
+    D must satisfy |D| <= 10^12 (its squarefreeness is checked by trial
+    division); a larger one raises ScalarParseError.
     """
     s = re.sub(r"\s+", "", text)
     if not s:

@@ -4,17 +4,19 @@ from seacurves.forms import BinaryForm, Matrix2
 from seacurves.scalars import Scalar, rational
 
 
-def rand_scalar(rng: random.Random, height: int = 10) -> Scalar:
-    return Scalar(rng.randint(-height, height))
+def rand_scalar(rng: random.Random, height: int = 10, disc: int = 0) -> Scalar:
+    """A random integer, or a + b*sqrt(disc) with integer a, b when disc != 0."""
+    a = rng.randint(-height, height)
+    return Scalar(a, rng.randint(-height, height), disc) if disc else Scalar(a)
 
 
 def rand_rational(rng: random.Random, height: int = 9) -> Scalar:
     return rational(rng.randint(-height, height), rng.randint(1, height))
 
 
-def rand_form(rng: random.Random, degree: int, height: int = 10) -> BinaryForm:
+def rand_form(rng: random.Random, degree: int, height: int = 10, disc: int = 0) -> BinaryForm:
     while True:
-        f = BinaryForm(degree, [rand_scalar(rng, height) for _ in range(degree + 1)])
+        f = BinaryForm(degree, [rand_scalar(rng, height, disc) for _ in range(degree + 1)])
         if not f.is_zero:
             return f
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -62,6 +63,16 @@ def test_transvect(capsys):
     code, out, err = run(capsys, "transvect", "--f", "0,0,1", "--g", "1,0,0",
                          "-r", "5")
     assert code == 2 and "order" in err
+
+
+def test_transvect_radicand_limit(capsys):
+    # squarefreeness of a radicand beyond 10^12 is not attempted (it used to
+    # hang in trial division): a usage error, exit 2, returned at once
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "transvect", "--f", "sqrt(100000000000000000039),1",
+                         "--g", "1,1", "-r", "1")
+    assert code == 2 and out == "" and "10^12" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_isomorphic_true_false_inconclusive(capsys):

@@ -65,11 +65,13 @@ def test_covariant_orders():
 
 def test_unimodular_invariance_spot():
     rng = random.Random(7)
-    for d in (12, 14):
-        f = rand_form(rng, d, height=5)
+    # rational forms of degree 12 and 14, then degree 12 over Q(sqrt -3), Q(sqrt 5)
+    for d, disc in ((12, 0), (14, 0), (12, -3), (12, 5)):
+        f = rand_form(rng, d, height=3 if disc else 5, disc=disc)
         v = general_invariants(f)
         w = general_invariants(moebius_act(unimodular_matrix(rng), f))
         assert v.scalars() == w.scalars()
+        assert disc == 0 or not all(x.is_rational for x in v.scalars().values())
 
 
 def test_absolute_availability_and_masks():

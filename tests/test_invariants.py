@@ -74,14 +74,18 @@ def test_sextic_double_root_fixture():
 
 def test_sextic_absolute_invariance():
     rng = random.Random(2)
-    for _ in range(10):
-        f = rand_form(rng, 6)
-        a = sextic_absolute(f)
-        if a.undefined:
-            continue
-        M = unimodular_matrix(rng)
-        assert sextic_absolute(moebius_act(M, f)) == a
-        assert sextic_absolute(f.scale(Scalar(rng.choice([2, -3, 5])))) == a
+    # ten rational sextics, then three over each of Q(sqrt -3) and Q(sqrt 5),
+    # scaled there by c + sqrt(D)
+    for disc, count in ((0, 10), (-3, 3), (5, 3)):
+        for _ in range(count):
+            f = rand_form(rng, 6, height=3 if disc else 10, disc=disc)
+            a = sextic_absolute(f)
+            if a.undefined:
+                continue
+            M = unimodular_matrix(rng)
+            assert sextic_absolute(moebius_act(M, f)) == a
+            c = Scalar(rng.choice([2, -3, 5]), 1 if disc else 0, disc)
+            assert sextic_absolute(f.scale(c)) == a
 
 
 OCT = make_form(8, [1, 0, 0, 0, 0, 0, 0, 0, 1])
@@ -132,11 +136,12 @@ def test_octavic_absolute_undefined_on_zero_j2():
 
 def test_octavic_absolute_invariance():
     rng = random.Random(10)
-    f = rand_form(rng, 8)
-    a = octavic_absolute(f)
-    M = unimodular_matrix(rng)
-    assert octavic_absolute(moebius_act(M, f)) == a
-    assert octavic_absolute(f.scale(rational(3, 2))) == a
+    for disc in (0, -3, 5):  # over Q, Q(sqrt -3) and Q(sqrt 5)
+        f = rand_form(rng, 8, height=3 if disc else 10, disc=disc)
+        a = octavic_absolute(f)
+        M = unimodular_matrix(rng)
+        assert octavic_absolute(moebius_act(M, f)) == a
+        assert octavic_absolute(f.scale(rational(3, 2))) == a
 
 
 DEC = make_form(10, [1] + [0] * 9 + [1])
@@ -168,10 +173,12 @@ def test_decimic_homogeneity():
 
 def test_decimic_unimodular_invariance():
     rng = random.Random(16)
-    f = rand_form(rng, 10, height=6)
-    v = decimic_invariants(f)
-    w = decimic_invariants(moebius_act(unimodular_matrix(rng), f))
-    assert v.scalars() == w.scalars()
+    for disc in (0, -3, 5):  # over Q, Q(sqrt -3) and Q(sqrt 5)
+        f = rand_form(rng, 10, height=3 if disc else 6, disc=disc)
+        v = decimic_invariants(f)
+        w = decimic_invariants(moebius_act(unimodular_matrix(rng), f))
+        assert v.scalars() == w.scalars()
+        assert disc == 0 or not all(x.is_rational for x in v.scalars().values())
 
 
 def test_cross_system_consistency():
