@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..forms import UnivariatePoly
+from ..forms import MAX_DEGREE, UnivariatePoly
 from ..scalars import ONE, Scalar, ScalarParseError, parse_scalar
 
 __all__ = [
@@ -106,6 +106,9 @@ class EquationTemplate:
         self.factors = tuple(factors)
         if not self.factors:
             raise TemplateError("template needs at least one factor")
+        # before _validate enumerates sum-block terms or expands anything
+        if self.degree > MAX_DEGREE:
+            raise TemplateError(f"template degree {self.degree} exceeds {MAX_DEGREE}")
         self._validate()
 
     def _validate(self):

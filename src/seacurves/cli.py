@@ -26,7 +26,7 @@ from .catalog import (
     verify_all,
 )
 from .catalog.templates import TemplateError, parse_poly_string
-from .forms import BinaryForm, UnivariatePoly, homogenize
+from .forms import MAX_DEGREE, BinaryForm, UnivariatePoly, homogenize
 from .invariants import (
     InconclusiveError,
     OrderBookkeepingError,
@@ -59,7 +59,7 @@ def _parse_form(text: str) -> BinaryForm:
         if poly.is_zero:
             raise _UsageError("zero polynomial has no degree to homogenize at")
         return homogenize(poly, poly.degree)
-    coeffs = [parse_scalar(tok) for tok in text.split(",")]
+    coeffs = _parse_csv(text)
     return BinaryForm(len(coeffs) - 1, coeffs)
 
 
@@ -67,7 +67,15 @@ def _parse_poly(text: str) -> UnivariatePoly:
     text = text.strip()
     if "x" in text:
         return parse_poly_string(text)
-    return UnivariatePoly([parse_scalar(tok) for tok in text.split(",")])
+    return UnivariatePoly(_parse_csv(text))
+
+
+def _parse_csv(text: str) -> list[Scalar]:
+    """Ascending coefficient CSV of degree at most MAX_DEGREE."""
+    tokens = text.split(",")
+    if len(tokens) > MAX_DEGREE + 1:
+        raise _UsageError(f"degree {len(tokens) - 1} exceeds {MAX_DEGREE}")
+    return [parse_scalar(tok) for tok in tokens]
 
 
 def _parse_params(text: str) -> dict[str, Scalar]:

@@ -5,15 +5,20 @@ coefficients stored ascending in the X-power (a_0 .. a_d).  Forms keep their
 declared degree even when leading coefficients vanish; the all-zero form is a
 legal value of any degree.
 
-All coefficient arithmetic happens in :class:`~seacurves.scalars.Scalar`; no
-operation here ever touches floating point.
+Coefficients are :class:`~seacurves.scalars.Scalar` values.  Every product
+of coefficient sequences (form and polynomial products, and through them the
+GL2 action and template expansion, as well as the transvectant) runs on one
+integer kernel: each operand is cleared to integer vectors over Z[sqrt(D)]
+with one common denominator, the vectors are convolved as Python ints, and
+the result is divided once.  No operation here ever touches floating point.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, FieldMixError, Scalar, parse_scalar
+from .scalars import _R0, _RAT, ONE, ZERO, FieldMixError, Scalar, _raw, parse_scalar
 
 __all__ = [
     "BinaryForm",
@@ -48,8 +53,12 @@ def _scal(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
 
 
-def _join_coeff_field(coeffs: Iterable[Scalar]) -> int:
-    disc = 0
+# Degree bound on input from outside the program (CLI forms, templates): the
+# paper's genus <= 48 needs degree <= 2g + 2 = 98.
+MAX_DEGREE = 100
+
+
+def _join_coeff_field(coeffs: Iterable[Scalar], disc: int = 0) -> int:
     for c in coeffs:
         if c.disc:
             if disc and c.disc != disc:
@@ -58,6 +67,62 @@ def _join_coeff_field(coeffs: Iterable[Scalar]) -> int:
                 )
             disc = c.disc
     return disc
+
+
+def _clear(coeffs: Sequence[Scalar], disc: int = 0):
+    """(den, A, B, disc) with coeffs[i] == (A[i] + B[i]*sqrt(disc)) / den.
+
+    den is the lcm of all denominators and A, B are integer vectors; B is None
+    when every coefficient is rational.  The returned disc is the field of the
+    coefficients joined with the given one (FieldMixError on two radicals).
+    """
+    disc = _join_coeff_field(coeffs, disc)
+    den = lcm(*(c.a.denominator for c in coeffs), *(c.b.denominator for c in coeffs))
+    a = [c.a.numerator * (den // c.a.denominator) for c in coeffs]
+    if not any(c.disc for c in coeffs):
+        return den, a, None, disc
+    return den, a, [c.b.numerator * (den // c.b.denominator) for c in coeffs], disc
+
+
+def _convolve(acc: list, u: list, v: list, scale: int) -> None:
+    """acc[i + j] += scale * u[i] * v[j] over ints, skipping zeros."""
+    for i, x in enumerate(u):
+        if x:
+            x *= scale
+            for j, y in enumerate(v):
+                if y:
+                    acc[i + j] += x * y
+
+
+def _pair_convolve(acc, f, g, disc: int, scale: int = 1) -> None:
+    """acc += scale * f * g for (A, B) pairs of vectors over Z[sqrt(disc)].
+
+    (a1 + b1 s)(a2 + b2 s) = a1 a2 + disc b1 b2 + (a1 b2 + b1 a2) s; a B of
+    None is the zero vector.
+    """
+    (a1, b1), (a2, b2) = f, g
+    _convolve(acc[0], a1, a2, scale)
+    if b1 and b2:
+        _convolve(acc[0], b1, b2, scale * disc)
+    if b2:
+        _convolve(acc[1], a1, b2, scale)
+    if b1:
+        _convolve(acc[1], b1, a2, scale)
+
+
+def _to_scalars(acc, den: int, disc: int) -> list[Scalar]:
+    """The canonical Scalars (A[i] + B[i]*sqrt(disc)) / den of an (A, B) pair."""
+    return [_raw(_RAT(a, den), _RAT(b, den) if b else _R0, disc) for a, b in zip(*acc)]
+
+
+def _product(u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
+    """Coefficients of the product of two nonempty coefficient sequences."""
+    uden, ua, ub, disc = _clear(u)
+    vden, va, vb, disc = _clear(v, disc)
+    size = len(u) + len(v) - 1
+    acc = ([0] * size, [0] * size)
+    _pair_convolve(acc, (ua, ub), (va, vb), disc)
+    return _to_scalars(acc, uden * vden, disc)
 
 
 class BinaryForm:
@@ -118,15 +183,7 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            deg = self.degree + other.degree
-            out = [ZERO] * (deg + 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
-            return BinaryForm(deg, out)
+            return BinaryForm(self.degree + other.degree, _product(self.coeffs, other.coeffs))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -144,8 +201,9 @@ class BinaryForm:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square beyond the top bit
+                base = base * base
         return result
 
     def binomial_coefficients(self) -> tuple[Scalar, ...]:
@@ -365,14 +423,7 @@ class UnivariatePoly:
         if isinstance(other, UnivariatePoly):
             if self.is_zero or other.is_zero:
                 return UnivariatePoly(())
-            out = [ZERO] * (self.degree + other.degree + 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
-            return UnivariatePoly(out)
+            return UnivariatePoly(_product(self.coeffs, other.coeffs))
         return UnivariatePoly([_scal(other) * c for c in self.coeffs])
 
     __rmul__ = __mul__

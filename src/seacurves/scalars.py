@@ -8,9 +8,11 @@ representation is canonical, so ``==`` is exact value equality.
 Scalars of different nonzero discriminants must not be mixed; doing so raises
 :class:`FieldMixError` rather than silently coercing.
 
-The rational backend is ``gmpy2.mpq`` when available (several times faster on
-the big integers that transvectant chains produce) and ``fractions.Fraction``
-otherwise.
+The rational backend is ``gmpy2.mpq`` when available and
+``fractions.Fraction`` otherwise.  Products of coefficient sequences, and with
+them the inner loops of transvectant chains, do not use it: they run on Python
+ints in :mod:`seacurves.forms` and meet the backend only when the result is
+divided back into canonical scalars.
 """
 
 from __future__ import annotations
@@ -324,7 +326,7 @@ def parse_scalar(text: str) -> Scalar:
             raise ScalarParseError(f"dangling sign in {text!r}")
         m = _SQRT_RE.search(part)
         if m:
-            d = int(m.group(1))
+            d = _parse_int(m.group(1))
             if disc and d != disc:
                 raise ScalarParseError(f"two different radicals in {text!r}")
             coeff_txt = part[: m.start()].rstrip("*")
@@ -345,6 +347,13 @@ def _parse_rat(part: str, whole: str):
     if not _RATIONAL_RE.match(part):
         raise ScalarParseError(f"bad rational {part!r} in {whole!r}")
     num, _, den = part.partition("/")
-    if den and int(den) == 0:
+    if den and _parse_int(den) == 0:
         raise ScalarParseError(f"zero denominator in {whole!r}")
-    return _RAT(int(num), int(den)) if den else _RAT(int(num))
+    return _RAT(_parse_int(num), _parse_int(den)) if den else _RAT(_parse_int(num))
+
+
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's integer-string digit limit
+        raise ScalarParseError(f"numeral too long ({len(digits)} characters)") from None

@@ -10,17 +10,18 @@ The result is a form of degree n + m - 2r.  Every covariant and invariant in
 :mod:`seacurves.invariants` is a composition of this single operation with
 form products.
 
-The inner loops run on raw backend rationals whenever both inputs are
-rational (the overwhelmingly common case); quadratic-extension coefficients
-take the generic Scalar path.
+There is one code path for Q and Q(sqrt D): each operand is cleared once to
+integer vectors over Z[sqrt D] with a common denominator, the partial
+derivatives are taken on those vectors, the r + 1 products are convolved as
+Python ints by the kernel that also multiplies forms, and the sum is divided
+by n! m! and both denominators once, at the end.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, perm
 
-from .forms import BinaryForm
-from .scalars import Scalar, _R0, _raw, _RAT
+from .forms import BinaryForm, _clear, _pair_convolve, _to_scalars
 
 __all__ = ["transvect", "TransvectionError"]
 
@@ -29,24 +30,11 @@ class TransvectionError(ValueError):
     """r exceeds the degree of one of the operands (or is negative)."""
 
 
-def _falling(x: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
-def _partial_rows_raw(coeffs, n: int, r: int):
-    """Row k = coefficients of d^r f / dX^(r-k) dZ^k over the raw rationals."""
-    rows = []
-    for k in range(r + 1):
-        p = r - k
-        row = []
-        for i in range(n - r + 1):
-            mult = _falling(i + p, p) * _falling(n - i - p, k)
-            row.append(coeffs[i + p] * mult if mult else _R0)
-        rows.append(row)
-    return rows
+def _partial(vec, n: int, p: int, k: int):
+    """d^(p+k) / dX^p dZ^k of the degree-n form with ascending coefficients vec."""
+    if vec is None:
+        return None
+    return [vec[i + p] * perm(i + p, p) * perm(n - i - p, k) for i in range(n - p - k + 1)]
 
 
 def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
@@ -57,55 +45,13 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
             f"transvection order {r} out of range for degrees ({n}, {m})"
         )
     deg = n + m - 2 * r
-    pref_num = factorial(m - r) * factorial(n - r)
-    pref_den = factorial(n) * factorial(m)
-
-    rational_inputs = all(c.disc == 0 for c in f.coeffs) and all(
-        c.disc == 0 for c in g.coeffs
-    )
-    if rational_inputs:
-        fa = [c.a for c in f.coeffs]
-        ga = [c.a for c in g.coeffs]
-        tf = _partial_rows_raw(fa, n, r)
-        tg = _partial_rows_raw(ga, m, r)
-        acc = [_R0] * (deg + 1)
-        for k in range(r + 1):
-            sign_binom = comb(r, k) if k % 2 == 0 else -comb(r, k)
-            left = tf[k]
-            right = tg[r - k]
-            for i, ai in enumerate(left):
-                if ai == 0:
-                    continue
-                sai = ai * sign_binom
-                for j, bj in enumerate(right):
-                    if bj != 0:
-                        acc[i + j] += sai * bj
-        pref = _RAT(pref_num, pref_den)
-        return BinaryForm(deg, [_raw(pref * c, _R0, 0) for c in acc])
-
-    # Generic path over Scalar (quadratic-extension coefficients present).
-    tf = [_partial_scalar(f, r, k) for k in range(r + 1)]
-    tg = [_partial_scalar(g, r, k) for k in range(r + 1)]
-    acc_s = [Scalar(0)] * (deg + 1)
+    fden, fa, fb, disc = _clear(f.coeffs)
+    gden, ga, gb, disc = _clear(g.coeffs, disc)
+    pref_num = factorial(n - r) * factorial(m - r)
+    acc = ([0] * (deg + 1), [0] * (deg + 1))
     for k in range(r + 1):
-        sign_binom = comb(r, k) if k % 2 == 0 else -comb(r, k)
-        left = tf[k]
-        right = tg[r - k]
-        for i, ai in enumerate(left):
-            if ai.is_zero:
-                continue
-            sai = sign_binom * ai
-            for j, bj in enumerate(right):
-                if not bj.is_zero:
-                    acc_s[i + j] = acc_s[i + j] + sai * bj
-    pref_s = Scalar(_RAT(pref_num, pref_den))
-    return BinaryForm(deg, [pref_s * c for c in acc_s])
-
-
-def _partial_scalar(f: BinaryForm, r: int, k: int):
-    p = r - k
-    n = f.degree
-    return [
-        f.coeffs[i + p] * (_falling(i + p, p) * _falling(n - i - p, k))
-        for i in range(n - r + 1)
-    ]
+        left = (_partial(fa, n, r - k, k), _partial(fb, n, r - k, k))
+        right = (_partial(ga, m, k, r - k), _partial(gb, m, k, r - k))
+        _pair_convolve(acc, left, right, disc, (-1) ** k * comb(r, k) * pref_num)
+    den = factorial(n) * factorial(m) * fden * gden
+    return BinaryForm(deg, _to_scalars(acc, den, disc))

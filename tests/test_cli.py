@@ -75,6 +75,18 @@ def test_transvect_radicand_limit(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_degree_limit(capsys):
+    # a degree past MAX_DEGREE is a usage error at once, before any list of
+    # that length is built (x^1000000000 used to exhaust memory)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "genus", "-n", "2", "--poly", "x^1000000000+1")
+    assert code == 2 and out == "" and "exceeds 100" in err
+    code, out, err = run(capsys, "transvect", "--f", ",".join(["1"] * 102),
+                         "--g", "1,1", "-r", "1")
+    assert code == 2 and out == "" and "degree 101 exceeds 100" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_isomorphic_true_false_inconclusive(capsys):
     f = "1,2,0,1,0,0,3"
     # scaling a sextic leaves the absolute invariants alone

@@ -114,7 +114,11 @@ def test_parse_roundtrip(x, y):
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1+1+1", "sqrt(-3)+sqrt(5)", "3/0", "1//2",
-                                 "sqrt(100000000000000000039)"])
+                                 "sqrt(100000000000000000039)",
+                                 # numerals past the interpreter's int-string digit limit
+                                 pytest.param("1" * 5000, id="5000-digit-integer"),
+                                 pytest.param("sqrt(" + "1" * 5000 + ")", id="5000-digit-radicand"),
+                                 pytest.param("1/" + "1" * 5000, id="5000-digit-denominator")])
 def test_parse_rejects(bad):
     with pytest.raises(ScalarParseError):
         parse_scalar(bad)

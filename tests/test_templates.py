@@ -94,7 +94,8 @@ def test_declared_degree_stable_under_params():
 
 def test_rejects_malformed():
     for bad in ("", "x^2 +", "x^2 + )", "sum(i=5..1, a_i*x^i)", "x^2 & 1",
-                "x^2*", "(x+1)*(x-1)*"):  # a dangling * is an empty factor
+                "x^2*", "(x+1)*(x-1)*",  # a dangling * is an empty factor
+                "sum(i=1..1000000, a_i*x^i)"):  # degree beyond MAX_DEGREE
         with pytest.raises(TemplateError):
             parse_template(bad)
     with pytest.raises(TemplateError):

@@ -106,8 +106,8 @@ def test_zero_form_inputs():
 
 
 def test_generic_path_agrees_with_fast_path():
-    # scaling both inputs by sqrt(-3) forces the quadratic-extension path;
-    # bilinearity pins its output against the rational fast path
+    # scaling both inputs by sqrt(-3) puts their coefficients in Q(sqrt -3);
+    # bilinearity pins that output against the same forms' rational output
     rng = random.Random(31)
     s = sqrt_ext(1, -3)
     for _ in range(20):
