@@ -132,7 +132,8 @@ class EquationTemplate:
             for term in factor.all_terms():
                 if term.param and term.param not in names:
                     names.append(term.param)
-        return tuple(sorted(names, key=lambda s: int(s[1:])))
+        # numeric order of the index; int() would refuse one past 4300 digits
+        return tuple(sorted(names, key=lambda s: (len(s[1:].lstrip("0")), s[1:].lstrip("0"))))
 
     def expand(self, params: dict | None = None) -> UnivariatePoly:
         """Substitute parameter values and multiply out, exactly."""
@@ -303,23 +304,30 @@ def _parse_term(text: str):
     if m:
         if sign < 0:
             raise TemplateError("sum blocks cannot be negated")
-        lo, hi = int(m.group(1)), int(m.group(2))
-        scale = int(m.group(3)) if m.group(3) else 1
-        offset = int(m.group(4)) if m.group(4) else 0
+        lo, hi = _parse_int(m.group(1)), _parse_int(m.group(2))
+        scale = _parse_int(m.group(3)) if m.group(3) else 1
+        offset = _parse_int(m.group(4)) if m.group(4) else 0
         return SumBlock(lo, hi, scale, offset)
     mono = _MONO_RE.match(text)
     if mono:
-        exp = int(mono.group(1)) if mono.group(1) else 1
+        exp = _parse_int(mono.group(1)) if mono.group(1) else 1
         return Term(Scalar(sign), None, exp)
     tm = _TERM_RE.match(text)
     if tm:
         coeff_txt, mono_txt = tm.group("coeff"), tm.group("mono")
         exp_m = _MONO_RE.match(mono_txt)
-        exp = int(exp_m.group(1)) if exp_m.group(1) else 1
+        exp = _parse_int(exp_m.group(1)) if exp_m.group(1) else 1
     else:
         coeff_txt, exp = text, 0
     const, param = _parse_coeff(coeff_txt)
     return Term(sign * const, param, exp)
+
+
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's integer-string digit limit
+        raise TemplateError(f"numeral too long ({len(digits)} characters)") from None
 
 
 def _parse_coeff(text: str):

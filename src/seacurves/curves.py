@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .forms import UnivariatePoly, discriminant
+from .forms import UnivariatePoly, is_squarefree
 
 __all__ = [
     "ReducedGroup",
@@ -233,7 +233,7 @@ class SuperellipticCurve:
             raise ValueError(f"level must be >= 2, got {n}")
         if f.degree < 2:
             raise ValueError(f"need deg f >= 2, got {f.degree}")
-        if discriminant(f).is_zero:
+        if not is_squarefree(f):
             raise NotSquarefreeError("f has a repeated root (discriminant = 0)")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "f", f)

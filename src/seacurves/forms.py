@@ -10,15 +10,18 @@ of coefficient sequences (form and polynomial products, and through them the
 GL2 action and template expansion, as well as the transvectant) runs on one
 integer kernel: each operand is cleared to integer vectors over Z[sqrt(D)]
 with one common denominator, the vectors are convolved as Python ints, and
-the result is divided once.  No operation here ever touches floating point.
+the result is divided once.  Resultants, discriminants (hence the squarefree
+test) and gcds all run on one Euclidean remainder sequence, ``_poly_mod``.
+No operation here ever touches floating point.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .scalars import _R0, _RAT, ONE, ZERO, FieldMixError, Scalar, _raw, parse_scalar
+from .scalars import _R0, ONE, ZERO, FieldMixError, Scalar, _raw, parse_scalar
 
 __all__ = [
     "BinaryForm",
@@ -112,7 +115,7 @@ def _pair_convolve(acc, f, g, disc: int, scale: int = 1) -> None:
 
 def _to_scalars(acc, den: int, disc: int) -> list[Scalar]:
     """The canonical Scalars (A[i] + B[i]*sqrt(disc)) / den of an (A, B) pair."""
-    return [_raw(_RAT(a, den), _RAT(b, den) if b else _R0, disc) for a, b in zip(*acc)]
+    return [_raw(Fraction(a, den), Fraction(b, den) if b else _R0, disc) for a, b in zip(*acc)]
 
 
 def _product(u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
@@ -475,48 +478,26 @@ def dehomogenize(f: BinaryForm) -> UnivariatePoly:
     return UnivariatePoly(f.coeffs)
 
 
-def _det(rows: list[list[Scalar]]) -> Scalar:
-    """Exact determinant by Gaussian elimination with nonzero pivoting."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    m = [list(r) for r in rows]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not m[r][col].is_zero), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        pv = m[col][col]
-        det = det * pv
-        inv = pv.inverse()
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor.is_zero:
-                continue
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return det
-
-
 def resultant(p: UnivariatePoly, q: UnivariatePoly) -> Scalar:
-    """Determinant of the Sylvester matrix, rows of p (descending) first."""
+    """Res(p, q), the Sylvester determinant with the rows of p first.
+
+    Computed by the Euclidean remainder sequence: with r = p mod q,
+    Res(p, q) = (-1)^(deg p deg q) lc(q)^(deg p - deg r) Res(q, r), and
+    Res(q, c r) = c^(deg q) Res(q, r) makes every remainder monic.
+    """
     if p.is_zero or q.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
-    m, n = p.degree, q.degree
-    size = m + n
-    if size == 0:
-        return ONE
-    pd = list(reversed(p.coeffs))
-    qd = list(reversed(q.coeffs))
-    rows = []
-    for shift in range(n):
-        rows.append([ZERO] * shift + pd + [ZERO] * (size - shift - m - 1))
-    for shift in range(m):
-        rows.append([ZERO] * shift + qd + [ZERO] * (size - shift - n - 1))
-    return _det(rows)
+    res = ONE
+    while q.degree > 0:
+        r = _poly_mod(p, q)
+        if r.is_zero:
+            return ZERO
+        m, n = p.degree, q.degree
+        res = res * q.leading() ** (m - r.degree) * r.leading() ** n
+        if m * n % 2:
+            res = -res
+        p, q = q, r.monic()
+    return res * q.leading() ** p.degree
 
 
 def discriminant(p: UnivariatePoly) -> Scalar:
@@ -525,10 +506,7 @@ def discriminant(p: UnivariatePoly) -> Scalar:
     if d < 1:
         raise DegreeError("discriminant needs degree >= 1")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    dp = p.derivative()
-    if dp.is_zero:
-        return ZERO
-    return sign * resultant(p, dp) / p.leading()
+    return sign * resultant(p, p.derivative()) / p.leading()
 
 
 def is_squarefree(p: UnivariatePoly) -> bool:

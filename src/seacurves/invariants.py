@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .forms import BinaryForm, DegreeError, dehomogenize, discriminant
+from .forms import BinaryForm, DegreeError, dehomogenize, is_squarefree
 from .scalars import Scalar, rational
 from .transvection import transvect
 
@@ -254,10 +254,7 @@ def form_is_squarefree(f: BinaryForm) -> bool:
         return True
     if f.coeffs[d].is_zero and f.coeffs[d - 1].is_zero:
         return False  # [1:0] is at least a double root
-    p = dehomogenize(f)
-    if p.degree < 1:
-        return False  # pure power of Z beyond the checks above cannot happen
-    return not discriminant(p).is_zero
+    return is_squarefree(dehomogenize(f))  # degree >= d - 1 >= 1 here
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ representation is canonical, so ``==`` is exact value equality.
 Scalars of different nonzero discriminants must not be mixed; doing so raises
 :class:`FieldMixError` rather than silently coercing.
 
-The rational backend is ``gmpy2.mpq`` when available and
-``fractions.Fraction`` otherwise.  Products of coefficient sequences, and with
-them the inner loops of transvectant chains, do not use it: they run on Python
-ints in :mod:`seacurves.forms` and meet the backend only when the result is
-divided back into canonical scalars.
+The components are ``fractions.Fraction`` values; there is no other rational
+backend.  Products of coefficient sequences, and with them the inner loops of
+transvectant chains, do not use Fraction: they run on Python ints in
+:mod:`seacurves.forms` and meet it only when the result is divided back into
+canonical scalars.
 """
 
 from __future__ import annotations
@@ -20,14 +20,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-try:  # pragma: no cover - exercised implicitly by whichever env runs the suite
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover
-    _RAT = Fraction
-
-_RAT_TYPE = type(_RAT(0))
-_R0 = _RAT(0)
-_R1 = _RAT(1)
+_RAT = Fraction  # the one rational type; the benchmark records it as the backend
+_R0 = Fraction(0)
+_R1 = Fraction(1)
 
 __all__ = [
     "Scalar",
@@ -68,12 +63,10 @@ def _is_squarefree(n: int) -> bool:
 
 
 def _as_rat(x):
-    if isinstance(x, _RAT_TYPE):
+    if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, Fraction)):
-        return _RAT(x)
-    if isinstance(x, str):
-        return _RAT(Fraction(x))
+    if isinstance(x, (int, str)):
+        return Fraction(x)
     if isinstance(x, Scalar) and x.disc == 0:
         return x.a
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
@@ -243,7 +236,7 @@ class Scalar:
         """The value as a Fraction; rational scalars only."""
         if self.disc != 0:
             raise ValueError(f"{self} is not rational")
-        return Fraction(int(self.a.numerator), int(self.a.denominator))
+        return self.a
 
 
 def _raw(a, b, disc: int) -> Scalar:
@@ -263,7 +256,7 @@ def _raw(a, b, disc: int) -> Scalar:
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, _RAT_TYPE, Fraction)):
+    if isinstance(x, (int, Fraction)):
         return _raw(_as_rat(x), _R0, 0)
     return NotImplemented
 
@@ -349,7 +342,7 @@ def _parse_rat(part: str, whole: str):
     num, _, den = part.partition("/")
     if den and _parse_int(den) == 0:
         raise ScalarParseError(f"zero denominator in {whole!r}")
-    return _RAT(_parse_int(num), _parse_int(den)) if den else _RAT(_parse_int(num))
+    return Fraction(_parse_int(num), _parse_int(den)) if den else Fraction(_parse_int(num))
 
 
 def _parse_int(digits: str) -> int:

@@ -87,6 +87,13 @@ def test_degree_limit(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_genus_at_degree_limit(capsys):
+    # the squarefree check of a degree-100 f, the largest the CLI accepts
+    coeffs = ",".join(str((7 * i * i + 3 * i) % 21 - 10) for i in range(100)) + ",1"
+    code, doc, _ = run_json(capsys, "genus", "-n", "2", "--poly", coeffs)
+    assert code == 0 and doc == {"genus": 49}
+
+
 def test_isomorphic_true_false_inconclusive(capsys):
     f = "1,2,0,1,0,0,3"
     # scaling a sextic leaves the absolute invariants alone

@@ -95,8 +95,10 @@ def test_declared_degree_stable_under_params():
 def test_rejects_malformed():
     for bad in ("", "x^2 +", "x^2 + )", "sum(i=5..1, a_i*x^i)", "x^2 & 1",
                 "x^2*", "(x+1)*(x-1)*",  # a dangling * is an empty factor
-                "sum(i=1..1000000, a_i*x^i)"):  # degree beyond MAX_DEGREE
+                "sum(i=1..1000000, a_i*x^i)",  # degree beyond MAX_DEGREE
+                "x^" + "1" * 5000, "sum(i=1.." + "1" * 5000 + ", a_i*x^i)"):  # long numerals
         with pytest.raises(TemplateError):
             parse_template(bad)
-    with pytest.raises(TemplateError):
-        parse_poly_string("x^2 + a1*x + 1")  # parameters are not concrete
+    for bad in ("x^2 + a1*x + 1", "x^2 + a" + "1" * 5000 + "*x + 1"):
+        with pytest.raises(TemplateError):
+            parse_poly_string(bad)  # parameters are not concrete
