@@ -377,7 +377,7 @@ def verify_all(catalog: Catalog, genus: int | None = None) -> VerificationReport
 # -- inclusion DAG ---------------------------------------------------------------
 
 
-def _specializes(a: FamilyRecord, b: FamilyRecord) -> bool:
+def _specializes(a: FamilyRecord, b: FamilyRecord, support: dict) -> bool:
     """True when a's template is a syntactic specialization of b's.
 
     Rule: same level n, delta(a) <= delta(b), and at every exponent either
@@ -388,10 +388,9 @@ def _specializes(a: FamilyRecord, b: FamilyRecord) -> bool:
     families: a specialization can never have more parameters than the
     family it sits inside.
     """
-    if a.n != b.n or a.delta > b.delta or a.template is None or b.template is None:
+    if a.n != b.n or a.delta > b.delta:
         return False
-    ca = a.template.support_classification()
-    cb = b.template.support_classification()
+    ca, cb = support[a.id], support[b.id]
     zero = ("const", Scalar(0))
     for e in set(ca) | set(cb):
         here = ca.get(e, zero)
@@ -410,10 +409,11 @@ def inclusions(catalog: Catalog, genus: int) -> list[tuple[str, str]]:
     sorted for determinism.
     """
     records = [r for r in catalog.query(genus=genus) if r.template is not None]
+    support = {r.id: r.template.support_classification() for r in records}
     edges = set()
     for a in records:
         for b in records:
-            if a.id != b.id and _specializes(a, b):
+            if a.id != b.id and _specializes(a, b, support):
                 edges.add((a.id, b.id))
     # two templates specializing each other would be a cycle; the dataset has
     # none, but drop such pairs defensively rather than emit a cyclic graph

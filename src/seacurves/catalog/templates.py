@@ -4,8 +4,10 @@ A template is a product of factors.  Each factor is a sparse polynomial in x
 whose terms carry constant coefficients (rational or quadratic-extension),
 parameter symbols a1..ak with an optional constant multiplier, or a
 sum-block ``sum(i=lo..hi, a_i*x^(c*i+b))`` generating one fresh parameter per
-index.  Leading coefficients are always constants, so a template has a fixed
-degree regardless of the parameter assignment.
+index.  Each factor leads with a nonzero constant term, so (Q(sqrt D)[a1..ak]
+being a domain) the product does too and a template has a fixed degree for
+every parameter assignment.  All constants lie in one field, Q or a single
+Q(sqrt D).  Both rules are checked without multiplying the template out.
 
 The string grammar round-trips bit-exactly: ``parse_template(t.to_string())``
 reproduces the template, and ``to_string`` output is canonical (terms sorted
@@ -17,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..forms import MAX_DEGREE, UnivariatePoly
-from ..scalars import ONE, Scalar, ScalarParseError, parse_scalar
+from ..forms import MAX_DEGREE, UnivariatePoly, _join_coeff_field
+from ..scalars import ONE, FieldMixError, Scalar, ScalarParseError, parse_scalar
 
 __all__ = [
     "EquationTemplate",
@@ -112,15 +114,19 @@ class EquationTemplate:
         self._validate()
 
     def _validate(self):
+        consts = []
         for factor in self.factors:
-            exps = [t.exp for t in factor.all_terms()]
-            if len(set(exps)) != len(exps):
+            terms = factor.all_terms()
+            if len({t.exp for t in terms}) != len(terms):
                 raise TemplateError("duplicate exponent inside a factor")
-        # the classification is all later callers need of the expansion
-        self._support = {e: ("const", poly[()]) if list(poly) == [()] else "param"
-                         for e, poly in self.symbolic().items()}
-        if not isinstance(self._support.get(self.degree), tuple):
-            raise TemplateError("template leading coefficient must be a nonzero constant")
+            lead = factor.items[0]
+            if not isinstance(lead, Term) or lead.param is not None or lead.const.is_zero:
+                raise TemplateError("template leading coefficient must be a nonzero constant")
+            consts += [t.const for t in terms]
+        try:
+            _join_coeff_field(consts)
+        except FieldMixError as exc:
+            raise TemplateError(str(exc)) from None
 
     @property
     def degree(self) -> int:
@@ -160,8 +166,8 @@ class EquationTemplate:
         """Expanded coefficients as polynomials in the parameters.
 
         Returns exp -> {monomial: Scalar} with monomial a sorted tuple of
-        parameter names (with repetition).  Used by the inclusion DAG and by
-        template validation; identically-zero coefficients are dropped.
+        parameter names (with repetition).  Used by the inclusion DAG through
+        :meth:`support_classification`; identically-zero coefficients are dropped.
         """
         acc = {0: {(): ONE}}
         for factor in self.factors:
@@ -188,9 +194,9 @@ class EquationTemplate:
 
     def support_classification(self) -> dict:
         """exp -> ("const", Scalar) for parameter-free coefficients,
-        exp -> "param" for parameter-dependent ones; computed once, when the
-        template is built."""
-        return dict(self._support)
+        exp -> "param" for parameter-dependent ones; expanded anew on each call."""
+        return {e: ("const", poly[()]) if list(poly) == [()] else "param"
+                for e, poly in self.symbolic().items()}
 
     def to_string(self) -> str:
         bodies = []

@@ -351,19 +351,13 @@ def moebius_act(M: Matrix2, f: BinaryForm) -> BinaryForm:
     """
     if M.det().is_zero:
         raise SingularMatrixError("substitution matrix must be invertible")
-    d = f.degree
-    # pow1[i] = (aX + bZ)^i, pow2[j] = (cX + dZ)^j as coefficient lists.
     lin1 = BinaryForm(1, (M.b, M.a))   # coeff of X is a, of Z is b
     lin2 = BinaryForm(1, (M.d, M.c))
-    pow1 = [BinaryForm(0, (ONE,))]
-    pow2 = [BinaryForm(0, (ONE,))]
-    for i in range(d):
-        pow1.append(pow1[-1] * lin1)
-        pow2.append(pow2[-1] * lin2)
-    acc = BinaryForm.zero(d)
-    for i, c in enumerate(f.coeffs):
-        if not c.is_zero:
-            acc = acc + (pow1[i] * pow2[d - i]).scale(c)
+    # Horner in lin1: after coefficient i, acc = sum_{j>=i} a_j lin1^(j-i) lin2^(d-j)
+    acc, power = BinaryForm(0, f.coeffs[-1:]), BinaryForm(0, (ONE,))
+    for c in reversed(f.coeffs[:-1]):
+        power = power * lin2
+        acc = acc * lin1 + power.scale(c)
     return acc
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from seacurves.catalog import (
@@ -12,6 +15,7 @@ from seacurves.catalog import (
     verify_all,
     verify_record,
 )
+from seacurves.catalog.templates import EquationTemplate
 from seacurves.curves import NotSquarefreeError, Signature
 from seacurves.scalars import Scalar
 
@@ -345,3 +349,38 @@ def test_catalog_members_feed_the_invariant_systems(catalog):
         from seacurves.curves import make_curve
 
         assert make_curve(2, poly).genus == 5
+
+
+SUPPORT_GOLDEN = Path(__file__).parent / "data" / "catalog_support_golden.json"
+
+
+def test_support_classification_golden(catalog):
+    """Every templated row's classification, which the inclusion edges are
+    built from, pinned exactly."""
+    got = {}
+    for r in catalog:
+        if r.template is not None:
+            got[r.id] = {str(e): v if v == "param" else str(v[1])
+                         for e, v in r.template.support_classification().items()}
+    assert got == json.loads(SUPPORT_GOLDEN.read_text("utf-8"))
+
+
+def test_only_inclusions_expands_templates(monkeypatch):
+    expand = EquationTemplate.symbolic
+
+    def refuse(self):
+        raise AssertionError("symbolic() called")
+
+    monkeypatch.setattr(EquationTemplate, "symbolic", refuse)
+    catalog = load_catalog(use_env=False)
+    assert verify_all(catalog).ok
+    assert specialize(catalog["g5-c4-1"], {"a1": 1, "a2": 3, "a3": 5}).genus == 5
+    assert len(catalog.query(genus=5)) == 20
+
+    # inclusions expands each templated row of the genus once
+    calls = []
+    monkeypatch.setattr(EquationTemplate, "symbolic",
+                        lambda self: calls.append(self) or expand(self))
+    inclusions(catalog, 5)
+    rows = [r.template for r in catalog.query(genus=5) if r.template is not None]
+    assert len(calls) == len(rows) and {id(t) for t in calls} == {id(t) for t in rows}

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +206,17 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "invariants", "--kind", "sextic",
                          "--coeffs", "1,0,0,0,0,0,1")
     assert code == 3 and out == "" and "internal inconsistency" in err
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+
+
+def test_golden_digests(capsys, monkeypatch):
+    """Exit code and stdout SHA-256 of every call the benchmark pins."""
+    monkeypatch.delenv("SEA_CATALOG", raising=False)
+    entries = json.loads(GOLDEN.read_text("utf-8"))
+    assert len(entries) == 36
+    for entry in entries:
+        code, out, _ = run(capsys, *entry["argv"])
+        assert code == entry["exit"], entry["argv"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["sha256"], entry["argv"]

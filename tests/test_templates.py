@@ -96,7 +96,12 @@ def test_rejects_malformed():
     for bad in ("", "x^2 +", "x^2 + )", "sum(i=5..1, a_i*x^i)", "x^2 & 1",
                 "x^2*", "(x+1)*(x-1)*",  # a dangling * is an empty factor
                 "sum(i=1..1000000, a_i*x^i)",  # degree beyond MAX_DEGREE
-                "x^" + "1" * 5000, "sum(i=1.." + "1" * 5000 + ", a_i*x^i)"):  # long numerals
+                "x^" + "1" * 5000, "sum(i=1.." + "1" * 5000 + ", a_i*x^i)",  # long numerals
+                # every factor's leading coefficient must be a nonzero constant
+                "a1*x^3 + 1", "0*x^3 + x", "0*a1*x^3 + 1", "sum(i=1..3, a_i*x^i) + 1",
+                "(x^2 + 1)*(a1*x + 1)",
+                # one quadratic field per template
+                "(x + sqrt(-3))*(x + sqrt(5))", "x^2 + sqrt(-3)*x + sqrt(5)"):
         with pytest.raises(TemplateError):
             parse_template(bad)
     for bad in ("x^2 + a1*x + 1", "x^2 + a" + "1" * 5000 + "*x + 1"):
