@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -63,6 +64,7 @@ STATUS_MISSING_EQUATION = "missing_equation"
 _STATUSES = (STATUS_OK, STATUS_ILLEGIBLE, STATUS_CORRECTED, STATUS_MISSING_EQUATION)
 
 DATA_ENV_VAR = "SEA_CATALOG"
+_ID = re.compile(r".*-[0-9]+")  # the trailing integer orders rows within a case
 
 
 class CatalogError(ValueError):
@@ -89,6 +91,13 @@ class FamilyRecord:
     template: EquationTemplate | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not _ID.fullmatch(self.id):
+            raise CatalogError(f"id {self.id!r} does not end in -<digits>")
+        for name in ("genus", "case_nr", "n", "delta", "m"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "m" and value is None):
+                key = name.removesuffix("_nr")  # the JSON key of case_nr is "case"
+                raise CatalogError(f"{key} {value!r} on {self.id} is not an integer")
         if self.status not in _STATUSES:
             raise CatalogError(f"unknown status {self.status!r} on {self.id}")
         if self.delta < 0 or self.n < 2:
@@ -250,10 +259,6 @@ def specialize(record: FamilyRecord, params: dict) -> SuperellipticCurve:
 class CheckResult:
     passed: bool | None          # None = not applicable for this row
     detail: str
-
-    @property
-    def applicable(self) -> bool:
-        return self.passed is not None
 
 
 @dataclass(frozen=True)

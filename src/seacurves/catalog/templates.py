@@ -73,9 +73,6 @@ class SumBlock:
     def max_exp(self) -> int:
         return self.scale * self.hi + self.offset
 
-    def params(self) -> list[str]:
-        return [f"a{i}" for i in range(self.lo, self.hi + 1)]
-
     def terms(self) -> list[Term]:
         return [
             Term(ONE, f"a{i}", self.scale * i + self.offset)

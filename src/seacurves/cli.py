@@ -25,7 +25,7 @@ from .catalog import (
     specialize,
     verify_all,
 )
-from .catalog.templates import TemplateError, parse_poly_string
+from .catalog.templates import parse_poly_string
 from .forms import MAX_DEGREE, BinaryForm, UnivariatePoly, homogenize
 from .invariants import (
     InconclusiveError,
@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, OSError, TemplateError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,12 +99,6 @@ class Signature:
     def __setattr__(self, name, value):
         raise AttributeError("Signature is immutable")
 
-    def expand(self) -> tuple[int, ...]:
-        out = []
-        for e, mult in self.pairs:
-            out.extend([e] * mult)
-        return tuple(out)
-
     @property
     def point_count(self) -> int:
         return sum(mult for _, mult in self.pairs)

@@ -6,19 +6,20 @@ declared degree even when leading coefficients vanish; the all-zero form is a
 legal value of any degree.
 
 Coefficients are :class:`~seacurves.scalars.Scalar` values.  Every product
-of coefficient sequences (form and polynomial products, and through them the
-GL2 action and template expansion, as well as the transvectant) runs on one
-integer kernel: each operand is cleared to integer vectors over Z[sqrt(D)]
-with one common denominator, the vectors are convolved as Python ints, and
-the result is divided once.  Resultants, discriminants (hence the squarefree
-test) and gcds all run on one Euclidean remainder sequence, ``_poly_mod``.
+of coefficient sequences (form and polynomial products, and through them
+template expansion), the GL2 substitution, the partial derivatives and the
+transvectant run on one integer kernel: each operand is cleared once to
+integer vectors over Z[sqrt(D)] with one common denominator, the vectors are
+differentiated and convolved as Python ints, and the result is divided once.
+Resultants, discriminants (hence the squarefree test) and gcds all run on one
+Euclidean remainder sequence, ``_poly_mod``.
 No operation here ever touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
 from typing import Iterable, Sequence
 
 from .scalars import _R0, ONE, ZERO, FieldMixError, Scalar, _raw, parse_scalar
@@ -105,6 +106,8 @@ def _pair_convolve(acc, f, g, disc: int, scale: int = 1) -> None:
     """
     (a1, b1), (a2, b2) = f, g
     _convolve(acc[0], a1, a2, scale)
+    if not disc:  # every B is zero over Q
+        return
     if b1 and b2:
         _convolve(acc[0], b1, b2, scale * disc)
     if b2:
@@ -113,19 +116,33 @@ def _pair_convolve(acc, f, g, disc: int, scale: int = 1) -> None:
         _convolve(acc[1], b1, a2, scale)
 
 
+def _pair_product(f, g, disc: int):
+    """The (A, B) pair of f * g for nonempty (A, B) pairs over Z[sqrt(disc)]."""
+    size = len(f[0]) + len(g[0]) - 1
+    acc = ([0] * size, [0] * size)
+    _pair_convolve(acc, f, g, disc)
+    return acc
+
+
+def _partial(vec, n: int, p: int, k: int):
+    """d^(p+k) / dX^p dZ^k of the degree-n form with ascending coefficients vec."""
+    if vec is None:
+        return None
+    return [vec[i + p] * perm(i + p, p) * perm(n - i - p, k) for i in range(n - p - k + 1)]
+
+
 def _to_scalars(acc, den: int, disc: int) -> list[Scalar]:
     """The canonical Scalars (A[i] + B[i]*sqrt(disc)) / den of an (A, B) pair."""
-    return [_raw(Fraction(a, den), Fraction(b, den) if b else _R0, disc) for a, b in zip(*acc)]
+    a, b = acc
+    return [_raw(Fraction(x, den), Fraction(y, den) if y else _R0, disc)
+            for x, y in zip(a, b or [0] * len(a))]
 
 
 def _product(u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
     """Coefficients of the product of two nonempty coefficient sequences."""
     uden, ua, ub, disc = _clear(u)
     vden, va, vb, disc = _clear(v, disc)
-    size = len(u) + len(v) - 1
-    acc = ([0] * size, [0] * size)
-    _pair_convolve(acc, (ua, ub), (va, vb), disc)
-    return _to_scalars(acc, uden * vden, disc)
+    return _to_scalars(_pair_product((ua, ub), (va, vb), disc), uden * vden, disc)
 
 
 class BinaryForm:
@@ -155,11 +172,6 @@ class BinaryForm:
     @classmethod
     def zero(cls, degree: int) -> BinaryForm:
         return cls(degree, (ZERO,) * (degree + 1))
-
-    @classmethod
-    def from_descending(cls, degree: int, coeffs: Sequence) -> BinaryForm:
-        """Build from the descending convention a_0 X^d + a_1 X^(d-1) Z + ..."""
-        return cls(degree, tuple(reversed([_scal(c) for c in coeffs])))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
@@ -195,25 +207,6 @@ class BinaryForm:
     def scale(self, c) -> BinaryForm:
         c = _scal(c)
         return BinaryForm(self.degree, [c * a for a in self.coeffs])
-
-    def __pow__(self, n: int) -> BinaryForm:
-        if n < 0:
-            raise ValueError("forms only take nonnegative powers")
-        result = BinaryForm(0, (ONE,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square beyond the top bit
-                base = base * base
-        return result
-
-    def binomial_coefficients(self) -> tuple[Scalar, ...]:
-        """The normalized b_i with a_i = C(d, i) b_i, i.e. b_i = (d-i)! i!/d! a_i."""
-        from math import comb
-
-        return tuple(a / comb(self.degree, i) for i, a in enumerate(self.coeffs))
 
     def constant_value(self) -> Scalar:
         """The scalar value of a degree-0 form."""
@@ -272,17 +265,13 @@ def partial_derivative(f: BinaryForm, var: str, order: int = 1) -> BinaryForm:
         raise ValueError(f"var must be 'X' or 'Z', got {var!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > f.degree:
+    n = f.degree
+    if order > n:
         return BinaryForm.zero(0)
-    coeffs = f.coeffs
-    d = f.degree
-    for _ in range(order):
-        if var == "X":
-            coeffs = tuple(i * coeffs[i] for i in range(1, d + 1))
-        else:
-            coeffs = tuple((d - i) * coeffs[i] for i in range(d))
-        d -= 1
-    return BinaryForm(d, coeffs)
+    p, k = (order, 0) if var == "X" else (0, order)
+    den, a, b, disc = _clear(f.coeffs)
+    coeffs = _to_scalars((_partial(a, n, p, k), _partial(b, n, p, k)), den, disc)
+    return BinaryForm(n - order, coeffs)
 
 
 def evaluate(f: BinaryForm, x, z) -> Scalar:
@@ -319,10 +308,6 @@ class Matrix2:
     def det(self) -> Scalar:
         return self.a * self.d - self.b * self.c
 
-    @classmethod
-    def identity(cls) -> Matrix2:
-        return cls(1, 0, 0, 1)
-
     def __matmul__(self, other: Matrix2) -> Matrix2:
         return Matrix2(
             self.a * other.a + self.b * other.c,
@@ -347,18 +332,24 @@ def moebius_act(M: Matrix2, f: BinaryForm) -> BinaryForm:
     """Substituted form f(aX + bZ, cX + dZ); requires det(M) != 0.
 
     Composition order: acting by M then by N equals acting by N @ M once,
-    matching the contravariance of substitution actions.
+    matching the contravariance of substitution actions.  M and f are each
+    cleared once; the Horner pass runs on integer pairs, divided once at the
+    end by den(f) * e^d.
     """
     if M.det().is_zero:
         raise SingularMatrixError("substitution matrix must be invertible")
-    lin1 = BinaryForm(1, (M.b, M.a))   # coeff of X is a, of Z is b
-    lin2 = BinaryForm(1, (M.d, M.c))
-    # Horner in lin1: after coefficient i, acc = sum_{j>=i} a_j lin1^(j-i) lin2^(d-j)
-    acc, power = BinaryForm(0, f.coeffs[-1:]), BinaryForm(0, (ONE,))
-    for c in reversed(f.coeffs[:-1]):
-        power = power * lin2
-        acc = acc * lin1 + power.scale(c)
-    return acc
+    # e*M is integral; lin1 = e(aX + bZ) and lin2 = e(cX + dZ) as (A, B) pairs
+    e, ma, mb, disc = _clear((M.b, M.a, M.d, M.c))
+    fden, fa, fb, disc = _clear(f.coeffs, disc)
+    lin1, lin2 = (ma[:2], mb and mb[:2]), (ma[2:], mb and mb[2:])
+    d = f.degree
+    # Horner in lin1: after coefficient i, acc = sum_{j>=i} F_j lin1^(j-i) lin2^(d-j)
+    acc, power = ([fa[d]], fb and [fb[d]]), ([1], None)
+    for i in range(d - 1, -1, -1):
+        power = _pair_product(power, lin2, disc)
+        acc = _pair_product(acc, lin1, disc)
+        _pair_convolve(acc, power, ([fa[i]], fb and [fb[i]]), disc)
+    return BinaryForm(d, _to_scalars(acc, fden * e ** d, disc))
 
 
 class UnivariatePoly:
@@ -401,21 +392,6 @@ class UnivariatePoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: UnivariatePoly) -> UnivariatePoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UnivariatePoly(out)
-
-    def __neg__(self) -> UnivariatePoly:
-        return UnivariatePoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: UnivariatePoly) -> UnivariatePoly:
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, UnivariatePoly):
             if self.is_zero or other.is_zero:
@@ -427,13 +403,6 @@ class UnivariatePoly:
 
     def derivative(self) -> UnivariatePoly:
         return UnivariatePoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x) -> Scalar:
-        x = _scal(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def monic(self) -> UnivariatePoly:
         if self.is_zero:

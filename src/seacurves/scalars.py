@@ -232,12 +232,6 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({str(self)!r})"
 
-    def to_fraction(self) -> Fraction:
-        """The value as a Fraction; rational scalars only."""
-        if self.disc != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
 
 def _raw(a, b, disc: int) -> Scalar:
     # Internal constructor: components are already backend rationals and disc

@@ -12,29 +12,23 @@ form products.
 
 There is one code path for Q and Q(sqrt D): each operand is cleared once to
 integer vectors over Z[sqrt D] with a common denominator, the partial
-derivatives are taken on those vectors, the r + 1 products are convolved as
+derivatives are taken on those vectors by ``forms._partial`` (the formula
+behind ``partial_derivative`` too), the r + 1 products are convolved as
 Python ints by the kernel that also multiplies forms, and the sum is divided
 by n! m! and both denominators once, at the end.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, perm
+from math import comb, factorial
 
-from .forms import BinaryForm, _clear, _pair_convolve, _to_scalars
+from .forms import BinaryForm, _clear, _pair_convolve, _partial, _to_scalars
 
 __all__ = ["transvect", "TransvectionError"]
 
 
 class TransvectionError(ValueError):
     """r exceeds the degree of one of the operands (or is negative)."""
-
-
-def _partial(vec, n: int, p: int, k: int):
-    """d^(p+k) / dX^p dZ^k of the degree-n form with ascending coefficients vec."""
-    if vec is None:
-        return None
-    return [vec[i + p] * perm(i + p, p) * perm(n - i - p, k) for i in range(n - p - k + 1)]
 
 
 def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:

@@ -128,7 +128,8 @@ def test_platonic_equations_satisfy_hessian_relations(catalog):
         return homogenize(parse_poly_string(text), d)
 
     def hessian(F):
-        return pd(F, "X", 2) * pd(F, "Z", 2) - pd(pd(F, "X"), "Z") ** 2
+        fxz = pd(pd(F, "X"), "Z")
+        return pd(F, "X", 2) * pd(F, "Z", 2) - fxz * fxz
 
     def jacobian(F, G):
         return pd(F, "X") * pd(G, "Z") - pd(F, "Z") * pd(G, "X")
@@ -206,13 +207,13 @@ def test_verify_reports_broken_rows(catalog):
     from seacurves.catalog import VerificationReport
 
     good = catalog["g5-c2-1"]
-    bad = dataclasses.replace(good, id="g5-c2-x", genus=6)  # wrong genus column
+    bad = dataclasses.replace(good, id="g5-c2-99", genus=6)  # wrong genus column
     rep = verify_record(bad)
     assert not rep.passed
     assert "genus" in rep.failed_checks
     report = VerificationReport((rep,))
     assert not report.ok
-    assert report.summary()["unflagged_failures"] == ["g5-c2-x"]
+    assert report.summary()["unflagged_failures"] == ["g5-c2-99"]
 
 
 def test_flags_file_matches_dataset(catalog):
@@ -254,11 +255,38 @@ def test_env_override(catalog, tmp_path, monkeypatch):
     assert len(load_catalog()) == 20
 
 
-def test_malformed_external_dataset(tmp_path):
+# one field of row g5-c1-1 replaced; None stands for a row missing its keys
+_BAD_FIELDS = {
+    "missing_key": None,
+    "template": ("equation", "x^2 +"),
+    "id_no_suffix": ("id", "g5-c1"),
+    "id_suffix_not_digits": ("id", "g5-c1-x"),
+    "id_int": ("id", 5),
+    "genus_str": ("genus", "5"),
+    "genus_float": ("genus", 5.0),
+    "case_str": ("case", "1"),
+    "n_str": ("n", "2"),
+    "n_float": ("n", 2.0),
+    "delta_bool": ("delta", True),
+    "m_str": ("m", "2"),
+}
+
+
+@pytest.mark.parametrize("change", _BAD_FIELDS.values(), ids=_BAD_FIELDS.keys())
+def test_malformed_external_dataset(change, catalog, tmp_path, monkeypatch, capsys):
+    from seacurves.cli import main
+
+    row = {"id": "x"} if change is None else {**catalog["g5-c1-1"].to_json(), change[0]: change[1]}
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"id": "x"}\n', encoding="utf-8")
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(CatalogError, match="line 1"):
         load_catalog(str(path))
+    monkeypatch.setenv("SEA_CATALOG", str(path))
+    for argv in (["catalog", "list"], ["catalog", "verify"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad catalog record on line 1")
+        assert err.count("\n") == 1
 
 
 def test_inclusions_structure(catalog):

@@ -41,18 +41,6 @@ def test_make_form():
         make_form(3, [1, 0, 0])  # needs d+1 coefficients
 
 
-def test_descending_convention_conversion():
-    # a0 X^d + a1 X^(d-1) Z + ... maps onto the ascending storage
-    f = BinaryForm.from_descending(3, [2, 0, 0, -1])  # 2X^3 - Z^3
-    assert f == make_form(3, [-1, 0, 0, 2])
-
-
-def test_binomial_normalization():
-    # b_i = (d-i)! i! / d! * a_i, i.e. a_i / C(d, i)
-    f = make_form(4, [1, 4, 6, 4, 1])
-    assert f.binomial_coefficients() == (Scalar(1),) * 5
-
-
 def test_form_add():
     a = make_form(2, [1, 0, 1])   # Z^2 + X^2
     b = make_form(2, [-1, 0, 1])  # X^2 - Z^2
@@ -99,7 +87,7 @@ def test_evaluate():
 
 def test_moebius_identity_and_swap():
     f = make_form(6, [1, 0, 0, 0, 0, 0, 1])
-    assert moebius_act(Matrix2.identity(), f) == f
+    assert moebius_act(Matrix2(1, 0, 0, 1), f) == f
     swap = Matrix2(0, 1, 1, 0)
     assert moebius_act(swap, f) == f  # palindromic form fixed by X <-> Z
     assert moebius_act(Matrix2(2, 0, 0, 1), make_form(2, [0, 0, 1])) \

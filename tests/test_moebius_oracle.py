@@ -4,8 +4,8 @@ The reference below builds the power tables (aX + bZ)^i and (cX + dZ)^j and
 sums the d + 1 full-degree products a_i (aX + bZ)^i (cX + dZ)^(d-i);
 ``moebius_act`` runs one Horner pass in (aX + bZ) instead.  The two must
 agree exactly over Q (non-integer rationals included), Q(sqrt -3) and
-Q(sqrt 5), at degrees 0-22, with zero coefficients anywhere in the form.
-sympy, when importable, checks the substitution itself.
+Q(sqrt 5), at degrees 0-22 and MAX_DEGREE, with zero coefficients anywhere
+in the form.  sympy, when importable, checks the substitution itself.
 """
 
 import random
@@ -14,8 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seacurves.forms import BinaryForm, Matrix2, moebius_act
-from seacurves.scalars import ONE, Scalar, rational
+from seacurves import forms
+from seacurves.forms import MAX_DEGREE, BinaryForm, Matrix2, moebius_act
+from seacurves.scalars import ONE, FieldMixError, Scalar, rational, sqrt_ext
 
 MAX_DEG = 22
 
@@ -72,7 +73,7 @@ def test_moebius_act_matches_power_tables(case):
 
 @pytest.mark.parametrize("disc", [0, -3, 5])
 def test_moebius_act_every_degree(disc):
-    """Every degree 0..MAX_DEG once, with half the coefficients zero."""
+    """Every degree 0..MAX_DEG and MAX_DEGREE once, half the coefficients zero."""
     rng = random.Random(disc)
 
     def scalar():
@@ -81,12 +82,33 @@ def test_moebius_act_every_degree(disc):
         b = rational(rng.randint(-9, 9), rng.randint(1, 5)) if disc else 0
         return Scalar(rational(rng.randint(-9, 9), rng.randint(1, 5)), b, disc)
 
-    for d in range(MAX_DEG + 1):
+    for d in [*range(MAX_DEG + 1), MAX_DEGREE]:
         M = Matrix2(scalar(), scalar(), scalar(), scalar())
         while M.det().is_zero:
             M = Matrix2(scalar(), scalar(), scalar(), scalar())
         f = BinaryForm(d, [scalar() for _ in range(d + 1)])
         assert moebius_act(M, f) == ref_moebius_act(M, f)
+
+
+def test_moebius_act_rejects_mixed_fields():
+    f = BinaryForm(2, [1, sqrt_ext(1, 5), 2])
+    with pytest.raises(FieldMixError):
+        moebius_act(Matrix2(sqrt_ext(1, -3), 0, 0, 1), f)
+
+
+def test_moebius_act_clears_each_operand_once(monkeypatch):
+    """M and f are cleared once each, not once per Horner step."""
+    calls = []
+    clear = forms._clear
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return clear(*args)
+
+    monkeypatch.setattr(forms, "_clear", counting)
+    f = BinaryForm(22, [rational(i - 11, i % 5 + 1) for i in range(23)])
+    moebius_act(Matrix2(rational(1, 2), 3, -2, rational(5, 3)), f)
+    assert calls == [4, 23]
 
 
 @pytest.mark.parametrize("disc", [0, -3, 5])
