@@ -34,7 +34,7 @@ from ..curves import (
     make_curve,
 )
 from ..scalars import Scalar
-from .templates import EquationTemplate, TemplateParamError, parse_template
+from .templates import EquationTemplate, TemplateParamError, _numeral_key, parse_template
 
 __all__ = [
     "FamilyRecord",
@@ -88,22 +88,28 @@ class FamilyRecord:
     delta: int
     equation: str | None
     status: str = STATUS_OK
-    template: EquationTemplate | None = field(default=None, compare=False, repr=False)
+    # derived from equation, so dataclasses.replace cannot leave it stale
+    template: EquationTemplate | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not _ID.fullmatch(self.id):
             raise CatalogError(f"id {self.id!r} does not end in -<digits>")
-        for name in ("genus", "case_nr", "n", "delta", "m"):
+        # smallest legal value of each integer field (m may also be null)
+        for name, least in (("genus", 2), ("case_nr", 1), ("n", 2), ("delta", 0), ("m", 1)):
             value = getattr(self, name)
-            if type(value) is not int and not (name == "m" and value is None):
-                key = name.removesuffix("_nr")  # the JSON key of case_nr is "case"
+            if name == "m" and value is None:
+                continue
+            key = name.removesuffix("_nr")  # the JSON key of case_nr is "case"
+            if type(value) is not int:
                 raise CatalogError(f"{key} {value!r} on {self.id} is not an integer")
+            if value < least:
+                raise CatalogError(f"{key} {value} on {self.id} is below {least}")
+        if self.full_group is not None and not isinstance(self.full_group, str):
+            raise CatalogError(f"full_group {self.full_group!r} on {self.id} is not a string")
         if self.status not in _STATUSES:
             raise CatalogError(f"unknown status {self.status!r} on {self.id}")
-        if self.delta < 0 or self.n < 2:
-            raise CatalogError(f"bad delta/n on {self.id}")
-        if self.equation is not None and self.template is None:
-            object.__setattr__(self, "template", parse_template(self.equation))
+        object.__setattr__(self, "template",
+                           None if self.equation is None else parse_template(self.equation))
 
     @property
     def group_order(self) -> int:
@@ -164,8 +170,7 @@ class Catalog:
 
     @staticmethod
     def _id_key(record: FamilyRecord):
-        return (record.genus, record.case_nr,
-                int(record.id.rsplit("-", 1)[1]))
+        return (record.genus, record.case_nr, _numeral_key(record.id.rsplit("-", 1)[1]))
 
     def query(self, genus=None, reduced_group=None, full_group_name=None,
               n=None, min_delta=None, max_delta=None) -> list[FamilyRecord]:
@@ -410,43 +415,20 @@ def _specializes(a: FamilyRecord, b: FamilyRecord, support: dict) -> bool:
 def inclusions(catalog: Catalog, genus: int) -> list[tuple[str, str]]:
     """Directed edges A -> B: A's family is a syntactic specialization of B's.
 
-    Reflexive edges are omitted and the transitive reduction is returned,
-    sorted for determinism.
+    Reflexive edges and pairs that specialize each other are omitted, and
+    the transitive reduction is returned, sorted for determinism.
     """
     records = [r for r in catalog.query(genus=genus) if r.template is not None]
     support = {r.id: r.template.support_classification() for r in records}
-    edges = set()
-    for a in records:
-        for b in records:
-            if a.id != b.id and _specializes(a, b, support):
-                edges.add((a.id, b.id))
-    # two templates specializing each other would be a cycle; the dataset has
-    # none, but drop such pairs defensively rather than emit a cyclic graph
-    for (x, y) in list(edges):
-        if (y, x) in edges:
-            edges.discard((x, y))
-            edges.discard((y, x))
-    adjacency = {}
-    for x, y in edges:
-        adjacency.setdefault(x, set()).add(y)
-
-    def reachable(src, dst, skip_edge):
-        stack = [src]
-        seen = set()
-        while stack:
-            node = stack.pop()
-            for nxt in adjacency.get(node, ()):
-                if (node, nxt) == skip_edge:
-                    continue
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    reduced = [e for e in sorted(edges) if not reachable(e[0], e[1], e)]
-    return reduced
+    edges = {(a.id, b.id) for a in records for b in records
+             if a.id != b.id and _specializes(a, b, support)}
+    # templates that specialize each other (equal supports, as g6-c8-5 and
+    # g6-c18-1, both x*(x^4 - 1)) would make a cycle: such pairs get no edge
+    edges = {(x, y) for x, y in edges if (y, x) not in edges}
+    # _specializes is transitive and so is what is left of it, so an edge
+    # is implied by the others exactly when it factors through a third row
+    return sorted((x, y) for x, y in edges
+                  if not any((x, z) in edges and (z, y) in edges for z in support))
 
 
 # -- export -------------------------------------------------------------------------

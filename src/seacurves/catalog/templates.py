@@ -12,6 +12,13 @@ Q(sqrt D).  Both rules are checked without multiplying the template out.
 The string grammar round-trips bit-exactly: ``parse_template(t.to_string())``
 reproduces the template, and ``to_string`` output is canonical (terms sorted
 by descending exponent, single spaces around + and -, none around *).
+
+Parsing shares its splitter, sign folding and numeral parser with
+:func:`~seacurves.scalars.parse_scalar`, and coefficients are scalar text;
+every :class:`~seacurves.scalars.ScalarParseError` becomes a
+:class:`TemplateError` at :func:`parse_template`.  Terms are rendered by the
+term renderer of :mod:`seacurves.forms`, the one behind the reprs of forms
+and polynomials.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..forms import MAX_DEGREE, UnivariatePoly, _join_coeff_field
-from ..scalars import ONE, FieldMixError, Scalar, ScalarParseError, parse_scalar
+from ..forms import MAX_DEGREE, UnivariatePoly, _join_coeff_field, _join_terms, _power, _term
+from ..scalars import (ONE, FieldMixError, Scalar, ScalarParseError, _parse_int, _split_top,
+                       _strip_sign, parse_scalar)
 
 __all__ = [
     "EquationTemplate",
@@ -98,6 +106,13 @@ class Factor:
         return out
 
 
+def _numeral_key(digits: str) -> tuple[int, str]:
+    """Sort key putting digit strings in numeric order; int() would refuse
+    one past the interpreter's 4300-digit limit."""
+    digits = digits.lstrip("0")
+    return len(digits), digits
+
+
 class EquationTemplate:
     """Product of factors; expands to a UnivariatePoly at a parameter map."""
 
@@ -135,8 +150,7 @@ class EquationTemplate:
             for term in factor.all_terms():
                 if term.param and term.param not in names:
                     names.append(term.param)
-        # numeric order of the index; int() would refuse one past 4300 digits
-        return tuple(sorted(names, key=lambda s: (len(s[1:].lstrip("0")), s[1:].lstrip("0"))))
+        return tuple(sorted(names, key=lambda name: _numeral_key(name[1:])))
 
     def expand(self, params: dict | None = None) -> UnivariatePoly:
         """Substitute parameter values and multiply out, exactly."""
@@ -213,28 +227,15 @@ class EquationTemplate:
         return f"EquationTemplate({self.to_string()!r})"
 
 
-def _coeff_to_string(const: Scalar, param: str | None) -> str:
-    if param is None:
-        text = str(const)
-        if const.disc != 0 and const.a != 0:
-            text = f"({text})"
-        return text
-    if const == ONE:
-        return param
-    if const == -ONE:
-        return f"-{param}"
-    return f"{_coeff_to_string(const, None)}*{param}"
+def _const_to_string(const: Scalar) -> str:
+    # a + b*sqrt(D) with both parts nonzero is one coefficient: keep it whole
+    text = str(const)
+    return f"({text})" if const.disc and const.a else text
 
 
 def _term_to_string(term: Term) -> str:
-    if term.exp == 0:
-        return _coeff_to_string(term.const, term.param)
-    mono = "x" if term.exp == 1 else f"x^{term.exp}"
-    if term.param is None and term.const == ONE:
-        return mono
-    if term.param is None and term.const == -ONE:
-        return f"-{mono}"
-    return f"{_coeff_to_string(term.const, term.param)}*{mono}"
+    coeff = _term(_const_to_string(term.const), term.param or "")
+    return _term(coeff, _power("x", term.exp))
 
 
 def _sumblock_to_string(block: SumBlock) -> str:
@@ -248,16 +249,8 @@ def _sumblock_to_string(block: SumBlock) -> str:
 
 
 def _factor_to_string(factor: Factor) -> str:
-    pieces = []
-    for item in factor.items:
-        text = _sumblock_to_string(item) if isinstance(item, SumBlock) else _term_to_string(item)
-        if not pieces:
-            pieces.append(text)
-        elif text.startswith("-"):
-            pieces.append(f" - {text[1:]}")
-        else:
-            pieces.append(f" + {text}")
-    return "".join(pieces)
+    return _join_terms(_sumblock_to_string(item) if isinstance(item, SumBlock)
+                       else _term_to_string(item) for item in factor.items)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -266,41 +259,11 @@ _SUM_RE = re.compile(
     r"^sum\(i=(\d+)\.\.(\d+),a_i\*x(?:\^(?:\((?:(\d+)\*)?i(?:\+(\d+))?\)|i))\)$"
 )
 _PARAM_COEFF_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)\*)?(?P<param>a\d+)$")
-_MONO_RE = re.compile(r"^x(?:\^(\d+))?$")
-_TERM_RE = re.compile(r"^(?P<coeff>.+)\*(?P<mono>x(?:\^\d+)?)$")
-
-
-def _split_top(s: str, seps: str) -> list[str]:
-    """Split on separators at paren depth 0; keep sign separators attached."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise TemplateError(f"unbalanced parentheses in {s!r}")
-        elif depth == 0 and ch in seps and i > start and s[i - 1] not in "+-*/^(":
-            parts.append(s[start:i])
-            start = i if ch in "+-" else i + 1
-            if ch in "+-":
-                continue
-    if depth:
-        raise TemplateError(f"unbalanced parentheses in {s!r}")
-    parts.append(s[start:])
-    if "" in parts:
-        raise TemplateError(f"empty factor in {s!r}")
-    return parts
+_TERM_RE = re.compile(r"^(?:(?P<coeff>.+)\*)?x(?:\^(?P<exp>\d+))?$")
 
 
 def _parse_term(text: str):
-    sign = 1
-    while text and text[0] in "+-":
-        if text[0] == "-":
-            sign = -sign
-        text = text[1:]
+    sign, text = _strip_sign(text)
     if not text:
         raise TemplateError("empty term")
     m = _SUM_RE.match(text)
@@ -311,87 +274,52 @@ def _parse_term(text: str):
         scale = _parse_int(m.group(3)) if m.group(3) else 1
         offset = _parse_int(m.group(4)) if m.group(4) else 0
         return SumBlock(lo, hi, scale, offset)
-    mono = _MONO_RE.match(text)
-    if mono:
-        exp = _parse_int(mono.group(1)) if mono.group(1) else 1
-        return Term(Scalar(sign), None, exp)
-    tm = _TERM_RE.match(text)
-    if tm:
-        coeff_txt, mono_txt = tm.group("coeff"), tm.group("mono")
-        exp_m = _MONO_RE.match(mono_txt)
-        exp = _parse_int(exp_m.group(1)) if exp_m.group(1) else 1
+    m = _TERM_RE.match(text)
+    if m:
+        exp = _parse_int(m.group("exp")) if m.group("exp") else 1
+        const, param = _parse_coeff(m.group("coeff")) if m.group("coeff") else (ONE, None)
     else:
-        coeff_txt, exp = text, 0
-    const, param = _parse_coeff(coeff_txt)
-    return Term(sign * const, param, exp)
-
-
-def _parse_int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # beyond the interpreter's integer-string digit limit
-        raise TemplateError(f"numeral too long ({len(digits)} characters)") from None
+        exp = 0
+        const, param = _parse_coeff(text)
+    return Term(const if sign > 0 else -const, param, exp)
 
 
 def _parse_coeff(text: str):
     pm = _PARAM_COEFF_RE.match(text)
     if pm:
         num = pm.group("num")
-        const = ONE if num is None else parse_scalar(num)
-        return const, pm.group("param")
+        return (ONE if num is None else parse_scalar(num)), pm.group("param")
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    try:
-        return parse_scalar(text), None
-    except ScalarParseError as exc:
-        raise TemplateError(f"bad coefficient {text!r}: {exc}") from None
+    return parse_scalar(text), None
 
 
-def _parse_factor(text: str) -> Factor:
-    items = [_parse_term(t) for t in _split_top(text, "+-")]
-    items.sort(key=lambda item: -item.max_exp)
-    return Factor(tuple(items))
+def _unwrap(atom: str) -> str:
+    # the parentheses round a whole factor; when the first one closes early
+    # the inside is unbalanced, which _split_top rejects
+    return atom[1:-1] if atom.startswith("(") and atom.endswith(")") else atom
 
 
 def parse_template(text: str) -> EquationTemplate:
-    """Parse the canonical template grammar (whitespace-insensitive)."""
+    """Parse the canonical template grammar (whitespace-insensitive).
+
+    A top-level + or - makes the whole text one factor; otherwise it is a
+    product of factors split at top-level *, each optionally parenthesized.
+    Every malformed text raises TemplateError.
+    """
     s = re.sub(r"\s+", "", text)
     if not s:
         raise TemplateError("empty template")
-    if _has_top_level_sign(s):
-        atoms = [s]
-    else:
-        atoms = _split_top(s, "*")
-    factors = []
-    for atom in atoms:
-        if atom.startswith("(") and atom.endswith(")") and _balanced_whole(atom):
-            atom = atom[1:-1]
-        factors.append(_parse_factor(atom))
-    return EquationTemplate(factors)
-
-
-def _has_top_level_sign(s: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "+-*/^(":
-            return True
-    return False
-
-
-def _balanced_whole(s: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0 and i != len(s) - 1:
-                return False
-    return True
+    try:
+        terms = _split_top(s, "+-")
+        factors = [terms] if len(terms) > 1 else [
+            _split_top(_unwrap(atom), "+-") for atom in _split_top(s, "*")
+        ]
+        items = [sorted((_parse_term(t) for t in f), key=lambda item: -item.max_exp)
+                 for f in factors]
+    except ScalarParseError as exc:
+        raise TemplateError(str(exc)) from None
+    return EquationTemplate(Factor(tuple(f)) for f in items)
 
 
 def parse_poly_string(text: str) -> UnivariatePoly:
@@ -406,11 +334,5 @@ def parse_poly_string(text: str) -> UnivariatePoly:
 
 def poly_to_string(p: UnivariatePoly) -> str:
     """Canonical descending-power string for a concrete polynomial."""
-    if p.is_zero:
-        return "0"
-    factor = Factor(tuple(
-        Term(c, None, e)
-        for e, c in sorted(enumerate(p.coeffs), key=lambda t: -t[0])
-        if not c.is_zero
-    ))
-    return _factor_to_string(factor)
+    return _join_terms(_term(_const_to_string(c), _power("x", e))
+                       for e, c in reversed(list(enumerate(p.coeffs))) if not c.is_zero)

@@ -86,8 +86,8 @@ class Signature:
                 e, mult = item
             else:
                 e, mult = item, 1
-            e = int(e)
-            mult = int(mult)
+            if type(e) is not int or type(mult) is not int:
+                raise ValueError(f"branch index {item!r} is not an integer")
             if e < 2:
                 raise ValueError(f"branch index must be >= 2, got {e}")
             if mult < 1:

@@ -145,6 +145,27 @@ def _product(u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
     return _to_scalars(_pair_product((ua, ub), (va, vb), disc), uden * vden, disc)
 
 
+def _power(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def _term(coeff: str, mono: str) -> str:
+    """The text of coeff*mono; a coefficient 1 or -1 folds into the sign.
+
+    The one term renderer of form and polynomial reprs and of template text.
+    """
+    if not mono:
+        return coeff
+    if coeff in ("1", "-1"):
+        return coeff[:-1] + mono
+    return f"{coeff}*{mono}"
+
+
+def _join_terms(terms: Iterable[str]) -> str:
+    """Terms joined by " + ", a leading - turned into " - "; "0" for none."""
+    return " + ".join(terms).replace("+ -", "- ") or "0"
+
+
 class BinaryForm:
     """Homogeneous bivariate polynomial of a fixed degree."""
 
@@ -222,23 +243,9 @@ class BinaryForm:
         return cls(doc["degree"], [parse_scalar(c) for c in doc["coeffs"]])
 
     def __repr__(self):
-        terms = []
         d = self.degree
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            mono = "".join(
-                (f"X^{i}" if i > 1 else "X" if i == 1 else "",
-                 f"Z^{d - i}" if d - i > 1 else "Z" if d - i == 1 else "")
-            )
-            cs = str(c)
-            if mono and cs == "1":
-                terms.append(mono)
-            elif mono and cs == "-1":
-                terms.append("-" + mono)
-            else:
-                terms.append(f"{cs}{'*' if mono else ''}{mono}")
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        body = _join_terms(_term(str(c), _power("X", i) + _power("Z", d - i))
+                           for i, c in enumerate(self.coeffs) if not c.is_zero)
         return f"BinaryForm<{d}>({body})"
 
 
@@ -411,21 +418,9 @@ class UnivariatePoly:
         return UnivariatePoly([c / lc for c in self.coeffs])
 
     def __repr__(self):
-        if self.is_zero:
-            return "UnivariatePoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            mono = "x" if i == 1 else (f"x^{i}" if i > 1 else "")
-            cs = str(c)
-            if mono and cs == "1":
-                terms.append(mono)
-            elif mono and cs == "-1":
-                terms.append("-" + mono)
-            else:
-                terms.append(f"{cs}{'*' if mono else ''}{mono}")
-        return "UnivariatePoly(" + " + ".join(terms).replace("+ -", "- ") + ")"
+        return "UnivariatePoly(" + _join_terms(
+            _term(str(c), _power("x", i)) for i, c in enumerate(self.coeffs) if not c.is_zero
+        ) + ")"
 
 
 def homogenize(p: UnivariatePoly, degree: int) -> BinaryForm:
@@ -478,10 +473,15 @@ def is_squarefree(p: UnivariatePoly) -> bool:
 
 
 def poly_gcd(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd by the Euclidean algorithm.
+
+    Each remainder is made monic, as in :func:`resultant`: without it the
+    coefficients of the remainders grow, a degree-100 gcd by orders of
+    magnitude.
+    """
     a, b = p, q
     while not b.is_zero:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_mod(a, b).monic()
     return a.monic()
 
 

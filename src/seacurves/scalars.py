@@ -13,6 +13,13 @@ backend.  Products of coefficient sequences, and with them the inner loops of
 transvectant chains, do not use Fraction: they run on Python ints in
 :mod:`seacurves.forms` and meet it only when the result is divided back into
 canonical scalars.
+
+:func:`parse_scalar` reads the text :meth:`Scalar.__str__` writes.  Its
+pieces are the text grammar of the whole package: ``_split_top`` splits at
+depth-0 signs or products, ``_strip_sign`` folds leading signs and
+``_parse_int`` reads every numeral.  Equation templates
+(:mod:`seacurves.catalog.templates`) parse with the same three, so one
+numeral or parenthesis rule holds in both grammars.
 """
 
 from __future__ import annotations
@@ -285,18 +292,7 @@ def parse_scalar(text: str) -> Scalar:
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ScalarParseError("empty scalar")
-    parts = []
-    start = 0
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start and s[i - 1] not in "+-*/(":
-            parts.append(s[start:i])
-            start = i
-    parts.append(s[start:])
+    parts = _split_top(s, "+-")
     if len(parts) > 2:
         raise ScalarParseError(f"too many terms in scalar {text!r}")
 
@@ -304,11 +300,7 @@ def parse_scalar(text: str) -> Scalar:
     b = _R0
     disc = 0
     for part in parts:
-        sign = 1
-        while part and part[0] in "+-":
-            if part[0] == "-":
-                sign = -sign
-            part = part[1:]
+        sign, part = _strip_sign(part)
         if not part:
             raise ScalarParseError(f"dangling sign in {text!r}")
         m = _SQRT_RE.search(part)
@@ -339,8 +331,51 @@ def _parse_rat(part: str, whole: str):
     return Fraction(_parse_int(num), _parse_int(den)) if den else Fraction(_parse_int(num))
 
 
+# -- the text grammar shared with catalog templates ---------------------------
+
+
 def _parse_int(digits: str) -> int:
+    """The one numeral parser of scalar and template text."""
     try:
         return int(digits)
     except ValueError:  # beyond the interpreter's integer-string digit limit
         raise ScalarParseError(f"numeral too long ({len(digits)} characters)") from None
+
+
+def _split_top(s: str, seps: str) -> list[str]:
+    """Split s at the separators in seps that sit at paren depth 0.
+
+    A + or - stays attached to the part it starts, and splits only after a
+    character that can end an operand (not an operator or "("), so signs
+    in "2*-3" or "x^-1" are unary.  A * separator is dropped.  Unbalanced
+    parentheses and empty parts raise ScalarParseError.
+    """
+    parts = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ScalarParseError(f"unbalanced parentheses in {s!r}")
+        elif depth == 0 and ch in seps and i > start and s[i - 1] not in "+-*/^(":
+            parts.append(s[start:i])
+            start = i if ch in "+-" else i + 1
+    if depth:
+        raise ScalarParseError(f"unbalanced parentheses in {s!r}")
+    parts.append(s[start:])
+    if "" in parts:
+        raise ScalarParseError(f"empty factor in {s!r}")
+    return parts
+
+
+def _strip_sign(text: str) -> tuple[int, str]:
+    """(+1 or -1, rest): the parity of the leading signs of text, and the rest."""
+    sign = 1
+    while text and text[0] in "+-":
+        if text[0] == "-":
+            sign = -sign
+        text = text[1:]
+    return sign, text

@@ -269,6 +269,12 @@ _BAD_FIELDS = {
     "n_float": ("n", 2.0),
     "delta_bool": ("delta", True),
     "m_str": ("m", "2"),
+    "genus_negative": ("genus", -5),
+    "case_zero": ("case", 0),
+    "m_zero": ("m", 0),
+    "full_group_int": ("full_group", 5),
+    "signature_index_str": ("signature", {"indices": [["2", 7]]}),
+    "signature_index_float": ("signature", {"indices": [[2.5, 7]]}),
 }
 
 
@@ -287,6 +293,74 @@ def test_malformed_external_dataset(change, catalog, tmp_path, monkeypatch, caps
         err = capsys.readouterr().err
         assert err.startswith("error: bad catalog record on line 1")
         assert err.count("\n") == 1
+
+
+def test_catalog_list_orders_ids_past_the_int_digit_limit(catalog, tmp_path, monkeypatch,
+                                                         capsys):
+    from seacurves.cli import main
+
+    long_id = "g5-c1-" + "1" * 5000
+    rows = [{**catalog["g5-c1-1"].to_json(), "id": long_id}, catalog["g5-c1-2"].to_json()]
+    path = tmp_path / "long.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    monkeypatch.setenv("SEA_CATALOG", str(path))
+    assert main(["catalog", "list"]) == 0
+    assert [r["id"] for r in json.loads(capsys.readouterr().out)] == ["g5-c1-2", long_id]
+
+
+def test_template_follows_equation_under_replace(catalog):
+    import dataclasses
+
+    row = dataclasses.replace(catalog["g5-c1-1"], equation="x^11 + 1")
+    assert row.template.degree == 11 and row.template.param_names() == ()
+    assert dataclasses.replace(row, equation=None).template is None
+
+
+def _path_reduced_inclusions(catalog, genus):
+    """inclusions as it was: every edge, mutual pairs dropped, then each edge
+    removed when a path of other edges joins its ends (a DFS per edge)."""
+    from seacurves.catalog import _specializes
+
+    records = [r for r in catalog.query(genus=genus) if r.template is not None]
+    support = {r.id: r.template.support_classification() for r in records}
+    edges = {(a.id, b.id) for a in records for b in records
+             if a.id != b.id and _specializes(a, b, support)}
+    edges = {(x, y) for x, y in edges if (y, x) not in edges}
+    adjacency = {}
+    for x, y in edges:
+        adjacency.setdefault(x, set()).add(y)
+
+    def reachable(src, dst, skip_edge):
+        stack, seen = [src], set()
+        while stack:
+            node = stack.pop()
+            for nxt in adjacency.get(node, ()):
+                if (node, nxt) == skip_edge:
+                    continue
+                if nxt == dst:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    return [e for e in sorted(edges) if not reachable(e[0], e[1], e)]
+
+
+def test_inclusions_match_path_reduction(catalog):
+    for genus in range(5, 11):
+        assert inclusions(catalog, genus) == _path_reduced_inclusions(catalog, genus)
+
+
+def test_inclusions_drop_mutual_specializations(catalog):
+    from seacurves.catalog import _specializes
+
+    # equal templates x*(x^4 - 1), same n and delta: each specializes the other
+    for genus, pair in ((6, ("g6-c8-5", "g6-c18-1")), (10, ("g10-c8-6", "g10-c18-1"))):
+        a, b = (catalog[i] for i in pair)
+        support = {r.id: r.template.support_classification() for r in (a, b)}
+        assert _specializes(a, b, support) and _specializes(b, a, support)
+        assert not any(set(e) == set(pair) for e in inclusions(catalog, genus))
 
 
 def test_inclusions_structure(catalog):

@@ -196,6 +196,19 @@ def test_squarefree_matches_gcd(coeffs):
     assert is_squarefree(p) == (g.degree == 0)
 
 
+def test_gcd_recovers_planted_factor_at_degree_100():
+    # gcd(g u, g v) = g for coprime u and v; the remainders of this pair grow
+    # to thousands of digits unless each is made monic
+    rng = random.Random(100)
+
+    def poly(d):
+        return UnivariatePoly([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 9)])
+
+    g, u, v = poly(10), poly(90), poly(89)
+    assert not resultant(u, v).is_zero
+    assert poly_gcd(g * u, g * v) == g.monic()
+
+
 def test_monomial_product_recovers_factor():
     # exactness: multiplying by c X^a Z^b shifts and scales the coefficients,
     # so each one of f's coefficients is recoverable by exact division
