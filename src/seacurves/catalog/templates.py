@@ -210,10 +210,15 @@ class EquationTemplate:
                 for e, poly in self.symbolic().items()}
 
     def to_string(self) -> str:
+        """Canonical text.  A factor of several terms is parenthesized in a
+        product, and a one-term factor whose coefficient is not 1 or -1
+        always is, so that parsing splits no factor at its * or +."""
         bodies = []
         for factor in self.factors:
             body = _factor_to_string(factor)
-            if len(self.factors) > 1 and len(factor.all_terms()) > 1:
+            terms = factor.all_terms()
+            if (len(terms) > 1 and len(self.factors) > 1
+                    or len(terms) == 1 and terms[0].const not in (1, -1)):
                 body = f"({body})"
             bodies.append(body)
         return "*".join(bodies)

@@ -10,18 +10,24 @@ The systems provided are:
 * the degree-22 special quantities I6*_g10, S, I12* and v5, defined only
   when I12 vanishes.
 
-Each system is a table of nodes ``(name, left, right, op, expected_order)``
-that one evaluator runs in order.  ``op`` is an int r for the transvectant
-``(left, right)^r``, or ``"*"`` / ``"+"`` for a product / sum of forms;
-``left`` and ``right`` name the input form (``f``, or ``F`` in the general
-system) or an earlier node.  A node named ``None`` is named by its formula,
-e.g. ``"(k,m)^1"`` or ``"k*k"``, and an entry's definition is its node's
-formula: decimic J9 reads ``((k,m)^1,k*k)^8``.  On every call the evaluator
-checks each node's order against ``expected_order`` (0 for an invariant),
-raising :class:`OrderBookkeepingError` on a mismatch, and derives coefficient
-degrees from the tree: the input form has degree 1, and degrees add under
+Each system is a table of nodes ``(name, left, right, op, expected_order)``.
+``op`` is an int r for the transvectant ``(left, right)^r``, or ``"*"`` /
+``"+"`` for a product / sum of forms; ``left`` and ``right`` name the input
+form (``f``, or ``F`` in the general system) or another node.  A node named
+``None`` is named by its formula, e.g. ``"(k,m)^1"`` or ``"k*k"``, and an
+entry's definition is its node's formula: decimic J9 reads
+``((k,m)^1,k*k)^8``.
+
+A table is evaluated on demand: a node is computed, with the nodes it reads,
+the first time an entry, another node or a reader of the covariants needs it,
+and never twice.  The general system at degree d thus computes only the
+J_{4j} its entries read, not all d/2 - 1 of them.  Each node computed has its
+order checked against ``expected_order`` (0 for an invariant), raising
+:class:`OrderBookkeepingError` on a mismatch, and gets its coefficient degree
+from the tree: the input form has degree 1, and degrees add under
 transvection and product.  Named transvectant nodes of positive order are the
-covariants a system exposes.
+covariants a system exposes, as a read-only mapping that computes a
+covariant when it is read.
 
 Absolute invariants are tables too: name -> (numerator, denominator), each a
 map from invariant name to exponent.  A ratio whose denominator vanishes is
@@ -31,6 +37,7 @@ ratio whose ingredients do not exist at the given degree is *unavailable*.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import prod
 
@@ -83,14 +90,17 @@ GENERAL_NAMES = ("I2", "I3", "I4", "I4p", "I6", "I6p", "I6star", "I12")
 
 class InvariantVector:
     """Named invariant values of one system, with degree metadata and the
-    intermediate covariants that produced them."""
+    intermediate covariants that produced them.
 
-    def __init__(self, kind, entries, covariants, unavailable=()):
+    ``covariants`` is a read-only mapping name -> form; a covariant no entry
+    needed is computed when it is first read."""
+
+    def __init__(self, kind, entries, covariants: Mapping, unavailable=()):
         # entries: iterable of (name, value, coefficient-degree, definition)
         self.kind = kind
         self._entries = {name: (value, degree, definition)
                          for name, value, degree, definition in entries}
-        self.covariants = dict(covariants)
+        self.covariants = covariants
         self.unavailable = frozenset(unavailable)
 
     def names(self):
@@ -177,40 +187,80 @@ class AbsoluteInvariants:
         return f"AbsoluteInvariants[{self.kind}](" + ", ".join(bits) + ")"
 
 
-def _leaf(name: str, form: BinaryForm) -> dict:
-    return {name: (form, 1, name)}
+def _formula(left: str, right: str, op) -> str:
+    if op in ("*", "+"):
+        return f"{left}{op}{right}"
+    return f"({left},{right})^{op}"
 
 
-def _evaluate(nodes, values: dict) -> dict:
-    """Run a node table over ``values``, a map name -> (form, coefficient
-    degree, formula) holding at least the leaves; it is extended in place
-    and returned."""
-    for name, left, right, op, order in nodes:
-        a, da, _ = values[left]
-        b, db, _ = values[right]
-        if op == "*":
-            form, degree, formula = a * b, da + db, f"{left}*{right}"
-        elif op == "+":
-            form, degree, formula = a + b, da, f"{left}+{right}"
-        else:
-            form, degree, formula = transvect(a, b, op), da + db, f"({left},{right})^{op}"
-        name = name or formula
-        if form.degree != order:
-            raise OrderBookkeepingError(f"{name} has order {form.degree}, expected {order}")
-        values[name] = (form, degree, formula)
-    return values
+class _Chain:
+    """A node table over one input form, evaluated on demand.
+
+    ``chain[name]`` is ``(form, coefficient degree, formula)``.  A node and
+    the inputs it needs are computed the first time it is read, and every
+    node computed has its order checked against the table.
+    """
+
+    def __init__(self, nodes, leaf: str, form: BinaryForm):
+        self._nodes = {name or _formula(left, right, op): (left, right, op, order)
+                       for name, left, right, op, order in nodes}
+        self._values = {leaf: (form, 1, leaf)}
+
+    def __contains__(self, name) -> bool:
+        return name in self._values or name in self._nodes
+
+    def __getitem__(self, name: str) -> tuple:
+        if name not in self._values:
+            left, right, op, order = self._nodes[name]
+            a, da, _ = self[left]
+            b, db, _ = self[right]
+            if op == "*":
+                form, degree = a * b, da + db
+            elif op == "+":
+                form, degree = a + b, da
+            else:
+                form, degree = transvect(a, b, op), da + db
+            if form.degree != order:
+                raise OrderBookkeepingError(f"{name} has order {form.degree}, expected {order}")
+            self._values[name] = (form, degree, _formula(left, right, op))
+        return self._values[name]
 
 
-def _system(kind, nodes, values, names, definitions=None, prefactors=None) -> InvariantVector:
-    """Evaluate ``nodes`` over ``values`` and collect the entries ``names``;
-    an entry the table did not reach is unavailable.  ``definitions``
-    overrides the nodes' formulas, ``prefactors`` scales entries."""
-    values = _evaluate(nodes, values)
+class _Covariants(Mapping):
+    """Read-only name -> covariant map over a chain; a covariant is computed
+    when it is first read."""
+
+    def __init__(self, chain: _Chain, names: tuple):
+        self._chain = chain
+        self._names = names
+
+    def __getitem__(self, name: str) -> BinaryForm:
+        if name not in self._names:
+            raise KeyError(name)
+        return self._chain[name][0]
+
+    def __contains__(self, name) -> bool:
+        return name in self._names
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+def _system(kind, chain: _Chain, nodes, names, definitions=None,
+            prefactors=None) -> InvariantVector:
+    """Collect the entries ``names`` of ``chain``, computing only the nodes
+    they need; an entry missing from the chain's table is unavailable.  The
+    named transvectant nodes of positive order in ``nodes`` are the
+    covariants.  ``definitions`` overrides the nodes' formulas,
+    ``prefactors`` scales entries."""
     entries = []
     for name in names:
-        if name not in values:
+        if name not in chain:
             continue
-        form, degree, definition = values[name]
+        form, degree, definition = chain[name]
         value = form.constant_value()
         if definitions:
             definition = definitions[name]
@@ -218,10 +268,10 @@ def _system(kind, nodes, values, names, definitions=None, prefactors=None) -> In
             value = prefactors[name] * value
             definition = f"{prefactors[name]}*{definition}"
         entries.append((name, value, degree, definition))
-    covariants = {name: values[name][0] for name, _, _, op, order in nodes
-                  if name and isinstance(op, int) and order}
-    unavailable = [name for name in names if name not in values]
-    return InvariantVector(kind, entries, covariants, unavailable)
+    covariants = tuple(name for name, _, _, op, order in nodes
+                       if name and isinstance(op, int) and order)
+    unavailable = [name for name in names if name not in chain]
+    return InvariantVector(kind, entries, _Covariants(chain, covariants), unavailable)
 
 
 def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
@@ -277,7 +327,7 @@ _SEXTIC_ABSOLUTE = {
 def sextic_invariants(f: BinaryForm) -> InvariantVector:
     """J2, J4, J6, J10 of a binary sextic, with the covariants H, i, l."""
     _require_degree(f, 6)
-    return _system("sextic", _SEXTIC, _leaf("f", f), SEXTIC_NAMES)
+    return _system("sextic", _Chain(_SEXTIC, "f", f), _SEXTIC, SEXTIC_NAMES)
 
 
 def sextic_absolute(f) -> AbsoluteInvariants:
@@ -340,7 +390,8 @@ _OCTAVIC_ABSOLUTE = {
 def octavic_invariants(f: BinaryForm) -> InvariantVector:
     """J2..J10 of a binary octavic, with their exact rational prefactors."""
     _require_degree(f, 8)
-    return _system("octavic", _OCTAVIC, _leaf("f", f), OCTAVIC_NAMES, prefactors=_OCT_PREF)
+    return _system("octavic", _Chain(_OCTAVIC, "f", f), _OCTAVIC, OCTAVIC_NAMES,
+                   prefactors=_OCT_PREF)
 
 
 def octavic_absolute(f) -> AbsoluteInvariants:
@@ -397,7 +448,7 @@ def decimic_invariants(f: BinaryForm) -> InvariantVector:
     The combined J14 + A14 is exposed as the extra entry "J14_plus_A14".
     """
     _require_degree(f, 10)
-    return _system("decimic", _DECIMIC, _leaf("f", f), DECIMIC_NAMES)
+    return _system("decimic", _Chain(_DECIMIC, "f", f), _DECIMIC, DECIMIC_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +507,8 @@ def general_invariants(F: BinaryForm) -> InvariantVector:
     d = F.degree
     if d < 6 or d % 2:
         raise DegreeError(f"general invariants need even degree >= 6, got {d}")
-    return _system("general", _general_nodes(d), _leaf("F", F), GENERAL_NAMES,
+    nodes = _general_nodes(d)
+    return _system("general", _Chain(nodes, "F", F), nodes, GENERAL_NAMES,
                    definitions=_GENERAL_DEFINITIONS)
 
 
@@ -490,10 +542,10 @@ _GENUS10_ABSOLUTE = {"v5": ({"I6star_g10": 1}, {"I12star": 1})}
 def genus10_special(F: BinaryForm) -> Genus10Result:
     """The auxiliary degree-22 quantities, defined only when I12(F) = 0."""
     _require_degree(F, 22)
-    values = _evaluate(_general_nodes(22), _leaf("F", F))
-    I12 = values["I12"][0].constant_value()
+    chain = _Chain(_general_nodes(22) + _GENUS10, "F", F)
+    I12 = chain["I12"][0].constant_value()
     if not I12.is_zero:
         raise Genus10CaseError(f"I12 = {I12} != 0; the special invariants are only "
                                "defined on the I12 = 0 locus")
-    vec = _system("genus10", _GENUS10, values, ("I6star_g10", "I12star"))
+    vec = _system("genus10", chain, _GENUS10, ("I6star_g10", "I12star"))
     return Genus10Result(vec, _ratios("genus10", vec, _GENUS10_ABSOLUTE))

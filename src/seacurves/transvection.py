@@ -16,6 +16,12 @@ derivatives are taken on those vectors by ``forms._partial`` (the formula
 behind ``partial_derivative`` too), the r + 1 products are convolved as
 Python ints by the kernel that also multiplies forms, and the sum is divided
 by n! m! and both denominators once, at the end.
+
+A self-transvectant (f, f)^r, recognised by equal cleared operands, uses the
+symmetry (f, g)^r = (-1)^r (g, f)^r (Olver, *Classical Invariant Theory*,
+1999, ch. 5): the k-th and (r-k)-th products are equal up to the sign
+(-1)^r, so for odd r the result is zero and for even r the sum runs over
+k <= r/2 with the products before the middle one counted twice.
 """
 
 from __future__ import annotations
@@ -41,11 +47,17 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     deg = n + m - 2 * r
     fden, fa, fb, disc = _clear(f.coeffs)
     gden, ga, gb, disc = _clear(g.coeffs, disc)
+    # (f, f)^r: the k-th and (r-k)-th products agree up to (-1)^r, so they
+    # cancel for odd r and pair up for even r
+    same = (fden, fa, fb) == (gden, ga, gb)
+    if same and r % 2:
+        return BinaryForm.zero(deg)
     pref_num = factorial(n - r) * factorial(m - r)
     acc = ([0] * (deg + 1), [0] * (deg + 1))
-    for k in range(r + 1):
+    for k in range(r // 2 + 1 if same else r + 1):
+        weight = 2 if same and 2 * k < r else 1
         left = (_partial(fa, n, r - k, k), _partial(fb, n, r - k, k))
         right = (_partial(ga, m, k, r - k), _partial(gb, m, k, r - k))
-        _pair_convolve(acc, left, right, disc, (-1) ** k * comb(r, k) * pref_num)
+        _pair_convolve(acc, left, right, disc, weight * (-1) ** k * comb(r, k) * pref_num)
     den = factorial(n) * factorial(m) * fden * gden
     return BinaryForm(deg, _to_scalars(acc, den, disc))

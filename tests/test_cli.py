@@ -96,6 +96,18 @@ def test_genus_at_degree_limit(capsys):
     assert code == 0 and doc == {"genus": 49}
 
 
+def test_general_invariants_at_degree_limit(capsys):
+    from seacurves.forms import make_form
+    from test_invariant_oracle import eager_invariants
+
+    values = [(5 * i * i + 2 * i) % 13 - 6 for i in range(100)] + [1]
+    code, doc, _ = run_json(capsys, "invariants", "--kind", "general",
+                            "--coeffs", ",".join(map(str, values)))
+    expected = eager_invariants("general", make_form(100, values))
+    assert code == 0
+    assert doc["invariants"] == {name: str(value) for name, value in expected.items()}
+
+
 def test_isomorphic_true_false_inconclusive(capsys):
     f = "1,2,0,1,0,0,3"
     # scaling a sextic leaves the absolute invariants alone

@@ -11,7 +11,10 @@ On every generated string and every catalog equation the package must give
 the reference's verdict, exception type and value, and render byte for
 byte the same text.  The one intended difference: a malformed multiplier of
 a parameter (``1/0*a1``) used to escape ``parse_template`` as a bare
-``ScalarParseError`` and is now a ``TemplateError``.
+``ScalarParseError`` and is now a ``TemplateError``.  The template renderer
+reference also parenthesizes every one-term factor whose coefficient is not
+1 or -1, as the package does since ``(2*x^3)*x`` stopped rendering as
+``2*x^3*x``, text that parses to three factors.
 """
 
 import json
@@ -309,7 +312,11 @@ def ref_to_string(template):
     bodies = []
     for factor in template.factors:
         body = _ref_factor_to_string(factor)
-        if len(template.factors) > 1 and len(factor.all_terms()) > 1:
+        terms = factor.all_terms()
+        if len(terms) == 1:
+            if terms[0].const not in (ONE, -ONE):
+                body = f"({body})"
+        elif len(template.factors) > 1:
             body = f"({body})"
         bodies.append(body)
     return "*".join(bodies)

@@ -4,14 +4,19 @@ The references below multiply coefficient by coefficient in ``Scalar``
 arithmetic; ``transvect`` and both ``__mul__`` methods clear denominators and
 convolve integers instead.  The two must agree exactly over Q, over
 Q(sqrt -3) and Q(sqrt 5), and when a rational operand meets an extension one.
+A self-transvectant ``(f, f)^r`` sums only half its products; the reference
+sums all of them, and operands that are equal only up to a scalar must not
+take the shorter sum.
 """
 
 from math import comb, factorial
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from seacurves import transvection
 from seacurves.forms import BinaryForm, UnivariatePoly
 from seacurves.scalars import FieldMixError, Scalar, rational, sqrt_ext
 from seacurves.transvection import transvect
@@ -106,6 +111,49 @@ def test_transvect_matches_reference_for_every_r(pair):
     f, g = pair
     for r in range(min(f.degree, g.degree) + 1):
         assert transvect(f, g, r) == ref_transvect(f, g, r)
+
+
+def _convolutions():
+    """Spy on the products ``transvect`` convolves."""
+    return mock.patch.object(transvection, "_pair_convolve", wraps=transvection._pair_convolve)
+
+
+def _one_field_forms():
+    return st.sampled_from([0, -3, 5]).flatmap(
+        lambda disc: st.integers(0, MAX_DEG).flatmap(lambda d: forms(disc, d)))
+
+
+@given(_one_field_forms())
+@settings(max_examples=40, deadline=None)
+def test_self_transvectant_matches_reference(f):
+    # (f, f)^r is zero for odd r and sums r/2 + 1 products for even r; an
+    # equal form built from distinct Scalars takes the same path
+    copy = BinaryForm(f.degree, [Scalar(c.a, c.b, c.disc) for c in f.coeffs])
+    for r in range(f.degree + 1):
+        expected = ref_transvect(f, f, r)
+        for g in (f, copy):
+            with _convolutions() as spy:
+                out = transvect(f, g, r)
+            assert out == expected and repr(out) == repr(expected)
+            assert spy.call_count == (0 if r % 2 else r // 2 + 1)
+
+
+# f and 2f (and f/2) clear to the same integer vector over other denominators
+HALVES = BinaryForm(3, [Scalar(1), rational(1, 2), Scalar(0), rational(3, 2)])
+
+
+@given(_one_field_forms())
+@example(HALVES)
+@settings(max_examples=30, deadline=None)
+def test_near_equal_operands_take_the_full_sum(f):
+    assume(not f.is_zero)
+    for g in (f.scale(2), f.scale(rational(1, 2))):
+        for r in range(f.degree + 1):
+            with _convolutions() as spy:
+                out = transvect(f, g, r)
+            expected = ref_transvect(f, g, r)
+            assert out == expected and repr(out) == repr(expected)
+            assert spy.call_count == r + 1
 
 
 @given(form_pairs())

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seacurves.catalog.templates import (
+    EquationTemplate,
+    Factor,
+    SumBlock,
+    Term,
     TemplateError,
     TemplateParamError,
     parse_poly_string,
@@ -67,6 +73,53 @@ def test_to_string_canonical_roundtrip():
         t = parse_template(text)
         assert t.to_string() == text
         assert parse_template(t.to_string()) == t
+
+
+def test_to_string_parenthesizes_one_term_factors():
+    for text, expected in (("(2*x^3)*x", "(2*x^3)*x"),
+                           ("(-(1-sqrt(5))*x)*x", "((-1+sqrt(5))*x)*x"),
+                           ("(2*x^3)", "(2*x^3)"), ("(sqrt(5)*x)*(x^2 + 1)", None),
+                           ("-x^3*x*(x + 1)", "-x^3*x*(x + 1)")):
+        t = parse_template(text)
+        assert len(t.factors[0].all_terms()) == 1
+        assert t.to_string() == (expected or text)
+        assert parse_template(t.to_string()) == t
+
+
+_RATS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+_NONZERO = _RATS.filter(bool).map(Scalar)
+
+
+@st.composite
+def templates(draw):
+    """Templates of one to three factors over Q, Q(sqrt -3) or Q(sqrt 5):
+    each factor leads with a nonzero constant and may carry constant terms,
+    parameter terms with rational multipliers and one sum block."""
+    disc = draw(st.sampled_from((0, -3, 5)))
+    consts = _NONZERO
+    if disc:
+        consts = _NONZERO | st.builds(lambda a, b: Scalar(a, b, disc), _RATS, _RATS.filter(bool))
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        top, *rest = sorted(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4,
+                                          unique=True)), reverse=True)
+        items = [Term(draw(consts), None, top)]
+        if top >= 4 and draw(st.booleans()):
+            items.append(SumBlock(1, draw(st.integers(1, 2)), 1, top - 3))  # x^(top-2), x^(top-1)
+            rest = [e for e in rest if e < top - 2]
+        for e in rest:
+            if draw(st.booleans()):
+                items.append(Term(draw(consts), None, e))
+            else:
+                items.append(Term(draw(_NONZERO), f"a{draw(st.integers(1, 12))}", e))
+        factors.append(Factor(tuple(items)))
+    return EquationTemplate(factors)
+
+
+@settings(max_examples=400, deadline=None)
+@given(templates())
+def test_to_string_roundtrip(template):
+    assert parse_template(template.to_string()) == template
 
 
 def test_f1_expansion():
