@@ -15,12 +15,14 @@ delta = branch points - 3, and the 84(g-1) bound.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 from ..curves import (
     CompletionResult,
@@ -148,11 +150,15 @@ class FamilyRecord:
 
 
 class Catalog:
-    """Immutable sequence of records with id lookup and filtering."""
+    """Immutable sequence of records with id lookup and filtering.
+
+    :func:`load_catalog` hands one instance to every caller that reads the
+    same dataset text, so the records are frozen and ``by_id`` is read-only.
+    """
 
     def __init__(self, records):
         self.records = tuple(records)
-        self.by_id = {r.id: r for r in self.records}
+        self.by_id = MappingProxyType({r.id: r for r in self.records})
         if len(self.by_id) != len(self.records):
             raise CatalogIntegrityError("duplicate record ids")
 
@@ -220,6 +226,11 @@ def load_catalog(path: str | None = None, use_env: bool = True) -> Catalog:
 
     Order of precedence: explicit ``path`` argument, then the SEA_CATALOG
     environment variable (when ``use_env``), then the packaged table.
+
+    The source is read on every call, so an edited or swapped file is always
+    seen, but the catalog is built once per distinct text and process: calls
+    that read the same text get the same shared, read-only :class:`Catalog`.
+    A malformed text raises :class:`CatalogError` on every call.
     """
     if path is None and use_env:
         path = os.environ.get(DATA_ENV_VAR) or None
@@ -228,6 +239,12 @@ def load_catalog(path: str | None = None, use_env: bool = True) -> Catalog:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    return _build_catalog(text)
+
+
+@functools.lru_cache(maxsize=1)  # a process reads one dataset text
+def _build_catalog(text: str) -> Catalog:
+    # lru_cache keeps no exception, so a bad text fails again on the next call
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

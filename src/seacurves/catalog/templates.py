@@ -124,6 +124,7 @@ class EquationTemplate:
         if self.degree > MAX_DEGREE:
             raise TemplateError(f"template degree {self.degree} exceeds {MAX_DEGREE}")
         self._validate()
+        self._support = None  # filled by the first support_classification()
 
     def _validate(self):
         consts = []
@@ -205,9 +206,12 @@ class EquationTemplate:
 
     def support_classification(self) -> dict:
         """exp -> ("const", Scalar) for parameter-free coefficients,
-        exp -> "param" for parameter-dependent ones; expanded anew on each call."""
-        return {e: ("const", poly[()]) if list(poly) == [()] else "param"
-                for e, poly in self.symbolic().items()}
+        exp -> "param" for parameter-dependent ones.  The template is expanded
+        on the first call only; every call returns its own copy of the map."""
+        if self._support is None:
+            self._support = {e: ("const", poly[()]) if list(poly) == [()] else "param"
+                             for e, poly in self.symbolic().items()}
+        return dict(self._support)
 
     def to_string(self) -> str:
         """Canonical text.  A factor of several terms is parenthesized in a

@@ -13,6 +13,7 @@ environment variable points at an alternative JSONL file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -85,9 +86,12 @@ def _parse_params(text: str) -> dict[str, Scalar]:
         return params
     for piece in text.split(","):
         name, sep, value = piece.partition("=")
-        if not sep:
+        name = name.strip()
+        if not sep or not name:
             raise _UsageError(f"bad parameter assignment {piece!r}, expected name=value")
-        params[name.strip()] = parse_scalar(value)
+        if name in params:
+            raise _UsageError(f"parameter {name!r} assigned twice")
+        params[name] = parse_scalar(value)
     return params
 
 
@@ -198,6 +202,7 @@ def _cmd_catalog_inclusions(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state on the parser, so main calls share one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seacurves",

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from seacurves import catalog as catalog_mod
 from seacurves.catalog import (
     Catalog,
     CatalogError,
+    FamilyRecord,
     export_csv,
     export_jsonl,
     flags_text,
@@ -255,6 +257,53 @@ def test_env_override(catalog, tmp_path, monkeypatch):
     assert len(load_catalog()) == 20
 
 
+def test_load_catalog_rereads_a_changed_file(catalog, tmp_path):
+    path = tmp_path / "rows.jsonl"
+    for genus, rows in ((5, 20), (6, 36), (5, 20)):
+        path.write_text(export_jsonl(Catalog(catalog.query(genus=genus))), encoding="utf-8")
+        loaded = load_catalog(str(path))
+        assert len(loaded) == rows and {r.genus for r in loaded} == {genus}
+
+
+def test_malformed_dataset_fails_on_every_call(catalog, tmp_path):
+    path = tmp_path / "rows.jsonl"
+    good = export_jsonl(Catalog(catalog.query(genus=5)))
+    bad = json.dumps({**catalog["g5-c1-1"].to_json(), "equation": "x^2 +"}) + "\n"
+    for text in (bad, bad, good, bad, good, bad):
+        path.write_text(text, encoding="utf-8")
+        if text is good:
+            assert len(load_catalog(str(path))) == 20
+        else:
+            with pytest.raises(CatalogError, match="line 1"):
+                load_catalog(str(path))
+
+
+def test_shared_catalog_matches_a_fresh_build():
+    shared = load_catalog(use_env=False)
+    assert load_catalog(use_env=False) is shared
+    inclusions(shared, 6)  # leaves the support maps of genus 6 filled in
+    text = catalog_mod._data_path().read_text("utf-8")
+    fresh = catalog_mod._build_catalog.__wrapped__(text)
+    assert fresh is not shared
+    assert export_jsonl(fresh) == export_jsonl(shared)
+    for old, new in zip(shared, fresh):
+        assert old.template == new.template
+        if old.template is not None:
+            assert old.template.support_classification() == new.template.support_classification()
+
+
+def test_shared_catalog_state_is_read_only(catalog):
+    with pytest.raises(TypeError):
+        catalog.by_id["g5-c1-1"] = catalog["g5-c2-1"]
+    with pytest.raises(TypeError):
+        del catalog.by_id["g5-c1-1"]
+    template = catalog["g5-c4-1"].template
+    support = template.support_classification()
+    before = dict(support)
+    support.clear()
+    assert template.support_classification() == before != {}
+
+
 # one field of row g5-c1-1 replaced; None stands for a row missing its keys
 _BAD_FIELDS = {
     "missing_key": None,
@@ -474,15 +523,21 @@ def test_only_inclusions_expands_templates(monkeypatch):
         raise AssertionError("symbolic() called")
 
     monkeypatch.setattr(EquationTemplate, "symbolic", refuse)
+    catalog_mod._build_catalog.cache_clear()  # build anew while symbolic() refuses
     catalog = load_catalog(use_env=False)
+    assert all(r.template._support is None for r in catalog if r.template is not None)
     assert verify_all(catalog).ok
     assert specialize(catalog["g5-c4-1"], {"a1": 1, "a2": 3, "a3": 5}).genus == 5
     assert len(catalog.query(genus=5)) == 20
 
-    # inclusions expands each templated row of the genus once
+    # on a copy built without the memo, whose templates no other caller
+    # shares, inclusions expands each templated row of the genus once, and a
+    # second call expands none
+    catalog = Catalog(FamilyRecord.from_json(r.to_json()) for r in catalog)
     calls = []
     monkeypatch.setattr(EquationTemplate, "symbolic",
                         lambda self: calls.append(self) or expand(self))
-    inclusions(catalog, 5)
+    first = inclusions(catalog, 5)
     rows = [r.template for r in catalog.query(genus=5) if r.template is not None]
     assert len(calls) == len(rows) and {id(t) for t in calls} == {id(t) for t in rows}
+    assert inclusions(catalog, 5) == first and len(calls) == len(rows)

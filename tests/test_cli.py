@@ -173,6 +173,18 @@ def test_catalog_specialize(capsys):
     assert code == 2 and "no record" in err
 
 
+@pytest.mark.parametrize("params, message", [
+    ("a1=2,a1=1,a2=3,a3=5", "parameter 'a1' assigned twice"),
+    ("a1=1, a1 =2,a2=3,a3=5", "parameter 'a1' assigned twice"),
+    ("=1,a1=1,a2=3,a3=5", "bad parameter assignment '=1'"),
+    ("a1=1,a2=3,a3=5, =7", "bad parameter assignment ' =7'"),
+])
+def test_catalog_specialize_rejects_repeated_or_empty_names(capsys, params, message):
+    code, out, err = run(capsys, "catalog", "specialize", "--id", "g5-c4-1", "--params", params)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 def test_catalog_inclusions(capsys):
     code, doc, _ = run_json(capsys, "catalog", "inclusions", "--genus", "5")
     assert code == 0 and doc["genus"] == 5
@@ -224,11 +236,18 @@ GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 
 def test_golden_digests(capsys, monkeypatch):
-    """Exit code and stdout SHA-256 of every call the benchmark pins."""
+    """Exit code and stdout SHA-256 of every call the benchmark pins, from a
+    cold start (no built catalog or parser in the process) and again warm."""
+    from seacurves import catalog, cli
+
     monkeypatch.delenv("SEA_CATALOG", raising=False)
     entries = json.loads(GOLDEN.read_text("utf-8"))
     assert len(entries) == 36
-    for entry in entries:
-        code, out, _ = run(capsys, *entry["argv"])
-        assert code == entry["exit"], entry["argv"]
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["sha256"], entry["argv"]
+    catalog._build_catalog.cache_clear()
+    cli._build_parser.cache_clear()
+    for _ in ("cold", "warm"):
+        for entry in entries:
+            code, out, _ = run(capsys, *entry["argv"])
+            assert code == entry["exit"], entry["argv"]
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["sha256"], \
+                entry["argv"]
