@@ -12,7 +12,8 @@ transvectant run on one integer kernel: each operand is cleared once to
 integer vectors over Z[sqrt(D)] with one common denominator, the vectors are
 differentiated and convolved as Python ints, and the result is divided once.
 Resultants, discriminants (hence the squarefree test) and gcds all run on one
-Euclidean remainder sequence, ``_poly_mod``.
+subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the same
+cleared integer pairs: every division in it is exact in Z[sqrt(D)].
 No operation here ever touches floating point.
 """
 
@@ -388,7 +389,7 @@ class UnivariatePoly:
 
     def leading(self) -> Scalar:
         if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
+            raise DegreeError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __eq__(self, other):
@@ -409,7 +410,12 @@ class UnivariatePoly:
     __rmul__ = __mul__
 
     def derivative(self) -> UnivariatePoly:
-        return UnivariatePoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        den, a, b, disc = _clear(self.coeffs)
+
+        def d(v):
+            return v and [i * x for i, x in enumerate(v)][1:]
+
+        return UnivariatePoly(_to_scalars((d(a), d(b)), den, disc))
 
     def monic(self) -> UnivariatePoly:
         if self.is_zero:
@@ -436,26 +442,147 @@ def dehomogenize(f: BinaryForm) -> UnivariatePoly:
     return UnivariatePoly(f.coeffs)
 
 
+def _elt(f, i: int):
+    """Coefficient i of an (A, B) pair as an element (a, b) of Z[sqrt(disc)]."""
+    return f[0][i], f[1][i] if f[1] else 0
+
+
+def _mul(x, y, disc: int):
+    """x * y for elements x, y of Z[sqrt(disc)]."""
+    return x[0] * y[0] + disc * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _pow(x, e: int, disc: int):
+    """x^e for an element x of Z[sqrt(disc)] and e >= 0, by repeated squaring."""
+    r = (1, 0)
+    while e:
+        if e & 1:
+            r = _mul(r, x, disc)
+        e >>= 1
+        if e:
+            x = _mul(x, x, disc)
+    return r
+
+
+def _head(f, n: int):
+    """The (A, B) pair of the coefficients of f below degree n."""
+    return f[0][:n], f[1] and f[1][:n]
+
+
+def _pair_scale(f, y, disc: int):
+    """y * f for an (A, B) pair f and an element y of Z[sqrt(disc)]."""
+    (a, b), (y0, y1) = f, y
+    if not y1:
+        return [y0 * x for x in a], b and [y0 * x for x in b]
+    return ([y0 * x + disc * y1 * z for x, z in zip(a, b)],
+            [y0 * z + y1 * x for x, z in zip(a, b)])
+
+
+def _over(f, y, disc: int):
+    """(f * conj(y), N(y)): the pair f / y over one integer denominator."""
+    y0, y1 = y
+    if not y1:
+        return f, y0
+    return _pair_scale(f, (y0, -y1), disc), y0 * y0 - disc * y1 * y1
+
+
+def _divexact(f, y, disc: int):
+    """f / y for an (A, B) pair f that y divides in Z[sqrt(disc)]."""
+    (a, b), n = _over(f, y, disc)
+    return [x // n for x in a], b and [x // n for x in b]
+
+
+def _prem(f, g, disc: int):
+    """lc(g)^(deg f - deg g + 1) f mod g for (A, B) pairs, deg f >= deg g >= 1.
+
+    Trailing zeros of the remainder are stripped; the zero remainder has
+    empty vectors.
+    """
+    n = len(g[0]) - 1
+    lead, low = _elt(g, n), _head(g, n)
+    r = f
+    for k in range(len(f[0]) - 1 - n, -1, -1):
+        c = _elt(r, n + k)
+        r = _pair_scale(_head(r, n + k), lead, disc)
+        if c[0] or c[1]:
+            for u, v in zip(r, _pair_scale(low, c, disc)):
+                if v is not None:  # both B are None over Q
+                    for j, y in enumerate(v):
+                        u[k + j] -= y
+    m = len(r[0])
+    while m and not r[0][m - 1] and not (r[1] and r[1][m - 1]):
+        m -= 1
+    return _head(r, m)
+
+
+def _next_h(lead, h, delta: int, disc: int):
+    """h^(1 - delta) lead^delta, which is exact in Z[sqrt(disc)]."""
+    if not delta:
+        return h
+    x = _pow(lead, delta, disc)
+    return _elt(_divexact(([x[0]], [x[1]]), _pow(h, delta - 1, disc), disc), 0)
+
+
+def _subresultant_prs(f, g, disc: int):
+    """The subresultant PRS of (A, B) pairs with deg f >= deg g >= 0.
+
+    Collins (1967), Brown and Traub (1971); Cohen, *A Course in Computational
+    Algebraic Number Theory*, Algorithm 3.3.7 without content removal.  Each
+    pseudo-remainder after the first is divided exactly by lc(f) h^delta, f
+    its dividend, so the members are the subresultants: they stay in
+    Z[sqrt(disc)], with coefficients the size of a determinant.  Runs until the
+    remainder has degree <= 0 and returns (f, g, h, s): the last two members
+    of the sequence (g with empty vectors when it vanished), Cohen's h, and
+    the sign s = prod (-1)^(deg f deg g) over the steps.
+    """
+    lead, h, s = (1, 0), (1, 0), 1
+    while len(g[0]) > 1:
+        m, n = len(f[0]) - 1, len(g[0]) - 1
+        if m & n & 1:
+            s = -s
+        r = _divexact(_prem(f, g, disc), _mul(lead, _pow(h, m - n, disc), disc), disc)
+        f, g = g, r
+        lead = _elt(f, n)
+        h = _next_h(lead, h, m - n, disc)
+    return f, g, h, s
+
+
+def _clear_pairs(p: UnivariatePoly, q: UnivariatePoly):
+    """(den_p, f, den_q, g, disc): p = f / den_p and q = g / den_q.
+
+    f and g are the (A, B) pairs of p and q, each cleared once, over their
+    joint field; B is a vector exactly when disc != 0.
+    """
+    pden, pa, pb, disc = _clear(p.coeffs)
+    qden, qa, qb, disc = _clear(q.coeffs, disc)
+    if disc:  # a rational operand over Q(sqrt disc) gets a zero B
+        pb, qb = pb or [0] * len(pa), qb or [0] * len(qa)
+    return pden, (pa, pb), qden, (qa, qb), disc
+
+
 def resultant(p: UnivariatePoly, q: UnivariatePoly) -> Scalar:
     """Res(p, q), the Sylvester determinant with the rows of p first.
 
-    Computed by the Euclidean remainder sequence: with r = p mod q,
-    Res(p, q) = (-1)^(deg p deg q) lc(q)^(deg p - deg r) Res(q, r), and
-    Res(q, c r) = c^(deg q) Res(q, r) makes every remainder monic.
+    p and q are cleared once each to integer pairs P = den_p p and Q = den_q q
+    over Z[sqrt(D)], and Res(P, Q) is the last subresultant of
+    :func:`_subresultant_prs` (Cohen, Algorithm 3.3.7).  Then
+    Res(p, q) = Res(P, Q) / (den_p^(deg q) den_q^(deg p)), divided once.
+    A constant operand c gives c^(degree of the other); the zero polynomial
+    raises :class:`DegreeError`.
     """
     if p.is_zero or q.is_zero:
-        raise ValueError("resultant of the zero polynomial is undefined")
-    res = ONE
-    while q.degree > 0:
-        r = _poly_mod(p, q)
-        if r.is_zero:
-            return ZERO
-        m, n = p.degree, q.degree
-        res = res * q.leading() ** (m - r.degree) * r.leading() ** n
-        if m * n % 2:
-            res = -res
-        p, q = q, r.monic()
-    return res * q.leading() ** p.degree
+        raise DegreeError("resultant of the zero polynomial is undefined")
+    pden, f, qden, g, disc = _clear_pairs(p, q)
+    m, n = p.degree, q.degree
+    if m < n:
+        f, g = g, f
+    f, g, h, s = _subresultant_prs(f, g, disc)
+    if not g[0]:
+        return ZERO
+    if m < n and m & n & 1:  # Res(q, p) = (-1)^(deg p deg q) Res(p, q)
+        s = -s
+    r0, r1 = _next_h(_elt(g, 0), h, len(f[0]) - 1, disc)
+    return _to_scalars(([s * r0], [s * r1]), pden ** n * qden ** m, disc)[0]
 
 
 def discriminant(p: UnivariatePoly) -> Scalar:
@@ -473,29 +600,20 @@ def is_squarefree(p: UnivariatePoly) -> bool:
 
 
 def poly_gcd(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd by the Euclidean algorithm.
+    """Monic gcd: the last nonzero member of the subresultant PRS, made monic.
 
-    Each remainder is made monic, as in :func:`resultant`: without it the
-    coefficients of the remainders grow, a degree-100 gcd by orders of
-    magnitude.
+    The sequence is the one :func:`resultant` runs (Brown and Traub 1971;
+    Cohen, Algorithm 3.3.7); its members are associates of the Euclidean
+    remainders in K[x] whose integer coefficients stay the size of a
+    determinant.
+    The gcd with the zero polynomial is the other operand made monic.
     """
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, _poly_mod(a, b).monic()
-    return a.monic()
-
-
-def _poly_mod(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
-    out = list(a.coeffs)
-    bl = b.leading()
-    bd = b.degree
-    while len(out) - 1 >= bd and out:
-        if out[-1].is_zero:
-            out.pop()
-            continue
-        factor = out[-1] / bl
-        shift = len(out) - 1 - bd
-        for i, c in enumerate(b.coeffs):
-            out[shift + i] = out[shift + i] - factor * c
-        out.pop()
-    return UnivariatePoly(out)
+    if p.is_zero or q.is_zero:
+        return (q if p.is_zero else p).monic()
+    _, f, _, g, disc = _clear_pairs(p, q)
+    if p.degree < q.degree:
+        f, g = g, f
+    f, g, _, _ = _subresultant_prs(f, g, disc)
+    last = g if g[0] else f
+    monic, den = _over(last, _elt(last, len(last[0]) - 1), disc)
+    return UnivariatePoly(_to_scalars(monic, den, disc))

@@ -152,8 +152,14 @@ def test_resultant_fixtures():
     assert resultant(x2p1, x2p1) == Scalar(0)
     # 2x2 Sylvester with rows of p first: det [[1, -1], [1, -2]] = -1
     assert resultant(UnivariatePoly([-1, 1]), UnivariatePoly([-2, 1])) == Scalar(-1)
-    with pytest.raises(ValueError):
+    # typed errors that stay ValueErrors, so CLI exit codes hold
+    assert issubclass(DegreeError, ValueError)
+    with pytest.raises(DegreeError):
         resultant(UnivariatePoly([]), x2p1)
+    with pytest.raises(DegreeError):
+        resultant(x2p1, UnivariatePoly([0, 0]))
+    with pytest.raises(DegreeError):
+        UnivariatePoly([]).leading()
 
 
 def test_discriminant_fixtures():

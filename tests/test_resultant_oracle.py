@@ -1,11 +1,19 @@
-"""Differential tests of ``resultant`` and ``discriminant`` against references.
+"""Differential tests of ``resultant``, ``discriminant`` and ``poly_gcd``.
 
-The reference below is the determinant of the Sylvester matrix (rows of p,
-descending, first) by Gaussian elimination in ``Scalar`` arithmetic;
-``resultant`` runs the Euclidean remainder sequence instead.  The two must
-agree exactly over Q, Q(sqrt -3) and Q(sqrt 5), with vanishing leading and
-constant terms and with forced common factors.  sympy, when importable, is a
-third, independent check.
+``resultant`` and ``poly_gcd`` run the subresultant pseudo-remainder sequence
+on integer pairs over Z[sqrt D].  Two references check them:
+
+- the determinant of the Sylvester matrix (rows of p, descending, first) by
+  Gaussian elimination in ``Scalar`` arithmetic, up to degree 12;
+- the Euclidean remainder sequence in ``Scalar`` arithmetic, with each
+  remainder made monic (the implementation the subresultant sequence
+  replaced), up to degree 30 and once at degree 100.
+
+They must agree exactly over Q, Q(sqrt -3) and Q(sqrt 5): with vanishing
+leading and constant terms, half-integral coordinates (a + b sqrt D) / 2,
+degree gaps greater than one inside the sequence (polynomials in x^k),
+either operand of larger degree, constant operands, and forced common and
+repeated factors.  sympy, when importable, is a third, independent check.
 """
 
 import random
@@ -14,7 +22,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seacurves.forms import UnivariatePoly, discriminant, is_squarefree, resultant
+from seacurves import forms
+from seacurves.forms import (
+    UnivariatePoly,
+    discriminant,
+    is_squarefree,
+    poly_gcd,
+    resultant,
+)
 from seacurves.scalars import ONE, ZERO, Scalar, rational
 
 MAX_DEG = 12
@@ -55,6 +70,52 @@ def ref_resultant(p: UnivariatePoly, q: UnivariatePoly) -> Scalar:
     return ref_det(rows)
 
 
+def euclid_mod(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
+    out = list(a.coeffs)
+    bl = b.leading()
+    bd = b.degree
+    while len(out) - 1 >= bd and out:
+        if out[-1].is_zero:
+            out.pop()
+            continue
+        factor = out[-1] / bl
+        shift = len(out) - 1 - bd
+        for i, c in enumerate(b.coeffs):
+            out[shift + i] = out[shift + i] - factor * c
+        out.pop()
+    return UnivariatePoly(out)
+
+
+def euclid_resultant(p: UnivariatePoly, q: UnivariatePoly) -> Scalar:
+    """Res(p, q) by the Euclidean remainder sequence.
+
+    With r = p mod q, Res(p, q) = (-1)^(deg p deg q) lc(q)^(deg p - deg r)
+    Res(q, r), and Res(q, c r) = c^(deg q) Res(q, r) makes every remainder
+    monic.
+    """
+    if p.is_zero or q.is_zero:
+        raise ValueError("resultant of the zero polynomial is undefined")
+    res = ONE
+    while q.degree > 0:
+        r = euclid_mod(p, q)
+        if r.is_zero:
+            return ZERO
+        m, n = p.degree, q.degree
+        res = res * q.leading() ** (m - r.degree) * r.leading() ** n
+        if m * n % 2:
+            res = -res
+        p, q = q, r.monic()
+    return res * q.leading() ** p.degree
+
+
+def euclid_gcd(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
+    """Monic gcd by the Euclidean algorithm, each remainder made monic."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, euclid_mod(a, b).monic()
+    return a.monic()
+
+
 def ref_discriminant(p: UnivariatePoly) -> Scalar:
     d = p.degree
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
@@ -79,13 +140,13 @@ def scalars(disc: int):
 
 
 @st.composite
-def polys(draw, disc: int, min_deg: int = 0, max_deg: int = MAX_DEG):
+def polys(draw, disc: int, min_deg: int = 0, max_deg: int = MAX_DEG, coeffs=scalars):
     """A polynomial of degree min_deg..max_deg over Q(sqrt disc).
 
     Zero top entries of the drawn coefficient list (a vanishing leading
     term) lower the degree.
     """
-    p = UnivariatePoly(draw(st.lists(scalars(disc), min_size=min_deg + 1, max_size=max_deg + 1)))
+    p = UnivariatePoly(draw(st.lists(coeffs(disc), min_size=min_deg + 1, max_size=max_deg + 1)))
     assume(p.degree >= min_deg)
     return p
 
@@ -177,3 +238,116 @@ def test_against_sympy(disc):
         assert to_field(resultant(p, q)) == sylvester_det(p, q)
         f = sp.Poly([field.to_sympy(to_field(c)) for c in reversed(p.coeffs)], x, domain=field)
         assert to_field(discriminant(p)) == field.from_sympy(f.discriminant().as_expr())
+
+
+EUCLID_MAX_DEG = 30
+
+
+def small_scalars(disc: int):
+    """Small coefficients, zero often; over Q(sqrt disc) also half-integral
+    ones (a + b sqrt(disc)) / 2 with a and b odd, which Z[sqrt disc] lacks."""
+    zero = st.just(Scalar(0))
+    rats = st.builds(rational, st.integers(-30, 30), st.integers(1, 4))
+    if disc == 0:
+        return st.one_of(zero, rats)
+    half = st.builds(lambda a, b: Scalar(rational(2 * a + 1, 2), rational(2 * b + 1, 2), disc),
+                     st.integers(-15, 15), st.integers(-15, 15))
+    return st.one_of(zero, rats, half, st.builds(lambda a, b: Scalar(a.a, b.a, disc), rats, rats))
+
+
+def in_x_power(p: UnivariatePoly, k: int) -> UnivariatePoly:
+    """p(x^k): every member of a remainder sequence of such polynomials is
+    one too, so each degree gap in it is a multiple of k."""
+    return UnivariatePoly([c for a in p.coeffs for c in [a] + [ZERO] * (k - 1)])
+
+
+@st.composite
+def euclid_pairs(draw):
+    """(p, q) over one field with deg p, deg q <= EUCLID_MAX_DEG: independent,
+    with a common factor h, or with a common h and a repeated h^2 in p."""
+    disc = draw(st.sampled_from([0, -3, 5]))
+    k = draw(st.sampled_from([1, 1, 2, 3]))
+    top = EUCLID_MAX_DEG // k
+    shape = draw(st.sampled_from(["free", "common", "repeated"]))
+    if shape == "free":
+        p = draw(polys(disc, 0, top, small_scalars))
+        q = draw(polys(disc, 0, top, small_scalars))
+    else:
+        h = draw(polys(disc, 1, 3, small_scalars))
+        hp = h * h if shape == "repeated" else h
+        p = draw(polys(disc, 0, top - hp.degree, small_scalars)) * hp
+        q = draw(polys(disc, 0, top - h.degree, small_scalars)) * h
+    return in_x_power(p, k), in_x_power(q, k)
+
+
+def euclid_discriminant(p: UnivariatePoly) -> Scalar:
+    d = p.degree
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * euclid_resultant(p, p.derivative()) / p.leading()
+
+
+def assert_matches_euclidean(p: UnivariatePoly, q: UnivariatePoly) -> None:
+    assert resultant(p, q) == euclid_resultant(p, q)
+    assert resultant(q, p) == euclid_resultant(q, p)
+    assert poly_gcd(p, q) == euclid_gcd(p, q)
+    if p.degree >= 1:
+        assert discriminant(p) == euclid_discriminant(p)
+
+
+@given(euclid_pairs())
+@settings(max_examples=150, deadline=None)
+def test_resultant_and_gcd_match_euclidean(pair):
+    assert_matches_euclidean(*pair)
+
+
+def _x(*coeffs):
+    return UnivariatePoly(list(coeffs))
+
+
+@pytest.mark.parametrize("disc", [0, -3, 5])
+def test_euclidean_edge_cases(disc):
+    """Constant operands, large degree gaps either way, sequences whose every
+    gap is even, and common factors, with half-integral coordinates."""
+    w = Scalar(rational(1, 2), rational(1, 2), disc) if disc else rational(1, 2)
+    c = Scalar(3, -1, disc) if disc else Scalar(3)
+    p = _x(1, w, 0, -2, 0, 0, w, 1, 0, 3)  # degree 9
+    q = _x(w, 0, c)  # degree 2
+    cases = [
+        (_x(c), _x(w)),
+        (_x(c), p),
+        (p, q),
+        (_x(c, 0, w, 1), p),  # degrees 3 and 9, both odd
+        (in_x_power(p, 2), in_x_power(q, 2)),
+        (in_x_power(p * q, 2), in_x_power(q * q, 2)),
+        (in_x_power(_x(w, 1) * q, 3), in_x_power(q, 3)),
+    ]
+    for a, b in cases:
+        assert_matches_euclidean(a, b)
+        assert_matches_euclidean(b, a)
+
+
+def test_degree_100_pair_matches_euclidean():
+    rng = random.Random(101)
+
+    def poly(d):
+        return UnivariatePoly([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 9)])
+
+    p, q = poly(100), poly(97)
+    assert resultant(p, q) == euclid_resultant(p, q)
+    assert resultant(q, p) == euclid_resultant(q, p)
+
+
+def test_resultant_clears_each_operand_once(monkeypatch):
+    """p and q are cleared once each, not once per remainder."""
+    p = UnivariatePoly([rational(i - 11, i % 5 + 1) for i in range(23)])
+    q = UnivariatePoly([Scalar(i, i % 3, 5) for i in range(-8, 12)])
+    calls = []
+    clear = forms._clear
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return clear(*args)
+
+    monkeypatch.setattr(forms, "_clear", counting)
+    resultant(p, q)
+    assert calls == [23, 20]
