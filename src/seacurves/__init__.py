@@ -13,8 +13,6 @@ from .forms import (
     DegreeError,
     SingularMatrixError,
     make_form,
-    form_add,
-    form_mul,
     partial_derivative,
     moebius_act,
     evaluate,
@@ -47,6 +45,7 @@ from .curves import (
     Signature,
     SuperellipticCurve,
     NotSquarefreeError,
+    LevelError,
     make_curve,
     genus_formula,
     hurwitz_bound,

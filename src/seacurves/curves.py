@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .forms import UnivariatePoly, is_squarefree
+from .forms import DegreeError, UnivariatePoly, is_squarefree
 
 __all__ = [
     "ReducedGroup",
@@ -21,6 +21,7 @@ __all__ = [
     "SuperellipticCurve",
     "CompletionResult",
     "NotSquarefreeError",
+    "LevelError",
     "make_curve",
     "genus_formula",
     "hurwitz_bound",
@@ -32,6 +33,10 @@ __all__ = [
 
 class NotSquarefreeError(ValueError):
     """f has a repeated root, so y^n = f(x) is not a smooth model."""
+
+
+class LevelError(ValueError):
+    """The level n of y^n = f(x) is below 2."""
 
 
 _REDUCED_ORDERS = {"A4": 12, "S4": 24, "A5": 60}
@@ -213,7 +218,7 @@ def complete_signature(g: int, group_order: int, printed: Signature,
 def full_group_order(n: int, reduced: ReducedGroup) -> int:
     """|G| = n * |reduced|, the order of the full automorphism group."""
     if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
+        raise LevelError(f"level must be >= 2, got {n}")
     return n * reduced.order
 
 
@@ -224,9 +229,9 @@ class SuperellipticCurve:
 
     def __init__(self, n: int, f: UnivariatePoly):
         if n < 2:
-            raise ValueError(f"level must be >= 2, got {n}")
+            raise LevelError(f"level must be >= 2, got {n}")
         if f.degree < 2:
-            raise ValueError(f"need deg f >= 2, got {f.degree}")
+            raise DegreeError(f"need deg f >= 2, got {f.degree}")
         if not is_squarefree(f):
             raise NotSquarefreeError("f has a repeated root (discriminant = 0)")
         object.__setattr__(self, "n", n)

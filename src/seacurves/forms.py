@@ -5,13 +5,22 @@ coefficients stored ascending in the X-power (a_0 .. a_d).  Forms keep their
 declared degree even when leading coefficients vanish; the all-zero form is a
 legal value of any degree.
 
-Coefficients are :class:`~seacurves.scalars.Scalar` values.  Every product
-of coefficient sequences (form and polynomial products, and through them
-template expansion), the GL2 substitution, the partial derivatives and the
-transvectant run on one integer kernel: each operand is cleared once to
-integer vectors over Z[sqrt(D)] with one common denominator, the vectors are
-differentiated and convolved as Python ints, and the result is divided once.
-Resultants, discriminants (hence the squarefree test) and gcds all run on one
+A form carries its cleared integer vector ``vec = (den, A, B, disc)``:
+a_i = (A[i] + B[i]*sqrt(disc)) / den, with den > 0, gcd(den, A, B) = 1, and
+B None (and disc 0) exactly when every coefficient is rational.  The vector
+is canonical, so ``==`` and ``hash`` compare it.  The
+:class:`~seacurves.scalars.Scalar` tuple ``coeffs`` is built from it on
+demand, the first time it is read; a form built from Scalars clears itself
+on first use instead.  Sums, products, scaling, the GL2 substitution, the
+partial derivatives and the transvectant read vectors and return forms built
+from vectors (``BinaryForm._from_vec``): they differentiate and convolve
+Python ints over Z[sqrt(D)], and a chain of them never touches Fraction.
+Each of them joins the fields of its two operands with one helper,
+``_join_field``.
+
+:class:`UnivariatePoly` keeps Scalar coefficients; its products clear each
+operand once onto the same integer kernel and divide once.  Resultants,
+discriminants (hence the squarefree test) and gcds all run on one
 subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the same
 cleared integer pairs: every division in it is exact in Z[sqrt(D)].
 No operation here ever touches floating point.
@@ -20,7 +29,8 @@ No operation here ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, perm
+from functools import lru_cache
+from math import gcd, lcm, perm
 from typing import Iterable, Sequence
 
 from .scalars import _R0, ONE, ZERO, FieldMixError, Scalar, _raw, parse_scalar
@@ -32,8 +42,6 @@ __all__ = [
     "DegreeError",
     "SingularMatrixError",
     "make_form",
-    "form_add",
-    "form_mul",
     "partial_derivative",
     "moebius_act",
     "evaluate",
@@ -63,14 +71,21 @@ def _scal(x) -> Scalar:
 MAX_DEGREE = 100
 
 
+def _join_field(d1: int, d2: int) -> int:
+    """The field of operands over Q(sqrt(d1)) and Q(sqrt(d2)), 0 meaning Q.
+
+    The one field check of the vector operations; two different radicals
+    raise FieldMixError.
+    """
+    if d1 and d2 and d1 != d2:
+        raise FieldMixError(f"cannot mix sqrt({d1}) and sqrt({d2}) coefficients")
+    return d1 or d2
+
+
 def _join_coeff_field(coeffs: Iterable[Scalar], disc: int = 0) -> int:
     for c in coeffs:
         if c.disc:
-            if disc and c.disc != disc:
-                raise FieldMixError(
-                    f"cannot mix sqrt({disc}) and sqrt({c.disc}) coefficients"
-                )
-            disc = c.disc
+            disc = _join_field(disc, c.disc)
     return disc
 
 
@@ -125,11 +140,17 @@ def _pair_product(f, g, disc: int):
     return acc
 
 
+@lru_cache(maxsize=1024)
+def _partial_weights(n: int, p: int, k: int) -> tuple:
+    """The factors (i + p)!/i! * (n - i - p)!/(n - i - p - k)! of _partial."""
+    return tuple(perm(i + p, p) * perm(n - i - p, k) for i in range(n - p - k + 1))
+
+
 def _partial(vec, n: int, p: int, k: int):
     """d^(p+k) / dX^p dZ^k of the degree-n form with ascending coefficients vec."""
     if vec is None:
         return None
-    return [vec[i + p] * perm(i + p, p) * perm(n - i - p, k) for i in range(n - p - k + 1)]
+    return [x * w for x, w in zip(vec[p:], _partial_weights(n, p, k))]
 
 
 def _to_scalars(acc, den: int, disc: int) -> list[Scalar]:
@@ -168,9 +189,13 @@ def _join_terms(terms: Iterable[str]) -> str:
 
 
 class BinaryForm:
-    """Homogeneous bivariate polynomial of a fixed degree."""
+    """Homogeneous bivariate polynomial of a fixed degree.
 
-    __slots__ = ("degree", "coeffs")
+    ``vec`` is the canonical cleared vector (den, A, B, disc) and ``coeffs``
+    the Scalar tuple; each is computed from the other when first read.
+    """
+
+    __slots__ = ("degree", "_coeffs", "_vec")
 
     def __init__(self, degree: int, coeffs: Sequence):
         if degree < 0:
@@ -182,26 +207,72 @@ class BinaryForm:
             )
         _join_coeff_field(cs)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_coeffs", cs)
+        object.__setattr__(self, "_vec", None)
+
+    @classmethod
+    def _from_vec(cls, degree: int, den: int, a, b, disc: int) -> BinaryForm:
+        """The form (A + B*sqrt(disc)) / den for den > 0, made canonical.
+
+        The content gcd(den, A, B) is divided out, and a B that vanished
+        (a form times its conjugate, say) is dropped with its field.
+        """
+        if b is None or not any(b):
+            b, disc = None, 0
+        g = gcd(den, *a) if b is None else gcd(den, *a, *b)
+        if g != 1:
+            den //= g
+            a = [x // g for x in a]
+            b = b and [x // g for x in b]
+        form = cls.__new__(cls)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "_coeffs", None)
+        object.__setattr__(form, "_vec", (den, tuple(a), b and tuple(b), disc))
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryForm is immutable")
 
     @property
+    def vec(self) -> tuple:
+        """(den, A, B, disc): coefficient i is (A[i] + B[i]*sqrt(disc)) / den."""
+        v = self._vec
+        if v is None:
+            den, a, b, disc = _clear(self._coeffs)
+            v = (den, tuple(a), b and tuple(b), disc)
+            object.__setattr__(self, "_vec", v)
+        return v
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients a_0 .. a_d as Scalars."""
+        cs = self._coeffs
+        if cs is None:
+            den, a, b, disc = self._vec
+            cs = tuple(_to_scalars((a, b), den, disc))
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        v = self._vec
+        if v is None:
+            return all(c.is_zero for c in self._coeffs)
+        return v[2] is None and not any(v[1])
 
     @classmethod
     def zero(cls, degree: int) -> BinaryForm:
-        return cls(degree, (ZERO,) * (degree + 1))
+        if degree < 0:
+            raise DegreeError("degree must be nonnegative")
+        return cls._from_vec(degree, 1, (0,) * (degree + 1), None, 0)
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return self.degree == other.degree and self.vec == other.vec
 
     def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        return hash((self.degree, self.vec))
 
     def __add__(self, other: BinaryForm) -> BinaryForm:
         if not isinstance(other, BinaryForm):
@@ -210,25 +281,43 @@ class BinaryForm:
             raise DegreeError(
                 f"cannot add forms of degrees {self.degree} and {other.degree}"
             )
-        return BinaryForm(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        (uden, ua, ub, udisc), (vden, va, vb, vdisc) = self.vec, other.vec
+        disc = _join_field(udisc, vdisc)
+        den = lcm(uden, vden)
+        s, t = den // uden, den // vden
+        a = [s * x + t * y for x, y in zip(ua, va)]
+        b = None
+        if disc:
+            zero = (0,) * len(a)
+            b = [s * x + t * y for x, y in zip(ub or zero, vb or zero)]
+        return BinaryForm._from_vec(self.degree, den, a, b, disc)
 
     def __sub__(self, other: BinaryForm) -> BinaryForm:
         return self + (-other)
 
     def __neg__(self) -> BinaryForm:
-        return BinaryForm(self.degree, [-c for c in self.coeffs])
+        return self.scale(-1)
 
     def __mul__(self, other):
-        if isinstance(other, BinaryForm):
-            return BinaryForm(self.degree + other.degree, _product(self.coeffs, other.coeffs))
-        return self.scale(other)
+        if not isinstance(other, BinaryForm):
+            return self.scale(other)
+        uden, ua, ub, udisc = self.vec
+        vden, va, vb, vdisc = other.vec
+        disc = _join_field(udisc, vdisc)
+        a, b = _pair_product((ua, ub), (va, vb), disc)
+        return BinaryForm._from_vec(self.degree + other.degree, uden * vden, a, b, disc)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> BinaryForm:
-        c = _scal(c)
-        return BinaryForm(self.degree, [c * a for a in self.coeffs])
+        cden, (c0,), cb, cdisc = _clear((_scal(c),))
+        den, a, b, disc = self.vec
+        disc = _join_field(disc, cdisc)
+        if cb and b is None:
+            b = (0,) * len(a)
+        a, b = _pair_scale((a, b), (c0, cb[0] if cb else 0), disc)
+        return BinaryForm._from_vec(self.degree, den * cden, a, b, disc)
 
     def constant_value(self) -> Scalar:
         """The scalar value of a degree-0 form."""
@@ -255,14 +344,6 @@ def make_form(degree: int, coeffs: Sequence) -> BinaryForm:
     return BinaryForm(degree, coeffs)
 
 
-def form_add(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    return f + g
-
-
-def form_mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    return f * g
-
-
 def partial_derivative(f: BinaryForm, var: str, order: int = 1) -> BinaryForm:
     """Iterated exact formal partial derivative in "X" or "Z".
 
@@ -277,9 +358,8 @@ def partial_derivative(f: BinaryForm, var: str, order: int = 1) -> BinaryForm:
     if order > n:
         return BinaryForm.zero(0)
     p, k = (order, 0) if var == "X" else (0, order)
-    den, a, b, disc = _clear(f.coeffs)
-    coeffs = _to_scalars((_partial(a, n, p, k), _partial(b, n, p, k)), den, disc)
-    return BinaryForm(n - order, coeffs)
+    den, a, b, disc = f.vec
+    return BinaryForm._from_vec(n - order, den, _partial(a, n, p, k), _partial(b, n, p, k), disc)
 
 
 def evaluate(f: BinaryForm, x, z) -> Scalar:
@@ -340,15 +420,16 @@ def moebius_act(M: Matrix2, f: BinaryForm) -> BinaryForm:
     """Substituted form f(aX + bZ, cX + dZ); requires det(M) != 0.
 
     Composition order: acting by M then by N equals acting by N @ M once,
-    matching the contravariance of substitution actions.  M and f are each
-    cleared once; the Horner pass runs on integer pairs, divided once at the
-    end by den(f) * e^d.
+    matching the contravariance of substitution actions.  M is cleared once
+    and f read as its vector; the Horner pass runs on integer pairs, over the
+    denominator den(f) * e^d of the result.
     """
     if M.det().is_zero:
         raise SingularMatrixError("substitution matrix must be invertible")
     # e*M is integral; lin1 = e(aX + bZ) and lin2 = e(cX + dZ) as (A, B) pairs
-    e, ma, mb, disc = _clear((M.b, M.a, M.d, M.c))
-    fden, fa, fb, disc = _clear(f.coeffs, disc)
+    e, ma, mb, mdisc = _clear((M.b, M.a, M.d, M.c))
+    fden, fa, fb, fdisc = f.vec
+    disc = _join_field(mdisc, fdisc)
     lin1, lin2 = (ma[:2], mb and mb[:2]), (ma[2:], mb and mb[2:])
     d = f.degree
     # Horner in lin1: after coefficient i, acc = sum_{j>=i} F_j lin1^(j-i) lin2^(d-j)
@@ -357,7 +438,7 @@ def moebius_act(M: Matrix2, f: BinaryForm) -> BinaryForm:
         power = _pair_product(power, lin2, disc)
         acc = _pair_product(acc, lin1, disc)
         _pair_convolve(acc, power, ([fa[i]], fb and [fb[i]]), disc)
-    return BinaryForm(d, _to_scalars(acc, fden * e ** d, disc))
+    return BinaryForm._from_vec(d, fden * e ** d, acc[0], acc[1], disc)
 
 
 class UnivariatePoly:

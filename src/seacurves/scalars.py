@@ -9,10 +9,12 @@ Scalars of different nonzero discriminants must not be mixed; doing so raises
 :class:`FieldMixError` rather than silently coercing.
 
 The components are ``fractions.Fraction`` values; there is no other rational
-backend.  Products of coefficient sequences, and with them the inner loops of
-transvectant chains, do not use Fraction: they run on Python ints in
-:mod:`seacurves.forms` and meet it only when the result is divided back into
-canonical scalars.
+backend.  Binary forms and the work on them do not use Fraction: a form
+carries its coefficients cleared to integer vectors over Z[sqrt(D)] with one
+denominator (:mod:`seacurves.forms`), products, sums, substitutions and
+transvectant chains run on Python ints, and a form builds its Scalar
+coefficients only when they are read.  Absolute invariants are products of
+cleared elements of Z[sqrt(D)], divided into one Scalar each.
 
 :func:`parse_scalar` reads the text :meth:`Scalar.__str__` writes.  Its
 pieces are the text grammar of the whole package: ``_split_top`` splits at

@@ -10,12 +10,14 @@ The result is a form of degree n + m - 2r.  Every covariant and invariant in
 :mod:`seacurves.invariants` is a composition of this single operation with
 form products.
 
-There is one code path for Q and Q(sqrt D): each operand is cleared once to
-integer vectors over Z[sqrt D] with a common denominator, the partial
-derivatives are taken on those vectors by ``forms._partial`` (the formula
-behind ``partial_derivative`` too), the r + 1 products are convolved as
-Python ints by the kernel that also multiplies forms, and the sum is divided
-by n! m! and both denominators once, at the end.
+There is one code path for Q and Q(sqrt D), on the forms' cleared vectors
+(see :mod:`seacurves.forms`): the partial derivatives are taken on the
+integer vectors over Z[sqrt D] by ``forms._partial`` (the formula behind
+``partial_derivative`` too, with its weights cached per (n, p, k)), the
+r + 1 products are convolved as Python ints by the kernel that also
+multiplies forms, and the result is a vector over the denominator
+n! m! den(f) den(g), made canonical once.  No Scalar is built: a chain of
+transvectants meets Fraction only where a caller reads ``coeffs``.
 
 A self-transvectant (f, f)^r, recognised by equal cleared operands, uses the
 symmetry (f, g)^r = (-1)^r (g, f)^r (Olver, *Classical Invariant Theory*,
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .forms import BinaryForm, _clear, _pair_convolve, _partial, _to_scalars
+from .forms import BinaryForm, _join_field, _pair_convolve, _partial
 
 __all__ = ["transvect", "TransvectionError"]
 
@@ -45,11 +47,12 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
             f"transvection order {r} out of range for degrees ({n}, {m})"
         )
     deg = n + m - 2 * r
-    fden, fa, fb, disc = _clear(f.coeffs)
-    gden, ga, gb, disc = _clear(g.coeffs, disc)
+    fden, fa, fb, fdisc = f.vec
+    gden, ga, gb, gdisc = g.vec
+    disc = _join_field(fdisc, gdisc)
     # (f, f)^r: the k-th and (r-k)-th products agree up to (-1)^r, so they
     # cancel for odd r and pair up for even r
-    same = (fden, fa, fb) == (gden, ga, gb)
+    same = f.vec == g.vec
     if same and r % 2:
         return BinaryForm.zero(deg)
     pref_num = factorial(n - r) * factorial(m - r)
@@ -60,4 +63,4 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
         right = (_partial(ga, m, k, r - k), _partial(gb, m, k, r - k))
         _pair_convolve(acc, left, right, disc, weight * (-1) ** k * comb(r, k) * pref_num)
     den = factorial(n) * factorial(m) * fden * gden
-    return BinaryForm(deg, _to_scalars(acc, den, disc))
+    return BinaryForm._from_vec(deg, den, acc[0], acc[1], disc)

@@ -251,3 +251,13 @@ def test_golden_digests(capsys, monkeypatch):
             assert code == entry["exit"], entry["argv"]
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["sha256"], \
                 entry["argv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("genus", "-n", "-2", "--poly", "x^3+1"), "error: level must be >= 2, got -2\n"),
+    (("genus", "-n", "2", "--poly", "2"), "error: need deg f >= 2, got 0\n"),
+    (("genus", "-n", "-2", "--poly", "2"), "error: level must be >= 2, got -2\n"),
+])
+def test_genus_rejects_low_level_and_degree(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from seacurves.curves import (
+    LevelError,
     NotSquarefreeError,
     ReducedGroup,
     Signature,
@@ -14,7 +15,7 @@ from seacurves.curves import (
     make_curve,
     rh_residual,
 )
-from seacurves.forms import UnivariatePoly
+from seacurves.forms import DegreeError, UnivariatePoly
 
 
 def poly(*ascending):
@@ -32,6 +33,17 @@ def test_make_curve():
         make_curve(2, poly(2, -3, 0, 1))  # (x-1)^2 (x+2)
     with pytest.raises(ValueError):
         make_curve(1, poly(1, 0, 1))
+
+
+def test_make_curve_typed_errors():
+    for n in (1, 0, -2):
+        with pytest.raises(LevelError, match=f"level must be >= 2, got {n}"):
+            make_curve(n, poly(1, 0, 1))
+        with pytest.raises(LevelError):
+            full_group_order(n, ReducedGroup("Cm", 3))
+    for f in (poly(2), poly(1, 1), poly()):
+        with pytest.raises(DegreeError, match=f"need deg f >= 2, got {f.degree}"):
+            make_curve(2, f)
 
 
 def test_low_genus_flag():

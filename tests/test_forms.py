@@ -14,8 +14,6 @@ from seacurves.forms import (
     dehomogenize,
     discriminant,
     evaluate,
-    form_add,
-    form_mul,
     homogenize,
     is_squarefree,
     make_form,
@@ -24,7 +22,8 @@ from seacurves.forms import (
     poly_gcd,
     resultant,
 )
-from seacurves.scalars import Scalar, rational
+from seacurves.scalars import FieldMixError, Scalar, rational, sqrt_ext
+from seacurves.transvection import transvect
 
 X6_MINUS_Z6 = make_form(6, [-1, 0, 0, 0, 0, 0, 1])
 
@@ -44,21 +43,21 @@ def test_make_form():
 def test_form_add():
     a = make_form(2, [1, 0, 1])   # Z^2 + X^2
     b = make_form(2, [-1, 0, 1])  # X^2 - Z^2
-    assert form_add(a, b) == make_form(2, [0, 0, 2])
-    assert form_add(a, BinaryForm.zero(2)) == a
+    assert a + b == make_form(2, [0, 0, 2])
+    assert a + BinaryForm.zero(2) == a
     with pytest.raises(DegreeError):
-        form_add(a, make_form(4, [1, 0, 0, 0, 1]))
+        a + make_form(4, [1, 0, 0, 0, 1])
 
 
 def test_form_mul():
     x2 = make_form(2, [0, 0, 1])
     z2 = make_form(2, [1, 0, 0])
-    assert form_mul(x2, z2) == make_form(4, [0, 0, 1, 0, 0])
-    assert form_mul(x2, BinaryForm.zero(3)).is_zero
-    assert form_mul(x2, BinaryForm.zero(3)).degree == 5
+    assert x2 * z2 == make_form(4, [0, 0, 1, 0, 0])
+    assert (x2 * BinaryForm.zero(3)).is_zero
+    assert (x2 * BinaryForm.zero(3)).degree == 5
     xpz = make_form(1, [1, 1])
     xmz = make_form(1, [-1, 1])
-    assert form_mul(xpz, xmz) == make_form(2, [-1, 0, 1])
+    assert xpz * xmz == make_form(2, [-1, 0, 1])
 
 
 def test_partial_derivative():
@@ -237,3 +236,27 @@ def test_form_json_roundtrip():
     doc = f.to_json()
     assert doc["degree"] == 2 and doc["coeffs"][0] == "1/2"
     assert BinaryForm.from_json(doc) == f
+
+
+def test_vector_operations_reject_mixed_radicals():
+    """Forms over Q(sqrt -3) and Q(sqrt 5) never meet, whether built from
+    Scalars or by another operation."""
+    s3, s5 = sqrt_ext(1, -3), sqrt_ext(1, 5)
+    f = make_form(2, [s3, Scalar(1) + s3, rational(1, 2)])
+    g = make_form(2, [rational(2, 3), s5, Scalar(2) + s5])
+    M = Matrix2(s5, 1, 0, 1)
+    built = (f * make_form(0, [s3]), g * make_form(0, [3]))
+    for u, v in ((f, g), built, (f.scale(2), g.scale(s5))):
+        for a, b in ((u, v), (v, u)):
+            for r in range(3):
+                with pytest.raises(FieldMixError):
+                    transvect(a, b, r)
+            for op in (a.__mul__, a.__add__, a.__sub__):
+                with pytest.raises(FieldMixError):
+                    op(b)
+        with pytest.raises(FieldMixError):
+            v.scale(s3)
+        with pytest.raises(FieldMixError):
+            u.scale(s5)
+        with pytest.raises(FieldMixError):
+            moebius_act(M, u)
