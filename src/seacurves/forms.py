@@ -5,24 +5,25 @@ coefficients stored ascending in the X-power (a_0 .. a_d).  Forms keep their
 declared degree even when leading coefficients vanish; the all-zero form is a
 legal value of any degree.
 
-A form carries its cleared integer vector ``vec = (den, A, B, disc)``:
-a_i = (A[i] + B[i]*sqrt(disc)) / den, with den > 0, gcd(den, A, B) = 1, and
-B None (and disc 0) exactly when every coefficient is rational.  The vector
-is canonical, so ``==`` and ``hash`` compare it.  The
-:class:`~seacurves.scalars.Scalar` tuple ``coeffs`` is built from it on
-demand, the first time it is read; a form built from Scalars clears itself
-on first use instead.  Sums, products, scaling, the GL2 substitution, the
-partial derivatives and the transvectant read vectors and return forms built
-from vectors (``BinaryForm._from_vec``): they differentiate and convolve
-Python ints over Z[sqrt(D)], and a chain of them never touches Fraction.
-Each of them joins the fields of its two operands with one helper,
-``_join_field``.
+A form and a :class:`UnivariatePoly` hold their coefficients the same way,
+in one private base class: the cleared integer vector
+``vec = (den, A, B, disc)``, a_i = (A[i] + B[i]*sqrt(disc)) / den, with
+den > 0, gcd(den, A, B) = 1, and B None (and disc 0) exactly when every
+coefficient is rational; a polynomial's vector has no trailing zero.  The
+vector is canonical, so ``==`` and ``hash`` compare it, and the degree is its
+length minus one.  The :class:`~seacurves.scalars.Scalar` tuple ``coeffs``
+is built from it on demand, the first time it is read; a value built from
+Scalars clears itself on first use instead.  Sums, products, scaling, the
+GL2 substitution, derivatives, ``monic``, (de)homogenization and the
+transvectant read vectors and return values built from vectors
+(``_from_vec``): they differentiate and convolve Python ints over
+Z[sqrt(D)], and a chain of them never touches Fraction.  Each of them joins
+the fields of its two operands with one helper,
+:func:`seacurves.scalars._join_field`.
 
-:class:`UnivariatePoly` keeps Scalar coefficients; its products clear each
-operand once onto the same integer kernel and divide once.  Resultants,
-discriminants (hence the squarefree test) and gcds all run on one
-subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the same
-cleared integer pairs: every division in it is exact in Z[sqrt(D)].
+Resultants, discriminants (hence the squarefree test) and gcds all run on
+one subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the
+same vectors: every division in it is exact in Z[sqrt(D)].
 No operation here ever touches floating point.
 """
 
@@ -33,7 +34,7 @@ from functools import lru_cache
 from math import gcd, lcm, perm
 from typing import Iterable, Sequence
 
-from .scalars import _R0, ONE, ZERO, FieldMixError, Scalar, _raw, parse_scalar
+from .scalars import _R0, ONE, ZERO, Scalar, _join_field, _raw, parse_scalar
 
 __all__ = [
     "BinaryForm",
@@ -69,17 +70,6 @@ def _scal(x) -> Scalar:
 # Degree bound on input from outside the program (CLI forms, templates): the
 # paper's genus <= 48 needs degree <= 2g + 2 = 98.
 MAX_DEGREE = 100
-
-
-def _join_field(d1: int, d2: int) -> int:
-    """The field of operands over Q(sqrt(d1)) and Q(sqrt(d2)), 0 meaning Q.
-
-    The one field check of the vector operations; two different radicals
-    raise FieldMixError.
-    """
-    if d1 and d2 and d1 != d2:
-        raise FieldMixError(f"cannot mix sqrt({d1}) and sqrt({d2}) coefficients")
-    return d1 or d2
 
 
 def _join_coeff_field(coeffs: Iterable[Scalar], disc: int = 0) -> int:
@@ -160,13 +150,6 @@ def _to_scalars(acc, den: int, disc: int) -> list[Scalar]:
             for x, y in zip(a, b or [0] * len(a))]
 
 
-def _product(u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
-    """Coefficients of the product of two nonempty coefficient sequences."""
-    uden, ua, ub, disc = _clear(u)
-    vden, va, vb, disc = _clear(v, disc)
-    return _to_scalars(_pair_product((ua, ub), (va, vb), disc), uden * vden, disc)
-
-
 def _power(var: str, e: int) -> str:
     return "" if e == 0 else var if e == 1 else f"{var}^{e}"
 
@@ -188,50 +171,45 @@ def _join_terms(terms: Iterable[str]) -> str:
     return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
-class BinaryForm:
-    """Homogeneous bivariate polynomial of a fixed degree.
+class _Cleared:
+    """Coefficients a_0 .. a_d held as one canonical cleared vector.
 
-    ``vec`` is the canonical cleared vector (den, A, B, disc) and ``coeffs``
-    the Scalar tuple; each is computed from the other when first read.
+    ``vec`` is (den, A, B, disc) and ``coeffs`` the Scalar tuple; each is
+    computed from the other when first read.  The vector is canonical, so
+    equality and hashing compare it, and the degree is its length minus one.
     """
 
-    __slots__ = ("degree", "_coeffs", "_vec")
+    __slots__ = ("_coeffs", "_vec")
 
-    def __init__(self, degree: int, coeffs: Sequence):
-        if degree < 0:
-            raise DegreeError("degree must be nonnegative")
-        cs = tuple(_scal(c) for c in coeffs)
-        if len(cs) != degree + 1:
-            raise DegreeError(
-                f"degree {degree} needs {degree + 1} coefficients, got {len(cs)}"
-            )
-        _join_coeff_field(cs)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_coeffs", cs)
+    def __init__(self, coeffs: tuple):
+        _join_coeff_field(coeffs)
+        object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "_vec", None)
 
     @classmethod
-    def _from_vec(cls, degree: int, den: int, a, b, disc: int) -> BinaryForm:
-        """The form (A + B*sqrt(disc)) / den for den > 0, made canonical.
+    def _from_vec(cls, den: int, a, b, disc: int):
+        """The value (A + B*sqrt(disc)) / den for den != 0, made canonical.
 
-        The content gcd(den, A, B) is divided out, and a B that vanished
-        (a form times its conjugate, say) is dropped with its field.
+        The content gcd(den, A, B) is divided out with the sign that makes den
+        positive (a norm from ``_over`` can be negative), and a B that
+        vanished (a form times its conjugate, say) is dropped with its field.
         """
         if b is None or not any(b):
             b, disc = None, 0
         g = gcd(den, *a) if b is None else gcd(den, *a, *b)
+        if den < 0:
+            g = -g
         if g != 1:
             den //= g
             a = [x // g for x in a]
             b = b and [x // g for x in b]
-        form = cls.__new__(cls)
-        object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "_coeffs", None)
-        object.__setattr__(form, "_vec", (den, tuple(a), b and tuple(b), disc))
-        return form
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "_coeffs", None)
+        object.__setattr__(obj, "_vec", (den, tuple(a), b and tuple(b), disc))
+        return obj
 
     def __setattr__(self, name, value):
-        raise AttributeError("BinaryForm is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def vec(self) -> tuple:
@@ -254,25 +232,67 @@ class BinaryForm:
         return cs
 
     @property
+    def degree(self) -> int:
+        v = self._vec
+        return len(self._coeffs if v is None else v[1]) - 1
+
+    @property
     def is_zero(self) -> bool:
         v = self._vec
         if v is None:
             return all(c.is_zero for c in self._coeffs)
         return v[2] is None and not any(v[1])
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.vec == other.vec
+
+    def __hash__(self):
+        return hash(self.vec)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return self.scale(other)
+        uden, ua, ub, udisc = self.vec
+        vden, va, vb, vdisc = other.vec
+        disc = _join_field(udisc, vdisc)
+        a, b = _pair_product((ua, ub), (va, vb), disc)
+        return self._from_vec(uden * vden, a, b, disc)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        cden, (c0,), cb, cdisc = _clear((_scal(c),))
+        den, a, b, disc = self.vec
+        disc = _join_field(disc, cdisc)
+        if cb and b is None:
+            b = (0,) * len(a)
+        a, b = _pair_scale((a, b), (c0, cb[0] if cb else 0), disc)
+        return self._from_vec(den * cden, a, b, disc)
+
+
+class BinaryForm(_Cleared):
+    """Homogeneous bivariate polynomial of a fixed degree."""
+
+    __slots__ = ()
+
+    def __init__(self, degree: int, coeffs: Sequence):
+        if degree < 0:
+            raise DegreeError("degree must be nonnegative")
+        cs = tuple(_scal(c) for c in coeffs)
+        if len(cs) != degree + 1:
+            raise DegreeError(
+                f"degree {degree} needs {degree + 1} coefficients, got {len(cs)}"
+            )
+        super().__init__(cs)
+
     @classmethod
     def zero(cls, degree: int) -> BinaryForm:
         if degree < 0:
             raise DegreeError("degree must be nonnegative")
-        return cls._from_vec(degree, 1, (0,) * (degree + 1), None, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return self.degree == other.degree and self.vec == other.vec
-
-    def __hash__(self):
-        return hash((self.degree, self.vec))
+        return cls._from_vec(1, (0,) * (degree + 1), None, 0)
 
     def __add__(self, other: BinaryForm) -> BinaryForm:
         if not isinstance(other, BinaryForm):
@@ -290,34 +310,13 @@ class BinaryForm:
         if disc:
             zero = (0,) * len(a)
             b = [s * x + t * y for x, y in zip(ub or zero, vb or zero)]
-        return BinaryForm._from_vec(self.degree, den, a, b, disc)
+        return BinaryForm._from_vec(den, a, b, disc)
 
     def __sub__(self, other: BinaryForm) -> BinaryForm:
         return self + (-other)
 
     def __neg__(self) -> BinaryForm:
         return self.scale(-1)
-
-    def __mul__(self, other):
-        if not isinstance(other, BinaryForm):
-            return self.scale(other)
-        uden, ua, ub, udisc = self.vec
-        vden, va, vb, vdisc = other.vec
-        disc = _join_field(udisc, vdisc)
-        a, b = _pair_product((ua, ub), (va, vb), disc)
-        return BinaryForm._from_vec(self.degree + other.degree, uden * vden, a, b, disc)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> BinaryForm:
-        cden, (c0,), cb, cdisc = _clear((_scal(c),))
-        den, a, b, disc = self.vec
-        disc = _join_field(disc, cdisc)
-        if cb and b is None:
-            b = (0,) * len(a)
-        a, b = _pair_scale((a, b), (c0, cb[0] if cb else 0), disc)
-        return BinaryForm._from_vec(self.degree, den * cden, a, b, disc)
 
     def constant_value(self) -> Scalar:
         """The scalar value of a degree-0 form."""
@@ -359,7 +358,7 @@ def partial_derivative(f: BinaryForm, var: str, order: int = 1) -> BinaryForm:
         return BinaryForm.zero(0)
     p, k = (order, 0) if var == "X" else (0, order)
     den, a, b, disc = f.vec
-    return BinaryForm._from_vec(n - order, den, _partial(a, n, p, k), _partial(b, n, p, k), disc)
+    return BinaryForm._from_vec(den, _partial(a, n, p, k), _partial(b, n, p, k), disc)
 
 
 def evaluate(f: BinaryForm, x, z) -> Scalar:
@@ -438,71 +437,47 @@ def moebius_act(M: Matrix2, f: BinaryForm) -> BinaryForm:
         power = _pair_product(power, lin2, disc)
         acc = _pair_product(acc, lin1, disc)
         _pair_convolve(acc, power, ([fa[i]], fb and [fb[i]]), disc)
-    return BinaryForm._from_vec(d, fden * e ** d, acc[0], acc[1], disc)
+    return BinaryForm._from_vec(fden * e ** d, acc[0], acc[1], disc)
 
 
-class UnivariatePoly:
+class UnivariatePoly(_Cleared):
     """Dense univariate polynomial over Scalar, ascending coefficients.
 
     Trailing zeros are stripped; the zero polynomial has an empty coefficient
     tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence):
         cs = [_scal(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        _join_coeff_field(cs)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__(tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UnivariatePoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @classmethod
+    def _from_vec(cls, den: int, a, b, disc: int) -> UnivariatePoly:
+        """As for forms, with trailing zero coefficients stripped first."""
+        a, b = _trim((a, b))
+        return super()._from_vec(den, a, b, disc)
 
     def leading(self) -> Scalar:
         if self.is_zero:
             raise DegreeError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, UnivariatePoly):
-            if self.is_zero or other.is_zero:
-                return UnivariatePoly(())
-            return UnivariatePoly(_product(self.coeffs, other.coeffs))
-        return UnivariatePoly([_scal(other) * c for c in self.coeffs])
-
-    __rmul__ = __mul__
+        den, a, b, disc = self.vec
+        return _to_scalars(((a[-1],), b and (b[-1],)), den, disc)[0]
 
     def derivative(self) -> UnivariatePoly:
-        den, a, b, disc = _clear(self.coeffs)
-
-        def d(v):
-            return v and [i * x for i, x in enumerate(v)][1:]
-
-        return UnivariatePoly(_to_scalars((d(a), d(b)), den, disc))
+        """d/dx, the d/dX of :func:`partial_derivative` on the same vector."""
+        den, a, b, disc = self.vec
+        n = self.degree
+        return UnivariatePoly._from_vec(den, _partial(a, n, 1, 0), _partial(b, n, 1, 0), disc)
 
     def monic(self) -> UnivariatePoly:
         if self.is_zero:
             return self
-        lc = self.leading()
-        return UnivariatePoly([c / lc for c in self.coeffs])
+        den, a, b, disc = self.vec
+        return _monic((a, b), disc)
 
     def __repr__(self):
         return "UnivariatePoly(" + _join_terms(
@@ -514,13 +489,14 @@ def homogenize(p: UnivariatePoly, degree: int) -> BinaryForm:
     """sum c_i x^i -> sum c_i X^i Z^(degree-i); requires degree >= deg p."""
     if degree < p.degree:
         raise DegreeError(f"cannot homogenize degree-{p.degree} poly at degree {degree}")
-    cs = list(p.coeffs) + [ZERO] * (degree + 1 - len(p.coeffs))
-    return BinaryForm(degree, cs)
+    den, a, b, disc = p.vec
+    pad = (0,) * (degree - p.degree)
+    return BinaryForm._from_vec(den, a + pad, b and b + pad, disc)
 
 
 def dehomogenize(f: BinaryForm) -> UnivariatePoly:
     """Set Z = 1."""
-    return UnivariatePoly(f.coeffs)
+    return UnivariatePoly._from_vec(*f.vec)
 
 
 def _elt(f, i: int):
@@ -590,10 +566,15 @@ def _prem(f, g, disc: int):
                 if v is not None:  # both B are None over Q
                     for j, y in enumerate(v):
                         u[k + j] -= y
-    m = len(r[0])
-    while m and not r[0][m - 1] and not (r[1] and r[1][m - 1]):
+    return _trim(r)
+
+
+def _trim(f):
+    """The (A, B) pair f with trailing zero coefficients stripped."""
+    m = len(f[0])
+    while m and not f[0][m - 1] and not (f[1] and f[1][m - 1]):
         m -= 1
-    return _head(r, m)
+    return _head(f, m)
 
 
 def _next_h(lead, h, delta: int, disc: int):
@@ -631,13 +612,14 @@ def _subresultant_prs(f, g, disc: int):
 def _clear_pairs(p: UnivariatePoly, q: UnivariatePoly):
     """(den_p, f, den_q, g, disc): p = f / den_p and q = g / den_q.
 
-    f and g are the (A, B) pairs of p and q, each cleared once, over their
-    joint field; B is a vector exactly when disc != 0.
+    f and g are the (A, B) pairs of the vectors of p and q over their joint
+    field; B is a vector exactly when disc != 0.
     """
-    pden, pa, pb, disc = _clear(p.coeffs)
-    qden, qa, qb, disc = _clear(q.coeffs, disc)
+    pden, pa, pb, pdisc = p.vec
+    qden, qa, qb, qdisc = q.vec
+    disc = _join_field(pdisc, qdisc)
     if disc:  # a rational operand over Q(sqrt disc) gets a zero B
-        pb, qb = pb or [0] * len(pa), qb or [0] * len(qa)
+        pb, qb = pb or (0,) * len(pa), qb or (0,) * len(qa)
     return pden, (pa, pb), qden, (qa, qb), disc
 
 
@@ -695,6 +677,10 @@ def poly_gcd(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
     if p.degree < q.degree:
         f, g = g, f
     f, g, _, _ = _subresultant_prs(f, g, disc)
-    last = g if g[0] else f
-    monic, den = _over(last, _elt(last, len(last[0]) - 1), disc)
-    return UnivariatePoly(_to_scalars(monic, den, disc))
+    return _monic(g if g[0] else f, disc)
+
+
+def _monic(f, disc: int) -> UnivariatePoly:
+    """The monic polynomial of a nonzero (A, B) pair: f divided by its lead."""
+    (a, b), den = _over(f, _elt(f, len(f[0]) - 1), disc)
+    return UnivariatePoly._from_vec(den, a, b, disc)

@@ -328,9 +328,10 @@ def form_is_squarefree(f: BinaryForm) -> bool:
     d = f.degree
     if d <= 1:
         return True
-    if f.coeffs[d].is_zero and f.coeffs[d - 1].is_zero:
+    p = dehomogenize(f)
+    if p.degree < d - 1:
         return False  # [1:0] is at least a double root
-    return is_squarefree(dehomogenize(f))  # degree >= d - 1 >= 1 here
+    return is_squarefree(p)  # degree >= d - 1 >= 1 here
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ Scalars of different nonzero discriminants must not be mixed; doing so raises
 :class:`FieldMixError` rather than silently coercing.
 
 The components are ``fractions.Fraction`` values; there is no other rational
-backend.  Binary forms and the work on them do not use Fraction: a form
-carries its coefficients cleared to integer vectors over Z[sqrt(D)] with one
-denominator (:mod:`seacurves.forms`), products, sums, substitutions and
-transvectant chains run on Python ints, and a form builds its Scalar
-coefficients only when they are read.  Absolute invariants are products of
-cleared elements of Z[sqrt(D)], divided into one Scalar each.
+backend.  Binary forms, polynomials and the work on them do not use
+Fraction: both carry their coefficients cleared to one integer vector over
+Z[sqrt(D)] with one denominator (:mod:`seacurves.forms`), products, sums,
+substitutions, resultants and transvectant chains run on Python ints, and
+the Scalar coefficients are built only when they are read.  Absolute
+invariants are products of cleared elements of Z[sqrt(D)], divided into one
+Scalar each.  Scalars and vectors join their fields by one rule,
+``_join_field``.
 
 :func:`parse_scalar` reads the text :meth:`Scalar.__str__` writes.  Its
 pieces are the text grammar of the whole package: ``_split_top`` splits at
@@ -71,6 +73,17 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+def _join_field(d1: int, d2: int) -> int:
+    """The field of values over Q(sqrt(d1)) and Q(sqrt(d2)), 0 meaning Q.
+
+    The one field check of the package, for scalars and for the cleared
+    vectors of forms alike; two different radicals raise FieldMixError.
+    """
+    if d1 and d2 and d1 != d2:
+        raise FieldMixError(f"cannot mix sqrt({d1}) and sqrt({d2})")
+    return d1 or d2
+
+
 def _as_rat(x):
     if isinstance(x, Fraction):
         return x
@@ -107,16 +120,6 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
-    # -- field bookkeeping ---------------------------------------------------
-
-    def _join_disc(self, other: Scalar) -> int:
-        d1, d2 = self.disc, other.disc
-        if d1 == 0:
-            return d2
-        if d2 == 0 or d1 == d2:
-            return d1
-        raise FieldMixError(f"cannot mix sqrt({d1}) and sqrt({d2}) scalars")
-
     @property
     def is_rational(self) -> bool:
         return self.disc == 0
@@ -133,7 +136,7 @@ class Scalar:
             return NotImplemented
         if self.disc == 0 and other.disc == 0:
             return _raw(self.a + other.a, _R0, 0)
-        d = self._join_disc(other)
+        d = _join_field(self.disc, other.disc)
         return _raw(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
@@ -147,7 +150,7 @@ class Scalar:
             return NotImplemented
         if self.disc == 0 and other.disc == 0:
             return _raw(self.a - other.a, _R0, 0)
-        d = self._join_disc(other)
+        d = _join_field(self.disc, other.disc)
         return _raw(self.a - other.a, self.b - other.b, d)
 
     def __rsub__(self, other):
@@ -162,7 +165,7 @@ class Scalar:
             return NotImplemented
         if self.disc == 0 and other.disc == 0:
             return _raw(self.a * other.a, _R0, 0)
-        d = self._join_disc(other)
+        d = _join_field(self.disc, other.disc)
         # (a1 + b1 s)(a2 + b2 s) = a1 a2 + b1 b2 D + (a1 b2 + a2 b1) s
         return _raw(
             self.a * other.a + self.b * other.b * d,

@@ -63,4 +63,4 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
         right = (_partial(ga, m, k, r - k), _partial(gb, m, k, r - k))
         _pair_convolve(acc, left, right, disc, weight * (-1) ** k * comb(r, k) * pref_num)
     den = factorial(n) * factorial(m) * fden * gden
-    return BinaryForm._from_vec(deg, den, acc[0], acc[1], disc)
+    return BinaryForm._from_vec(den, acc[0], acc[1], disc)

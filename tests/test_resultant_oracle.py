@@ -6,8 +6,12 @@ on integer pairs over Z[sqrt D].  Two references check them:
 - the determinant of the Sylvester matrix (rows of p, descending, first) by
   Gaussian elimination in ``Scalar`` arithmetic, up to degree 12;
 - the Euclidean remainder sequence in ``Scalar`` arithmetic, with each
-  remainder made monic (the implementation the subresultant sequence
-  replaced), up to degree 30 and once at degree 100.
+  remainder made monic by ``ref_monic`` (the implementation the subresultant
+  sequence replaced), up to degree 30 and once at degree 100.
+
+``ref_monic``, division by the leading coefficient in ``Scalar`` arithmetic,
+is also the reference for ``monic``, which divides the cleared vector once
+by its leading element over Z[sqrt D].
 
 They must agree exactly over Q, Q(sqrt -3) and Q(sqrt 5): with vanishing
 leading and constant terms, half-integral coordinates (a + b sqrt D) / 2,
@@ -24,7 +28,9 @@ from hypothesis import strategies as st
 
 from seacurves import forms
 from seacurves.forms import (
+    BinaryForm,
     UnivariatePoly,
+    dehomogenize,
     discriminant,
     is_squarefree,
     poly_gcd,
@@ -86,6 +92,17 @@ def euclid_mod(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
     return UnivariatePoly(out)
 
 
+def ref_monic(p: UnivariatePoly) -> UnivariatePoly:
+    """p divided by its leading coefficient in Scalar arithmetic.
+
+    The ``monic`` of the package before polynomials held cleared vectors.
+    """
+    if p.is_zero:
+        return p
+    lc = p.coeffs[-1]
+    return UnivariatePoly([c / lc for c in p.coeffs])
+
+
 def euclid_resultant(p: UnivariatePoly, q: UnivariatePoly) -> Scalar:
     """Res(p, q) by the Euclidean remainder sequence.
 
@@ -104,7 +121,7 @@ def euclid_resultant(p: UnivariatePoly, q: UnivariatePoly) -> Scalar:
         res = res * q.leading() ** (m - r.degree) * r.leading() ** n
         if m * n % 2:
             res = -res
-        p, q = q, r.monic()
+        p, q = q, ref_monic(r)
     return res * q.leading() ** p.degree
 
 
@@ -112,8 +129,8 @@ def euclid_gcd(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
     """Monic gcd by the Euclidean algorithm, each remainder made monic."""
     a, b = p, q
     while not b.is_zero:
-        a, b = b, euclid_mod(a, b).monic()
-    return a.monic()
+        a, b = b, ref_monic(euclid_mod(a, b))
+    return ref_monic(a)
 
 
 def ref_discriminant(p: UnivariatePoly) -> Scalar:
@@ -351,3 +368,64 @@ def test_resultant_clears_each_operand_once(monkeypatch):
     monkeypatch.setattr(forms, "_clear", counting)
     resultant(p, q)
     assert calls == [23, 20]
+
+
+def test_discriminant_clears_only_polys_built_from_scalars(monkeypatch):
+    """A polynomial built from Scalars is cleared once; its derivative and a
+    polynomial the kernel built are read as vectors and never cleared."""
+    p = UnivariatePoly([rational(i - 11, i % 5 + 1) for i in range(23)])
+    h = BinaryForm(3, [Scalar(i, 1, 5) for i in range(1, 5)]) * BinaryForm(
+        5, [rational(i, 3) for i in range(1, 7)])
+    calls = []
+    clear = forms._clear
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return clear(*args)
+
+    monkeypatch.setattr(forms, "_clear", counting)
+    discriminant(p)
+    assert calls == [23]
+    calls.clear()
+    discriminant(dehomogenize(h))
+    assert calls == []
+
+
+def leads(disc: int):
+    """Nonzero leading coefficients; the fixed ones are negative rationals
+    and, over Q(sqrt 5), elements of negative norm such as 1 + sqrt 5."""
+    fixed = [rational(-3), rational(-2, 7)]
+    if disc:
+        fixed += [Scalar(1, 1, disc), Scalar(rational(1, 2), rational(-3, 2), disc),
+                  Scalar(0, -1, disc)]
+    return st.one_of(st.sampled_from(fixed), scalars(disc).filter(lambda c: not c.is_zero))
+
+
+@st.composite
+def led_polys(draw, disc: int, max_deg: int):
+    body = draw(st.lists(scalars(disc), max_size=max_deg))
+    return UnivariatePoly(body + [draw(leads(disc))])
+
+
+@st.composite
+def monic_cases(draw):
+    """(p, q) over one field with a common factor whose lead is drawn from leads()."""
+    disc = draw(st.sampled_from([0, -3, 5]))
+    h = draw(led_polys(disc, 3))
+    return draw(led_polys(disc, 5)) * h, draw(polys(disc, 0, 6)) * h
+
+
+@given(monic_cases())
+@settings(max_examples=100, deadline=None)
+def test_monic_and_gcd_match_scalar_monic(case):
+    p, q = case
+    for a in (p, q, p * q):
+        m, expected = a.monic(), ref_monic(a)  # built from vectors / from Scalars
+        assert m == expected and hash(m) == hash(expected)
+        assert m.coeffs == expected.coeffs and m.vec[0] > 0
+    assert poly_gcd(p, q) == ref_monic(euclid_gcd(p, q))
+    assert poly_gcd(p, UnivariatePoly(())) == ref_monic(p) == poly_gcd(UnivariatePoly(()), p)
+    # a sqrt part that cancels leaves a rational polynomial, equal to its Scalar twin
+    norm = p * UnivariatePoly([Scalar(c.a, -c.b, c.disc) for c in p.coeffs])
+    twin = UnivariatePoly(norm.coeffs)
+    assert norm == twin and hash(norm) == hash(twin) and norm.vec[2] is None

@@ -31,7 +31,6 @@ from seacurves.forms import (
     _clear,
     _pair_convolve,
     _pair_product,
-    _product,
     _to_scalars,
     moebius_act,
     partial_derivative,
@@ -43,6 +42,17 @@ MAX_DEG = 8
 
 
 # -- the coefficient-first references ---------------------------------------------------------
+
+
+def _product(u, v):
+    """Coefficients of the product of two nonempty coefficient sequences.
+
+    The Scalar-level product ``forms`` kept for polynomials before they held
+    cleared vectors: each operand cleared once, convolved, divided back.
+    """
+    uden, ua, ub, disc = _clear(u)
+    vden, va, vb, disc = _clear(v, disc)
+    return _to_scalars(_pair_product((ua, ub), (va, vb), disc), uden * vden, disc)
 
 
 class RefBinaryForm:
