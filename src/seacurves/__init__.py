@@ -2,10 +2,11 @@
 superelliptic curve families of genus 5-10.
 
 Everything is computed over Q or a quadratic extension Q(sqrt(D)) with exact
-arithmetic; no floating point enters any result.
+arithmetic; no floating point enters any result.  Every error raised on input
+the package cannot accept derives from :class:`SeacurvesError`.
 """
 
-from .scalars import Scalar, FieldMixError, parse_scalar, rational, sqrt_ext
+from .scalars import Scalar, SeacurvesError, FieldMixError, parse_scalar, rational, sqrt_ext
 from .forms import (
     BinaryForm,
     UnivariatePoly,

@@ -35,7 +35,7 @@ from ..curves import (
     hurwitz_bound,
     make_curve,
 )
-from ..scalars import Scalar
+from ..scalars import Scalar, SeacurvesError
 from .templates import EquationTemplate, TemplateParamError, _numeral_key, parse_template
 
 __all__ = [
@@ -69,7 +69,7 @@ DATA_ENV_VAR = "SEA_CATALOG"
 _ID = re.compile(r".*-[0-9]+")  # the trailing integer orders rows within a case
 
 
-class CatalogError(ValueError):
+class CatalogError(SeacurvesError):
     """Bad queries or record references."""
 
 
@@ -178,8 +178,8 @@ class Catalog:
     def _id_key(record: FamilyRecord):
         return (record.genus, record.case_nr, _numeral_key(record.id.rsplit("-", 1)[1]))
 
-    def query(self, genus=None, reduced_group=None, full_group_name=None,
-              n=None, min_delta=None, max_delta=None) -> list[FamilyRecord]:
+    def query(self, genus=None, reduced_group=None, n=None, min_delta=None,
+              max_delta=None) -> list[FamilyRecord]:
         """All records matching every provided filter, in id order
         (genus, case, sequence) regardless of file order."""
         out = []
@@ -187,8 +187,6 @@ class Catalog:
             if genus is not None and r.genus != genus:
                 continue
             if reduced_group is not None and not _group_matches(r.reduced, reduced_group):
-                continue
-            if full_group_name is not None and r.full_group != full_group_name:
                 continue
             if n is not None and r.n != n:
                 continue
@@ -230,7 +228,7 @@ def load_catalog(path: str | None = None, use_env: bool = True) -> Catalog:
     The source is read on every call, so an edited or swapped file is always
     seen, but the catalog is built once per distinct text and process: calls
     that read the same text get the same shared, read-only :class:`Catalog`.
-    A malformed text raises :class:`CatalogError` on every call.
+    A malformed or non-UTF-8 text raises :class:`CatalogError` on every call.
     """
     if path is None and use_env:
         path = os.environ.get(DATA_ENV_VAR) or None
@@ -238,7 +236,10 @@ def load_catalog(path: str | None = None, use_env: bool = True) -> Catalog:
         text = _data_path().read_text("utf-8")
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise CatalogError(f"catalog {path} is not UTF-8: {exc}") from None
     return _build_catalog(text)
 
 
@@ -251,7 +252,8 @@ def _build_catalog(text: str) -> Catalog:
             continue
         try:
             records.append(FamilyRecord.from_json(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
+        # json.loads raises RecursionError on JSON nested too deep
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CatalogError(f"bad catalog record on line {lineno}: {exc}") from None
     return Catalog(records)
 
@@ -297,17 +299,6 @@ class RowReport:
     @property
     def passed(self) -> bool:
         return not self.failed_checks
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.record_id,
-            "status": self.status,
-            "passed": self.passed,
-            "checks": {
-                name: {"passed": c.passed, "detail": c.detail}
-                for name, c in self.checks.items()
-            },
-        }
 
 
 def verify_record(record: FamilyRecord) -> RowReport:

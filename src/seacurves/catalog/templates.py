@@ -27,8 +27,8 @@ import re
 from dataclasses import dataclass
 
 from ..forms import MAX_DEGREE, UnivariatePoly, _join_coeff_field, _join_terms, _power, _term
-from ..scalars import (ONE, FieldMixError, Scalar, ScalarParseError, _parse_int, _split_top,
-                       _strip_sign, parse_scalar)
+from ..scalars import (ONE, FieldMixError, Scalar, ScalarParseError, SeacurvesError, _parse_int,
+                       _split_top, _strip_sign, parse_scalar)
 
 __all__ = [
     "EquationTemplate",
@@ -43,11 +43,11 @@ __all__ = [
 ]
 
 
-class TemplateError(ValueError):
+class TemplateError(SeacurvesError):
     """Malformed template text or structurally invalid template."""
 
 
-class TemplateParamError(ValueError):
+class TemplateParamError(SeacurvesError):
     """Parameter assignment does not match the template's parameter set."""
 
 

@@ -1,10 +1,13 @@
 """Batch command-line interface.
 
 Exit codes: 0 success (or affirmative verdict), 1 negative verdict
-(isomorphic: no; catalog verify: failures), 2 usage or precondition errors,
-3 internal inconsistency.  Stdout carries a JSON document on exit codes 0
-and 1 (except ``catalog list --csv``, which emits CSV by request);
-diagnostics go to stderr.  Identical argv produces byte-identical stdout.
+(isomorphic: no; catalog verify: failures), 2 usage or precondition errors
+(every :class:`~seacurves.scalars.SeacurvesError`, and an unreadable
+SEA_CATALOG file), 3 internal inconsistency or any other exception, reported
+on one stderr line without a traceback.  Stdout carries a JSON document on
+exit codes 0 and 1 (except ``catalog list --csv``, which emits CSV by
+request); diagnostics go to stderr.  Identical argv produces
+byte-identical stdout.
 
 The catalog subcommands read the embedded dataset unless the SEA_CATALOG
 environment variable points at an alternative JSONL file.
@@ -26,8 +29,8 @@ from .catalog import (
     specialize,
     verify_all,
 )
-from .catalog.templates import parse_poly_string
-from .forms import MAX_DEGREE, BinaryForm, UnivariatePoly, homogenize
+from .catalog.templates import TemplateParamError, parse_poly_string
+from .forms import MAX_DEGREE, BinaryForm, DegreeError, UnivariatePoly, homogenize
 from .invariants import (
     InconclusiveError,
     OrderBookkeepingError,
@@ -42,14 +45,10 @@ from .invariants import (
     sextic_absolute,
     sextic_invariants,
 )
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar, SeacurvesError, parse_scalar
 from .transvection import transvect
 
 __all__ = ["main"]
-
-
-class _UsageError(ValueError):
-    pass
 
 
 def _parse_form(text: str) -> BinaryForm:
@@ -58,7 +57,7 @@ def _parse_form(text: str) -> BinaryForm:
     if "x" in text:
         poly = parse_poly_string(text)
         if poly.is_zero:
-            raise _UsageError("zero polynomial has no degree to homogenize at")
+            raise DegreeError("zero polynomial has no degree to homogenize at")
         return homogenize(poly, poly.degree)
     coeffs = _parse_csv(text)
     return BinaryForm(len(coeffs) - 1, coeffs)
@@ -75,7 +74,7 @@ def _parse_csv(text: str) -> list[Scalar]:
     """Ascending coefficient CSV of degree at most MAX_DEGREE."""
     tokens = text.split(",")
     if len(tokens) > MAX_DEGREE + 1:
-        raise _UsageError(f"degree {len(tokens) - 1} exceeds {MAX_DEGREE}")
+        raise DegreeError(f"degree {len(tokens) - 1} exceeds {MAX_DEGREE}")
     return [parse_scalar(tok) for tok in tokens]
 
 
@@ -88,9 +87,9 @@ def _parse_params(text: str) -> dict[str, Scalar]:
         name, sep, value = piece.partition("=")
         name = name.strip()
         if not sep or not name:
-            raise _UsageError(f"bad parameter assignment {piece!r}, expected name=value")
+            raise TemplateParamError(f"bad parameter assignment {piece!r}, expected name=value")
         if name in params:
-            raise _UsageError(f"parameter {name!r} assigned twice")
+            raise TemplateParamError(f"parameter {name!r} assigned twice")
         params[name] = parse_scalar(value)
     return params
 
@@ -112,12 +111,10 @@ def _invariants_doc(kind: str, form: BinaryForm) -> dict:
     elif kind == "general":
         vec = general_invariants(form)
         absolute = general_absolute(vec)
-    elif kind == "genus10":
+    else:  # genus10, the one kind left of the choices argparse allows
         result = genus10_special(form)
         vec = result.invariants
         absolute = result.absolute
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown kind {kind}")
 
     availability = {name: True for name in vec.names()}
     for name in sorted(vec.unavailable):
@@ -295,9 +292,12 @@ def main(argv: list[str] | None = None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (SeacurvesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug: one line naming the exception, no traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

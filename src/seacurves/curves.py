@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .forms import DegreeError, UnivariatePoly, is_squarefree
+from .scalars import SeacurvesError
 
 __all__ = [
     "ReducedGroup",
@@ -22,6 +23,7 @@ __all__ = [
     "CompletionResult",
     "NotSquarefreeError",
     "LevelError",
+    "CurveDataError",
     "make_curve",
     "genus_formula",
     "hurwitz_bound",
@@ -31,12 +33,16 @@ __all__ = [
 ]
 
 
-class NotSquarefreeError(ValueError):
+class NotSquarefreeError(SeacurvesError):
     """f has a repeated root, so y^n = f(x) is not a smooth model."""
 
 
-class LevelError(ValueError):
+class LevelError(SeacurvesError):
     """The level n of y^n = f(x) is below 2."""
+
+
+class CurveDataError(SeacurvesError):
+    """A reduced group, signature, group order or genus outside its range."""
 
 
 _REDUCED_ORDERS = {"A4": 12, "S4": 24, "A5": 60}
@@ -52,12 +58,12 @@ class ReducedGroup:
 
     def __post_init__(self):
         if self.kind not in REDUCED_KINDS:
-            raise ValueError(f"unknown reduced group kind {self.kind!r}")
+            raise CurveDataError(f"unknown reduced group kind {self.kind!r}")
         if self.kind in ("Cm", "D2m"):
             if self.m is None or self.m < 1:
-                raise ValueError(f"{self.kind} needs a positive parameter m")
+                raise CurveDataError(f"{self.kind} needs a positive parameter m")
         elif self.m is not None:
-            raise ValueError(f"{self.kind} takes no parameter m")
+            raise CurveDataError(f"{self.kind} takes no parameter m")
 
     @property
     def order(self) -> int:
@@ -92,11 +98,11 @@ class Signature:
             else:
                 e, mult = item, 1
             if type(e) is not int or type(mult) is not int:
-                raise ValueError(f"branch index {item!r} is not an integer")
+                raise CurveDataError(f"branch index {item!r} is not an integer")
             if e < 2:
-                raise ValueError(f"branch index must be >= 2, got {e}")
+                raise CurveDataError(f"branch index must be >= 2, got {e}")
             if mult < 1:
-                raise ValueError(f"multiplicity must be >= 1, got {mult}")
+                raise CurveDataError(f"multiplicity must be >= 1, got {mult}")
             counts[e] = counts.get(e, 0) + mult
         object.__setattr__(self, "pairs", tuple(sorted(counts.items())))
         object.__setattr__(self, "complete", bool(complete))
@@ -149,7 +155,8 @@ def genus_formula(n: int, d: int) -> int:
     wherever both apply.
     """
     if n < 2 or d < 2:
-        raise ValueError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
+        error = LevelError if n < 2 else DegreeError
+        raise error(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     num = n * (d - 1) - d - gcd(n, d)
     return num // 2 + 1
 
@@ -157,7 +164,7 @@ def genus_formula(n: int, d: int) -> int:
 def hurwitz_bound(g: int) -> int:
     """84(g - 1), the automorphism-count bound for genus g >= 2."""
     if g < 2:
-        raise ValueError(f"Hurwitz bound needs genus >= 2, got {g}")
+        raise CurveDataError(f"Hurwitz bound needs genus >= 2, got {g}")
     return 84 * (g - 1)
 
 
@@ -169,10 +176,10 @@ def rh_residual(g: int, group_order: int, sig: Signature,
     the group order.
     """
     if group_order < 1:
-        raise ValueError("group order must be positive")
+        raise CurveDataError("group order must be positive")
     for e, _ in sig.pairs:
         if group_order % e:
-            raise ValueError(f"index {e} does not divide group order {group_order}")
+            raise CurveDataError(f"index {e} does not divide group order {group_order}")
     lhs = Fraction(2 * (g - 1), group_order)
     rhs = Fraction(2 * quotient_genus - 2)
     for e, mult in sig.pairs:

@@ -13,7 +13,7 @@ coefficient is rational; a polynomial's vector has no trailing zero.  The
 vector is canonical, so ``==`` and ``hash`` compare it, and the degree is its
 length minus one.  The :class:`~seacurves.scalars.Scalar` tuple ``coeffs``
 is built from it on demand, the first time it is read; a value built from
-Scalars clears itself on first use instead.  Sums, products, scaling, the
+Scalars is cleared once, when it is constructed.  Sums, products, scaling, the
 GL2 substitution, derivatives, ``monic``, (de)homogenization and the
 transvectant read vectors and return values built from vectors
 (``_from_vec``): they differentiate and convolve Python ints over
@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import gcd, lcm, perm
 from typing import Iterable, Sequence
 
-from .scalars import _R0, ONE, ZERO, Scalar, _join_field, _raw, parse_scalar
+from .scalars import _R0, ONE, ZERO, Scalar, SeacurvesError, _join_field, _raw, parse_scalar
 
 __all__ = [
     "BinaryForm",
@@ -55,11 +55,11 @@ __all__ = [
 ]
 
 
-class DegreeError(ValueError):
+class DegreeError(SeacurvesError):
     """Degree preconditions violated (wrong length, mismatch, too small)."""
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(SeacurvesError):
     """Substitution by a matrix with zero determinant."""
 
 
@@ -174,17 +174,19 @@ def _join_terms(terms: Iterable[str]) -> str:
 class _Cleared:
     """Coefficients a_0 .. a_d held as one canonical cleared vector.
 
-    ``vec`` is (den, A, B, disc) and ``coeffs`` the Scalar tuple; each is
-    computed from the other when first read.  The vector is canonical, so
-    equality and hashing compare it, and the degree is its length minus one.
+    ``vec`` is (den, A, B, disc), coefficient i being
+    (A[i] + B[i]*sqrt(disc)) / den; it is set once, at construction.  The
+    Scalar tuple ``coeffs`` is built from it when first read.  The vector is
+    canonical, so equality and hashing compare it, and the degree is its
+    length minus one.
     """
 
-    __slots__ = ("_coeffs", "_vec")
+    __slots__ = ("_coeffs", "vec")
 
     def __init__(self, coeffs: tuple):
-        _join_coeff_field(coeffs)
+        den, a, b, disc = _clear(coeffs)
         object.__setattr__(self, "_coeffs", coeffs)
-        object.__setattr__(self, "_vec", None)
+        object.__setattr__(self, "vec", (den, tuple(a), b and tuple(b), disc))
 
     @classmethod
     def _from_vec(cls, den: int, a, b, disc: int):
@@ -205,43 +207,29 @@ class _Cleared:
             b = b and [x // g for x in b]
         obj = cls.__new__(cls)
         object.__setattr__(obj, "_coeffs", None)
-        object.__setattr__(obj, "_vec", (den, tuple(a), b and tuple(b), disc))
+        object.__setattr__(obj, "vec", (den, tuple(a), b and tuple(b), disc))
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
-    def vec(self) -> tuple:
-        """(den, A, B, disc): coefficient i is (A[i] + B[i]*sqrt(disc)) / den."""
-        v = self._vec
-        if v is None:
-            den, a, b, disc = _clear(self._coeffs)
-            v = (den, tuple(a), b and tuple(b), disc)
-            object.__setattr__(self, "_vec", v)
-        return v
-
-    @property
     def coeffs(self) -> tuple:
         """The coefficients a_0 .. a_d as Scalars."""
         cs = self._coeffs
         if cs is None:
-            den, a, b, disc = self._vec
+            den, a, b, disc = self.vec
             cs = tuple(_to_scalars((a, b), den, disc))
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
     @property
     def degree(self) -> int:
-        v = self._vec
-        return len(self._coeffs if v is None else v[1]) - 1
+        return len(self.vec[1]) - 1
 
     @property
     def is_zero(self) -> bool:
-        v = self._vec
-        if v is None:
-            return all(c.is_zero for c in self._coeffs)
-        return v[2] is None and not any(v[1])
+        return self.vec[2] is None and not any(self.vec[1])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -350,9 +338,9 @@ def partial_derivative(f: BinaryForm, var: str, order: int = 1) -> BinaryForm:
     zero form of degree 0.
     """
     if var not in ("X", "Z"):
-        raise ValueError(f"var must be 'X' or 'Z', got {var!r}")
+        raise SeacurvesError(f"var must be 'X' or 'Z', got {var!r}")
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise DegreeError("order must be nonnegative")
     n = f.degree
     if order > n:
         return BinaryForm.zero(0)

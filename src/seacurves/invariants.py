@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from .forms import (BinaryForm, DegreeError, _clear, _mul, _over, _pow, _to_scalars,
                     dehomogenize, is_squarefree)
-from .scalars import Scalar, rational
+from .scalars import Scalar, SeacurvesError, rational
 from .transvection import transvect
 
 __all__ = [
@@ -81,11 +81,11 @@ class OrderBookkeepingError(RuntimeError):
     """An intermediate covariant came out with the wrong order: internal bug."""
 
 
-class InconclusiveError(ValueError):
+class InconclusiveError(SeacurvesError):
     """The isomorphism criterion's hypotheses fail; no verdict is possible."""
 
 
-class Genus10CaseError(ValueError):
+class Genus10CaseError(SeacurvesError):
     """The degree-22 special invariants are defined only when I12 = 0."""
 
 

@@ -8,6 +8,9 @@ representation is canonical, so ``==`` is exact value equality.
 Scalars of different nonzero discriminants must not be mixed; doing so raises
 :class:`FieldMixError` rather than silently coercing.
 
+Every error the package raises on bad input derives from
+:class:`SeacurvesError` (a ``ValueError``), which the CLI maps to exit code 2.
+
 The components are ``fractions.Fraction`` values; there is no other rational
 backend.  Binary forms, polynomials and the work on them do not use
 Fraction: both carry their coefficients cleared to one integer vector over
@@ -37,8 +40,11 @@ _R1 = Fraction(1)
 
 __all__ = [
     "Scalar",
+    "SeacurvesError",
     "FieldMixError",
     "ScalarParseError",
+    "RadicandError",
+    "DivisionByZeroError",
     "ZERO",
     "ONE",
     "rational",
@@ -47,12 +53,24 @@ __all__ = [
 ]
 
 
-class FieldMixError(ValueError):
+class SeacurvesError(ValueError):
+    """Base of every error the package raises on input it cannot accept."""
+
+
+class FieldMixError(SeacurvesError):
     """Raised when scalars from distinct quadratic extensions meet."""
 
 
-class ScalarParseError(ValueError):
+class ScalarParseError(SeacurvesError):
     """Raised on malformed scalar strings."""
+
+
+class RadicandError(SeacurvesError):
+    """The radicand of sqrt(D) is 0, 1, not squarefree or out of range."""
+
+
+class DivisionByZeroError(SeacurvesError, ZeroDivisionError):
+    """Division of a scalar by zero."""
 
 
 # _is_squarefree trial-divides up to sqrt|D|: at most ~5*10^5 steps below this bound
@@ -110,9 +128,9 @@ class Scalar:
         if b == 0:
             disc = 0
         elif abs(disc) > _MAX_RADICAND:
-            raise ValueError(f"radicand {disc} is outside the supported range |D| <= 10^12")
+            raise RadicandError(f"radicand {disc} is outside the supported range |D| <= 10^12")
         elif disc in (0, 1) or not _is_squarefree(disc):
-            raise ValueError(f"discriminant must be squarefree and != 0, 1, got {disc}")
+            raise RadicandError(f"discriminant must be squarefree and != 0, 1, got {disc}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "disc", disc)
@@ -177,7 +195,7 @@ class Scalar:
 
     def inverse(self) -> Scalar:
         if self.is_zero:
-            raise ZeroDivisionError("scalar division by zero")
+            raise DivisionByZeroError("scalar division by zero")
         if self.disc == 0:
             return _raw(_R1 / self.a, _R0, 0)
         # 1/(a + b s) = (a - b s)/(a^2 - b^2 D); the norm is nonzero because
@@ -323,7 +341,7 @@ def parse_scalar(text: str) -> Scalar:
             a += sign * _parse_rat(part, text)
     try:
         return Scalar(a, b, disc)
-    except ValueError as exc:
+    except RadicandError as exc:
         raise ScalarParseError(str(exc)) from None
 
 

@@ -31,11 +31,12 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .forms import BinaryForm, _join_field, _pair_convolve, _partial
+from .scalars import SeacurvesError
 
 __all__ = ["transvect", "TransvectionError"]
 
 
-class TransvectionError(ValueError):
+class TransvectionError(SeacurvesError):
     """r exceeds the degree of one of the operands (or is negative)."""
 
 

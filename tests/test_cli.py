@@ -232,6 +232,41 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     assert code == 3 and out == "" and "internal inconsistency" in err
 
 
+def test_input_errors_share_one_base():
+    """Every typed input error is a SeacurvesError, which main maps to exit
+    2; the two internal errors behind exit 3 are not."""
+    from seacurves import catalog, curves, forms, invariants, scalars, transvection
+    from seacurves.catalog import templates
+
+    errors = [scalars.FieldMixError, scalars.ScalarParseError, scalars.RadicandError,
+              scalars.DivisionByZeroError, forms.DegreeError, forms.SingularMatrixError,
+              transvection.TransvectionError, invariants.InconclusiveError,
+              invariants.Genus10CaseError, curves.NotSquarefreeError, curves.LevelError,
+              curves.CurveDataError, catalog.CatalogError, templates.TemplateError,
+              templates.TemplateParamError]
+    assert all(issubclass(e, scalars.SeacurvesError) for e in errors)
+    assert issubclass(scalars.SeacurvesError, ValueError)
+    assert issubclass(scalars.DivisionByZeroError, ZeroDivisionError)
+    for internal in (invariants.OrderBookkeepingError, catalog.CatalogIntegrityError):
+        assert not issubclass(internal, scalars.SeacurvesError)
+
+
+@pytest.mark.parametrize("exc", [KeyError("J2"), ValueError("bare"), ZeroDivisionError("bare")])
+def test_unexpected_exception_exits_3_on_one_line(capsys, monkeypatch, exc):
+    """An exception that is not a SeacurvesError is a bug, a bare ValueError
+    included: exit 3 and one stderr line naming it, not exit 2 and not a
+    traceback."""
+    from seacurves import cli
+
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "sextic_invariants", boom)
+    code, out, err = run(capsys, "invariants", "--kind", "sextic",
+                         "--coeffs", "1,0,0,0,0,0,1")
+    assert (code, out, err) == (3, "", f"internal error: {exc!r}\n")
+
+
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 

@@ -1,21 +1,34 @@
-"""Fuzz test of ``cli.main(argv)`` on the subcommands that parse user text.
+"""Fuzz test of ``cli.main(argv)``.
 
 The argvs are built from numerals (huge ones and zero denominators among
 them), ``sqrt(...)`` with bad radicands (squares, 0, 1, out of range, two
 radicals in one input), ``x^k`` terms up to k = 101 (one past ``MAX_DEGREE``)
 and coefficient CSVs, for ``genus --poly``, ``transvect``,
-``invariants --coeffs`` and ``catalog specialize --params``.  Whatever the
+``invariants --coeffs``, ``isomorphic`` and ``catalog specialize --params``,
+and from negative and huge ``--genus`` values and arbitrary ``--group``
+text for ``catalog list``, ``verify`` and ``inclusions``.  Whatever the
 input, ``main`` must return 0, 1 or 2 without raising, within a per-example
 deadline, and a second run must print byte-identical stdout.
+
+The catalog subcommands are also run with ``SEA_CATALOG`` set to a missing
+file, a non-UTF-8 file and malformed JSONL made by mutating real rows.  A
+file that contradicts itself (duplicate ids, a genus column that does not
+match its equation) may end in exit 3, but only with an "internal
+inconsistency" line; any other exception is a bug.
 """
 
 import contextlib
 import io
+import json
+import os
+import tempfile
 from datetime import timedelta
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seacurves.catalog import load_catalog
 from seacurves.cli import main
 
 SMALL = st.integers(-30, 30).map(str)
@@ -87,19 +100,53 @@ def specialize_argvs(draw):
     return ["catalog", "specialize", "--id", row, "--params", params]
 
 
+@st.composite
+def isomorphic_argvs(draw):
+    """Half of the forms have the degree their genus needs; --genus is
+    sometimes outside the choices argparse allows."""
+    genus = draw(st.sampled_from([2, 2, 3, 3, -1, 4, 10 ** 30]))
+    size = {2: 7, 3: 9}.get(genus)
+    f1, f2 = (draw(st.one_of(forms(), forms(size))) for _ in range(2))
+    return ["isomorphic", "--genus", str(genus), "--f1", f1, "--f2", f2]
+
+
+GENERA = st.one_of(st.integers(-3, 12), st.sampled_from([-(10 ** 30), 10 ** 30]))
+GROUPS = st.one_of(st.sampled_from(["A5", "A_5", "D_4", "D2m", "Cm", "C_3", "S_4", ""]),
+                   st.text(max_size=6))
+
+
+@st.composite
+def catalog_argvs(draw):
+    """catalog list, verify or inclusions, with or without their filters."""
+    sub = draw(st.sampled_from(["list", "verify", "inclusions"]))
+    argv = ["catalog", sub]
+    if sub == "inclusions" or draw(st.booleans()):
+        argv += ["--genus", str(draw(GENERA))]
+    if sub == "list" and draw(st.booleans()):
+        argv.append(f"--group={draw(GROUPS)}")
+    if sub == "list" and draw(st.booleans()):
+        argv.append("--csv")
+    return argv
+
+
 ARGVS = st.one_of(
     st.builds(lambda n, f: ["genus", "-n", str(n), "--poly", f], st.integers(-2, 12), forms()),
     st.builds(lambda f, g, r: ["transvect", "--f", f, "--g", g, "-r", str(r)],
               forms(), forms(), st.integers(-1, 8)),
     invariants_argvs(),
+    isomorphic_argvs(),
     specialize_argvs(),
+    catalog_argvs(),
 )
 
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the argv: usage, exit 2
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -111,3 +158,67 @@ def test_main_is_total_and_deterministic(argv):
     assert "Traceback" not in err
     assert (code == 2) == (out == ""), (argv, code, err)
     assert _run(argv)[:2] == (code, out)
+
+
+# a row with sum blocks, a parameter-free one and a factored dihedral one;
+# specialize_argvs draws their ids
+ROWS = [load_catalog(use_env=False)[i].to_json() for i in ("g5-c1-1", "g6-c2-5", "g7-c6-1")]
+JSON = st.recursive(
+    st.none() | st.booleans() | GENERA | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "m", "indices"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_rows(draw):
+    """A real row with one field replaced, dropped or (for the equation)
+    edited by one character."""
+    row = dict(draw(st.sampled_from(ROWS)))
+    key = draw(st.sampled_from(sorted(row)))
+    how = draw(st.sampled_from(["replace", "drop", "edit"]))
+    if how == "drop":
+        del row[key]
+    elif how == "edit" and row["equation"]:
+        eq = row["equation"]
+        i = draw(st.integers(0, len(eq)))
+        j = draw(st.integers(i, min(i + 2, len(eq))))
+        row["equation"] = eq[:i] + draw(st.sampled_from(list("x^+-*()0a_i=.,/ 9"))) + eq[j:]
+    else:  # an integer often keeps the row loadable but inconsistent
+        row[key] = draw(st.one_of(GENERA, JSON))
+    return json.dumps(row)
+
+
+VALID_ROWS = st.sampled_from([json.dumps(r) for r in ROWS])
+
+
+def _jsonl(lines):
+    return "\n".join(lines).encode("utf-8")
+
+
+CATALOG_FILES = st.one_of(
+    st.none(),  # no such file
+    st.just(b"\xff\xfe\x00"),
+    st.builds(lambda rows: _jsonl(rows) + b"\n\xff\n", st.lists(VALID_ROWS, max_size=2)),
+    st.just(_jsonl(["[" * 100000 + "]" * 100000])),
+    st.lists(st.one_of(VALID_ROWS, st.text(max_size=12)), max_size=3).map(_jsonl),
+    st.lists(st.one_of(mutated_rows(), VALID_ROWS), min_size=1, max_size=4).map(_jsonl),
+)
+
+
+@given(CATALOG_FILES, st.one_of(catalog_argvs(), specialize_argvs()))
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+def test_catalog_commands_are_total_on_any_catalog_file(content, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.jsonl")
+        if content is not None:
+            with open(path, "wb") as fh:
+                fh.write(content)
+        with mock.patch.dict(os.environ, {"SEA_CATALOG": path}):
+            code, out, err = _run(argv)
+            assert _run(argv)[:2] == (code, out)
+    assert code in (0, 1, 2) or (code == 3 and err.startswith("internal inconsistency: ")), \
+        (argv, code, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
+    assert (code >= 2) == (out == ""), (argv, code, err)

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from seacurves.curves import (
+    CurveDataError,
     LevelError,
     NotSquarefreeError,
     ReducedGroup,
@@ -15,7 +16,8 @@ from seacurves.curves import (
     make_curve,
     rh_residual,
 )
-from seacurves.forms import DegreeError, UnivariatePoly
+from seacurves.forms import DegreeError, UnivariatePoly, make_form, partial_derivative
+from seacurves.scalars import ZERO, DivisionByZeroError, RadicandError, Scalar, SeacurvesError
 
 
 def poly(*ascending):
@@ -44,6 +46,38 @@ def test_make_curve_typed_errors():
     for f in (poly(2), poly(1, 1), poly()):
         with pytest.raises(DegreeError, match=f"need deg f >= 2, got {f.degree}"):
             make_curve(2, f)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ReducedGroup("Q"), CurveDataError, "unknown reduced group kind 'Q'"),
+    (lambda: ReducedGroup("Cm", 0), CurveDataError, "Cm needs a positive parameter m"),
+    (lambda: ReducedGroup("A4", 3), CurveDataError, "A4 takes no parameter m"),
+    (lambda: Signature([2.0]), CurveDataError, "branch index 2.0 is not an integer"),
+    (lambda: Signature([1]), CurveDataError, "branch index must be >= 2, got 1"),
+    (lambda: Signature([(2, 0)]), CurveDataError, "multiplicity must be >= 1, got 0"),
+    (lambda: genus_formula(1, 5), LevelError, "need n >= 2 and d >= 2, got n=1, d=5"),
+    (lambda: genus_formula(2, 1), DegreeError, "need n >= 2 and d >= 2, got n=2, d=1"),
+    (lambda: hurwitz_bound(1), CurveDataError, "Hurwitz bound needs genus >= 2, got 1"),
+    (lambda: rh_residual(5, 0, Signature([2])), CurveDataError, "group order must be positive"),
+    (lambda: rh_residual(5, 10, Signature([3])), CurveDataError,
+     "index 3 does not divide group order 10"),
+    (lambda: partial_derivative(make_form(2, [1, 0, 1]), "Y"), SeacurvesError,
+     "var must be 'X' or 'Z', got 'Y'"),
+    (lambda: partial_derivative(make_form(2, [1, 0, 1]), "X", -1), DegreeError,
+     "order must be nonnegative"),
+    (lambda: Scalar(0, 1, 10 ** 13), RadicandError,
+     "radicand 10000000000000 is outside the supported range |D| <= 10^12"),
+    (lambda: Scalar(0, 1, 12), RadicandError,
+     "discriminant must be squarefree and != 0, 1, got 12"),
+    (lambda: ZERO.inverse(), DivisionByZeroError, "scalar division by zero"),
+])
+def test_precondition_errors_are_typed(call, error, message):
+    """Each precondition of curves, scalars and partial_derivative raises a
+    SeacurvesError subclass; the messages are those of the untyped raises
+    they replace."""
+    with pytest.raises(error) as exc:
+        call()
+    assert isinstance(exc.value, SeacurvesError) and str(exc.value) == message
 
 
 def test_low_genus_flag():

@@ -356,8 +356,6 @@ def test_degree_100_pair_matches_euclidean():
 
 def test_resultant_clears_each_operand_once(monkeypatch):
     """p and q are cleared once each, not once per remainder."""
-    p = UnivariatePoly([rational(i - 11, i % 5 + 1) for i in range(23)])
-    q = UnivariatePoly([Scalar(i, i % 3, 5) for i in range(-8, 12)])
     calls = []
     clear = forms._clear
 
@@ -366,6 +364,8 @@ def test_resultant_clears_each_operand_once(monkeypatch):
         return clear(*args)
 
     monkeypatch.setattr(forms, "_clear", counting)
+    p = UnivariatePoly([rational(i - 11, i % 5 + 1) for i in range(23)])
+    q = UnivariatePoly([Scalar(i, i % 3, 5) for i in range(-8, 12)])
     resultant(p, q)
     assert calls == [23, 20]
 
@@ -373,7 +373,6 @@ def test_resultant_clears_each_operand_once(monkeypatch):
 def test_discriminant_clears_only_polys_built_from_scalars(monkeypatch):
     """A polynomial built from Scalars is cleared once; its derivative and a
     polynomial the kernel built are read as vectors and never cleared."""
-    p = UnivariatePoly([rational(i - 11, i % 5 + 1) for i in range(23)])
     h = BinaryForm(3, [Scalar(i, 1, 5) for i in range(1, 5)]) * BinaryForm(
         5, [rational(i, 3) for i in range(1, 7)])
     calls = []
@@ -384,6 +383,8 @@ def test_discriminant_clears_only_polys_built_from_scalars(monkeypatch):
         return clear(*args)
 
     monkeypatch.setattr(forms, "_clear", counting)
+    p = UnivariatePoly([rational(i - 11, i % 5 + 1) for i in range(23)])
+    assert calls == [23]
     discriminant(p)
     assert calls == [23]
     calls.clear()
