@@ -2,9 +2,9 @@
 
 Each :class:`FamilyRecord` is one table row: reduced and full automorphism
 group, level n, sub-order m, printed signature (final entry possibly
-omitted), locus dimension delta, and the parametric equation template.  Rows
-whose printed data needed repair carry a non-"ok" status; every such row is
-listed with its reason in ``data/FLAGS.md`` next to the dataset.
+omitted), locus dimension delta, and the parametric equation template.
+Rows needing repair carry a non-"ok" status, with reasons in ``data/FLAGS.md``;
+rows that contradict themselves raise :class:`CatalogError`.
 
 Verification (:func:`verify_record` / :func:`verify_all`) re-derives, per
 row: the genus from (n, deg f), the parameter count against delta, the
@@ -44,7 +44,6 @@ __all__ = [
     "RowReport",
     "VerificationReport",
     "CatalogError",
-    "CatalogIntegrityError",
     "STATUS_OK",
     "STATUS_ILLEGIBLE",
     "STATUS_CORRECTED",
@@ -70,11 +69,7 @@ _ID = re.compile(r".*-[0-9]+")  # the trailing integer orders rows within a case
 
 
 class CatalogError(SeacurvesError):
-    """Bad queries or record references."""
-
-
-class CatalogIntegrityError(RuntimeError):
-    """The dataset contradicts itself; verified rows must never trigger this."""
+    """Bad queries, record references, or rows that contradict themselves."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ class FamilyRecord:
             "full_group": self.full_group,
             "n": self.n,
             "m": self.m,
-            "signature": {"indices": [[e, mult] for e, mult in self.printed_signature.pairs]},
+            "signature": self.printed_signature.to_json(),
             "delta": self.delta,
             "equation": self.equation,
             "status": self.status,
@@ -142,7 +137,7 @@ class FamilyRecord:
             full_group=doc["full_group"],
             n=doc["n"],
             m=doc["m"],
-            printed_signature=Signature(doc["signature"]["indices"]),
+            printed_signature=Signature.from_json(doc["signature"]),
             delta=doc["delta"],
             equation=doc["equation"],
             status=doc["status"],
@@ -160,7 +155,7 @@ class Catalog:
         self.records = tuple(records)
         self.by_id = MappingProxyType({r.id: r for r in self.records})
         if len(self.by_id) != len(self.records):
-            raise CatalogIntegrityError("duplicate record ids")
+            raise CatalogError("duplicate record ids")
 
     def __iter__(self):
         return iter(self.records)
@@ -178,21 +173,14 @@ class Catalog:
     def _id_key(record: FamilyRecord):
         return (record.genus, record.case_nr, _numeral_key(record.id.rsplit("-", 1)[1]))
 
-    def query(self, genus=None, reduced_group=None, n=None, min_delta=None,
-              max_delta=None) -> list[FamilyRecord]:
-        """All records matching every provided filter, in id order
-        (genus, case, sequence) regardless of file order."""
+    def query(self, genus=None, reduced_group=None) -> list[FamilyRecord]:
+        """Records matching each filter given (a reduced group by kind or label,
+        as D2m or D_4), in id order (genus, case, sequence) regardless of file order."""
         out = []
         for r in self.records:
             if genus is not None and r.genus != genus:
                 continue
-            if reduced_group is not None and not _group_matches(r.reduced, reduced_group):
-                continue
-            if n is not None and r.n != n:
-                continue
-            if min_delta is not None and r.delta < min_delta:
-                continue
-            if max_delta is not None and r.delta > max_delta:
+            if reduced_group not in (None, r.reduced.kind, r.reduced.label()):
                 continue
             out.append(r)
         out.sort(key=self._id_key)
@@ -200,14 +188,6 @@ class Catalog:
 
     def genera(self) -> list[int]:
         return sorted({r.genus for r in self.records})
-
-
-def _group_matches(reduced: ReducedGroup, wanted) -> bool:
-    if isinstance(wanted, ReducedGroup):
-        return reduced == wanted
-    if isinstance(wanted, str):
-        return wanted in (reduced.kind, reduced.label())
-    raise CatalogError(f"bad reduced_group filter {wanted!r}")
 
 
 def _data_path():
@@ -273,7 +253,7 @@ def specialize(record: FamilyRecord, params: dict) -> SuperellipticCurve:
         raise CatalogError(f"{record.id}: {exc}") from None
     curve = make_curve(record.n, poly)
     if curve.genus != record.genus:
-        raise CatalogIntegrityError(
+        raise CatalogError(
             f"{record.id}: computed genus {curve.genus} != cataloged {record.genus}"
         )
     return curve

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success (or affirmative verdict), 1 negative verdict
 (isomorphic: no; catalog verify: failures), 2 usage or precondition errors
-(every :class:`~seacurves.scalars.SeacurvesError`, and an unreadable
-SEA_CATALOG file), 3 internal inconsistency or any other exception, reported
-on one stderr line without a traceback.  Stdout carries a JSON document on
-exit codes 0 and 1 (except ``catalog list --csv``, which emits CSV by
-request); diagnostics go to stderr.  Identical argv produces
+(every :class:`~seacurves.scalars.SeacurvesError`, and any bad SEA_CATALOG
+file, self-contradictory ones included), 3 a bookkeeping bug or any other
+exception, reported on one stderr line without a traceback.  Stdout carries a
+JSON document on exit codes 0 and 1 (except ``catalog list --csv``, which
+emits CSV by request); diagnostics go to stderr.  Identical argv produces
 byte-identical stdout.
 
 The catalog subcommands read the embedded dataset unless the SEA_CATALOG
@@ -22,7 +22,6 @@ import sys
 
 from . import catalog as cat_mod
 from .catalog import (
-    CatalogIntegrityError,
     export_csv,
     inclusions,
     load_catalog,
@@ -286,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_value_flags(list(argv)))
     try:
         return args.func(args)
-    except (OrderBookkeepingError, CatalogIntegrityError) as exc:
+    except OrderBookkeepingError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     except InconclusiveError as exc:

@@ -2,9 +2,9 @@
 
 The Riemann-Hurwitz helpers work with the full automorphism group order
 (written ``group_order`` everywhere, since the source convention overloads a
-single letter for both the covering degree and the group order).  Signatures
-may be printed with their last entry omitted; :func:`complete_signature`
-restores it when needed.
+single letter for both the covering degree and the group order) and the
+quotient P^1.  Printed signatures may lack their last entry, which
+:func:`complete_signature` restores.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class ReducedGroup:
         if self.kind not in REDUCED_KINDS:
             raise CurveDataError(f"unknown reduced group kind {self.kind!r}")
         if self.kind in ("Cm", "D2m"):
+            if self.m is not None and type(self.m) is not int:
+                raise CurveDataError(f"{self.kind} parameter m {self.m!r} is not an integer")
             if self.m is None or self.m < 1:
                 raise CurveDataError(f"{self.kind} needs a positive parameter m")
         elif self.m is not None:
@@ -84,13 +86,13 @@ class ReducedGroup:
 class Signature:
     """A multiset of branch indices, kept as sorted (index, multiplicity) pairs.
 
-    ``complete`` records whether this is the printed data (possibly missing
-    its final entry) or a completed signature.
+    Equal multisets are equal signatures; whether one was printed or
+    completed is recorded by :class:`CompletionResult`, not here.
     """
 
-    __slots__ = ("pairs", "complete")
+    __slots__ = ("pairs",)
 
-    def __init__(self, indices, complete: bool = False):
+    def __init__(self, indices):
         counts: dict[int, int] = {}
         for item in indices:
             if isinstance(item, (tuple, list)):
@@ -105,7 +107,6 @@ class Signature:
                 raise CurveDataError(f"multiplicity must be >= 1, got {mult}")
             counts[e] = counts.get(e, 0) + mult
         object.__setattr__(self, "pairs", tuple(sorted(counts.items())))
-        object.__setattr__(self, "complete", bool(complete))
 
     def __setattr__(self, name, value):
         raise AttributeError("Signature is immutable")
@@ -114,19 +115,13 @@ class Signature:
     def point_count(self) -> int:
         return sum(mult for _, mult in self.pairs)
 
-    def with_index(self, e: int) -> Signature:
-        return Signature(self.pairs + ((e, 1),), complete=True)
-
-    def marked_complete(self) -> Signature:
-        return Signature(self.pairs, complete=True)
-
     def __eq__(self, other):
         if not isinstance(other, Signature):
             return NotImplemented
-        return self.pairs == other.pairs and self.complete == other.complete
+        return self.pairs == other.pairs
 
     def __hash__(self):
-        return hash((self.pairs, self.complete))
+        return hash(self.pairs)
 
     def compact(self) -> str:
         bits = []
@@ -135,16 +130,14 @@ class Signature:
         return ",".join(bits)
 
     def to_json(self) -> dict:
-        return {"indices": [[e, mult] for e, mult in self.pairs],
-                "complete": self.complete}
+        return {"indices": [[e, mult] for e, mult in self.pairs]}
 
     @classmethod
     def from_json(cls, doc: dict) -> Signature:
-        return cls(doc["indices"], complete=doc.get("complete", False))
+        return cls(doc["indices"])
 
     def __repr__(self):
-        tag = "complete" if self.complete else "as-printed"
-        return f"Signature({self.compact()}; {tag})"
+        return f"Signature({self.compact()})"
 
 
 def genus_formula(n: int, d: int) -> int:
@@ -168,9 +161,8 @@ def hurwitz_bound(g: int) -> int:
     return 84 * (g - 1)
 
 
-def rh_residual(g: int, group_order: int, sig: Signature,
-                quotient_genus: int = 0) -> Fraction:
-    """(2/|G|)(g-1) - [2g' - 2 + sum(1 - 1/e)] as an exact rational.
+def rh_residual(g: int, group_order: int, sig: Signature) -> Fraction:
+    """(2/|G|)(g-1) - [-2 + sum(1 - 1/e)] as an exact rational, for a cover of P^1.
 
     Zero means the data satisfies Riemann-Hurwitz.  Every index must divide
     the group order.
@@ -181,7 +173,7 @@ def rh_residual(g: int, group_order: int, sig: Signature,
         if group_order % e:
             raise CurveDataError(f"index {e} does not divide group order {group_order}")
     lhs = Fraction(2 * (g - 1), group_order)
-    rhs = Fraction(2 * quotient_genus - 2)
+    rhs = Fraction(-2)
     for e, mult in sig.pairs:
         rhs += mult * (1 - Fraction(1, e))
     return lhs - rhs
@@ -198,19 +190,18 @@ class CompletionResult:
         return self.status != "failed"
 
 
-def complete_signature(g: int, group_order: int, printed: Signature,
-                       quotient_genus: int = 0) -> CompletionResult:
+def complete_signature(g: int, group_order: int, printed: Signature) -> CompletionResult:
     """Restore the omitted final branch index, if any.
 
-    If the printed signature already has residual 0 it is returned unchanged
-    (marked complete).  Otherwise the unique candidate e with
-    residual = 1 - 1/e is computed in closed form and accepted when it is an
-    integer >= 2 dividing the group order; since 1 - 1/e is strictly
-    monotone in e, a single omitted entry can never be ambiguous.
+    If the printed signature already has residual 0 it is returned unchanged.
+    Otherwise the unique candidate e with residual = 1 - 1/e is computed in
+    closed form and accepted when it is an integer >= 2 dividing the group
+    order; since 1 - 1/e is strictly monotone in e, a single omitted entry
+    can never be ambiguous.
     """
-    res = rh_residual(g, group_order, printed, quotient_genus)
+    res = rh_residual(g, group_order, printed)
     if res == 0:
-        return CompletionResult("already_complete", printed.marked_complete())
+        return CompletionResult("already_complete", printed)
     if res >= 1 or res <= 0:
         return CompletionResult("failed", None)
     e = 1 / (1 - res)
@@ -219,7 +210,7 @@ def complete_signature(g: int, group_order: int, printed: Signature,
     e = int(e)
     if e < 2 or group_order % e:
         return CompletionResult("failed", None)
-    return CompletionResult("completed", printed.with_index(e), added_index=e)
+    return CompletionResult("completed", Signature(printed.pairs + ((e, 1),)), added_index=e)
 
 
 def full_group_order(n: int, reduced: ReducedGroup) -> int:

@@ -234,7 +234,7 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
 
 def test_input_errors_share_one_base():
     """Every typed input error is a SeacurvesError, which main maps to exit
-    2; the two internal errors behind exit 3 are not."""
+    2; the internal error behind exit 3 is not."""
     from seacurves import catalog, curves, forms, invariants, scalars, transvection
     from seacurves.catalog import templates
 
@@ -247,8 +247,7 @@ def test_input_errors_share_one_base():
     assert all(issubclass(e, scalars.SeacurvesError) for e in errors)
     assert issubclass(scalars.SeacurvesError, ValueError)
     assert issubclass(scalars.DivisionByZeroError, ZeroDivisionError)
-    for internal in (invariants.OrderBookkeepingError, catalog.CatalogIntegrityError):
-        assert not issubclass(internal, scalars.SeacurvesError)
+    assert not issubclass(invariants.OrderBookkeepingError, scalars.SeacurvesError)
 
 
 @pytest.mark.parametrize("exc", [KeyError("J2"), ValueError("bare"), ZeroDivisionError("bare")])

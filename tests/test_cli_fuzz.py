@@ -218,7 +218,6 @@ def test_catalog_commands_are_total_on_any_catalog_file(content, argv):
         with mock.patch.dict(os.environ, {"SEA_CATALOG": path}):
             code, out, err = _run(argv)
             assert _run(argv)[:2] == (code, out)
-    assert code in (0, 1, 2) or (code == 3 and err.startswith("internal inconsistency: ")), \
-        (argv, code, err)
+    assert code in (0, 1, 2), (argv, code, err)
     assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
     assert (code >= 2) == (out == ""), (argv, code, err)

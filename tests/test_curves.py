@@ -70,6 +70,8 @@ def test_make_curve_typed_errors():
     (lambda: Scalar(0, 1, 12), RadicandError,
      "discriminant must be squarefree and != 0, 1, got 12"),
     (lambda: ZERO.inverse(), DivisionByZeroError, "scalar division by zero"),
+    (lambda: ReducedGroup("Cm", 2.5), CurveDataError, "Cm parameter m 2.5 is not an integer"),
+    (lambda: ReducedGroup("D2m", True), CurveDataError, "D2m parameter m True is not an integer"),
 ])
 def test_precondition_errors_are_typed(call, error, message):
     """Each precondition of curves, scalars and partial_derivative raises a
@@ -120,21 +122,14 @@ def test_rh_residual_fixtures():
         rh_residual(5, 10, Signature([3]))  # 3 does not divide 10
 
 
-def test_rh_residual_general_quotient_genus():
-    # unramified degree-2 cover of a genus-2 curve has genus 3
-    assert rh_residual(3, 2, Signature([]), quotient_genus=2) == 0
-    # degree-2 cover of an elliptic base with four index-2 branch points
-    assert rh_residual(3, 2, Signature([(2, 4)]), quotient_genus=1) == 0
-
-
 def test_complete_signature():
     res = complete_signature(5, 4, Signature([(2, 7)]))
     assert res.status == "completed" and res.added_index == 2
-    assert res.signature == Signature([(2, 8)], complete=True)
+    assert res.signature == Signature([(2, 8)])
 
     res = complete_signature(5, 8, Signature([(2, 6)]))
     assert res.status == "already_complete"
-    assert res.signature.complete
+    assert res.signature == Signature([(2, 6)])
 
     res = complete_signature(6, 26, Signature([13, 26]))
     assert res.status == "completed" and res.added_index == 2
