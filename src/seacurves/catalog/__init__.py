@@ -26,6 +26,7 @@ from types import MappingProxyType
 
 from ..curves import (
     CompletionResult,
+    CurveDataError,
     ReducedGroup,
     Signature,
     SuperellipticCurve,
@@ -35,7 +36,7 @@ from ..curves import (
     hurwitz_bound,
     make_curve,
 )
-from ..scalars import Scalar, SeacurvesError
+from ..scalars import ZERO, SeacurvesError
 from .templates import EquationTemplate, TemplateParamError, _numeral_key, parse_template
 
 __all__ = [
@@ -144,15 +145,20 @@ class FamilyRecord:
         )
 
 
+def _id_key(record: FamilyRecord):
+    return (record.genus, record.case_nr, _numeral_key(record.id.rsplit("-", 1)[1]))
+
+
 class Catalog:
-    """Immutable sequence of records with id lookup and filtering.
+    """Immutable sequence of records, kept in id order (genus, case, sequence
+    number) whatever order they come in, with id lookup and filtering.
 
     :func:`load_catalog` hands one instance to every caller that reads the
     same dataset text, so the records are frozen and ``by_id`` is read-only.
     """
 
     def __init__(self, records):
-        self.records = tuple(records)
+        self.records = tuple(sorted(records, key=_id_key))
         self.by_id = MappingProxyType({r.id: r for r in self.records})
         if len(self.by_id) != len(self.records):
             raise CatalogError("duplicate record ids")
@@ -169,21 +175,16 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"no record with id {record_id!r}") from None
 
-    @staticmethod
-    def _id_key(record: FamilyRecord):
-        return (record.genus, record.case_nr, _numeral_key(record.id.rsplit("-", 1)[1]))
-
     def query(self, genus=None, reduced_group=None) -> list[FamilyRecord]:
         """Records matching each filter given (a reduced group by kind or label,
-        as D2m or D_4), in id order (genus, case, sequence) regardless of file order."""
+        as D2m or D_4), in the catalog's id order."""
         out = []
         for r in self.records:
             if genus is not None and r.genus != genus:
                 continue
-            if reduced_group not in (None, r.reduced.kind, r.reduced.label()):
+            if reduced_group not in (None, r.reduced.kind) and reduced_group != r.reduced.label():
                 continue
             out.append(r)
-        out.sort(key=self._id_key)
         return out
 
     def genera(self) -> list[int]:
@@ -246,9 +247,8 @@ def specialize(record: FamilyRecord, params: dict) -> SuperellipticCurve:
     """
     if record.template is None:
         raise CatalogError(f"record {record.id} has no equation template")
-    values = {k: (v if isinstance(v, Scalar) else Scalar(v)) for k, v in params.items()}
     try:
-        poly = record.template.expand(values)
+        poly = record.template.expand(params)
     except TemplateParamError as exc:
         raise CatalogError(f"{record.id}: {exc}") from None
     curve = make_curve(record.n, poly)
@@ -282,12 +282,12 @@ class RowReport:
 
 
 def verify_record(record: FamilyRecord) -> RowReport:
-    """Run the five consistency checks on one row."""
+    """Run the five consistency checks on one row; a check its data cannot evaluate fails."""
     checks = {}
 
     if record.template is not None:
         deg = record.template.degree
-        got = genus_formula(record.n, deg)
+        got = genus_formula(record.n, deg) if deg >= 2 else "undefined (deg f < 2)"
         checks["genus"] = CheckResult(
             got == record.genus,
             f"genus_formula({record.n}, {deg}) = {got}, cataloged {record.genus}",
@@ -302,7 +302,11 @@ def verify_record(record: FamilyRecord) -> RowReport:
         checks["param_count"] = CheckResult(None, "no equation template")
 
     order = record.group_order
-    completion = complete_signature(record.genus, order, record.printed_signature)
+    failure = "no single-index completion exists"
+    try:
+        completion = complete_signature(record.genus, order, record.printed_signature)
+    except CurveDataError as exc:
+        completion, failure = CompletionResult("failed", None), str(exc)
     if completion.ok:
         mode = ("printed complete" if completion.status == "already_complete"
                 else f"completed with index {completion.added_index}")
@@ -315,9 +319,7 @@ def verify_record(record: FamilyRecord) -> RowReport:
             f"branch points {s}, s - 3 = {s - 3}, delta = {record.delta}",
         )
     else:
-        checks["signature"] = CheckResult(
-            False, f"|G| = {order}; no single-index completion exists"
-        )
+        checks["signature"] = CheckResult(False, f"|G| = {order}; {failure}")
         checks["dimension"] = CheckResult(None, "signature completion failed")
 
     bound = hurwitz_bound(record.genus)
@@ -368,8 +370,8 @@ class VerificationReport:
 
 
 def verify_all(catalog: Catalog, genus: int | None = None) -> VerificationReport:
-    records = catalog.query(genus=genus) if genus is not None else list(catalog)
-    return VerificationReport(tuple(verify_record(r) for r in records))
+    """Verify every row, or every row of one genus, in id order."""
+    return VerificationReport(tuple(verify_record(r) for r in catalog.query(genus=genus)))
 
 
 # -- inclusion DAG ---------------------------------------------------------------
@@ -389,7 +391,7 @@ def _specializes(a: FamilyRecord, b: FamilyRecord, support: dict) -> bool:
     if a.n != b.n or a.delta > b.delta:
         return False
     ca, cb = support[a.id], support[b.id]
-    zero = ("const", Scalar(0))
+    zero = ("const", ZERO)
     for e in set(ca) | set(cb):
         here = ca.get(e, zero)
         there = cb.get(e, zero)
@@ -428,16 +430,17 @@ _CSV_COLUMNS = (
 
 
 def export_jsonl(catalog: Catalog) -> str:
-    """One canonical JSON document per line; re-importing reproduces the catalog."""
+    """One canonical JSON line per record, in id order; re-importing reproduces it."""
     return "\n".join(json.dumps(r.to_json(), separators=(", ", ": "))
                      for r in catalog) + "\n"
 
 
-def export_csv(catalog: Catalog) -> str:
+def export_csv(records) -> str:
+    """A header, then one line per record of a catalog or query result, in order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for r in catalog:
+    for r in records:
         writer.writerow([
             r.id, r.genus, r.case_nr, r.reduced.kind,
             "" if r.reduced.m is None else r.reduced.m,

@@ -27,8 +27,8 @@ import re
 from dataclasses import dataclass
 
 from ..forms import MAX_DEGREE, UnivariatePoly, _join_coeff_field, _join_terms, _power, _term
-from ..scalars import (ONE, FieldMixError, Scalar, ScalarParseError, SeacurvesError, _parse_int,
-                       _split_top, _strip_sign, parse_scalar)
+from ..scalars import (ONE, ZERO, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
+                       _parse_int, _split_top, _strip_sign, parse_scalar)
 
 __all__ = [
     "EquationTemplate",
@@ -146,11 +146,7 @@ class EquationTemplate:
         return sum(f.degree for f in self.factors)
 
     def param_names(self) -> tuple[str, ...]:
-        names = []
-        for factor in self.factors:
-            for term in factor.all_terms():
-                if term.param and term.param not in names:
-                    names.append(term.param)
+        names = {t.param for factor in self.factors for t in factor.all_terms() if t.param}
         return tuple(sorted(names, key=lambda name: _numeral_key(name[1:])))
 
     def expand(self, params: dict | None = None) -> UnivariatePoly:
@@ -167,7 +163,7 @@ class EquationTemplate:
             )
         poly = UnivariatePoly((ONE,))
         for factor in self.factors:
-            coeffs = [Scalar(0)] * (factor.degree + 1)
+            coeffs = [ZERO] * (factor.degree + 1)
             for term in factor.all_terms():
                 value = term.const if term.param is None else term.const * params[term.param]
                 coeffs[term.exp] = coeffs[term.exp] + value
@@ -175,34 +171,25 @@ class EquationTemplate:
         return poly
 
     def symbolic(self) -> dict:
-        """Expanded coefficients as polynomials in the parameters.
+        """Expanded coefficients as polynomials in the parameters, in one flat pass.
 
         Returns exp -> {monomial: Scalar} with monomial a sorted tuple of
         parameter names (with repetition).  Used by the inclusion DAG through
         :meth:`support_classification`; identically-zero coefficients are dropped.
         """
-        acc = {0: {(): ONE}}
+        acc = {(0, ()): ONE}
         for factor in self.factors:
-            fmap = {}
-            for term in factor.all_terms():
-                mono = (term.param,) if term.param else ()
-                slot = fmap.setdefault(term.exp, {})
-                slot[mono] = slot.get(mono, Scalar(0)) + term.const
+            terms = factor.all_terms()
             new = {}
-            for e1, poly1 in acc.items():
-                for e2, poly2 in fmap.items():
-                    target = new.setdefault(e1 + e2, {})
-                    for m1, c1 in poly1.items():
-                        for m2, c2 in poly2.items():
-                            mono = tuple(sorted(m1 + m2))
-                            c = target.get(mono, Scalar(0)) + c1 * c2
-                            target[mono] = c
-            acc = {
-                e: {m: c for m, c in poly.items() if not c.is_zero}
-                for e, poly in new.items()
-            }
-            acc = {e: poly for e, poly in acc.items() if poly}
-        return acc
+            for (e1, m1), c1 in acc.items():
+                for t in terms:
+                    key = (e1 + t.exp, tuple(sorted(m1 + (t.param,))) if t.param else m1)
+                    new[key] = new.get(key, ZERO) + c1 * t.const
+            acc = {key: c for key, c in new.items() if not c.is_zero}
+        out = {}
+        for (e, mono), c in acc.items():
+            out.setdefault(e, {})[mono] = c
+        return out
 
     def support_classification(self) -> dict:
         """exp -> ("const", Scalar) for parameter-free coefficients,

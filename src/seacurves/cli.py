@@ -20,7 +20,6 @@ import functools
 import json
 import sys
 
-from . import catalog as cat_mod
 from .catalog import (
     export_csv,
     inclusions,
@@ -169,8 +168,7 @@ def _cmd_catalog_list(args) -> int:
     catalog = load_catalog()
     records = catalog.query(genus=args.genus, reduced_group=args.group)
     if args.csv:
-        sub = cat_mod.Catalog(records)
-        sys.stdout.write(export_csv(sub))
+        sys.stdout.write(export_csv(records))
     else:
         _emit([r.to_json() for r in records])
     return 0

@@ -577,3 +577,56 @@ def test_only_inclusions_expands_templates(monkeypatch):
     rows = [r.template for r in catalog.query(genus=5) if r.template is not None]
     assert len(calls) == len(rows) and {id(t) for t in calls} == {id(t) for t in rows}
     assert inclusions(catalog, 5) == first and len(calls) == len(rows)
+
+
+_UNEVALUABLE = {
+    # deg f = 1: genus_formula has no value to compare with the genus column
+    "degree_one": ("equation", "x + 1", "genus"),
+    # 7 does not divide |G| = 4, so Riemann-Hurwitz cannot be evaluated
+    "index_not_dividing": ("signature", {"indices": [[7, 1], [2, 3]]}, "signature"),
+}
+
+
+@pytest.mark.parametrize("change", _UNEVALUABLE.values(), ids=_UNEVALUABLE.keys())
+def test_verify_reports_a_row_it_cannot_evaluate(change, catalog, tmp_path, monkeypatch,
+                                                 capsys):
+    """One such row fails a check; verify still reports every row (exit 1)."""
+    from seacurves.cli import main
+
+    key, value, check = change
+    path = tmp_path / "bad.jsonl"
+    _write_rows(path, [{**catalog["g5-c1-1"].to_json(), key: value},
+                       catalog["g5-c1-2"].to_json()])
+    monkeypatch.setenv("SEA_CATALOG", str(path))
+    summaries = []
+    for argv in (["catalog", "verify"], ["catalog", "verify", "--genus", "5"]):
+        assert main(argv) == 1, argv
+        summaries.append(json.loads(capsys.readouterr().out))
+    assert summaries[0] == summaries[1]
+    summary = summaries[0]
+    assert summary["rows"] == 2 and summary["unflagged_failures"] == ["g5-c1-1"]
+    assert summary["checks"][check] == {"passed": 1, "failed": 1, "skipped": 0}
+    report = verify_record(load_catalog(str(path))["g5-c1-1"])
+    if check == "signature":
+        assert report.checks["signature"].detail == (
+            "|G| = 4; index 7 does not divide group order 4")
+        assert report.checks["dimension"].passed is None
+        assert summary["checks"]["dimension"] == {"passed": 1, "failed": 0, "skipped": 1}
+    else:
+        assert "deg f < 2" in report.checks["genus"].detail
+
+
+def test_rows_keep_id_order_whatever_the_file_order(catalog, tmp_path, monkeypatch, capsys):
+    from seacurves.cli import main
+
+    path = tmp_path / "reversed.jsonl"
+    _write_rows(path, [{**catalog[rid].to_json(), "delta": 9} for rid in ("g5-c1-2", "g5-c1-1")])
+    monkeypatch.setenv("SEA_CATALOG", str(path))
+    for argv in (["catalog", "verify"], ["catalog", "verify", "--genus", "5"]):
+        assert main(argv) == 1, argv
+        assert json.loads(capsys.readouterr().out)["unflagged_failures"] == [
+            "g5-c1-1", "g5-c1-2"], argv
+    loaded = load_catalog(str(path))
+    assert [r.id for r in loaded] == ["g5-c1-1", "g5-c1-2"]
+    assert [json.loads(line)["id"] for line in export_jsonl(loaded).splitlines()] == [
+        "g5-c1-1", "g5-c1-2"]
