@@ -9,17 +9,15 @@ A form and a :class:`UnivariatePoly` hold their coefficients the same way,
 in one private base class: the cleared integer vector
 ``vec = (den, A, B, disc)``, a_i = (A[i] + B[i]*sqrt(disc)) / den, with
 den > 0, gcd(den, A, B) = 1, and B None (and disc 0) exactly when every
-coefficient is rational; a polynomial's vector has no trailing zero.  The
-vector is canonical, so ``==`` and ``hash`` compare it, and the degree is its
-length minus one.  The :class:`~seacurves.scalars.Scalar` tuple ``coeffs``
-is built from it on demand, the first time it is read; a value built from
-Scalars is cleared once, when it is constructed.  Sums, products, scaling, the
-GL2 substitution, derivatives, ``monic``, (de)homogenization and the
-transvectant read vectors and return values built from vectors
-(``_from_vec``): they differentiate and convolve Python ints over
-Z[sqrt(D)], and a chain of them never touches Fraction.  Each of them joins
-the fields of its two operands with one helper,
-:func:`seacurves.scalars._join_field`.
+coefficient is rational; a polynomial's vector has no trailing zero.  This is
+the cleared value of a :class:`~seacurves.scalars.Scalar` for a whole vector,
+on the element helpers of :mod:`seacurves.scalars`.  The vector is canonical,
+so ``==`` and ``hash`` compare it, and the degree is its length minus one.  A
+value built from Scalars is cleared once, when it is constructed, and its
+Scalar tuple ``coeffs`` is built on demand.  Sums, products, scaling, the GL2
+substitution, derivatives, ``monic``, (de)homogenization and the transvectant
+read vectors and return values built from vectors (``_from_vec``), on Python
+ints over Z[sqrt(D)]; fields join by :func:`seacurves.scalars._join_field`.
 
 Resultants, discriminants (hence the squarefree test) and gcds all run on
 one subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the
@@ -29,12 +27,12 @@ No operation here ever touches floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, perm
+from math import lcm, perm
 from typing import Iterable, Sequence
 
-from .scalars import _R0, ONE, ZERO, Scalar, SeacurvesError, _join_field, _raw, parse_scalar
+from .scalars import (ZERO, Scalar, SeacurvesError, _conj, _content, _join_field, _mul,
+                      _norm, _pow, _scalar, parse_scalar)
 
 __all__ = [
     "BinaryForm",
@@ -80,18 +78,15 @@ def _join_coeff_field(coeffs: Iterable[Scalar], disc: int = 0) -> int:
 
 
 def _clear(coeffs: Sequence[Scalar], disc: int = 0):
-    """(den, A, B, disc) with coeffs[i] == (A[i] + B[i]*sqrt(disc)) / den.
-
-    den is the lcm of all denominators and A, B are integer vectors; B is None
-    when every coefficient is rational.  The returned disc is the field of the
-    coefficients joined with the given one (FieldMixError on two radicals).
-    """
+    """(den, A, B, disc) with coeffs[i] == (A[i] + B[i]*sqrt(disc)) / den, den
+    the lcm of the Scalars' denominators; B is None when every coefficient is
+    rational, and disc joins the coefficients' field to the given one."""
     disc = _join_coeff_field(coeffs, disc)
-    den = lcm(*(c.a.denominator for c in coeffs), *(c.b.denominator for c in coeffs))
-    a = [c.a.numerator * (den // c.a.denominator) for c in coeffs]
+    den = lcm(*(c._den for c in coeffs))
+    a = [c._a * (den // c._den) for c in coeffs]
     if not any(c.disc for c in coeffs):
         return den, a, None, disc
-    return den, a, [c.b.numerator * (den // c.b.denominator) for c in coeffs], disc
+    return den, a, [c._b * (den // c._den) for c in coeffs], disc
 
 
 def _convolve(acc: list, u: list, v: list, scale: int) -> None:
@@ -146,8 +141,7 @@ def _partial(vec, n: int, p: int, k: int):
 def _to_scalars(acc, den: int, disc: int) -> list[Scalar]:
     """The canonical Scalars (A[i] + B[i]*sqrt(disc)) / den of an (A, B) pair."""
     a, b = acc
-    return [_raw(Fraction(x, den), Fraction(y, den) if y else _R0, disc)
-            for x, y in zip(a, b or [0] * len(a))]
+    return [_scalar(den, x, y, disc) for x, y in zip(a, b or [0] * len(a))]
 
 
 def _power(var: str, e: int) -> str:
@@ -198,9 +192,7 @@ class _Cleared:
         """
         if b is None or not any(b):
             b, disc = None, 0
-        g = gcd(den, *a) if b is None else gcd(den, *a, *b)
-        if den < 0:
-            g = -g
+        g = _content(den, *a) if b is None else _content(den, *a, *b)
         if g != 1:
             den //= g
             a = [x // g for x in a]
@@ -252,13 +244,13 @@ class _Cleared:
         return self.scale(other)
 
     def scale(self, c):
-        cden, (c0,), cb, cdisc = _clear((_scal(c),))
+        c = _scal(c)
         den, a, b, disc = self.vec
-        disc = _join_field(disc, cdisc)
-        if cb and b is None:
+        disc = _join_field(disc, c.disc)
+        if c.disc and b is None:
             b = (0,) * len(a)
-        a, b = _pair_scale((a, b), (c0, cb[0] if cb else 0), disc)
-        return self._from_vec(den * cden, a, b, disc)
+        a, b = _pair_scale((a, b), (c._a, c._b), disc)
+        return self._from_vec(den * c._den, a, b, disc)
 
 
 class BinaryForm(_Cleared):
@@ -351,19 +343,9 @@ def partial_derivative(f: BinaryForm, var: str, order: int = 1) -> BinaryForm:
 
 def evaluate(f: BinaryForm, x, z) -> Scalar:
     """Exact value F(x, z)."""
-    x = _scal(x)
-    z = _scal(z)
-    acc = ZERO
-    xp = ONE
-    zpows = [ONE]
-    for _ in range(f.degree):
-        zpows.append(zpows[-1] * z)
-    for i, c in enumerate(f.coeffs):
-        if not c.is_zero:
-            acc = acc + c * xp * zpows[f.degree - i]
-        if i < f.degree:
-            xp = xp * x
-    return acc
+    x, z = _scal(x), _scal(z)
+    d = f.degree
+    return sum((c * x ** i * z ** (d - i) for i, c in enumerate(f.coeffs) if c), ZERO)
 
 
 class Matrix2:
@@ -453,7 +435,7 @@ class UnivariatePoly(_Cleared):
         if self.is_zero:
             raise DegreeError("zero polynomial has no leading coefficient")
         den, a, b, disc = self.vec
-        return _to_scalars(((a[-1],), b and (b[-1],)), den, disc)[0]
+        return _scalar(den, a[-1], b[-1] if b else 0, disc)
 
     def derivative(self) -> UnivariatePoly:
         """d/dx, the d/dX of :func:`partial_derivative` on the same vector."""
@@ -492,23 +474,6 @@ def _elt(f, i: int):
     return f[0][i], f[1][i] if f[1] else 0
 
 
-def _mul(x, y, disc: int):
-    """x * y for elements x, y of Z[sqrt(disc)]."""
-    return x[0] * y[0] + disc * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _pow(x, e: int, disc: int):
-    """x^e for an element x of Z[sqrt(disc)] and e >= 0, by repeated squaring."""
-    r = (1, 0)
-    while e:
-        if e & 1:
-            r = _mul(r, x, disc)
-        e >>= 1
-        if e:
-            x = _mul(x, x, disc)
-    return r
-
-
 def _head(f, n: int):
     """The (A, B) pair of the coefficients of f below degree n."""
     return f[0][:n], f[1] and f[1][:n]
@@ -525,10 +490,9 @@ def _pair_scale(f, y, disc: int):
 
 def _over(f, y, disc: int):
     """(f * conj(y), N(y)): the pair f / y over one integer denominator."""
-    y0, y1 = y
-    if not y1:
-        return f, y0
-    return _pair_scale(f, (y0, -y1), disc), y0 * y0 - disc * y1 * y1
+    if not y[1]:
+        return f, y[0]
+    return _pair_scale(f, _conj(y), disc), _norm(y, disc)
 
 
 def _divexact(f, y, disc: int):
@@ -633,7 +597,7 @@ def resultant(p: UnivariatePoly, q: UnivariatePoly) -> Scalar:
     if m < n and m & n & 1:  # Res(q, p) = (-1)^(deg p deg q) Res(p, q)
         s = -s
     r0, r1 = _next_h(_elt(g, 0), h, len(f[0]) - 1, disc)
-    return _to_scalars(([s * r0], [s * r1]), pden ** n * qden ** m, disc)[0]
+    return _scalar(pden ** n * qden ** m, s * r0, s * r1, disc)
 
 
 def discriminant(p: UnivariatePoly) -> Scalar:

@@ -33,9 +33,8 @@ Absolute invariants are tables too: name -> (numerator, denominator), each a
 map from invariant name to exponent.  A ratio whose denominator vanishes is
 *undefined* (a first-class state, never an exception and never zero), and a
 ratio whose ingredients do not exist at the given degree is *unavailable*.
-A ratio is computed over Z[sqrt(D)]: its ingredients are cleared to integers,
-its numerator and denominator multiplied out as integer powers, and the
-quotient divided into a Scalar once.
+A ratio is the quotient of two products of Scalar powers, each on the
+Scalars' cleared integers over Z[sqrt(D)].
 
 The chain itself runs on the forms' cleared vectors (see
 :mod:`seacurves.forms`); Scalars are built only for the entries, where
@@ -46,10 +45,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from math import prod
 
-from .forms import (BinaryForm, DegreeError, _clear, _mul, _over, _pow, _to_scalars,
-                    dehomogenize, is_squarefree)
-from .scalars import Scalar, SeacurvesError, rational
+from .forms import BinaryForm, DegreeError, dehomogenize, is_squarefree
+from .scalars import ONE, Scalar, SeacurvesError, rational
 from .transvection import transvect
 
 __all__ = [
@@ -281,38 +280,19 @@ def _system(kind, chain: _Chain, nodes, names, definitions=None,
     return InvariantVector(kind, entries, _Covariants(chain, covariants), unavailable)
 
 
-def _power_product(elements: dict, factors: dict, disc: int):
-    """prod elements[n]^e over factors n -> e, in Z[sqrt(disc)]."""
-    x = (1, 0)
-    for n, e in factors.items():
-        x = _mul(x, _pow(elements[n], e, disc), disc)
-    return x
-
-
 def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
     """Absolute invariants of ``v`` from ``table``: name -> (numerator,
-    denominator), each a map invariant name -> exponent.
-
-    A ratio's ingredients are cleared together to elements of Z[sqrt(D)]
-    over one denominator d; its numerator and denominator are products of
-    their powers, and the quotient is divided once."""
+    denominator), each a map invariant name -> exponent."""
     values, undefined, unavailable = {}, set(), set()
     for name, (num, den) in table.items():
-        ingredients = (*num, *den)
-        if not all(v.available(n) for n in ingredients):
+        if not all(v.available(n) for n in (*num, *den)):
             unavailable.add(name)
             continue
-        d, a, b, disc = _clear([v[n] for n in ingredients])
-        elements = dict(zip(ingredients, zip(a, b or [0] * len(a))))
-        bottom = _power_product(elements, den, disc)
-        if bottom == (0, 0):
+        bottom = prod((v[n] ** e for n, e in den.items()), start=ONE)
+        if bottom.is_zero:
             undefined.add(name)
             continue
-        top = _power_product(elements, num, disc)
-        # (top / d^|num|) / (bottom / d^|den|) = top d^|den| conj(bottom) / (N(bottom) d^|num|)
-        lift = d ** sum(den.values())
-        pair, norm = _over(([top[0] * lift], [top[1] * lift]), bottom, disc)
-        values[name] = _to_scalars(pair, norm * d ** sum(num.values()), disc)[0]
+        values[name] = prod((v[n] ** e for n, e in num.items()), start=ONE) / bottom
     return AbsoluteInvariants(kind, table, values, undefined, unavailable)
 
 

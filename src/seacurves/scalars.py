@@ -1,42 +1,44 @@
 """Exact scalar arithmetic over Q and quadratic extensions Q(sqrt(D)).
 
-Every coefficient in this package is a :class:`Scalar`: a value ``a + b*sqrt(D)``
-with ``a``, ``b`` rational and ``D`` a squarefree integer.  ``D == 0`` (forced
-whenever ``b == 0``) marks a plain rational.  Arithmetic never rounds; the
-representation is canonical, so ``==`` is exact value equality.
-
-Scalars of different nonzero discriminants must not be mixed; doing so raises
-:class:`FieldMixError` rather than silently coercing.
+Every coefficient in this package is a :class:`Scalar`: a value
+``(a + b*sqrt(D)) / den`` held as one cleared value of Python ints, with
+``den > 0``, ``gcd(den, a, b) == 1`` and ``D`` a squarefree integer;
+``D == 0``, exactly when ``b == 0``, marks a plain rational.  Arithmetic
+never rounds and the value is canonical, so ``==`` is exact equality (a
+rational equals, and hashes as, the equal ``int`` or ``Fraction``).  Scalars
+of different nonzero discriminants do not mix: :class:`FieldMixError`.
 
 Every error the package raises on bad input derives from
 :class:`SeacurvesError` (a ``ValueError``), which the CLI maps to exit code 2.
 
-The components are ``fractions.Fraction`` values; there is no other rational
-backend.  Binary forms, polynomials and the work on them do not use
-Fraction: both carry their coefficients cleared to one integer vector over
-Z[sqrt(D)] with one denominator (:mod:`seacurves.forms`), products, sums,
-substitutions, resultants and transvectant chains run on Python ints, and
-the Scalar coefficients are built only when they are read.  Absolute
-invariants are products of cleared elements of Z[sqrt(D)], divided into one
-Scalar each.  Scalars and vectors join their fields by one rule,
-``_join_field``.
+This is the one arithmetic kernel of the package: forms and polynomials
+hold the same cleared value for a whole coefficient vector
+(:mod:`seacurves.forms`), and Scalars, those vectors and the subresultant
+PRS share the helpers on elements ``(a, b)`` of Z[sqrt(D)] below (``_mul``,
+``_pow``, ``_conj``, ``_norm``, and ``_content``, the signed gcd that makes
+a cleared value canonical) and one field rule, ``_join_field``.  A Fraction
+is accepted as input, and built only by the read-only views :attr:`Scalar.a`
+and :attr:`Scalar.b`.
 
-:func:`parse_scalar` reads the text :meth:`Scalar.__str__` writes.  Its
+:func:`parse_scalar` reads the text :meth:`Scalar.__str__` writes, and is
+the only way from text to a Scalar: the constructor takes no strings.  Its
 pieces are the text grammar of the whole package: ``_split_top`` splits at
 depth-0 signs or products, ``_strip_sign`` folds leading signs and
 ``_parse_int`` reads every numeral.  Equation templates
 (:mod:`seacurves.catalog.templates`) parse with the same three, so one
-numeral or parenthesis rule holds in both grammars.
+numeral or parenthesis rule holds in both grammars.  A numeral longer than
+``sys.get_int_max_str_digits()`` digits is refused both ways: as input by
+``_parse_int`` and as output by ``_rat_str`` (:class:`OutputTooLargeError`).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import gcd, lcm
 
-_RAT = Fraction  # the one rational type; the benchmark records it as the backend
-_R0 = Fraction(0)
-_R1 = Fraction(1)
+_RAT = Fraction  # the type of the .a/.b views; the benchmark records it as the backend
 
 __all__ = [
     "Scalar",
@@ -45,6 +47,7 @@ __all__ = [
     "ScalarParseError",
     "RadicandError",
     "DivisionByZeroError",
+    "OutputTooLargeError",
     "ZERO",
     "ONE",
     "rational",
@@ -73,6 +76,11 @@ class DivisionByZeroError(SeacurvesError, ZeroDivisionError):
     """Division of a scalar by zero."""
 
 
+class OutputTooLargeError(SeacurvesError):
+    """A value has a numeral longer than ``sys.get_int_max_str_digits()``
+    digits, which the interpreter refuses to print."""
+
+
 # _is_squarefree trial-divides up to sqrt|D|: at most ~5*10^5 steps below this bound
 _MAX_RADICAND = 10 ** 12
 
@@ -92,51 +100,104 @@ def _is_squarefree(n: int) -> bool:
 
 
 def _join_field(d1: int, d2: int) -> int:
-    """The field of values over Q(sqrt(d1)) and Q(sqrt(d2)), 0 meaning Q.
-
-    The one field check of the package, for scalars and for the cleared
-    vectors of forms alike; two different radicals raise FieldMixError.
-    """
+    """The field of values over Q(sqrt(d1)) and Q(sqrt(d2)), 0 meaning Q: the
+    one field check, for scalars and vectors alike (FieldMixError on two)."""
     if d1 and d2 and d1 != d2:
         raise FieldMixError(f"cannot mix sqrt({d1}) and sqrt({d2})")
     return d1 or d2
 
 
-def _as_rat(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, Scalar) and x.disc == 0:
-        return x.a
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+# -- elements (a, b) = a + b*sqrt(disc) of Z[sqrt(disc)] ----------------------
+
+
+def _mul(x, y, disc: int):
+    """x * y for elements x, y of Z[sqrt(disc)]."""
+    return x[0] * y[0] + disc * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _pow(x, e: int, disc: int):
+    """x^e for an element x of Z[sqrt(disc)] and e >= 0, by repeated squaring."""
+    r = (1, 0)
+    while e:
+        if e & 1:
+            r = _mul(r, x, disc)
+        e >>= 1
+        if e:
+            x = _mul(x, x, disc)
+    return r
+
+
+def _conj(x):
+    """a - b*sqrt(disc) for x = a + b*sqrt(disc)."""
+    return x[0], -x[1]
+
+
+def _norm(x, disc: int) -> int:
+    """x * conj(x) = a^2 - disc*b^2, nonzero for x != 0 as disc is no square."""
+    return x[0] * x[0] - disc * x[1] * x[1]
+
+
+def _content(den: int, *xs: int) -> int:
+    """gcd(den, *xs) with the sign of den: the cleared value (den, *xs) over it is canonical."""
+    g = gcd(den, *xs)
+    return -g if den < 0 else g
+
+
+def _binary(fn):
+    """The operator fn(x, y) on Scalars, taking an int or Fraction for y."""
+    def op(x, y):
+        y = _coerce(y)
+        return NotImplemented if y is NotImplemented else fn(x, y)
+    return op
+
+
+def _sum(x, y, sign: int):
+    """x + sign*y for sign = 1 or -1."""
+    disc = _join_field(x.disc, y.disc)
+    d1, d2 = x._den, y._den
+    return _scalar(d1 * d2, x._a * d2 + sign * y._a * d1, x._b * d2 + sign * y._b * d1, disc)
+
+
+def _product(x, y):
+    """x * y for Scalars x and y."""
+    disc = _join_field(x.disc, y.disc)
+    a, b = _mul((x._a, x._b), (y._a, y._b), disc)
+    return _scalar(x._den * y._den, a, b, disc)
 
 
 class Scalar:
-    """An element a + b*sqrt(disc) of Q or Q(sqrt(disc)), immutable.
+    """An element (a + b*sqrt(disc)) / den of Q or Q(sqrt(disc)), immutable.
 
     ``disc`` is 0 exactly when the value is rational (``b == 0``); otherwise it
-    is a squarefree integer other than 1.  Two scalars are equal iff their
-    canonical components are equal.
+    is a squarefree integer other than 1.  The properties ``a`` and ``b`` read
+    the rational and radical parts as Fractions.
     """
 
-    __slots__ = ("a", "b", "disc")
+    __slots__ = ("_den", "_a", "_b", "disc")
 
-    def __init__(self, a, b=0, disc: int = 0):
-        a = _as_rat(a)
-        b = _as_rat(b)
-        if b == 0:
+    def __new__(cls, a, b=0, disc: int = 0):
+        an, ad = _rational(a)
+        bn, bd = _rational(b)
+        if not bn:
             disc = 0
         elif abs(disc) > _MAX_RADICAND:
             raise RadicandError(f"radicand {disc} is outside the supported range |D| <= 10^12")
         elif disc in (0, 1) or not _is_squarefree(disc):
             raise RadicandError(f"discriminant must be squarefree and != 0, 1, got {disc}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "disc", disc)
+        # an/ad and bn/bd are in lowest terms, so over their lcm the content is 1
+        den = ad if ad == bd else lcm(ad, bd)
+        return _new(den, an * (den // ad), bn * (den // bd), disc)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def a(self) -> Fraction:  # the rational part
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> Fraction:  # the coefficient of sqrt(disc)
+        return Fraction(self._b, self._den)
 
     @property
     def is_rational(self) -> bool:
@@ -144,156 +205,145 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self._a and not self._b
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic: an int or Fraction operand is coerced ----------------------
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.disc == 0 and other.disc == 0:
-            return _raw(self.a + other.a, _R0, 0)
-        d = _join_field(self.disc, other.disc)
-        return _raw(self.a + other.a, self.b + other.b, d)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _binary(lambda x, y: _sum(x, y, 1))
+    __sub__ = _binary(lambda x, y: _sum(x, y, -1))
+    __rsub__ = _binary(lambda x, y: _sum(y, x, -1))
+    __mul__ = __rmul__ = _binary(_product)
+    __truediv__ = _binary(lambda x, y: _product(x, y.inverse()))
+    __rtruediv__ = _binary(lambda x, y: _product(y, x.inverse()))
 
     def __neg__(self):
-        return _raw(-self.a, -self.b, self.disc)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.disc == 0 and other.disc == 0:
-            return _raw(self.a - other.a, _R0, 0)
-        d = _join_field(self.disc, other.disc)
-        return _raw(self.a - other.a, self.b - other.b, d)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.disc == 0 and other.disc == 0:
-            return _raw(self.a * other.a, _R0, 0)
-        d = _join_field(self.disc, other.disc)
-        # (a1 + b1 s)(a2 + b2 s) = a1 a2 + b1 b2 D + (a1 b2 + a2 b1) s
-        return _raw(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
-
-    __rmul__ = __mul__
+        return _new(self._den, -self._a, -self._b, self.disc)
 
     def inverse(self) -> Scalar:
         if self.is_zero:
             raise DivisionByZeroError("scalar division by zero")
-        if self.disc == 0:
-            return _raw(_R1 / self.a, _R0, 0)
-        # 1/(a + b s) = (a - b s)/(a^2 - b^2 D); the norm is nonzero because
-        # D is not a rational square.
-        norm = self.a * self.a - self.b * self.b * self.disc
-        return _raw(self.a / norm, -self.b / norm, self.disc)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        den, x, disc = self._den, (self._a, self._b), self.disc
+        if not disc:
+            return _scalar(x[0], den, 0, 0)
+        # den/(a + b s) = den (a - b s)/N(a + b s)
+        a, b = _conj(x)
+        return _scalar(_norm(x, disc), den * a, den * b, disc)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square beyond the top bit
-                base = base * base
-        return result
+        a, b = _pow((self._a, self._b), n, self.disc)
+        return _scalar(self._den ** n, a, b, self.disc)
 
     # -- comparison / hashing --------------------------------------------------
 
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.disc == other.disc
+    __eq__ = _binary(lambda x, y: x._a == y._a and x._den == y._den
+                     and x._b == y._b and x.disc == y.disc)
 
     def __hash__(self):
         if self.disc == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.disc))
+            return _rational_hash(self._a, self._den)
+        return hash((self._den, self._a, self._b, self.disc))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return not self.is_zero
 
     # -- presentation ------------------------------------------------------------
 
     def __str__(self):
-        if self.disc == 0:
-            return str(self.a)
-        radical = f"sqrt({self.disc})"
-        b = self.b
-        bpart = radical if b == 1 else (f"-{radical}" if b == -1 else f"{b}*{radical}")
-        if self.a == 0:
+        den, a, b, disc = self._den, self._a, self._b, self.disc
+        if disc == 0:
+            return _rat_str(a, den)
+        radical = f"sqrt({disc})"
+        bpart = radical if b == den else (f"-{radical}" if b == -den else
+                                          f"{_rat_str(b, den)}*{radical}")
+        if not a:
             return bpart
         sep = "" if bpart.startswith("-") else "+"
-        return f"{self.a}{sep}{bpart}"
+        return f"{_rat_str(a, den)}{sep}{bpart}"
 
     def __repr__(self):
         return f"Scalar({str(self)!r})"
 
 
-def _raw(a, b, disc: int) -> Scalar:
-    # Internal constructor: components are already backend rationals and disc
-    # was validated upstream; only the b == 0 canonicalization is re-applied.
-    s = Scalar.__new__(Scalar)
-    object.__setattr__(s, "a", a)
-    if b == 0:
-        object.__setattr__(s, "b", _R0)
-        object.__setattr__(s, "disc", 0)
-    else:
-        object.__setattr__(s, "b", b)
-        object.__setattr__(s, "disc", disc)
+_SETTERS = tuple(Scalar.__dict__[name].__set__ for name in Scalar.__slots__)
+
+
+def _new(den: int, a: int, b: int, disc: int) -> Scalar:
+    # Internal constructor: (den, a, b, disc) is already canonical and disc
+    # was validated upstream.
+    s = object.__new__(Scalar)
+    set_den, set_a, set_b, set_disc = _SETTERS
+    set_den(s, den)
+    set_a(s, a)
+    set_b(s, b)
+    set_disc(s, disc)
     return s
+
+
+def _scalar(den: int, a: int, b: int, disc: int) -> Scalar:
+    """The canonical Scalar (a + b*sqrt(disc)) / den, for den != 0 and a disc
+    validated upstream; a vanished b drops its field."""
+    if not b:
+        disc = 0
+    g = _content(den, a, b)
+    if g != 1:
+        den //= g
+        a //= g
+        b //= g
+    return _new(den, a, b, disc)
+
+
+def _rational(x) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of an int, a Fraction or a
+    rational Scalar; text goes through parse_scalar, not here."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    if isinstance(x, Scalar) and not x.disc:
+        return x._a, x._den
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return _raw(_as_rat(x), _R0, 0)
+        return _new(x.denominator, x.numerator, 0, 0)
     return NotImplemented
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
+def _rational_hash(num: int, den: int) -> int:
+    """hash(Fraction(num, den)) for num/den in lowest terms, den > 0."""
+    try:  # hash(n) for an int n is n mod the modulus, signed
+        return hash(num * pow(den, -1, sys.hash_info.modulus))
+    except ValueError:  # den is a multiple of the modulus
+        return sys.hash_info.inf if num > 0 else -sys.hash_info.inf
+
+
+def _rat_str(num: int, den: int) -> str:
+    """The text of num/den in lowest terms, as Fraction prints it; a numeral
+    over the interpreter's digit limit raises OutputTooLargeError (the limit
+    guards CPython's quadratic int-to-str, so it is never lifted)."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise OutputTooLargeError("value too large to print: a numeral exceeds "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
+
+
+ZERO = _new(1, 0, 0, 0)
+ONE = _new(1, 1, 0, 0)
 
 
 def rational(p, q=None) -> Scalar:
-    """Scalar p/q (q defaults to 1)."""
-    if q is None:
-        return Scalar(p)
-    return Scalar(_as_rat(p) / _as_rat(q))
+    """Scalar p/q (q defaults to 1) for ints, Fractions or rational Scalars."""
+    return Scalar(p) if q is None else Scalar(p) / Scalar(q)
 
 
 def sqrt_ext(b, disc: int) -> Scalar:
@@ -319,8 +369,7 @@ def parse_scalar(text: str) -> Scalar:
     if len(parts) > 2:
         raise ScalarParseError(f"too many terms in scalar {text!r}")
 
-    a = _R0
-    b = _R0
+    a = b = ZERO
     disc = 0
     for part in parts:
         sign, part = _strip_sign(part)
@@ -334,24 +383,26 @@ def parse_scalar(text: str) -> Scalar:
             coeff_txt = part[: m.start()].rstrip("*")
             if part[m.end():]:
                 raise ScalarParseError(f"unexpected trailing text in {text!r}")
-            coeff = _R1 if not coeff_txt else _parse_rat(coeff_txt, text)
-            b += sign * coeff
+            coeff = ONE if not coeff_txt else _parse_rat(coeff_txt, text)
+            b += coeff if sign > 0 else -coeff
             disc = d
         else:
-            a += sign * _parse_rat(part, text)
+            coeff = _parse_rat(part, text)
+            a += coeff if sign > 0 else -coeff
     try:
         return Scalar(a, b, disc)
     except RadicandError as exc:
         raise ScalarParseError(str(exc)) from None
 
 
-def _parse_rat(part: str, whole: str):
+def _parse_rat(part: str, whole: str) -> Scalar:
     if not _RATIONAL_RE.match(part):
         raise ScalarParseError(f"bad rational {part!r} in {whole!r}")
     num, _, den = part.partition("/")
-    if den and _parse_int(den) == 0:
+    q = _parse_int(den) if den else 1
+    if not q:
         raise ScalarParseError(f"zero denominator in {whole!r}")
-    return Fraction(_parse_int(num), _parse_int(den)) if den else Fraction(_parse_int(num))
+    return _scalar(q, _parse_int(num), 0, 0)
 
 
 # -- the text grammar shared with catalog templates ---------------------------

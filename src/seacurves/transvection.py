@@ -16,8 +16,8 @@ integer vectors over Z[sqrt D] by ``forms._partial`` (the formula behind
 ``partial_derivative`` too, with its weights cached per (n, p, k)), the
 r + 1 products are convolved as Python ints by the kernel that also
 multiplies forms, and the result is a vector over the denominator
-n! m! den(f) den(g), made canonical once.  No Scalar is built: a chain of
-transvectants meets Fraction only where a caller reads ``coeffs``.
+n! m! den(f) den(g), made canonical once.  A chain of transvectants builds
+Scalars only where a caller reads ``coeffs``.
 
 A self-transvectant (f, f)^r, recognised by equal cleared operands, uses the
 symmetry (f, g)^r = (-1)^r (g, f)^r (Olver, *Classical Invariant Theory*,

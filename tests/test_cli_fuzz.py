@@ -25,7 +25,7 @@ import tempfile
 from datetime import timedelta
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seacurves.catalog import load_catalog
@@ -140,6 +140,26 @@ ARGVS = st.one_of(
 )
 
 
+@st.composite
+def big_coefficient_argvs(draw):
+    """transvect or invariants on forms whose coefficients have 1 to 2500
+    digits, some over Q(sqrt 5): a product or invariant of them can run past
+    the interpreter's integer-string digit limit (4300 digits by default)."""
+    digits = draw(st.integers(1, 2500))
+    big = st.builds(lambda sign, n: f"{sign}{n}", st.sampled_from(["", "-"]),
+                    st.integers(10 ** (digits - 1), 10 ** digits - 1))
+    coeff = st.one_of(big, big, SMALL, st.builds(lambda a, b: f"{a}+{b}*sqrt(5)", big, big))
+
+    def form(size):
+        return ",".join(draw(st.lists(coeff, min_size=size, max_size=size)))
+
+    if draw(st.booleans()):
+        f, g = (form(draw(st.integers(1, 9))) for _ in range(2))
+        return ["transvect", "--f", f, "--g", g, "-r", str(draw(st.integers(0, 4)))]
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    return ["invariants", "--kind", kind, "--coeffs", form(KINDS[kind] + 1)]
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -221,3 +241,18 @@ def test_catalog_commands_are_total_on_any_catalog_file(content, argv):
     assert code in (0, 1, 2), (argv, code, err)
     assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
     assert (code >= 2) == (out == ""), (argv, code, err)
+
+
+THREES = "3" * 2200 + ",0,1"
+
+
+@given(big_coefficient_argvs())
+@example(["transvect", "--f", THREES, "--g", THREES, "-r", "0"])
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+def test_outputs_past_the_digit_limit_exit_2(argv):
+    """A value too long to print is a typed error: exit 2 with one stderr
+    line and nothing on stdout, never exit 3 or a traceback."""
+    code, out, err = _run(argv)
+    assert code in (0, 2), (argv[:2], code, err)
+    assert "Traceback" not in err
+    assert (code == 2) == (out == "") and err.count("\n") == (code == 2), (argv[:2], code, err)

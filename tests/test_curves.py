@@ -17,7 +17,8 @@ from seacurves.curves import (
     rh_residual,
 )
 from seacurves.forms import DegreeError, UnivariatePoly, make_form, partial_derivative
-from seacurves.scalars import ZERO, DivisionByZeroError, RadicandError, Scalar, SeacurvesError
+from seacurves.scalars import (ZERO, DivisionByZeroError, RadicandError, Scalar,
+                               SeacurvesError, rational)
 
 
 def poly(*ascending):
@@ -70,6 +71,8 @@ def test_make_curve_typed_errors():
     (lambda: Scalar(0, 1, 12), RadicandError,
      "discriminant must be squarefree and != 0, 1, got 12"),
     (lambda: ZERO.inverse(), DivisionByZeroError, "scalar division by zero"),
+    pytest.param(lambda: rational(1, 0), DivisionByZeroError, "scalar division by zero",
+                 id="rational-zero-denominator"),
     (lambda: ReducedGroup("Cm", 2.5), CurveDataError, "Cm parameter m 2.5 is not an integer"),
     (lambda: ReducedGroup("D2m", True), CurveDataError, "D2m parameter m True is not an integer"),
 ])

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from seacurves.scalars import (
     ONE,
     ZERO,
     FieldMixError,
+    OutputTooLargeError,
     Scalar,
     ScalarParseError,
     parse_scalar,
@@ -122,3 +124,28 @@ def test_parse_roundtrip(x, y):
 def test_parse_rejects(bad):
     with pytest.raises(ScalarParseError):
         parse_scalar(bad)
+
+
+@pytest.mark.parametrize("call", [lambda: Scalar("1.5"), lambda: Scalar("3e2"),
+                                  lambda: Scalar(1, "1/2", 5), lambda: rational("1/2"),
+                                  lambda: rational(1, "2"), lambda: Scalar(1.5)])
+def test_text_and_floats_are_not_scalars(call):
+    """Text reaches a Scalar through parse_scalar alone."""
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_printing_past_the_digit_limit_is_a_typed_error():
+    """A part is printed in lowest terms; one over the interpreter's
+    integer-string digit limit is OutputTooLargeError, which the CLI maps to
+    exit 2, and the limit is left as it is."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter prints integers of any length")
+    assert str(Scalar(10 ** limit - 1)) == "9" * limit
+    assert str(rational(10 ** (limit + 100), 10 ** (limit + 99))) == "10"
+    for big in (Scalar(10 ** limit), rational(1, 10 ** limit), sqrt_ext(10 ** (limit + 700), 5),
+                Scalar(1, rational(1, 3 ** (2 * limit + 500)), -3)):
+        with pytest.raises(OutputTooLargeError, match=f"exceeds {limit} digits"):
+            str(big)
+    assert sys.get_int_max_str_digits() == limit
