@@ -36,7 +36,7 @@ from ..curves import (
     hurwitz_bound,
     make_curve,
 )
-from ..scalars import ZERO, SeacurvesError
+from ..scalars import SeacurvesError
 from .templates import EquationTemplate, TemplateParamError, _numeral_key, parse_template
 
 __all__ = [
@@ -200,18 +200,18 @@ def flags_text() -> str:
     return resources.files(__package__).joinpath("data/FLAGS.md").read_text("utf-8")
 
 
-def load_catalog(path: str | None = None, use_env: bool = True) -> Catalog:
+def load_catalog(path: str | None = None) -> Catalog:
     """Load the embedded dataset, or a JSONL override.
 
     Order of precedence: explicit ``path`` argument, then the SEA_CATALOG
-    environment variable (when ``use_env``), then the packaged table.
+    environment variable, then the packaged table.
 
     The source is read on every call, so an edited or swapped file is always
     seen, but the catalog is built once per distinct text and process: calls
     that read the same text get the same shared, read-only :class:`Catalog`.
     A malformed or non-UTF-8 text raises :class:`CatalogError` on every call.
     """
-    if path is None and use_env:
+    if path is None:
         path = os.environ.get(DATA_ENV_VAR) or None
     if path is None:
         text = _data_path().read_text("utf-8")
@@ -382,24 +382,16 @@ def _specializes(a: FamilyRecord, b: FamilyRecord, support: dict) -> bool:
 
     Rule: same level n, delta(a) <= delta(b), and at every exponent either
     b's coefficient depends on parameters (assignable to whatever a has
-    there, 0 included) or it is a constant equal to a's constant.  Degree
-    mismatches fail automatically at the leading exponent.  The delta gate
-    keeps coupled-coefficient templates (the f1 rows) from absorbing freer
-    families: a specialization can never have more parameters than the
-    family it sits inside.
+    there, 0 included) or it is a constant equal to a's.  Support maps hold
+    no zero coefficient (``EquationTemplate.symbolic`` drops them), so this
+    is containment: a's exponents are among b's, and each constant of b is
+    a's entry there.  The delta gate keeps coupled-coefficient templates
+    (the f1 rows) from absorbing freer families: a specialization can never
+    have more parameters than the family it sits inside.
     """
-    if a.n != b.n or a.delta > b.delta:
-        return False
     ca, cb = support[a.id], support[b.id]
-    zero = ("const", ZERO)
-    for e in set(ca) | set(cb):
-        here = ca.get(e, zero)
-        there = cb.get(e, zero)
-        if there == "param":
-            continue
-        if here == "param" or here[1] != there[1]:
-            return False
-    return True
+    return (a.n == b.n and a.delta <= b.delta and ca.keys() <= cb.keys()
+            and all(ca.get(e) == c for e, c in cb.items() if c != "param"))
 
 
 def inclusions(catalog: Catalog, genus: int) -> list[tuple[str, str]]:
@@ -410,15 +402,15 @@ def inclusions(catalog: Catalog, genus: int) -> list[tuple[str, str]]:
     """
     records = [r for r in catalog.query(genus=genus) if r.template is not None]
     support = {r.id: r.template.support_classification() for r in records}
-    edges = {(a.id, b.id) for a in records for b in records
-             if a.id != b.id and _specializes(a, b, support)}
+    above = {a.id: {b.id for b in records if a.id != b.id and _specializes(a, b, support)}
+             for a in records}
     # templates that specialize each other (equal supports, as g6-c8-5 and
     # g6-c18-1, both x*(x^4 - 1)) would make a cycle: such pairs get no edge
-    edges = {(x, y) for x, y in edges if (y, x) not in edges}
+    above = {x: {y for y in ys if x not in above[y]} for x, ys in above.items()}
     # _specializes is transitive and so is what is left of it, so an edge
     # is implied by the others exactly when it factors through a third row
-    return sorted((x, y) for x, y in edges
-                  if not any((x, z) in edges and (z, y) in edges for z in support))
+    return sorted((x, y) for x, ys in above.items()
+                  for y in ys - set().union(*(above[z] for z in ys)))
 
 
 # -- export -------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .forms import BinaryForm, DegreeError, dehomogenize, is_squarefree
-from .scalars import ONE, Scalar, SeacurvesError, rational
+from .scalars import ONE, OutputTooLargeError, Scalar, SeacurvesError, rational
 from .transvection import transvect
 
 __all__ = [
@@ -552,7 +552,11 @@ def genus10_special(F: BinaryForm) -> Genus10Result:
     chain = _Chain(_general_nodes(22) + _GENUS10, "F", F)
     I12 = chain["I12"][0].constant_value()
     if not I12.is_zero:
-        raise Genus10CaseError(f"I12 = {I12} != 0; the special invariants are only "
+        try:
+            shown = f"I12 = {I12}"
+        except OutputTooLargeError:
+            shown = "I12 (too large to print)"
+        raise Genus10CaseError(f"{shown} != 0; the special invariants are only "
                                "defined on the I12 = 0 locus")
     vec = _system("genus10", chain, _GENUS10, ("I6star_g10", "I12star"))
     return Genus10Result(vec, _ratios("genus10", vec, _GENUS10_ABSOLUTE))

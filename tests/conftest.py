@@ -1,7 +1,14 @@
 import random
 
+from seacurves.catalog import Catalog, _data_path, load_catalog
 from seacurves.forms import BinaryForm, Matrix2
 from seacurves.scalars import Scalar, rational
+
+
+def packaged_catalog() -> Catalog:
+    """The packaged table, whatever SEA_CATALOG names: the same shared
+    instance that load_catalog() returns when the variable is unset."""
+    return load_catalog(str(_data_path()))
 
 
 def rand_scalar(rng: random.Random, height: int = 10, disc: int = 0) -> Scalar:

@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from conftest import invertible_matrix, rand_form, unimodular_matrix
-from seacurves.catalog import flags_text, load_catalog
+from conftest import invertible_matrix, packaged_catalog, rand_form, unimodular_matrix
+from seacurves.catalog import flags_text
 from seacurves.curves import (
     Signature,
     complete_signature,
@@ -45,7 +45,7 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def catalog():
-    return load_catalog(use_env=False)
+    return packaged_catalog()
 
 
 def test_criterion_1_catalog_genus_reproduction(catalog):

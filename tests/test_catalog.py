@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import packaged_catalog
 from seacurves import catalog as catalog_mod
 from seacurves.catalog import (
     Catalog,
@@ -24,7 +25,7 @@ from seacurves.scalars import Scalar
 
 @pytest.fixture(scope="module")
 def catalog():
-    return load_catalog(use_env=False)
+    return packaged_catalog()
 
 
 def test_row_counts(catalog):
@@ -276,8 +277,8 @@ def test_malformed_dataset_fails_on_every_call(catalog, tmp_path):
 
 
 def test_shared_catalog_matches_a_fresh_build():
-    shared = load_catalog(use_env=False)
-    assert load_catalog(use_env=False) is shared
+    shared = packaged_catalog()
+    assert packaged_catalog() is shared
     inclusions(shared, 6)  # leaves the support maps of genus 6 filled in
     text = catalog_mod._data_path().read_text("utf-8")
     fresh = catalog_mod._build_catalog.__wrapped__(text)
@@ -560,7 +561,7 @@ def test_only_inclusions_expands_templates(monkeypatch):
 
     monkeypatch.setattr(EquationTemplate, "symbolic", refuse)
     catalog_mod._build_catalog.cache_clear()  # build anew while symbolic() refuses
-    catalog = load_catalog(use_env=False)
+    catalog = packaged_catalog()
     assert all(r.template._support is None for r in catalog if r.template is not None)
     assert verify_all(catalog).ok
     assert specialize(catalog["g5-c4-1"], {"a1": 1, "a2": 3, "a3": 5}).genus == 5

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 from pathlib import Path
 
@@ -27,6 +28,15 @@ def test_genus(capsys):
 def test_genus_precondition_error(capsys):
     code, out, err = run(capsys, "genus", "-n", "2", "--poly", "x^2-2*x+1")
     assert code == 2 and out == "" and "repeated root" in err
+
+
+def test_genus10_unprintable_i12_names_the_locus(capsys):
+    rng = random.Random(1)
+    coeffs = ",".join(str(rng.randrange(10**399, 10**400)) for _ in range(23))
+    code, out, err = run(capsys, "invariants", "--kind", "genus10", "--coeffs", coeffs)
+    assert code == 2 and out == ""
+    assert err == ("error: I12 (too large to print) != 0; the special invariants are "
+                   "only defined on the I12 = 0 locus\n")
 
 
 def test_invariants_sextic(capsys):
@@ -203,9 +213,10 @@ def test_output_determinism(capsys):
 
 
 def test_env_override(capsys, tmp_path, monkeypatch):
-    from seacurves.catalog import Catalog, export_jsonl, load_catalog
+    from conftest import packaged_catalog
+    from seacurves.catalog import Catalog, export_jsonl
 
-    sub = Catalog(load_catalog(use_env=False).query(genus=6))
+    sub = Catalog(packaged_catalog().query(genus=6))
     path = tmp_path / "six.jsonl"
     path.write_text(export_jsonl(sub), encoding="utf-8")
     monkeypatch.setenv("SEA_CATALOG", str(path))

@@ -28,7 +28,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seacurves.catalog import load_catalog
+from conftest import packaged_catalog
 from seacurves.cli import main
 
 SMALL = st.integers(-30, 30).map(str)
@@ -182,7 +182,7 @@ def test_main_is_total_and_deterministic(argv):
 
 # a row with sum blocks, a parameter-free one and a factored dihedral one;
 # specialize_argvs draws their ids
-ROWS = [load_catalog(use_env=False)[i].to_json() for i in ("g5-c1-1", "g6-c2-5", "g7-c6-1")]
+ROWS = [packaged_catalog()[i].to_json() for i in ("g5-c1-1", "g6-c2-5", "g7-c6-1")]
 JSON = st.recursive(
     st.none() | st.booleans() | GENERA | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)

@@ -131,6 +131,11 @@ def test_genus10_special_refusals():
     bumped = make_form(22, [1] + [0] * 10 + [1] + [0] * 10 + [1])
     with pytest.raises(Genus10CaseError):
         genus10_special(bumped)  # I12 != 0 here
+    # an I12 over the digit limit still names the locus, not OutputTooLargeError
+    rng = random.Random(1)
+    huge = make_form(22, [rng.randrange(10**399, 10**400) for _ in range(23)])
+    with pytest.raises(Genus10CaseError, match=r"^I12 \(too large to print\) != 0; .* locus$"):
+        genus10_special(huge)
 
 
 def test_genus10_special_invariance():

@@ -1,0 +1,93 @@
+"""Static checks on ``src/seacurves``, made on the syntax tree alone.
+
+Every name a module imports is used there or exported: listed in its
+``__all__``, or imported by a package ``__init__`` that has no ``__all__``
+(whose imports are its public names).  Every module-level private name is
+referenced somewhere in ``src/`` beyond its own definition.  Names read
+only from outside ``src/`` are listed in ``_READ_ELSEWHERE`` with the
+reason.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "seacurves").rglob("*.py"))
+
+_READ_ELSEWHERE = {
+    ("scalars", "_RAT"): "bench/run.py records it in each run's environment",
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text("utf-8"), filename=str(path))
+
+
+def _exported(path: Path, tree: ast.Module) -> set:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return _imported(tree) if path.name == "__init__.py" else set()
+
+
+def _loaded(tree: ast.Module) -> set:
+    """Every name the module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _imported(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _module_name(path: Path) -> str:
+    return path.stem if path.stem != "__init__" else path.parent.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_name)
+def test_every_import_is_used_or_exported(path):
+    tree = _tree(path)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    assert sorted(_imported(tree) - loaded - _exported(path, tree)) == []
+
+
+def test_every_private_name_is_referenced():
+    trees = {_module_name(p): _tree(p) for p in MODULES}
+    referenced = set().union(*(_loaded(t) for t in trees.values()))
+    unused = [(mod, name) for mod, tree in trees.items()
+              for name in sorted(_private_definitions(tree) - referenced)
+              if (mod, name) not in _READ_ELSEWHERE]
+    assert unused == []
+
+
+def test_read_elsewhere_names_still_exist():
+    for mod, name in _READ_ELSEWHERE:
+        assert name in _private_definitions(_tree(SRC / "seacurves" / f"{mod}.py"))

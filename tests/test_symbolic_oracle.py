@@ -7,14 +7,15 @@ drop zero coefficients and emptied exponents.  ``symbolic`` keeps one flat
 map (exp, monomial) -> coefficient instead.  The two must return equal
 dicts on every templated catalog row and on generated templates over Q,
 Q(sqrt -3) and Q(sqrt 5) with sum blocks, zero constants, coefficients that
-cancel and parameters shared between factors.
+cancel and parameters shared between factors.  The same inputs check that
+no support map holds a zero constant, which ``catalog._specializes`` needs.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seacurves.catalog import load_catalog
+from conftest import packaged_catalog
 from seacurves.catalog.templates import EquationTemplate, Factor, SumBlock, Term, parse_template
 from seacurves.scalars import ONE, Scalar
 
@@ -40,11 +41,20 @@ def ref_symbolic(template: EquationTemplate) -> dict:
     return acc
 
 
+def zero_free_support(template: EquationTemplate) -> bool:
+    """catalog._specializes reads an exponent missing from a support map as
+    a zero coefficient, which is sound only while no map has a ("const", 0)
+    entry."""
+    support = template.support_classification()
+    return all(c == "param" or not c[1].is_zero for c in support.values())
+
+
 def test_symbolic_matches_reference_on_every_catalog_row():
-    rows = [r for r in load_catalog(use_env=False) if r.template is not None]
+    rows = [r for r in packaged_catalog() if r.template is not None]
     assert len(rows) == 208
     for r in rows:
         assert r.template.symbolic() == ref_symbolic(r.template), r.id
+        assert zero_free_support(r.template), r.id
 
 
 _CASES = {
@@ -64,6 +74,7 @@ _CASES = {
 def test_symbolic_matches_reference(text):
     t = parse_template(text)
     assert t.symbolic() == ref_symbolic(t)
+    assert zero_free_support(t)
 
 
 def test_symbolic_cancels_and_sorts_monomials():
@@ -109,3 +120,4 @@ def templates(draw):
 @given(templates())
 def test_symbolic_matches_reference_on_generated_templates(template):
     assert template.symbolic() == ref_symbolic(template)
+    assert zero_free_support(template)
