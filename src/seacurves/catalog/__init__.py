@@ -36,7 +36,7 @@ from ..curves import (
     hurwitz_bound,
     make_curve,
 )
-from ..scalars import SeacurvesError
+from ..scalars import SeacurvesError, _int_str
 from .templates import EquationTemplate, TemplateParamError, _numeral_key, parse_template
 
 __all__ = [
@@ -254,7 +254,7 @@ def specialize(record: FamilyRecord, params: dict) -> SuperellipticCurve:
     curve = make_curve(record.n, poly)
     if curve.genus != record.genus:
         raise CatalogError(
-            f"{record.id}: computed genus {curve.genus} != cataloged {record.genus}"
+            f"{record.id}: computed genus {_int_str(curve.genus)} != cataloged {record.genus}"
         )
     return curve
 
@@ -290,7 +290,7 @@ def verify_record(record: FamilyRecord) -> RowReport:
         got = genus_formula(record.n, deg) if deg >= 2 else "undefined (deg f < 2)"
         checks["genus"] = CheckResult(
             got == record.genus,
-            f"genus_formula({record.n}, {deg}) = {got}, cataloged {record.genus}",
+            f"genus_formula({record.n}, {deg}) = {_int_str(got)}, cataloged {record.genus}",
         )
         nparams = len(record.template.param_names())
         checks["param_count"] = CheckResult(
@@ -302,6 +302,7 @@ def verify_record(record: FamilyRecord) -> RowReport:
         checks["param_count"] = CheckResult(None, "no equation template")
 
     order = record.group_order
+    shown = _int_str(order)
     failure = "no single-index completion exists"
     try:
         completion = complete_signature(record.genus, order, record.printed_signature)
@@ -309,22 +310,22 @@ def verify_record(record: FamilyRecord) -> RowReport:
         completion, failure = CompletionResult("failed", None), str(exc)
     if completion.ok:
         mode = ("printed complete" if completion.status == "already_complete"
-                else f"completed with index {completion.added_index}")
+                else f"completed with index {_int_str(completion.added_index)}")
         checks["signature"] = CheckResult(
-            True, f"|G| = {order}; {mode}: {completion.signature.compact()}"
+            True, f"|G| = {shown}; {mode}: {completion.signature.compact()}"
         )
         s = completion.signature.point_count
         checks["dimension"] = CheckResult(
             record.delta == s - 3,
-            f"branch points {s}, s - 3 = {s - 3}, delta = {record.delta}",
+            f"branch points {_int_str(s)}, s - 3 = {_int_str(s - 3)}, delta = {record.delta}",
         )
     else:
-        checks["signature"] = CheckResult(False, f"|G| = {order}; {failure}")
+        checks["signature"] = CheckResult(False, f"|G| = {shown}; {failure}")
         checks["dimension"] = CheckResult(None, "signature completion failed")
 
     bound = hurwitz_bound(record.genus)
     checks["hurwitz"] = CheckResult(
-        order <= bound, f"|G| = {order} <= 84(g-1) = {bound}"
+        order <= bound, f"|G| = {shown} <= 84(g-1) = {_int_str(bound)}"
     )
 
     return RowReport(record.id, record.status,

@@ -26,9 +26,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..forms import MAX_DEGREE, UnivariatePoly, _join_coeff_field, _join_terms, _power, _term
+from ..forms import (MAX_DEGREE, UnivariatePoly, _const_to_string, _join_coeff_field, _join_terms,
+                     _power, _term, poly_to_string)
 from ..scalars import (ONE, ZERO, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
-                       _parse_int, _split_top, _strip_sign, parse_scalar)
+                       _int_str, _parse_int, _split_top, _strip_sign, parse_scalar)
 
 __all__ = [
     "EquationTemplate",
@@ -122,7 +123,7 @@ class EquationTemplate:
             raise TemplateError("template needs at least one factor")
         # before _validate enumerates sum-block terms or expands anything
         if self.degree > MAX_DEGREE:
-            raise TemplateError(f"template degree {self.degree} exceeds {MAX_DEGREE}")
+            raise TemplateError(f"template degree {_int_str(self.degree)} exceeds {MAX_DEGREE}")
         self._validate()
         self._support = None  # filled by the first support_classification()
 
@@ -223,12 +224,6 @@ class EquationTemplate:
         return f"EquationTemplate({self.to_string()!r})"
 
 
-def _const_to_string(const: Scalar) -> str:
-    # a + b*sqrt(D) with both parts nonzero is one coefficient: keep it whole
-    text = str(const)
-    return f"({text})" if const.disc and const.a else text
-
-
 def _term_to_string(term: Term) -> str:
     coeff = _term(_const_to_string(term.const), term.param or "")
     return _term(coeff, _power("x", term.exp))
@@ -326,9 +321,3 @@ def parse_poly_string(text: str) -> UnivariatePoly:
             f"expected a concrete polynomial, got parameters {template.param_names()}"
         )
     return template.expand({})
-
-
-def poly_to_string(p: UnivariatePoly) -> str:
-    """Canonical descending-power string for a concrete polynomial."""
-    return _join_terms(_term(_const_to_string(c), _power("x", e))
-                       for e, c in reversed(list(enumerate(p.coeffs))) if not c.is_zero)

@@ -28,6 +28,7 @@ from .catalog import (
     verify_all,
 )
 from .catalog.templates import TemplateParamError, parse_poly_string
+from .curves import make_curve
 from .forms import MAX_DEGREE, BinaryForm, DegreeError, UnivariatePoly, homogenize
 from .invariants import (
     InconclusiveError,
@@ -43,7 +44,7 @@ from .invariants import (
     sextic_absolute,
     sextic_invariants,
 )
-from .scalars import Scalar, SeacurvesError, parse_scalar
+from .scalars import OutputTooLargeError, Scalar, SeacurvesError, parse_scalar
 from .transvection import transvect
 
 __all__ = ["main"]
@@ -93,7 +94,11 @@ def _parse_params(text: str) -> dict[str, Scalar]:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    try:
+        text = json.dumps(doc, indent=2)
+    except ValueError:  # on these documents, only an int past the digit limit
+        raise OutputTooLargeError() from None
+    sys.stdout.write(text + "\n")
 
 
 def _invariants_doc(kind: str, form: BinaryForm) -> dict:
@@ -148,8 +153,6 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_genus(args) -> int:
-    from .curves import make_curve
-
     curve = make_curve(args.n, _parse_poly(args.poly))
     _emit({"genus": curve.genus})
     return 0

@@ -3,8 +3,8 @@
 The Riemann-Hurwitz helpers work with the full automorphism group order
 (written ``group_order`` everywhere, since the source convention overloads a
 single letter for both the covering degree and the group order) and the
-quotient P^1.  Printed signatures may lack their last entry, which
-:func:`complete_signature` restores.
+quotient P^1, on integers: ``_rh_excess`` is |G| times the residual.  Printed
+signatures may lack their last entry, which :func:`complete_signature` restores.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .forms import DegreeError, UnivariatePoly, is_squarefree
-from .scalars import SeacurvesError
+from .forms import DegreeError, UnivariatePoly, is_squarefree, poly_to_string
+from .scalars import SeacurvesError, _int_str
 
 __all__ = [
     "ReducedGroup",
@@ -126,7 +126,7 @@ class Signature:
     def compact(self) -> str:
         bits = []
         for e, mult in self.pairs:
-            bits.append(f"{e}^{mult}" if mult > 1 else str(e))
+            bits.append(f"{_int_str(e)}^{_int_str(mult)}" if mult > 1 else _int_str(e))
         return ",".join(bits)
 
     def to_json(self) -> dict:
@@ -161,22 +161,26 @@ def hurwitz_bound(g: int) -> int:
     return 84 * (g - 1)
 
 
+def _rh_excess(g: int, group_order: int, sig: Signature) -> int:
+    """|G| times :func:`rh_residual`: 2(g-1) + 2|G| - sum mult*(|G| - |G|/e),
+    an integer because every index must divide the group order."""
+    if group_order < 1:
+        raise CurveDataError("group order must be positive")
+    x = 2 * (g - 1) + 2 * group_order
+    for e, mult in sig.pairs:
+        if group_order % e:
+            raise CurveDataError(f"index {e} does not divide group order {_int_str(group_order)}")
+        x -= mult * (group_order - group_order // e)
+    return x
+
+
 def rh_residual(g: int, group_order: int, sig: Signature) -> Fraction:
     """(2/|G|)(g-1) - [-2 + sum(1 - 1/e)] as an exact rational, for a cover of P^1.
 
     Zero means the data satisfies Riemann-Hurwitz.  Every index must divide
     the group order.
     """
-    if group_order < 1:
-        raise CurveDataError("group order must be positive")
-    for e, _ in sig.pairs:
-        if group_order % e:
-            raise CurveDataError(f"index {e} does not divide group order {group_order}")
-    lhs = Fraction(2 * (g - 1), group_order)
-    rhs = Fraction(-2)
-    for e, mult in sig.pairs:
-        rhs += mult * (1 - Fraction(1, e))
-    return lhs - rhs
+    return Fraction(_rh_excess(g, group_order, sig), group_order)
 
 
 @dataclass(frozen=True)
@@ -193,23 +197,19 @@ class CompletionResult:
 def complete_signature(g: int, group_order: int, printed: Signature) -> CompletionResult:
     """Restore the omitted final branch index, if any.
 
-    If the printed signature already has residual 0 it is returned unchanged.
-    Otherwise the unique candidate e with residual = 1 - 1/e is computed in
-    closed form and accepted when it is an integer >= 2 dividing the group
-    order; since 1 - 1/e is strictly monotone in e, a single omitted entry
-    can never be ambiguous.
+    With x = |G| * residual, the printed signature is complete when x = 0.
+    Otherwise the one index e with 1 - 1/e = x/|G| is e = |G|/(|G| - x); it
+    completes the signature exactly when 0 < x < |G| and |G| - x divides |G|,
+    and then e >= 2 divides |G|.  Since 1 - 1/e is strictly monotone in e, a
+    single omitted entry can never be ambiguous.
     """
-    res = rh_residual(g, group_order, printed)
-    if res == 0:
+    x = _rh_excess(g, group_order, printed)
+    if x == 0:
         return CompletionResult("already_complete", printed)
-    if res >= 1 or res <= 0:
+    gap = group_order - x
+    if not 0 < gap < group_order or group_order % gap:
         return CompletionResult("failed", None)
-    e = 1 / (1 - res)
-    if e.denominator != 1:
-        return CompletionResult("failed", None)
-    e = int(e)
-    if e < 2 or group_order % e:
-        return CompletionResult("failed", None)
+    e = group_order // gap
     return CompletionResult("completed", Signature(printed.pairs + ((e, 1),)), added_index=e)
 
 
@@ -257,8 +257,6 @@ class SuperellipticCurve:
         return hash((self.n, self.f))
 
     def to_json(self) -> dict:
-        from .catalog.templates import poly_to_string
-
         return {"n": self.n, "f": poly_to_string(self.f), "genus": self.genus}
 
     def __repr__(self):

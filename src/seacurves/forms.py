@@ -50,6 +50,7 @@ __all__ = [
     "discriminant",
     "is_squarefree",
     "poly_gcd",
+    "poly_to_string",
 ]
 
 
@@ -70,18 +71,19 @@ def _scal(x) -> Scalar:
 MAX_DEGREE = 100
 
 
-def _join_coeff_field(coeffs: Iterable[Scalar], disc: int = 0) -> int:
+def _join_coeff_field(coeffs: Iterable[Scalar]) -> int:
+    disc = 0
     for c in coeffs:
         if c.disc:
             disc = _join_field(disc, c.disc)
     return disc
 
 
-def _clear(coeffs: Sequence[Scalar], disc: int = 0):
+def _clear(coeffs: Sequence[Scalar]):
     """(den, A, B, disc) with coeffs[i] == (A[i] + B[i]*sqrt(disc)) / den, den
-    the lcm of the Scalars' denominators; B is None when every coefficient is
-    rational, and disc joins the coefficients' field to the given one."""
-    disc = _join_coeff_field(coeffs, disc)
+    the lcm of the Scalars' denominators and disc their field; B is None when
+    every coefficient is rational."""
+    disc = _join_coeff_field(coeffs)
     den = lcm(*(c._den for c in coeffs))
     a = [c._a * (den // c._den) for c in coeffs]
     if not any(c.disc for c in coeffs):
@@ -163,6 +165,18 @@ def _term(coeff: str, mono: str) -> str:
 def _join_terms(terms: Iterable[str]) -> str:
     """Terms joined by " + ", a leading - turned into " - "; "0" for none."""
     return " + ".join(terms).replace("+ -", "- ") or "0"
+
+
+def _const_to_string(const: Scalar) -> str:
+    # a + b*sqrt(D) with both parts nonzero is one coefficient: keep it whole
+    text = str(const)
+    return f"({text})" if const.disc and const.a else text
+
+
+def poly_to_string(p: UnivariatePoly) -> str:
+    """Canonical descending-power string for a concrete polynomial."""
+    return _join_terms(_term(_const_to_string(c), _power("x", e))
+                       for e, c in reversed(list(enumerate(p.coeffs))) if not c.is_zero)
 
 
 class _Cleared:

@@ -28,7 +28,8 @@ depth-0 signs or products, ``_strip_sign`` folds leading signs and
 (:mod:`seacurves.catalog.templates`) parse with the same three, so one
 numeral or parenthesis rule holds in both grammars.  A numeral longer than
 ``sys.get_int_max_str_digits()`` digits is refused both ways: as input by
-``_parse_int`` and as output by ``_rat_str`` (:class:`OutputTooLargeError`).
+``_parse_int`` and as output by ``_rat_str`` (:class:`OutputTooLargeError`);
+``_int_str`` prints such an int in a message as "(too large to print)".
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 _RAT = Fraction  # the type of the .a/.b views; the benchmark records it as the backend
 
@@ -80,23 +81,31 @@ class OutputTooLargeError(SeacurvesError):
     """A value has a numeral longer than ``sys.get_int_max_str_digits()``
     digits, which the interpreter refuses to print."""
 
+    def __init__(self):
+        super().__init__("value too large to print: a numeral exceeds "
+                         f"{sys.get_int_max_str_digits()} digits")
 
-# _is_squarefree trial-divides up to sqrt|D|: at most ~5*10^5 steps below this bound
+
+# _is_squarefree trial-divides up to the cube root of |D|: ~5*10^3 steps below this bound
 _MAX_RADICAND = 10 ** 12
 
 
 def _is_squarefree(n: int) -> bool:
     n = abs(n)
-    if n == 0:
+    if n == 0 or n % 4 == 0:
         return False
-    if n % 4 == 0:
-        return False
+    if n % 2 == 0:
+        n //= 2
     p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
         p += 2
-    return True
+    # every prime factor of the cofactor n exceeds its cube root: n has at
+    # most two, so it is squarefree unless it is the square of a prime
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 def _join_field(d1: int, d2: int) -> int:
@@ -333,8 +342,17 @@ def _rat_str(num: int, den: int) -> str:
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # beyond sys.get_int_max_str_digits()
-        raise OutputTooLargeError("value too large to print: a numeral exceeds "
-                                  f"{sys.get_int_max_str_digits()} digits") from None
+        raise OutputTooLargeError() from None
+
+
+def _int_str(n: int) -> str:
+    """The text of n, or "(too large to print)" past the interpreter's digit
+    limit: for messages and reports, which must not fail on the numbers they
+    describe."""
+    try:
+        return str(n)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        return "(too large to print)"
 
 
 ZERO = _new(1, 0, 0, 0)

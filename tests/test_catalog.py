@@ -216,6 +216,28 @@ def test_verify_reports_broken_rows(catalog):
     assert report.summary()["unflagged_failures"] == ["g5-c2-99"]
 
 
+def test_rows_past_the_digit_limit_fail_verification(catalog):
+    """A level or genus of 4300 digits (the most the loader reads) makes a
+    genus, group order or Hurwitz bound too long to print: the row fails
+    verification with the number shown as "(too large to print)", and
+    specialize refuses it with a typed error."""
+    import dataclasses
+
+    row = catalog["g5-c1-1"]
+    huge = 9 * 10 ** 4299
+    rep = verify_record(dataclasses.replace(row, n=huge))
+    assert {"genus", "hurwitz"} <= set(rep.failed_checks)
+    assert "= (too large to print), cataloged 5" in rep.checks["genus"].detail
+    assert rep.checks["hurwitz"].detail.startswith("|G| = (too large to print) <= ")
+    rep = verify_record(dataclasses.replace(row, genus=huge))
+    assert {"genus", "signature"} <= set(rep.failed_checks)
+    assert rep.checks["hurwitz"].detail.endswith("84(g-1) = (too large to print)")
+    params = {f"a{i}": Scalar(1) for i in range(1, 6)}
+    with pytest.raises(CatalogError, match=r"computed genus \(too large to print\) != cataloged 5"):
+        specialize(dataclasses.replace(row, n=huge), params)
+    assert Signature([(2, huge), (2, huge)]).compact() == "2^(too large to print)"
+
+
 def test_flags_file_matches_dataset(catalog):
     text = flags_text()
     flagged = [r.id for r in catalog if r.status != "ok"]

@@ -2,8 +2,9 @@
 
 The argvs are built from numerals (huge ones and zero denominators among
 them), ``sqrt(...)`` with bad radicands (squares, 0, 1, out of range, two
-radicals in one input), ``x^k`` terms up to k = 101 (one past ``MAX_DEGREE``)
-and coefficient CSVs, for ``genus --poly``, ``transvect``,
+radicals in one input) and good ones up to 10^12, ``x^k`` terms up to
+k = 101 (one past ``MAX_DEGREE``) and coefficient CSVs, for ``genus --poly``
+(with levels ``-n`` of up to 4300 digits), ``transvect``,
 ``invariants --coeffs``, ``isomorphic`` and ``catalog specialize --params``,
 and from negative and huge ``--genus`` values and arbitrary ``--group``
 text for ``catalog list``, ``verify`` and ``inclusions``.  Whatever the
@@ -11,10 +12,11 @@ input, ``main`` must return 0, 1 or 2 without raising, within a per-example
 deadline, and a second run must print byte-identical stdout.
 
 The catalog subcommands are also run with ``SEA_CATALOG`` set to a missing
-file, a non-UTF-8 file and malformed JSONL made by mutating real rows.  A
-file that contradicts itself (duplicate ids, a genus column that does not
-match its equation) may end in exit 3, but only with an "internal
-inconsistency" line; any other exception is a bug.
+file, a non-UTF-8 file, malformed JSONL made by mutating real rows and real
+rows whose level or genus has 4300 digits (or whose multiplicities add up
+past that).  A file that contradicts itself (duplicate ids, a genus column
+that does not match its equation) may end in exit 3, but only with an
+"internal inconsistency" line; any other exception is a bug.
 """
 
 import contextlib
@@ -38,7 +40,7 @@ NUMERALS = st.one_of(
     st.integers(-10 ** 40, 10 ** 40).map(str),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(0, 12)),
 )
-GOOD_RADICANDS = st.sampled_from([-3, 5, -1])
+GOOD_RADICANDS = st.sampled_from([-3, 5, -1, 999999999989])
 BAD_RADICANDS = st.sampled_from([0, 1, 4, -4, 8, 12, 10 ** 13, -(10 ** 12) - 1])
 # one radicand per input, bad one time in ten, so that most inputs reach the
 # arithmetic; the two inputs of one call may still meet in two fields
@@ -129,8 +131,12 @@ def catalog_argvs(draw):
     return argv
 
 
+# 4300 digits is the most int() reads; the genus of such a level can be
+# past the limit str() prints
+LEVELS = st.one_of(st.integers(-2, 12), st.integers(0, 10 ** 4300 - 1))
+
 ARGVS = st.one_of(
-    st.builds(lambda n, f: ["genus", "-n", str(n), "--poly", f], st.integers(-2, 12), forms()),
+    st.builds(lambda n, f: ["genus", "-n", str(n), "--poly", f], LEVELS, forms()),
     st.builds(lambda f, g, r: ["transvect", "--f", f, "--g", g, "-r", str(r)],
               forms(), forms(), st.integers(-1, 8)),
     invariants_argvs(),
@@ -171,6 +177,9 @@ def _run(argv):
 
 
 @given(ARGVS)
+@example(["genus", "-n", "7" * 4299, "--poly", "x^100+1"])
+# a radicand near 10^12 in every coefficient of a degree-100 f
+@example(["genus", "-n", "2", "--poly", ",".join(["1+sqrt(999999999989)"] * 101)])
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 def test_main_is_total_and_deterministic(argv):
     code, out, err = _run(argv)
@@ -211,6 +220,11 @@ def mutated_rows(draw):
 
 
 VALID_ROWS = st.sampled_from([json.dumps(r) for r in ROWS])
+HUGE = st.integers(10 ** 4299, 10 ** 4300 - 1)
+# a real row whose level or genus has 4300 digits: it loads, and the genus,
+# group order and Hurwitz bound built from it are past the printable limit
+HUGE_ROWS = st.builds(lambda row, key, value: json.dumps(dict(row, **{key: value})),
+                      st.sampled_from(ROWS), st.sampled_from(["n", "genus"]), HUGE)
 
 
 def _jsonl(lines):
@@ -223,11 +237,24 @@ CATALOG_FILES = st.one_of(
     st.builds(lambda rows: _jsonl(rows) + b"\n\xff\n", st.lists(VALID_ROWS, max_size=2)),
     st.just(_jsonl(["[" * 100000 + "]" * 100000])),
     st.lists(st.one_of(VALID_ROWS, st.text(max_size=12)), max_size=3).map(_jsonl),
-    st.lists(st.one_of(mutated_rows(), VALID_ROWS), min_size=1, max_size=4).map(_jsonl),
+    st.lists(st.one_of(mutated_rows(), HUGE_ROWS, VALID_ROWS),
+             min_size=1, max_size=4).map(_jsonl),
+    st.lists(st.one_of(HUGE_ROWS, VALID_ROWS), min_size=1, max_size=3).map(_jsonl),
 )
+HUGE_N, HUGE_GENUS = (_jsonl([json.dumps(dict(ROWS[0], **{key: 9 * 10 ** 4299}))])
+                      for key in ("n", "genus"))
+# two entries of one index whose multiplicities add up past 4300 digits
+HUGE_MULT = _jsonl([json.dumps(dict(ROWS[0], signature={"indices": [[2, 9 * 10 ** 4299]] * 2}))])
+SPECIALIZE_G5 = ["catalog", "specialize", "--id", "g5-c1-1",
+                 "--params", "a1=1,a2=1,a3=1,a4=1,a5=1"]
 
 
 @given(CATALOG_FILES, st.one_of(catalog_argvs(), specialize_argvs()))
+@example(HUGE_N, ["catalog", "verify"])
+@example(HUGE_N, SPECIALIZE_G5)
+@example(HUGE_GENUS, ["catalog", "verify"])
+@example(HUGE_MULT, ["catalog", "list", "--csv"])
+@example(HUGE_MULT, ["catalog", "list"])
 @settings(max_examples=150, deadline=timedelta(seconds=5))
 def test_catalog_commands_are_total_on_any_catalog_file(content, argv):
     with tempfile.TemporaryDirectory() as tmp:

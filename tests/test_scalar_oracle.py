@@ -13,6 +13,10 @@ became plain Scalar quotients; that ``_ratios`` is kept here too, and checked
 against the package's on random sextics, octavics and general forms over Q
 and Q(sqrt 5).  A last test counts ``Fraction`` constructions: invariant
 work shaped like the benchmark's gate builds none.
+
+The radicand test ``ref_is_squarefree`` is the trial division up to
+sqrt|D| that the package ran before it divided only up to the cube root; the
+reference Scalar uses it, and the package's test must agree with it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,20 @@ _R1 = Fraction(1)
 # -- the Fraction Scalar, verbatim --------------------------------------------
 
 
+def ref_is_squarefree(n: int) -> bool:
+    n = abs(n)
+    if n == 0:
+        return False
+    if n % 4 == 0:
+        return False
+    p = 3
+    while p * p <= n:
+        if n % (p * p) == 0:
+            return False
+        p += 2
+    return True
+
+
 def _as_rat(x):
     if isinstance(x, Fraction):
         return x
@@ -77,7 +95,7 @@ class Scalar:
             disc = 0
         elif abs(disc) > _MAX_RADICAND:
             raise RadicandError(f"radicand {disc} is outside the supported range |D| <= 10^12")
-        elif disc in (0, 1) or not _is_squarefree(disc):
+        elif disc in (0, 1) or not ref_is_squarefree(disc):
             raise RadicandError(f"discriminant must be squarefree and != 0, 1, got {disc}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -382,6 +400,32 @@ def test_fields_do_not_mix():
     y, Y = scalars.sqrt_ext(2, 5), sqrt_ext(2, 5)
     for op in OPS:
         _same(lambda: op(x, y), lambda: op(X, Y))
+
+
+# -- radicands against trial division up to the square root ------------------------
+
+# primes near 10^6, whose squares and products are radicands near the 10^12
+# bound, and near 10^4, its cube root, where the trial division stops
+_P6 = (999983, 1000003)
+_P4 = (9967, 9973, 10007)
+_NEAR_BOUND = [999999999989, 10 ** 12, *(p * q for p in _P6 for q in _P6),
+               *(2 * p * p for p in _P6), _P4[0] * _P4[1] * _P4[2], 3 * _P4[2] ** 2,
+               *(p ** 3 for p in _P4), *(p * p * q for p in _P4 for q in _P4 if p != q)]
+
+
+@pytest.mark.parametrize("n", _NEAR_BOUND)
+def test_squarefree_matches_trial_division_near_the_bound(n):
+    assert _is_squarefree(n) == ref_is_squarefree(n)
+
+
+@given(st.integers(1, 12).flatmap(lambda k: st.integers(-(10 ** k), 10 ** k)))
+@settings(max_examples=300, deadline=None)
+def test_squarefree_matches_trial_division(n):
+    assert _is_squarefree(n) == ref_is_squarefree(n)
+
+
+def test_squarefree_matches_trial_division_on_small_radicands():
+    assert [n for n in range(-5000, 5000) if _is_squarefree(n) != ref_is_squarefree(n)] == []
 
 
 # -- absolute invariants against the hand-divided reference ------------------------

@@ -5,7 +5,9 @@ Every name a module imports is used there or exported: listed in its
 (whose imports are its public names).  Every module-level private name is
 referenced somewhere in ``src/`` beyond its own definition.  Names read
 only from outside ``src/`` are listed in ``_READ_ELSEWHERE`` with the
-reason.
+reason.  Every defaulted parameter of a module-level private function is
+passed, by position or by keyword, by some call in ``src/``: a default no
+caller overrides is a constant dressed as an option.
 """
 
 import ast
@@ -91,3 +93,37 @@ def test_every_private_name_is_referenced():
 def test_read_elsewhere_names_still_exist():
     for mod, name in _READ_ELSEWHERE:
         assert name in _private_definitions(_tree(SRC / "seacurves" / f"{mod}.py"))
+
+
+def _defaulted_params(func: ast.FunctionDef) -> list:
+    """(position or None, name) of each parameter that has a default."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, position, name: str) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_private_default_is_passed_somewhere():
+    trees = {_module_name(p): _tree(p) for p in MODULES}
+    calls = [node for t in trees.values() for node in ast.walk(t) if isinstance(node, ast.Call)]
+    dead = [(mod, func.name, name) for mod, tree in trees.items() for func in tree.body
+            if isinstance(func, ast.FunctionDef) and func.name.startswith("_")
+            and not func.name.endswith("__")
+            for position, name in _defaulted_params(func)
+            if not any(_callee(c) == func.name and _passes(c, position, name) for c in calls)]
+    assert dead == []

@@ -35,13 +35,20 @@ from seacurves.forms import (
     moebius_act,
     partial_derivative,
 )
-from seacurves.scalars import ZERO, Scalar, rational
+from seacurves.scalars import ZERO, Scalar, _join_field, rational
 from seacurves.transvection import TransvectionError, transvect
 
 MAX_DEG = 8
 
 
 # -- the coefficient-first references ---------------------------------------------------------
+
+
+def _clear_in(coeffs, disc):
+    """``_clear(coeffs)`` with its field joined to ``disc``, as the references
+    cleared a second operand in the field of the first."""
+    den, a, b, own = _clear(coeffs)
+    return den, a, b, _join_field(disc, own)
 
 
 def _product(u, v):
@@ -51,7 +58,7 @@ def _product(u, v):
     cleared vectors: each operand cleared once, convolved, divided back.
     """
     uden, ua, ub, disc = _clear(u)
-    vden, va, vb, disc = _clear(v, disc)
+    vden, va, vb, disc = _clear_in(v, disc)
     return _to_scalars(_pair_product((ua, ub), (va, vb), disc), uden * vden, disc)
 
 
@@ -129,7 +136,7 @@ def ref_transvect(f, g, r):
         raise TransvectionError(f"transvection order {r} out of range for degrees ({n}, {m})")
     deg = n + m - 2 * r
     fden, fa, fb, disc = _clear(f.coeffs)
-    gden, ga, gb, disc = _clear(g.coeffs, disc)
+    gden, ga, gb, disc = _clear_in(g.coeffs, disc)
     same = (fden, fa, fb) == (gden, ga, gb)
     if same and r % 2:
         return RefBinaryForm.zero(deg)
@@ -148,7 +155,7 @@ def ref_moebius_act(M, f):
     if M.det().is_zero:
         raise SingularMatrixError("substitution matrix must be invertible")
     e, ma, mb, disc = _clear((M.b, M.a, M.d, M.c))
-    fden, fa, fb, disc = _clear(f.coeffs, disc)
+    fden, fa, fb, disc = _clear_in(f.coeffs, disc)
     lin1, lin2 = (ma[:2], mb and mb[:2]), (ma[2:], mb and mb[2:])
     d = f.degree
     acc, power = ([fa[d]], fb and [fb[d]]), ([1], None)
