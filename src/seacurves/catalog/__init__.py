@@ -1,8 +1,9 @@
 """The embedded table of superelliptic curve families, genus 5-10.
 
-Each :class:`FamilyRecord` is one table row: reduced and full automorphism
-group, level n, sub-order m, printed signature (final entry possibly
-omitted), locus dimension delta, and the parametric equation template.
+Each :class:`FamilyRecord` is one table row: reduced group (kind and
+sub-order m, which the "m" column repeats), full automorphism group, level
+n, printed signature (final entry possibly omitted), locus dimension delta,
+and the parametric equation template.
 Rows needing repair carry a non-"ok" status, with reasons in ``data/FLAGS.md``;
 rows that contradict themselves raise :class:`CatalogError`.
 
@@ -75,13 +76,16 @@ class CatalogError(SeacurvesError):
 
 @dataclass(frozen=True)
 class FamilyRecord:
+    """One table row.  Its m is its reduced group's (None for A4, S4, A5):
+    ``to_json`` and the CSV export repeat it as the "m" column, and
+    ``from_json`` rejects a column that differs in type or value."""
+
     id: str
     genus: int
     case_nr: int
     reduced: ReducedGroup
     full_group: str | None
     n: int
-    m: int | None
     printed_signature: Signature
     delta: int
     equation: str | None
@@ -92,22 +96,24 @@ class FamilyRecord:
     def __post_init__(self):
         if not isinstance(self.id, str) or not _ID.fullmatch(self.id):
             raise CatalogError(f"id {self.id!r} does not end in -<digits>")
-        # smallest legal value of each integer field (m may also be null)
-        for name, least in (("genus", 2), ("case_nr", 1), ("n", 2), ("delta", 0), ("m", 1)):
+        # smallest legal value of each integer field
+        for name, least in (("genus", 2), ("case_nr", 1), ("n", 2), ("delta", 0)):
             value = getattr(self, name)
-            if name == "m" and value is None:
-                continue
             key = name.removesuffix("_nr")  # the JSON key of case_nr is "case"
             if type(value) is not int:
                 raise CatalogError(f"{key} {value!r} on {self.id} is not an integer")
             if value < least:
-                raise CatalogError(f"{key} {value} on {self.id} is below {least}")
+                raise CatalogError(f"{key} {_int_str(value)} on {self.id} is below {least}")
         if self.full_group is not None and not isinstance(self.full_group, str):
             raise CatalogError(f"full_group {self.full_group!r} on {self.id} is not a string")
         if self.status not in _STATUSES:
             raise CatalogError(f"unknown status {self.status!r} on {self.id}")
         object.__setattr__(self, "template",
                            None if self.equation is None else parse_template(self.equation))
+
+    @property
+    def m(self) -> int | None:
+        return self.reduced.m
 
     @property
     def group_order(self) -> int:
@@ -130,19 +136,23 @@ class FamilyRecord:
 
     @classmethod
     def from_json(cls, doc: dict) -> FamilyRecord:
-        return cls(
+        record = cls(
             id=doc["id"],
             genus=doc["genus"],
             case_nr=doc["case"],
             reduced=ReducedGroup(doc["reduced_group"]["kind"], doc["reduced_group"]["m"]),
             full_group=doc["full_group"],
             n=doc["n"],
-            m=doc["m"],
             printed_signature=Signature.from_json(doc["signature"]),
             delta=doc["delta"],
             equation=doc["equation"],
             status=doc["status"],
         )
+        m = doc["m"]  # the reduced group's m, repeated: same type and value
+        if type(m) is not type(record.m) or m != record.m:
+            shown = _int_str(m) if type(m) is int else repr(m)
+            raise CatalogError(f"m {shown} on {record.id} is not the reduced group's m")
+        return record
 
 
 def _id_key(record: FamilyRecord):

@@ -101,24 +101,25 @@ def _emit(doc) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _invariants_doc(kind: str, form: BinaryForm) -> dict:
-    if kind == "sextic":
-        vec = sextic_invariants(form)
-        absolute = sextic_absolute(vec)
-    elif kind == "octavic":
-        vec = octavic_invariants(form)
-        absolute = octavic_absolute(vec)
-    elif kind == "decimic":
-        vec = decimic_invariants(form)
-        absolute = None
-    elif kind == "general":
-        vec = general_invariants(form)
-        absolute = general_absolute(vec)
-    else:  # genus10, the one kind left of the choices argparse allows
-        result = genus10_special(form)
-        vec = result.invariants
-        absolute = result.absolute
+# The dispatch tables are also the choices of --kind and isomorphic --genus, in
+# help order.  Each entry reads the module's names when called, so a rebinding
+# (bench/spans.py traces that way) is seen.  A kind gives (invariants, absolute
+# invariants or None).
+_KINDS = {
+    "sextic": lambda f: (vec := sextic_invariants(f), sextic_absolute(vec)),
+    "octavic": lambda f: (vec := octavic_invariants(f), octavic_absolute(vec)),
+    "decimic": lambda f: (decimic_invariants(f), None),
+    "general": lambda f: (vec := general_invariants(f), general_absolute(vec)),
+    "genus10": lambda f: ((result := genus10_special(f)).invariants, result.absolute),
+}
+_ISOMORPHIC = {
+    2: lambda f1, f2: genus2_isomorphic(f1, f2),
+    3: lambda f1, f2: genus3_isomorphic(f1, f2),
+}
 
+
+def _invariants_doc(kind: str, form: BinaryForm) -> dict:
+    vec, absolute = _KINDS[kind](form)
     availability = {name: True for name in vec.names()}
     for name in sorted(vec.unavailable):
         availability[name] = False
@@ -161,8 +162,7 @@ def _cmd_genus(args) -> int:
 def _cmd_isomorphic(args) -> int:
     f1 = _parse_form(args.f1)
     f2 = _parse_form(args.f2)
-    oracle = genus2_isomorphic if args.genus == 2 else genus3_isomorphic
-    verdict = oracle(f1, f2)
+    verdict = _ISOMORPHIC[args.genus](f1, f2)
     _emit({"isomorphic": verdict})
     return 0 if verdict else 1
 
@@ -215,8 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transvect)
 
     p = sub.add_parser("invariants", help="invariant system of a binary form")
-    p.add_argument("--kind", required=True,
-                   choices=("sextic", "octavic", "decimic", "general", "genus10"))
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--coeffs", required=True,
                    help="form: ascending coeff CSV or poly-string")
     p.set_defaults(func=_cmd_invariants)
@@ -228,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isomorphic",
                        help="absolute-invariant isomorphism test (genus 2 or 3)")
-    p.add_argument("--genus", type=int, required=True, choices=(2, 3))
+    p.add_argument("--genus", type=int, required=True, choices=_ISOMORPHIC)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.set_defaults(func=_cmd_isomorphic)

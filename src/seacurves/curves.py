@@ -102,9 +102,9 @@ class Signature:
             if type(e) is not int or type(mult) is not int:
                 raise CurveDataError(f"branch index {item!r} is not an integer")
             if e < 2:
-                raise CurveDataError(f"branch index must be >= 2, got {e}")
+                raise CurveDataError(f"branch index must be >= 2, got {_int_str(e)}")
             if mult < 1:
-                raise CurveDataError(f"multiplicity must be >= 1, got {mult}")
+                raise CurveDataError(f"multiplicity must be >= 1, got {_int_str(mult)}")
             counts[e] = counts.get(e, 0) + mult
         object.__setattr__(self, "pairs", tuple(sorted(counts.items())))
 
@@ -149,7 +149,7 @@ def genus_formula(n: int, d: int) -> int:
     """
     if n < 2 or d < 2:
         error = LevelError if n < 2 else DegreeError
-        raise error(f"need n >= 2 and d >= 2, got n={n}, d={d}")
+        raise error(f"need n >= 2 and d >= 2, got n={_int_str(n)}, d={_int_str(d)}")
     num = n * (d - 1) - d - gcd(n, d)
     return num // 2 + 1
 
@@ -157,7 +157,7 @@ def genus_formula(n: int, d: int) -> int:
 def hurwitz_bound(g: int) -> int:
     """84(g - 1), the automorphism-count bound for genus g >= 2."""
     if g < 2:
-        raise CurveDataError(f"Hurwitz bound needs genus >= 2, got {g}")
+        raise CurveDataError(f"Hurwitz bound needs genus >= 2, got {_int_str(g)}")
     return 84 * (g - 1)
 
 
@@ -216,7 +216,7 @@ def complete_signature(g: int, group_order: int, printed: Signature) -> Completi
 def full_group_order(n: int, reduced: ReducedGroup) -> int:
     """|G| = n * |reduced|, the order of the full automorphism group."""
     if n < 2:
-        raise LevelError(f"level must be >= 2, got {n}")
+        raise LevelError(f"level must be >= 2, got {_int_str(n)}")
     return n * reduced.order
 
 
@@ -227,7 +227,7 @@ class SuperellipticCurve:
 
     def __init__(self, n: int, f: UnivariatePoly):
         if n < 2:
-            raise LevelError(f"level must be >= 2, got {n}")
+            raise LevelError(f"level must be >= 2, got {_int_str(n)}")
         if f.degree < 2:
             raise DegreeError(f"need deg f >= 2, got {f.degree}")
         if not is_squarefree(f):

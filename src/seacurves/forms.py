@@ -13,11 +13,12 @@ coefficient is rational; a polynomial's vector has no trailing zero.  This is
 the cleared value of a :class:`~seacurves.scalars.Scalar` for a whole vector,
 on the element helpers of :mod:`seacurves.scalars`.  The vector is canonical,
 so ``==`` and ``hash`` compare it, and the degree is its length minus one.  A
-value built from Scalars is cleared once, when it is constructed, and its
-Scalar tuple ``coeffs`` is built on demand.  Sums, products, scaling, the GL2
-substitution, derivatives, ``monic``, (de)homogenization and the transvectant
-read vectors and return values built from vectors (``_from_vec``), on Python
-ints over Z[sqrt(D)]; fields join by :func:`seacurves.scalars._join_field`.
+value built from Scalars is cleared once, when it is constructed, and keeps
+only its vector: its Scalar tuple ``coeffs`` is built on each read.  Sums,
+products, scaling, the GL2 substitution, derivatives, ``monic``,
+(de)homogenization and the transvectant read vectors and return values built
+from vectors (``_from_vec``), on Python ints over Z[sqrt(D)]; fields join by
+:func:`seacurves.scalars._join_field`.
 
 Resultants, discriminants (hence the squarefree test) and gcds all run on
 one subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the
@@ -31,8 +32,8 @@ from functools import lru_cache
 from math import lcm, perm
 from typing import Iterable, Sequence
 
-from .scalars import (ZERO, Scalar, SeacurvesError, _conj, _content, _join_field, _mul,
-                      _norm, _pow, _scalar, parse_scalar)
+from .scalars import (ZERO, Scalar, SeacurvesError, _conj, _content, _int_str, _join_field,
+                      _mul, _norm, _pow, _scalar, parse_scalar)
 
 __all__ = [
     "BinaryForm",
@@ -170,7 +171,7 @@ def _join_terms(terms: Iterable[str]) -> str:
 def _const_to_string(const: Scalar) -> str:
     # a + b*sqrt(D) with both parts nonzero is one coefficient: keep it whole
     text = str(const)
-    return f"({text})" if const.disc and const.a else text
+    return f"({text})" if const.disc and const._a else text
 
 
 def poly_to_string(p: UnivariatePoly) -> str:
@@ -183,17 +184,16 @@ class _Cleared:
     """Coefficients a_0 .. a_d held as one canonical cleared vector.
 
     ``vec`` is (den, A, B, disc), coefficient i being
-    (A[i] + B[i]*sqrt(disc)) / den; it is set once, at construction.  The
-    Scalar tuple ``coeffs`` is built from it when first read.  The vector is
-    canonical, so equality and hashing compare it, and the degree is its
-    length minus one.
+    (A[i] + B[i]*sqrt(disc)) / den; it is set once, at construction, and is
+    the only state.  The Scalar tuple ``coeffs`` is built from it on each
+    read.  The vector is canonical, so equality and hashing compare it, and
+    the degree is its length minus one.
     """
 
-    __slots__ = ("_coeffs", "vec")
+    __slots__ = ("vec",)
 
     def __init__(self, coeffs: tuple):
         den, a, b, disc = _clear(coeffs)
-        object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "vec", (den, tuple(a), b and tuple(b), disc))
 
     @classmethod
@@ -212,7 +212,6 @@ class _Cleared:
             a = [x // g for x in a]
             b = b and [x // g for x in b]
         obj = cls.__new__(cls)
-        object.__setattr__(obj, "_coeffs", None)
         object.__setattr__(obj, "vec", (den, tuple(a), b and tuple(b), disc))
         return obj
 
@@ -221,13 +220,9 @@ class _Cleared:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients a_0 .. a_d as Scalars."""
-        cs = self._coeffs
-        if cs is None:
-            den, a, b, disc = self.vec
-            cs = tuple(_to_scalars((a, b), den, disc))
-            object.__setattr__(self, "_coeffs", cs)
-        return cs
+        """The coefficients a_0 .. a_d as Scalars, built from ``vec``."""
+        den, a, b, disc = self.vec
+        return tuple(_to_scalars((a, b), den, disc))
 
     @property
     def degree(self) -> int:
@@ -277,9 +272,8 @@ class BinaryForm(_Cleared):
             raise DegreeError("degree must be nonnegative")
         cs = tuple(_scal(c) for c in coeffs)
         if len(cs) != degree + 1:
-            raise DegreeError(
-                f"degree {degree} needs {degree + 1} coefficients, got {len(cs)}"
-            )
+            raise DegreeError(f"degree {_int_str(degree)} needs {_int_str(degree + 1)} "
+                              f"coefficients, got {len(cs)}")
         super().__init__(cs)
 
     @classmethod
@@ -327,7 +321,7 @@ class BinaryForm(_Cleared):
 
     def __repr__(self):
         d = self.degree
-        body = _join_terms(_term(str(c), _power("X", i) + _power("Z", d - i))
+        body = _join_terms(_term(_const_to_string(c), _power("X", i) + _power("Z", d - i))
                            for i, c in enumerate(self.coeffs) if not c.is_zero)
         return f"BinaryForm<{d}>({body})"
 
@@ -465,14 +459,15 @@ class UnivariatePoly(_Cleared):
 
     def __repr__(self):
         return "UnivariatePoly(" + _join_terms(
-            _term(str(c), _power("x", i)) for i, c in enumerate(self.coeffs) if not c.is_zero
+            _term(_const_to_string(c), _power("x", i))
+            for i, c in enumerate(self.coeffs) if not c.is_zero
         ) + ")"
 
 
 def homogenize(p: UnivariatePoly, degree: int) -> BinaryForm:
     """sum c_i x^i -> sum c_i X^i Z^(degree-i); requires degree >= deg p."""
     if degree < p.degree:
-        raise DegreeError(f"cannot homogenize degree-{p.degree} poly at degree {degree}")
+        raise DegreeError(f"cannot homogenize degree-{p.degree} poly at degree {_int_str(degree)}")
     den, a, b, disc = p.vec
     pad = (0,) * (degree - p.degree)
     return BinaryForm._from_vec(den, a + pad, b and b + pad, disc)

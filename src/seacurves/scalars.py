@@ -190,7 +190,8 @@ class Scalar:
         if not bn:
             disc = 0
         elif abs(disc) > _MAX_RADICAND:
-            raise RadicandError(f"radicand {disc} is outside the supported range |D| <= 10^12")
+            raise RadicandError(
+                f"radicand {_int_str(disc)} is outside the supported range |D| <= 10^12")
         elif disc in (0, 1) or not _is_squarefree(disc):
             raise RadicandError(f"discriminant must be squarefree and != 0, 1, got {disc}")
         # an/ad and bn/bd are in lowest terms, so over their lcm the content is 1

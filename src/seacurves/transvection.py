@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .forms import BinaryForm, _join_field, _pair_convolve, _partial
-from .scalars import SeacurvesError
+from .scalars import SeacurvesError, _int_str
 
 __all__ = ["transvect", "TransvectionError"]
 
@@ -45,7 +45,7 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     n, m = f.degree, g.degree
     if r < 0 or r > min(n, m):
         raise TransvectionError(
-            f"transvection order {r} out of range for degrees ({n}, {m})"
+            f"transvection order {_int_str(r)} out of range for degrees ({n}, {m})"
         )
     deg = n + m - 2 * r
     fden, fa, fb, fdisc = f.vec

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -341,6 +343,7 @@ _BAD_FIELDS = {
     "genus_negative": ("genus", -5),
     "case_zero": ("case", 0),
     "m_zero": ("m", 0),
+    "m_disagrees": ("m", 3),
     "full_group_int": ("full_group", 5),
     "signature_index_str": ("signature", {"indices": [["2", 7]]}),
     "signature_index_float": ("signature", {"indices": [[2.5, 7]]}),
@@ -422,6 +425,20 @@ def test_template_follows_equation_under_replace(catalog):
     row = dataclasses.replace(catalog["g5-c1-1"], equation="x^11 + 1")
     assert row.template.degree == 11 and row.template.param_names() == ()
     assert dataclasses.replace(row, equation=None).template is None
+
+
+def test_m_is_the_reduced_groups(catalog):
+    """A row stores its reduced group once: m is read from it, and the "m"
+    column of JSON and CSV repeats it."""
+    import dataclasses
+
+    assert "m" not in {f.name for f in dataclasses.fields(FamilyRecord)}
+    rows = list(csv.DictReader(io.StringIO(export_csv(catalog))))
+    assert len(rows) == len(catalog) == 210
+    for r, line in zip(catalog, rows):
+        assert r.m == r.reduced.m == r.to_json()["m"]
+        assert line["m"] == line["reduced_m"] == ("" if r.m is None else str(r.m))
+    assert any(r.m is None for r in catalog)
 
 
 def _path_reduced_inclusions(catalog, genus):

@@ -118,9 +118,11 @@ GROUPS = st.one_of(st.sampled_from(["A5", "A_5", "D_4", "D2m", "Cm", "C_3", "S_4
 
 
 @st.composite
-def catalog_argvs(draw):
-    """catalog list, verify or inclusions, with or without their filters."""
-    sub = draw(st.sampled_from(["list", "verify", "inclusions"]))
+def catalog_argvs(draw, sub=None):
+    """catalog list, verify or inclusions (``sub``, or drawn), with or without
+    their filters."""
+    if sub is None:
+        sub = draw(st.sampled_from(["list", "verify", "inclusions"]))
     argv = ["catalog", sub]
     if sub == "inclusions" or draw(st.booleans()):
         argv += ["--genus", str(draw(GENERA))]
@@ -249,7 +251,13 @@ SPECIALIZE_G5 = ["catalog", "specialize", "--id", "g5-c1-1",
                  "--params", "a1=1,a2=1,a3=1,a4=1,a5=1"]
 
 
-@given(CATALOG_FILES, st.one_of(catalog_argvs(), specialize_argvs()))
+# each catalog subcommand alike, so that list, verify and inclusions are drawn
+# as often as specialize
+CATALOG_SUBCOMMAND_ARGVS = st.sampled_from(["list", "verify", "inclusions", "specialize"]).flatmap(
+    lambda sub: specialize_argvs() if sub == "specialize" else catalog_argvs(sub))
+
+
+@given(CATALOG_FILES, CATALOG_SUBCOMMAND_ARGVS)
 @example(HUGE_N, ["catalog", "verify"])
 @example(HUGE_N, SPECIALIZE_G5)
 @example(HUGE_GENUS, ["catalog", "verify"])

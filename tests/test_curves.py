@@ -1,8 +1,11 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from conftest import packaged_catalog
+from seacurves.catalog import CatalogError, FamilyRecord
 from seacurves.curves import (
     CurveDataError,
     LevelError,
@@ -16,9 +19,18 @@ from seacurves.curves import (
     make_curve,
     rh_residual,
 )
-from seacurves.forms import DegreeError, UnivariatePoly, make_form, partial_derivative
+from seacurves.forms import (BinaryForm, DegreeError, UnivariatePoly, homogenize, make_form,
+                             partial_derivative)
 from seacurves.scalars import (ZERO, DivisionByZeroError, RadicandError, Scalar,
                                SeacurvesError, rational)
+from seacurves.transvection import TransvectionError, transvect
+
+H = 10 ** 5000  # past the interpreter's int-to-str digit limit
+TOO_LARGE = "(too large to print)"
+
+
+def _row():
+    return packaged_catalog()["g5-c1-1"]
 
 
 def poly(*ascending):
@@ -75,11 +87,41 @@ def test_make_curve_typed_errors():
                  id="rational-zero-denominator"),
     (lambda: ReducedGroup("Cm", 2.5), CurveDataError, "Cm parameter m 2.5 is not an integer"),
     (lambda: ReducedGroup("D2m", True), CurveDataError, "D2m parameter m True is not an integer"),
+    pytest.param(lambda: dataclasses.replace(_row(), n=-H), CatalogError,
+                 f"n {TOO_LARGE} on g5-c1-1 is below 2", id="row-n"),
+    pytest.param(lambda: dataclasses.replace(_row(), delta=-H), CatalogError,
+                 f"delta {TOO_LARGE} on g5-c1-1 is below 0", id="row-delta"),
+    pytest.param(lambda: FamilyRecord.from_json({**_row().to_json(), "m": H}), CatalogError,
+                 f"m {TOO_LARGE} on g5-c1-1 is not the reduced group's m", id="row-m"),
+    pytest.param(lambda: Signature([-H]), CurveDataError,
+                 f"branch index must be >= 2, got {TOO_LARGE}", id="signature-index"),
+    pytest.param(lambda: Signature([(2, -H)]), CurveDataError,
+                 f"multiplicity must be >= 1, got {TOO_LARGE}", id="signature-multiplicity"),
+    pytest.param(lambda: genus_formula(-H, 3), LevelError,
+                 f"need n >= 2 and d >= 2, got n={TOO_LARGE}, d=3", id="genus-formula"),
+    pytest.param(lambda: hurwitz_bound(-H), CurveDataError,
+                 f"Hurwitz bound needs genus >= 2, got {TOO_LARGE}", id="hurwitz-bound"),
+    pytest.param(lambda: full_group_order(-H, ReducedGroup("Cm", 2)), LevelError,
+                 f"level must be >= 2, got {TOO_LARGE}", id="full-group-order"),
+    pytest.param(lambda: make_curve(-H, poly(1, 0, 1)), LevelError,
+                 f"level must be >= 2, got {TOO_LARGE}", id="make-curve"),
+    pytest.param(lambda: BinaryForm(H, [1]), DegreeError,
+                 f"degree {TOO_LARGE} needs {TOO_LARGE} coefficients, got 1", id="form-degree"),
+    pytest.param(lambda: transvect(make_form(2, [1, 0, 1]), make_form(2, [1, 0, 1]), H),
+                 TransvectionError,
+                 f"transvection order {TOO_LARGE} out of range for degrees (2, 2)",
+                 id="transvect-order"),
+    pytest.param(lambda: homogenize(poly(1, 0, 1), -H), DegreeError,
+                 f"cannot homogenize degree-2 poly at degree {TOO_LARGE}", id="homogenize"),
+    pytest.param(lambda: Scalar(0, 1, H), RadicandError,
+                 f"radicand {TOO_LARGE} is outside the supported range |D| <= 10^12",
+                 id="radicand"),
 ])
 def test_precondition_errors_are_typed(call, error, message):
-    """Each precondition of curves, scalars and partial_derivative raises a
-    SeacurvesError subclass; the messages are those of the untyped raises
-    they replace."""
+    """Each precondition of curves, forms, transvection, scalars and catalog
+    rows raises a SeacurvesError subclass; the messages are those of the
+    untyped raises they replace, with an int past the digit limit printed as
+    "(too large to print)" whatever its size."""
     with pytest.raises(error) as exc:
         call()
     assert isinstance(exc.value, SeacurvesError) and str(exc.value) == message

@@ -231,7 +231,7 @@ def ref_form_repr(f):
             continue
         mono = "".join((f"X^{i}" if i > 1 else "X" if i == 1 else "",
                         f"Z^{d - i}" if d - i > 1 else "Z" if d - i == 1 else ""))
-        cs = str(c)
+        cs = _ref_coeff_to_string(c, None)
         if mono and cs == "1":
             terms.append(mono)
         elif mono and cs == "-1":
@@ -250,7 +250,7 @@ def ref_poly_repr(p):
         if c.is_zero:
             continue
         mono = "x" if i == 1 else (f"x^{i}" if i > 1 else "")
-        cs = str(c)
+        cs = _ref_coeff_to_string(c, None)
         if mono and cs == "1":
             terms.append(mono)
         elif mono and cs == "-1":

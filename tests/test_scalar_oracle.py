@@ -33,7 +33,9 @@ from hypothesis import strategies as st
 from seacurves import invariants as inv
 from seacurves import scalars
 from seacurves.cli import _invariants_doc
-from seacurves.forms import BinaryForm, Matrix2, _clear, _over, _to_scalars, moebius_act
+from seacurves.catalog.templates import parse_template
+from seacurves.forms import (BinaryForm, Matrix2, _clear, _over, _to_scalars, dehomogenize,
+                             moebius_act, poly_to_string)
 from seacurves.invariants import AbsoluteInvariants
 from seacurves.scalars import (
     _MAX_RADICAND,
@@ -465,7 +467,9 @@ def test_ratios_mark_a_vanished_denominator_undefined():
 def test_gate_shaped_work_builds_no_fraction(monkeypatch):
     """Invariants, their absolute invariants and the printed values of every
     one of them, on forms over Q and Q(sqrt 5) acted on by a matrix, build no
-    Fraction: the kernel is the cleared integers alone."""
+    Fraction: the kernel is the cleared integers alone.  Nor do the texts of
+    those forms, of their polynomials and of a Q(sqrt 5) template."""
+    template = parse_template("(x^2 + (1+sqrt(5))*x + a1)*(x^3 - 2*sqrt(5))")
     built = []
     new = Fraction.__new__
 
@@ -487,4 +491,6 @@ def test_gate_shaped_work_builds_no_fraction(monkeypatch):
             covariants = getattr(inv, f"{kind}_invariants")(f).covariants
             assert all(covariants[name].to_json() for name in covariants)
             assert transvect(f, f, 2).to_json() and repr(f)
+            assert poly_to_string(dehomogenize(f)) and repr(dehomogenize(f))
+    assert template.to_string() == "(x^2 + (1+sqrt(5))*x + a1)*(x^3 - 2*sqrt(5))"
     assert built == []

@@ -7,7 +7,9 @@ referenced somewhere in ``src/`` beyond its own definition.  Names read
 only from outside ``src/`` are listed in ``_READ_ELSEWHERE`` with the
 reason.  Every defaulted parameter of a module-level private function is
 passed, by position or by keyword, by some call in ``src/``: a default no
-caller overrides is a constant dressed as an option.
+caller overrides is a constant dressed as an option.  ``object.__setattr__``
+appears only in constructors (``__init__``, ``__new__``, ``__post_init__``,
+``_from_vec``).
 """
 
 import ast
@@ -127,3 +129,32 @@ def test_every_private_default_is_passed_somewhere():
             for position, name in _defaulted_params(func)
             if not any(_callee(c) == func.name and _passes(c, position, name) for c in calls)]
     assert dead == []
+
+
+_CONSTRUCTORS = {"__init__", "__new__", "__post_init__", "_from_vec"}
+
+
+def _setattr_sites(tree: ast.Module) -> list:
+    """(enclosing function or None, line) of each ``object.__setattr__``."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                sites.append((func, child.lineno))
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_object_setattr_only_while_constructing():
+    """Values are immutable: ``object.__setattr__`` fills a slot of a value
+    being built, never one already handed out (a memo written on read)."""
+    writes = [(_module_name(p), func, line) for p in MODULES
+              for func, line in _setattr_sites(_tree(p)) if func not in _CONSTRUCTORS]
+    assert writes == []

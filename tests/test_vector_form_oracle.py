@@ -62,6 +62,11 @@ def _product(u, v):
     return _to_scalars(_pair_product((ua, ub), (va, vb), disc), uden * vden, disc)
 
 
+def _ref_coeff_text(c):
+    """A coefficient's text in a term: a + b*sqrt(D) with a, b != 0 in parentheses."""
+    return f"({c})" if c.disc and c.a else str(c)
+
+
 class RefBinaryForm:
     """The Scalar-tuple form: coefficients a_0 .. a_d, compared as Scalars."""
 
@@ -119,7 +124,7 @@ class RefBinaryForm:
     def __repr__(self):
         d = self.degree
         body = forms._join_terms(
-            forms._term(str(c), forms._power("X", i) + forms._power("Z", d - i))
+            forms._term(_ref_coeff_text(c), forms._power("X", i) + forms._power("Z", d - i))
             for i, c in enumerate(self.coeffs) if not c.is_zero)
         return f"BinaryForm<{d}>({body})"
 
@@ -393,11 +398,15 @@ def test_invariant_systems_build_scalars_once_per_entry(monkeypatch, system, deg
     assert all(len(acc[0]) == 1 for acc, *_ in calls)
 
 
-def test_coeffs_are_built_once_and_only_when_read(monkeypatch):
+def test_coeffs_are_built_only_when_read_once_per_read(monkeypatch):
+    """A form keeps only its vector: no Scalar is built before coeffs is
+    read, and each read builds one fresh tuple, equal to the last."""
+    assert forms._Cleared.__slots__ == ("vec",)
     f = BinaryForm(3, [rational(1, 2), 0, Scalar(1, 1, 5), 2])
     calls = _counting(monkeypatch, "_to_scalars")
     g = transvect(f, f * f, 2)
     assert calls == []
-    assert g.coeffs is g.coeffs and len(calls) == 1
-    assert repr(g) and g.to_json() and len(calls) == 1
+    first, second = g.coeffs, g.coeffs
+    assert first == second and first is not second and len(calls) == 2
+    assert repr(g) and g.to_json() and len(calls) == 4
 
