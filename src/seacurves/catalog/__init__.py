@@ -37,7 +37,7 @@ from ..curves import (
     hurwitz_bound,
     make_curve,
 )
-from ..scalars import SeacurvesError, _int_str
+from ..scalars import SeacurvesError, _int_str, _repr_str
 from .templates import EquationTemplate, TemplateParamError, _numeral_key, parse_template
 
 __all__ = [
@@ -95,19 +95,20 @@ class FamilyRecord:
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not _ID.fullmatch(self.id):
-            raise CatalogError(f"id {self.id!r} does not end in -<digits>")
+            raise CatalogError(f"id {_repr_str(self.id)} does not end in -<digits>")
         # smallest legal value of each integer field
         for name, least in (("genus", 2), ("case_nr", 1), ("n", 2), ("delta", 0)):
             value = getattr(self, name)
             key = name.removesuffix("_nr")  # the JSON key of case_nr is "case"
             if type(value) is not int:
-                raise CatalogError(f"{key} {value!r} on {self.id} is not an integer")
+                raise CatalogError(f"{key} {_repr_str(value)} on {self.id} is not an integer")
             if value < least:
                 raise CatalogError(f"{key} {_int_str(value)} on {self.id} is below {least}")
         if self.full_group is not None and not isinstance(self.full_group, str):
-            raise CatalogError(f"full_group {self.full_group!r} on {self.id} is not a string")
+            raise CatalogError(
+                f"full_group {_repr_str(self.full_group)} on {self.id} is not a string")
         if self.status not in _STATUSES:
-            raise CatalogError(f"unknown status {self.status!r} on {self.id}")
+            raise CatalogError(f"unknown status {_repr_str(self.status)} on {self.id}")
         object.__setattr__(self, "template",
                            None if self.equation is None else parse_template(self.equation))
 
@@ -150,8 +151,7 @@ class FamilyRecord:
         )
         m = doc["m"]  # the reduced group's m, repeated: same type and value
         if type(m) is not type(record.m) or m != record.m:
-            shown = _int_str(m) if type(m) is int else repr(m)
-            raise CatalogError(f"m {shown} on {record.id} is not the reduced group's m")
+            raise CatalogError(f"m {_repr_str(m)} on {record.id} is not the reduced group's m")
         return record
 
 
@@ -159,17 +159,22 @@ def _id_key(record: FamilyRecord):
     return (record.genus, record.case_nr, _numeral_key(record.id.rsplit("-", 1)[1]))
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Catalog:
     """Immutable sequence of records, kept in id order (genus, case, sequence
     number) whatever order they come in, with id lookup and filtering.
 
     :func:`load_catalog` hands one instance to every caller that reads the
-    same dataset text, so the records are frozen and ``by_id`` is read-only.
+    same dataset text, so it is a frozen dataclass, its records are frozen
+    and ``by_id`` is read-only.
     """
 
-    def __init__(self, records):
-        self.records = tuple(sorted(records, key=_id_key))
-        self.by_id = MappingProxyType({r.id: r for r in self.records})
+    records: tuple
+    by_id: MappingProxyType = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", tuple(sorted(self.records, key=_id_key)))
+        object.__setattr__(self, "by_id", MappingProxyType({r.id: r for r in self.records}))
         if len(self.by_id) != len(self.records):
             raise CatalogError("duplicate record ids")
 
@@ -183,7 +188,7 @@ class Catalog:
         try:
             return self.by_id[record_id]
         except KeyError:
-            raise CatalogError(f"no record with id {record_id!r}") from None
+            raise CatalogError(f"no record with id {_repr_str(record_id)}") from None
 
     def query(self, genus=None, reduced_group=None) -> list[FamilyRecord]:
         """Records matching each filter given (a reduced group by kind or label,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from ..forms import (MAX_DEGREE, UnivariatePoly, _const_to_string, _join_coeff_field, _join_terms,
                      _power, _term, poly_to_string)
 from ..scalars import (ONE, ZERO, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
-                       _int_str, _parse_int, _split_top, _strip_sign, parse_scalar)
+                       _int_str, _parse_int, _repr_str, _split_top, _strip_sign, parse_scalar)
 
 __all__ = [
     "EquationTemplate",
@@ -76,7 +76,7 @@ class SumBlock:
 
     def __post_init__(self):
         if self.lo > self.hi or self.lo < 1 or self.scale < 1 or self.offset < 0:
-            raise TemplateError(f"bad sum block bounds {self!r}")
+            raise TemplateError(f"bad sum block bounds {_repr_str(self)}")
 
     @property
     def max_exp(self) -> int:
@@ -91,7 +91,13 @@ class SumBlock:
 
 @dataclass(frozen=True)
 class Factor:
-    items: tuple  # Term | SumBlock, sorted by descending max_exp
+    """A sum of Terms and SumBlocks, kept sorted by descending ``max_exp``
+    (stably), so that its first item is its leading term."""
+
+    items: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "items", tuple(sorted(self.items, key=lambda i: -i.max_exp)))
 
     @property
     def degree(self) -> int:
@@ -105,6 +111,12 @@ class Factor:
             else:
                 out.append(item)
         return out
+
+
+# Term products one symbolic() expansion may make.  The packaged table needs at
+# most 482 (g10-c5-1); a catalog file's template of degree <= MAX_DEGREE can
+# need millions (nine copies of an 11-term factor need 1.5 million).
+_MAX_PRODUCTS = 20_000
 
 
 def _numeral_key(digits: str) -> tuple[int, str]:
@@ -177,10 +189,16 @@ class EquationTemplate:
         Returns exp -> {monomial: Scalar} with monomial a sorted tuple of
         parameter names (with repetition).  Used by the inclusion DAG through
         :meth:`support_classification`; identically-zero coefficients are dropped.
+        A template needing over ``_MAX_PRODUCTS`` term products raises
+        :class:`TemplateError` before making them.
         """
         acc = {(0, ()): ONE}
+        products = 0
         for factor in self.factors:
             terms = factor.all_terms()
+            products += len(acc) * len(terms)
+            if products > _MAX_PRODUCTS:
+                raise TemplateError(f"symbolic expansion needs over {_MAX_PRODUCTS} term products")
             new = {}
             for (e1, m1), c1 in acc.items():
                 for t in terms:
@@ -306,11 +324,10 @@ def parse_template(text: str) -> EquationTemplate:
         factors = [terms] if len(terms) > 1 else [
             _split_top(_unwrap(atom), "+-") for atom in _split_top(s, "*")
         ]
-        items = [sorted((_parse_term(t) for t in f), key=lambda item: -item.max_exp)
-                 for f in factors]
+        items = [tuple(_parse_term(t) for t in f) for f in factors]
     except ScalarParseError as exc:
         raise TemplateError(str(exc)) from None
-    return EquationTemplate(Factor(tuple(f)) for f in items)
+    return EquationTemplate(Factor(f) for f in items)
 
 
 def parse_poly_string(text: str) -> UnivariatePoly:

@@ -9,12 +9,12 @@ signatures may lack their last entry, which :func:`complete_signature` restores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .forms import DegreeError, UnivariatePoly, is_squarefree, poly_to_string
-from .scalars import SeacurvesError, _int_str
+from .scalars import SeacurvesError, _int_str, _repr_str
 
 __all__ = [
     "ReducedGroup",
@@ -58,10 +58,11 @@ class ReducedGroup:
 
     def __post_init__(self):
         if self.kind not in REDUCED_KINDS:
-            raise CurveDataError(f"unknown reduced group kind {self.kind!r}")
+            raise CurveDataError(f"unknown reduced group kind {_repr_str(self.kind)}")
         if self.kind in ("Cm", "D2m"):
             if self.m is not None and type(self.m) is not int:
-                raise CurveDataError(f"{self.kind} parameter m {self.m!r} is not an integer")
+                raise CurveDataError(
+                    f"{self.kind} parameter m {_repr_str(self.m)} is not an integer")
             if self.m is None or self.m < 1:
                 raise CurveDataError(f"{self.kind} needs a positive parameter m")
         elif self.m is not None:
@@ -83,24 +84,27 @@ class ReducedGroup:
         return {"A4": "A_4", "S4": "S_4", "A5": "A_5"}[self.kind]
 
 
+@dataclass(frozen=True)
 class Signature:
     """A multiset of branch indices, kept as sorted (index, multiplicity) pairs.
 
-    Equal multisets are equal signatures; whether one was printed or
+    A frozen dataclass on ``pairs``: ``Signature(indices)`` takes any
+    iterable of indices or (index, multiplicity) pairs and normalises it, so
+    equal multisets are equal signatures.  Whether one was printed or
     completed is recorded by :class:`CompletionResult`, not here.
     """
 
-    __slots__ = ("pairs",)
+    pairs: tuple
 
-    def __init__(self, indices):
+    def __post_init__(self):
         counts: dict[int, int] = {}
-        for item in indices:
+        for item in self.pairs:
             if isinstance(item, (tuple, list)):
                 e, mult = item
             else:
                 e, mult = item, 1
             if type(e) is not int or type(mult) is not int:
-                raise CurveDataError(f"branch index {item!r} is not an integer")
+                raise CurveDataError(f"branch index {_repr_str(item)} is not an integer")
             if e < 2:
                 raise CurveDataError(f"branch index must be >= 2, got {_int_str(e)}")
             if mult < 1:
@@ -108,20 +112,9 @@ class Signature:
             counts[e] = counts.get(e, 0) + mult
         object.__setattr__(self, "pairs", tuple(sorted(counts.items())))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Signature is immutable")
-
     @property
     def point_count(self) -> int:
         return sum(mult for _, mult in self.pairs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Signature):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
 
     def compact(self) -> str:
         bits = []
@@ -220,24 +213,26 @@ def full_group_order(n: int, reduced: ReducedGroup) -> int:
     return n * reduced.order
 
 
+@dataclass(frozen=True)
 class SuperellipticCurve:
-    """y^n = f(x) with f squarefree; genus is computed on construction."""
+    """y^n = f(x) with f squarefree; genus is computed on construction.
 
-    __slots__ = ("n", "f", "genus")
+    A frozen dataclass on n and f; the derived ``genus`` takes no part in
+    equality or hashing.
+    """
 
-    def __init__(self, n: int, f: UnivariatePoly):
-        if n < 2:
-            raise LevelError(f"level must be >= 2, got {_int_str(n)}")
-        if f.degree < 2:
-            raise DegreeError(f"need deg f >= 2, got {f.degree}")
-        if not is_squarefree(f):
+    n: int
+    f: UnivariatePoly
+    genus: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise LevelError(f"level must be >= 2, got {_int_str(self.n)}")
+        if self.f.degree < 2:
+            raise DegreeError(f"need deg f >= 2, got {self.f.degree}")
+        if not is_squarefree(self.f):
             raise NotSquarefreeError("f has a repeated root (discriminant = 0)")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "genus", genus_formula(n, f.degree))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperellipticCurve is immutable")
+        object.__setattr__(self, "genus", genus_formula(self.n, self.f.degree))
 
     @property
     def degree(self) -> int:
@@ -247,14 +242,6 @@ class SuperellipticCurve:
     def is_low_genus(self) -> bool:
         """Genus below 2: legal to build, but outside the catalog's range."""
         return self.genus < 2
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperellipticCurve):
-            return NotImplemented
-        return self.n == other.n and self.f == other.f
-
-    def __hash__(self):
-        return hash((self.n, self.f))
 
     def to_json(self) -> dict:
         return {"n": self.n, "f": poly_to_string(self.f), "genus": self.genus}

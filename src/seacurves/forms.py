@@ -28,12 +28,13 @@ No operation here ever touches floating point.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, perm
 from typing import Iterable, Sequence
 
 from .scalars import (ZERO, Scalar, SeacurvesError, _conj, _content, _int_str, _join_field,
-                      _mul, _norm, _pow, _scalar, parse_scalar)
+                      _mul, _norm, _pow, _repr_str, _scalar, parse_scalar)
 
 __all__ = [
     "BinaryForm",
@@ -180,17 +181,21 @@ def poly_to_string(p: UnivariatePoly) -> str:
                        for e, c in reversed(list(enumerate(p.coeffs))) if not c.is_zero)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class _Cleared:
     """Coefficients a_0 .. a_d held as one canonical cleared vector.
 
     ``vec`` is (den, A, B, disc), coefficient i being
     (A[i] + B[i]*sqrt(disc)) / den; it is set once, at construction, and is
     the only state.  The Scalar tuple ``coeffs`` is built from it on each
-    read.  The vector is canonical, so equality and hashing compare it, and
-    the degree is its length minus one.
+    read.  A frozen dataclass on ``vec``: the vector is canonical, so equality
+    and hashing compare it, and the degree is its length minus one.  The slot
+    is declared by hand (under ``slots=True`` assigning a new name raises
+    TypeError), so copies and pickles are rebuilt through ``_from_vec``.
     """
 
     __slots__ = ("vec",)
+    vec: tuple
 
     def __init__(self, coeffs: tuple):
         den, a, b, disc = _clear(coeffs)
@@ -215,8 +220,8 @@ class _Cleared:
         object.__setattr__(obj, "vec", (den, tuple(a), b and tuple(b), disc))
         return obj
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __reduce__(self):
+        return type(self)._from_vec, self.vec
 
     @property
     def coeffs(self) -> tuple:
@@ -231,14 +236,6 @@ class _Cleared:
     @property
     def is_zero(self) -> bool:
         return self.vec[2] is None and not any(self.vec[1])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.vec == other.vec
-
-    def __hash__(self):
-        return hash(self.vec)
 
     def __mul__(self, other):
         if type(other) is not type(self):
@@ -338,7 +335,7 @@ def partial_derivative(f: BinaryForm, var: str, order: int = 1) -> BinaryForm:
     zero form of degree 0.
     """
     if var not in ("X", "Z"):
-        raise SeacurvesError(f"var must be 'X' or 'Z', got {var!r}")
+        raise SeacurvesError(f"var must be 'X' or 'Z', got {_repr_str(var)}")
     if order < 0:
         raise DegreeError("order must be nonnegative")
     n = f.degree
@@ -356,19 +353,26 @@ def evaluate(f: BinaryForm, x, z) -> Scalar:
     return sum((c * x ** i * z ** (d - i) for i, c in enumerate(f.coeffs) if c), ZERO)
 
 
+@dataclass(frozen=True)
 class Matrix2:
-    """2x2 matrix over Scalar, acting on (X, Z) by substitution."""
+    """2x2 matrix over Scalar, acting on (X, Z) by substitution.
+
+    A frozen dataclass on the entries a, b, c, d, coerced to Scalars; its
+    slots are declared by hand, as for forms, so ``__reduce__`` rebuilds it.
+    """
 
     __slots__ = ("a", "b", "c", "d")
+    a: Scalar
+    b: Scalar
+    c: Scalar
+    d: Scalar
 
-    def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", _scal(a))
-        object.__setattr__(self, "b", _scal(b))
-        object.__setattr__(self, "c", _scal(c))
-        object.__setattr__(self, "d", _scal(d))
+    def __post_init__(self):
+        for name in self.__slots__:
+            object.__setattr__(self, name, _scal(getattr(self, name)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix2 is immutable")
+    def __reduce__(self):
+        return Matrix2, (self.a, self.b, self.c, self.d)
 
     def det(self) -> Scalar:
         return self.a * self.d - self.b * self.c
@@ -380,14 +384,6 @@ class Matrix2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix2):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
         return f"Matrix2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"

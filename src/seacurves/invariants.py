@@ -94,20 +94,26 @@ DECIMIC_NAMES = ("J2", "J4", "A6", "C6", "J8", "J9", "J10", "J14", "A14", "J14_p
 GENERAL_NAMES = ("I2", "I3", "I4", "I4p", "I6", "I6p", "I6star", "I12")
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class InvariantVector:
     """Named invariant values of one system, with degree metadata and the
-    intermediate covariants that produced them.
+    intermediate covariants that produced them; frozen, like every value.
 
     ``covariants`` is a read-only mapping name -> form; a covariant no entry
     needed is computed when it is first read."""
 
+    kind: str
+    _entries: dict
+    covariants: Mapping
+    unavailable: frozenset
+
     def __init__(self, kind, entries, covariants: Mapping, unavailable=()):
         # entries: iterable of (name, value, coefficient-degree, definition)
-        self.kind = kind
-        self._entries = {name: (value, degree, definition)
-                         for name, value, degree, definition in entries}
-        self.covariants = covariants
-        self.unavailable = frozenset(unavailable)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_entries", {name: (value, degree, definition)
+                                              for name, value, degree, definition in entries})
+        object.__setattr__(self, "covariants", covariants)
+        object.__setattr__(self, "unavailable", frozenset(unavailable))
 
     def names(self):
         return tuple(self._entries)
@@ -142,16 +148,24 @@ class InvariantVector:
         return f"InvariantVector[{self.kind}]({vals})"
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class AbsoluteInvariants:
     """Ratios of invariants; entries are defined, undefined (zero
-    denominator) or unavailable (ingredients missing at this degree)."""
+    denominator) or unavailable (ingredients missing at this degree).
+    Frozen, like every value."""
+
+    kind: str
+    names: tuple
+    _values: dict
+    undefined: frozenset
+    unavailable: frozenset
 
     def __init__(self, kind, names, values, undefined=(), unavailable=()):
-        self.kind = kind
-        self.names = tuple(names)
-        self._values = dict(values)
-        self.undefined = frozenset(undefined)
-        self.unavailable = frozenset(unavailable)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "_values", dict(values))
+        object.__setattr__(self, "undefined", frozenset(undefined))
+        object.__setattr__(self, "unavailable", frozenset(unavailable))
 
     def defined(self, name: str) -> bool:
         return name in self._values

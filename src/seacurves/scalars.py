@@ -29,7 +29,8 @@ depth-0 signs or products, ``_strip_sign`` folds leading signs and
 numeral or parenthesis rule holds in both grammars.  A numeral longer than
 ``sys.get_int_max_str_digits()`` digits is refused both ways: as input by
 ``_parse_int`` and as output by ``_rat_str`` (:class:`OutputTooLargeError`);
-``_int_str`` prints such an int in a message as "(too large to print)".
+``_int_str`` prints such an int in a message as "(too large to print)", and
+``_repr_str`` any value holding one.
 """
 
 from __future__ import annotations
@@ -180,6 +181,10 @@ class Scalar:
     ``disc`` is 0 exactly when the value is rational (``b == 0``); otherwise it
     is a squarefree integer other than 1.  The properties ``a`` and ``b`` read
     the rational and radical parts as Fractions.
+
+    Unlike the package's other values it is not a frozen dataclass: the
+    constructor's arguments are not its stored state, which ``_new`` writes
+    on the hot paths, so ``__reduce__`` rebuilds a copy through ``_new``.
     """
 
     __slots__ = ("_den", "_a", "_b", "disc")
@@ -200,6 +205,9 @@ class Scalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        return _new, (self._den, self._a, self._b, self.disc)
 
     @property
     def a(self) -> Fraction:  # the rational part
@@ -313,7 +321,7 @@ def _rational(x) -> tuple[int, int]:
         return x.numerator, x.denominator
     if isinstance(x, Scalar) and not x.disc:
         return x._a, x._den
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    raise TypeError(f"cannot interpret {_repr_str(x)} as an exact rational")
 
 
 def _coerce(x):
@@ -346,6 +354,9 @@ def _rat_str(num: int, den: int) -> str:
         raise OutputTooLargeError() from None
 
 
+_TOO_LARGE = "(too large to print)"
+
+
 def _int_str(n: int) -> str:
     """The text of n, or "(too large to print)" past the interpreter's digit
     limit: for messages and reports, which must not fail on the numbers they
@@ -353,7 +364,16 @@ def _int_str(n: int) -> str:
     try:
         return str(n)
     except ValueError:  # beyond sys.get_int_max_str_digits()
-        return "(too large to print)"
+        return _TOO_LARGE
+
+
+def _repr_str(value) -> str:
+    """repr(value), or "(too large to print)" when it holds an int past the
+    digit limit: for messages quoting a caller's value of the wrong type."""
+    try:
+        return repr(value)
+    except ValueError:  # an int beyond sys.get_int_max_str_digits()
+        return _TOO_LARGE
 
 
 ZERO = _new(1, 0, 0, 0)

@@ -315,6 +315,11 @@ def test_shared_catalog_matches_a_fresh_build():
 
 
 def test_shared_catalog_state_is_read_only(catalog):
+    with pytest.raises(AttributeError):
+        catalog.records = catalog.records[:1]
+    with pytest.raises(AttributeError):
+        catalog.by_id = {}
+    assert len(packaged_catalog()) == 210
     with pytest.raises(TypeError):
         catalog.by_id["g5-c1-1"] = catalog["g5-c2-1"]
     with pytest.raises(TypeError):

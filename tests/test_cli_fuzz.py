@@ -247,6 +247,10 @@ HUGE_N, HUGE_GENUS = (_jsonl([json.dumps(dict(ROWS[0], **{key: 9 * 10 ** 4299}))
                       for key in ("n", "genus"))
 # two entries of one index whose multiplicities add up past 4300 digits
 HUGE_MULT = _jsonl([json.dumps(dict(ROWS[0], signature={"indices": [[2, 9 * 10 ** 4299]] * 2}))])
+# nine copies of an 11-term factor: a symbolic expansion of 1.5 million term
+# products, past the bound at which it stops
+BIG_TEMPLATE = _jsonl([json.dumps(dict(
+    ROWS[0], equation="*".join(["(x^11 + sum(i=1..10, a_i*x^i) + 1)"] * 9)))])
 SPECIALIZE_G5 = ["catalog", "specialize", "--id", "g5-c1-1",
                  "--params", "a1=1,a2=1,a3=1,a4=1,a5=1"]
 
@@ -263,6 +267,7 @@ CATALOG_SUBCOMMAND_ARGVS = st.sampled_from(["list", "verify", "inclusions", "spe
 @example(HUGE_GENUS, ["catalog", "verify"])
 @example(HUGE_MULT, ["catalog", "list", "--csv"])
 @example(HUGE_MULT, ["catalog", "list"])
+@example(BIG_TEMPLATE, ["catalog", "inclusions", "--genus", "5"])
 @settings(max_examples=150, deadline=timedelta(seconds=5))
 def test_catalog_commands_are_total_on_any_catalog_file(content, argv):
     with tempfile.TemporaryDirectory() as tmp:

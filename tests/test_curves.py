@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 
 from conftest import packaged_catalog
-from seacurves.catalog import CatalogError, FamilyRecord
+from seacurves.catalog import CatalogError, FamilyRecord, load_catalog
+from seacurves.catalog.templates import SumBlock, TemplateError
 from seacurves.curves import (
     CurveDataError,
     LevelError,
@@ -116,15 +117,40 @@ def test_make_curve_typed_errors():
     pytest.param(lambda: Scalar(0, 1, H), RadicandError,
                  f"radicand {TOO_LARGE} is outside the supported range |D| <= 10^12",
                  id="radicand"),
+    # a value of the wrong type is quoted by repr, which fails past the limit
+    pytest.param(lambda: dataclasses.replace(_row(), id=H), CatalogError,
+                 f"id {TOO_LARGE} does not end in -<digits>", id="row-id-type"),
+    pytest.param(lambda: dataclasses.replace(_row(), genus=[H]), CatalogError,
+                 f"genus {TOO_LARGE} on g5-c1-1 is not an integer", id="row-genus-type"),
+    pytest.param(lambda: dataclasses.replace(_row(), full_group=H), CatalogError,
+                 f"full_group {TOO_LARGE} on g5-c1-1 is not a string", id="row-full-group-type"),
+    pytest.param(lambda: dataclasses.replace(_row(), status=H), CatalogError,
+                 f"unknown status {TOO_LARGE} on g5-c1-1", id="row-status-type"),
+    pytest.param(lambda: Signature([(H, 1.5)]), CurveDataError,
+                 f"branch index {TOO_LARGE} is not an integer", id="signature-index-type"),
+    pytest.param(lambda: ReducedGroup(H), CurveDataError,
+                 f"unknown reduced group kind {TOO_LARGE}", id="reduced-kind-type"),
+    pytest.param(lambda: ReducedGroup("Cm", [H]), CurveDataError,
+                 f"Cm parameter m {TOO_LARGE} is not an integer", id="reduced-m-type"),
+    pytest.param(lambda: partial_derivative(make_form(2, [1, 0, 1]), H), SeacurvesError,
+                 f"var must be 'X' or 'Z', got {TOO_LARGE}", id="derivative-var-type"),
+    pytest.param(lambda: load_catalog()[H], CatalogError,
+                 f"no record with id {TOO_LARGE}", id="catalog-id-type"),
+    pytest.param(lambda: SumBlock(H, 1, 1, 0), TemplateError,
+                 f"bad sum block bounds {TOO_LARGE}", id="sum-block-type"),
+    pytest.param(lambda: Scalar([H]), TypeError,
+                 f"cannot interpret {TOO_LARGE} as an exact rational", id="scalar-type"),
 ])
 def test_precondition_errors_are_typed(call, error, message):
     """Each precondition of curves, forms, transvection, scalars and catalog
-    rows raises a SeacurvesError subclass; the messages are those of the
-    untyped raises they replace, with an int past the digit limit printed as
+    rows raises a SeacurvesError subclass (a TypeError for a Scalar built
+    from a value of no numeric type); the messages are those of the untyped
+    raises they replace, with an int past the digit limit printed as
     "(too large to print)" whatever its size."""
     with pytest.raises(error) as exc:
         call()
-    assert isinstance(exc.value, SeacurvesError) and str(exc.value) == message
+    assert isinstance(exc.value, SeacurvesError) != (error is TypeError)
+    assert str(exc.value) == message
 
 
 def test_low_genus_flag():

@@ -9,7 +9,8 @@ reason.  Every defaulted parameter of a module-level private function is
 passed, by position or by keyword, by some call in ``src/``: a default no
 caller overrides is a constant dressed as an option.  ``object.__setattr__``
 appears only in constructors (``__init__``, ``__new__``, ``__post_init__``,
-``_from_vec``).
+``_from_vec``), and only ``Scalar`` writes its own ``__setattr__``: every
+other value is a frozen dataclass.
 """
 
 import ast
@@ -158,3 +159,13 @@ def test_object_setattr_only_while_constructing():
     writes = [(_module_name(p), func, line) for p in MODULES
               for func, line in _setattr_sites(_tree(p)) if func not in _CONSTRUCTORS]
     assert writes == []
+
+
+def test_only_scalar_writes_its_own_setattr():
+    """Immutability has one idiom, the frozen dataclass; Scalar, whose
+    constructor arguments are not its stored state, is the one exception."""
+    owners = [(_module_name(p), node.name) for p in MODULES for node in ast.walk(_tree(p))
+              if isinstance(node, ast.ClassDef)
+              for item in node.body
+              if isinstance(item, ast.FunctionDef) and item.name == "__setattr__"]
+    assert owners == [("scalars", "Scalar")]

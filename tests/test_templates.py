@@ -14,7 +14,7 @@ from seacurves.catalog.templates import (
     poly_to_string,
 )
 from seacurves.forms import UnivariatePoly
-from seacurves.scalars import Scalar, rational, sqrt_ext
+from seacurves.scalars import ONE, Scalar, rational, sqrt_ext
 
 F1 = "x^12 - a1*x^10 - 33*x^8 + 2*a1*x^6 - 33*x^4 - a1*x^2 + 1"
 
@@ -143,6 +143,19 @@ def test_declared_degree_stable_under_params():
     t = parse_template("(x^6 + a1*x^3 + 1)*(x^6 + a2*x^3 + 1)")
     for vals in ({"a1": 0, "a2": 0}, {"a1": 5, "a2": -5}, {"a1": 100, "a2": 1}):
         assert t.expand(vals).degree == t.degree == 12
+
+
+def test_factor_keeps_its_own_order():
+    """A factor sorts its items, so the leading-term rule sees the leading
+    term whatever order the items are given in."""
+    with pytest.raises(TemplateError, match="leading coefficient"):
+        EquationTemplate([Factor((Term(ONE, None, 0), Term(ONE, "a1", 5)))])
+    unsorted = Factor((Term(ONE, None, 0), Term(rational(2), None, 3), Term(ONE, None, 7)))
+    assert unsorted == Factor((Term(ONE, None, 7), Term(rational(2), None, 3),
+                               Term(ONE, None, 0)))
+    template = EquationTemplate([unsorted])
+    assert template.to_string() == "x^7 + 2*x^3 + 1"
+    assert parse_template(template.to_string()) == template
 
 
 def test_rejects_malformed():
