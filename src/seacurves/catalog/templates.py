@@ -24,7 +24,7 @@ and polynomials.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..forms import (MAX_DEGREE, UnivariatePoly, _const_to_string, _join_coeff_field, _join_terms,
                      _power, _term, poly_to_string)
@@ -126,18 +126,26 @@ def _numeral_key(digits: str) -> tuple[int, str]:
     return len(digits), digits
 
 
+@dataclass(frozen=True, repr=False)
 class EquationTemplate:
-    """Product of factors; expands to a UnivariatePoly at a parameter map."""
+    """Product of factors; expands to a UnivariatePoly at a parameter map.
 
-    def __init__(self, factors):
-        self.factors = tuple(factors)
+    A frozen dataclass on ``factors`` (any iterable, kept as a tuple); the
+    support map is memoized in a dict the constructor creates, empty until
+    the first :meth:`support_classification`.
+    """
+
+    factors: tuple
+    _support: dict = field(default_factory=dict, init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise TemplateError("template needs at least one factor")
         # before _validate enumerates sum-block terms or expands anything
         if self.degree > MAX_DEGREE:
             raise TemplateError(f"template degree {_int_str(self.degree)} exceeds {MAX_DEGREE}")
         self._validate()
-        self._support = None  # filled by the first support_classification()
 
     def _validate(self):
         consts = []
@@ -214,9 +222,9 @@ class EquationTemplate:
         """exp -> ("const", Scalar) for parameter-free coefficients,
         exp -> "param" for parameter-dependent ones.  The template is expanded
         on the first call only; every call returns its own copy of the map."""
-        if self._support is None:
-            self._support = {e: ("const", poly[()]) if list(poly) == [()] else "param"
-                             for e, poly in self.symbolic().items()}
+        if not self._support:  # never empty once filled: the leading coefficient is not 0
+            self._support.update((e, ("const", poly[()]) if list(poly) == [()] else "param")
+                                 for e, poly in self.symbolic().items())
         return dict(self._support)
 
     def to_string(self) -> str:
@@ -232,11 +240,6 @@ class EquationTemplate:
                 body = f"({body})"
             bodies.append(body)
         return "*".join(bodies)
-
-    def __eq__(self, other):
-        if not isinstance(other, EquationTemplate):
-            return NotImplemented
-        return self.factors == other.factors
 
     def __repr__(self):
         return f"EquationTemplate({self.to_string()!r})"

@@ -18,7 +18,11 @@ only its vector: its Scalar tuple ``coeffs`` is built on each read.  Sums,
 products, scaling, the GL2 substitution, derivatives, ``monic``,
 (de)homogenization and the transvectant read vectors and return values built
 from vectors (``_from_vec``), on Python ints over Z[sqrt(D)]; fields join by
-:func:`seacurves.scalars._join_field`.
+:func:`seacurves.scalars._join_field`.  Products and the GL2 substitution
+convolve (A, B) pairs (``_pair_convolve``); a partial derivative scales each
+coefficient by a product of falling factorials (``_falling_products``, built
+by a ratio recurrence), and the same products, summed over k, are the
+weights of the transvectant's cached tables (:mod:`seacurves.transvection`).
 
 Resultants, discriminants (hence the squarefree test) and gcds all run on
 one subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the
@@ -93,32 +97,31 @@ def _clear(coeffs: Sequence[Scalar]):
     return den, a, [c._b * (den // c._den) for c in coeffs], disc
 
 
-def _convolve(acc: list, u: list, v: list, scale: int) -> None:
-    """acc[i + j] += scale * u[i] * v[j] over ints, skipping zeros."""
+def _convolve(acc: list, u: list, v: list) -> None:
+    """acc[i + j] += u[i] * v[j] over ints, skipping zeros."""
     for i, x in enumerate(u):
         if x:
-            x *= scale
             for j, y in enumerate(v):
                 if y:
                     acc[i + j] += x * y
 
 
-def _pair_convolve(acc, f, g, disc: int, scale: int = 1) -> None:
-    """acc += scale * f * g for (A, B) pairs of vectors over Z[sqrt(disc)].
+def _pair_convolve(acc, f, g, disc: int) -> None:
+    """acc += f * g for (A, B) pairs of vectors over Z[sqrt(disc)].
 
     (a1 + b1 s)(a2 + b2 s) = a1 a2 + disc b1 b2 + (a1 b2 + b1 a2) s; a B of
     None is the zero vector.
     """
     (a1, b1), (a2, b2) = f, g
-    _convolve(acc[0], a1, a2, scale)
+    _convolve(acc[0], a1, a2)
     if not disc:  # every B is zero over Q
         return
     if b1 and b2:
-        _convolve(acc[0], b1, b2, scale * disc)
+        _convolve(acc[0], b1, [disc * y for y in b2])  # g is the short one in moebius_act
     if b2:
-        _convolve(acc[1], a1, b2, scale)
+        _convolve(acc[1], a1, b2)
     if b1:
-        _convolve(acc[1], b1, a2, scale)
+        _convolve(acc[1], b1, a2)
 
 
 def _pair_product(f, g, disc: int):
@@ -129,10 +132,29 @@ def _pair_product(f, g, disc: int):
     return acc
 
 
+def _falling_products(n: int, p: int, k: int) -> list:
+    """P(i + p, p) * P(n - i - p, k) for i = 0 .. n - p - k, P(x, j) = x!/(x-j)!.
+
+    The weight d^(p+k) / dX^p dZ^k puts on coefficient i + p of a degree-n
+    form, built by the ratio recurrence in i: from i - 1 to i, P(i + p, p)
+    gains (i + p)/i and P(n - i - p, k) gains (n - i - p - k + 1)/(n - i - p + 1),
+    and the division is exact because both sides are integers.  Empty when
+    p + k > n.
+    """
+    if p + k > n:
+        return []
+    w = perm(p) * perm(n - p, k)
+    out = [w]
+    for i in range(1, n - p - k + 1):
+        w = w * (i + p) * (n - i - p - k + 1) // (i * (n - i - p + 1))
+        out.append(w)
+    return out
+
+
 @lru_cache(maxsize=1024)
 def _partial_weights(n: int, p: int, k: int) -> tuple:
-    """The factors (i + p)!/i! * (n - i - p)!/(n - i - p - k)! of _partial."""
-    return tuple(perm(i + p, p) * perm(n - i - p, k) for i in range(n - p - k + 1))
+    """The factors of _partial, cached per (n, p, k)."""
+    return tuple(_falling_products(n, p, k))
 
 
 def _partial(vec, n: int, p: int, k: int):

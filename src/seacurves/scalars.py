@@ -206,6 +206,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Scalar is immutable")
+
     def __reduce__(self):
         return _new, (self._den, self._a, self._b, self.disc)
 

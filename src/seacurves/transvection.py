@@ -1,4 +1,4 @@
-"""The r-transvection of binary forms.
+"""The r-transvection of binary forms, as one weighted convolution.
 
 For f of degree n and g of degree m and 0 <= r <= min(n, m):
 
@@ -10,34 +10,151 @@ The result is a form of degree n + m - 2r.  Every covariant and invariant in
 :mod:`seacurves.invariants` is a composition of this single operation with
 form products.
 
-There is one code path for Q and Q(sqrt D), on the forms' cleared vectors
-(see :mod:`seacurves.forms`): the partial derivatives are taken on the
-integer vectors over Z[sqrt D] by ``forms._partial`` (the formula behind
-``partial_derivative`` too, with its weights cached per (n, p, k)), the
-r + 1 products are convolved as Python ints by the kernel that also
-multiplies forms, and the result is a vector over the denominator
-n! m! den(f) den(g), made canonical once.  A chain of transvectants builds
-Scalars only where a caller reads ``coeffs``.
+In coefficients (Olver, *Classical Invariant Theory*, 1999, ch. 5; Glenn,
+*Theory of Invariants*, 1915), with f = sum f_a X^a Z^(n-a),
+g = sum g_b X^b Z^(m-b) and P(x, j) = x!/(x-j)! the falling factorial,
+
+    coefficient s of (f, g)^r = sum_{a+b=s+r} f_a g_b W(a, b) / (P(n, r) P(m, r)),
+
+    W(a, b) = sum_k alpha_k(a) beta_k(b),
+    alpha_k(a) = (-1)^k C(r, k) P(a, r-k) P(n-a, k),  beta_k(b) = P(b, k) P(m-b, r-k).
+
+W depends only on the shape (n, m, r), so it is built once per shape, each
+alpha_k and beta_k row by the ratio recurrence of
+``forms._falling_products``, and cached.  A table keeps, per a, only the
+b with W(a, b) != 0 (these have 0 <= a + b - r <= n + m - 2r), as parallel
+tuples of b, the output index s = a + b - r and the weight.  A transvectant
+is then one double loop over the table on the forms' cleared vectors (see
+:mod:`seacurves.forms`): the products (x_a + x_b sqrt D)(y_a + y_b sqrt D)
+are taken inline on the integer pairs, so Q and Q(sqrt D) share the loop,
+and the result is a vector over the denominator P(n, r) P(m, r) den(f)
+den(g), made canonical once.
 
 A self-transvectant (f, f)^r, recognised by equal cleared operands, uses the
-symmetry (f, g)^r = (-1)^r (g, f)^r (Olver, *Classical Invariant Theory*,
-1999, ch. 5): the k-th and (r-k)-th products are equal up to the sign
-(-1)^r, so for odd r the result is zero and for even r the sum runs over
-k <= r/2 with the products before the middle one counted twice.
+symmetry (f, g)^r = (-1)^r (g, f)^r, that is W(a, b) = (-1)^r W(b, a) when
+n = m: for odd r the result is zero and no table is built, and for even r
+the loop reads a symmetric half-table S(a, b) = W(a, b) + W(b, a) = 2 W(a, b)
+over a < b, with S(a, a) = W(a, a).
+
+Tables are cached oldest-first-out within two bounds, ``_CACHE_ENTRIES``
+tables and ``_CACHE_BYTES`` (16 MiB) as ``_table_bytes`` counts them: every
+tuple and int of a table, shared small ints included, so the count
+over-states the memory a table holds.  A table larger than the byte bound is
+used and not kept, so the cache never holds more than 16 MiB.  At
+``MAX_DEGREE`` = 100 the largest full table, (100, 100, 40), counts 1.4 MiB,
+the largest half-table 0.7 MiB, and the 51 half-tables together 28 MiB; the
+self-tables of degrees 6-22 together count 1.9 MiB.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+import threading
+from math import comb, perm
+from sys import getsizeof
 
-from .forms import BinaryForm, _join_field, _pair_convolve, _partial
+from .forms import BinaryForm, _falling_products, _join_field
 from .scalars import SeacurvesError, _int_str
 
 __all__ = ["transvect", "TransvectionError"]
 
+_CACHE_ENTRIES = 512
+_CACHE_BYTES = 16 * 2 ** 20
+
+# (n, m, r) -> (full table, bytes) and (n, r) -> (half table, bytes), oldest
+# first; lookups read it unlocked, inserts and evictions hold the lock
+_TABLES: dict = {}
+_TABLES_LOCK = threading.Lock()
+
 
 class TransvectionError(SeacurvesError):
     """r exceeds the degree of one of the operands (or is negative)."""
+
+
+def _rows(w: list, r: int) -> tuple:
+    """The table of the weights w[a][b]: per a, three parallel tuples of the
+    b with w[a][b] != 0, their output indices a + b - r, and the weights."""
+    table = []
+    for a, row in enumerate(w):
+        bs = tuple(b for b, x in enumerate(row) if x)
+        table.append((bs, tuple(a + b - r for b in bs), tuple(row[b] for b in bs)))
+    return tuple(table)
+
+
+def _weight_matrix(n: int, m: int, r: int, upper: bool) -> list:
+    """W(a, b) for degrees n and m as rows a = 0 .. n, over b >= a only if
+    ``upper``: row a gains alpha_k(a) beta_k(b) over b = k .. m - r + k."""
+    w = [[0] * (m + 1) for _ in range(n + 1)]
+    for k in range(r + 1):
+        c = -comb(r, k) if k % 2 else comb(r, k)
+        beta = _falling_products(m, k, r - k)
+        hi = k + len(beta)
+        for a, x in enumerate(_falling_products(n, r - k, k), r - k):
+            lo = max(a, k) if upper else k
+            x *= c
+            row = w[a]
+            row[lo:hi] = [z + x * y for z, y in zip(row[lo:hi], beta[lo - k:])]
+    return w
+
+
+def _full_table(n: int, m: int, r: int) -> tuple:
+    """The weights W(a, b) of (f, g)^r for degrees n and m."""
+    return _rows(_weight_matrix(n, m, r, False), r)
+
+
+def _half_table(n: int, r: int) -> tuple:
+    """The weights S(a, b) of (f, f)^r over a <= b, for even r and degree n:
+    W is symmetric, so S(a, b) = 2 W(a, b) for a < b and S(a, a) = W(a, a)."""
+    w = _weight_matrix(n, n, r, True)
+    for a, row in enumerate(w):
+        row[a + 1:] = [2 * x for x in row[a + 1:]]
+    return _rows(w, r)
+
+
+def _table_bytes(table: tuple) -> int:
+    """The bytes of every tuple and int of a table, shared small ints included."""
+    return getsizeof(table) + sum(getsizeof(row) + sum(getsizeof(t) + sum(map(getsizeof, t))
+                                                       for t in row) for row in table)
+
+
+def _cached(key: tuple, build) -> tuple:
+    """build(*key), kept in ``_TABLES`` within both cache bounds."""
+    hit = _TABLES.get(key)
+    if hit is not None:
+        return hit[0]
+    table = build(*key)
+    size = _table_bytes(table)
+    if size <= _CACHE_BYTES:
+        with _TABLES_LOCK:
+            _TABLES[key] = (table, size)
+            total = sum(s for _, s in _TABLES.values())
+            while len(_TABLES) > _CACHE_ENTRIES or total > _CACHE_BYTES:
+                total -= _TABLES.pop(next(iter(_TABLES)))[1]
+    return table
+
+
+def _weighted_sum(table: tuple, f, g, disc: int, size: int):
+    """The (A, B) pair of sum f_a g_b W(a, b) at a + b - r over a table, for
+    (A, B) pairs f and g over Z[sqrt(disc)]; B is None over Q."""
+    (fa, fb), (ga, gb) = f, g
+    acc = [0] * size
+    if not disc:
+        for x, (bs, ss, ws) in zip(fa, table):
+            if x:
+                for b, s, w in zip(bs, ss, ws):
+                    y = ga[b]
+                    if y:
+                        acc[s] += x * y * w
+        return acc, None
+    rad = [0] * size
+    fb, gb = fb or (0,) * len(fa), gb or (0,) * len(ga)
+    for x0, x1, (bs, ss, ws) in zip(fa, fb, table):
+        if x0 or x1:
+            for b, s, w in zip(bs, ss, ws):
+                y0, y1 = ga[b], gb[b]
+                if y0 or y1:
+                    acc[s] += (x0 * y0 + disc * x1 * y1) * w
+                    rad[s] += (x0 * y1 + x1 * y0) * w
+    return acc, rad
 
 
 def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
@@ -51,17 +168,11 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     fden, fa, fb, fdisc = f.vec
     gden, ga, gb, gdisc = g.vec
     disc = _join_field(fdisc, gdisc)
-    # (f, f)^r: the k-th and (r-k)-th products agree up to (-1)^r, so they
-    # cancel for odd r and pair up for even r
-    same = f.vec == g.vec
-    if same and r % 2:
-        return BinaryForm.zero(deg)
-    pref_num = factorial(n - r) * factorial(m - r)
-    acc = ([0] * (deg + 1), [0] * (deg + 1))
-    for k in range(r // 2 + 1 if same else r + 1):
-        weight = 2 if same and 2 * k < r else 1
-        left = (_partial(fa, n, r - k, k), _partial(fb, n, r - k, k))
-        right = (_partial(ga, m, k, r - k), _partial(gb, m, k, r - k))
-        _pair_convolve(acc, left, right, disc, weight * (-1) ** k * comb(r, k) * pref_num)
-    den = factorial(n) * factorial(m) * fden * gden
-    return BinaryForm._from_vec(den, acc[0], acc[1], disc)
+    if f.vec == g.vec:
+        if r % 2:
+            return BinaryForm.zero(deg)
+        table = _cached((n, r), _half_table)
+    else:
+        table = _cached((n, m, r), _full_table)
+    a, b = _weighted_sum(table, (fa, fb), (ga, gb), disc, deg + 1)
+    return BinaryForm._from_vec(perm(n, r) * perm(m, r) * fden * gden, a, b, disc)

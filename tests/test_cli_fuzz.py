@@ -6,7 +6,8 @@ radicals in one input) and good ones up to 10^12, ``x^k`` terms up to
 k = 101 (one past ``MAX_DEGREE``) and coefficient CSVs, for ``genus --poly``
 (with levels ``-n`` of up to 4300 digits), ``transvect``,
 ``invariants --coeffs``, ``isomorphic`` and ``catalog specialize --params``,
-and from negative and huge ``--genus`` values and arbitrary ``--group``
+and from negative and huge ``--genus`` values (as one token or two, with
+leading zeros or a plus sign) and arbitrary ``--group``
 text for ``catalog list``, ``verify`` and ``inclusions``.  Whatever the
 input, ``main`` must return 0, 1 or 2 without raising, within a per-example
 deadline, and a second run must print byte-identical stdout.
@@ -118,6 +119,16 @@ GROUPS = st.one_of(st.sampled_from(["A5", "A_5", "D_4", "D2m", "Cm", "C_3", "S_4
 
 
 @st.composite
+def genus_args(draw):
+    """``--genus G`` as one token or two, a nonnegative G also with leading
+    zeros or a plus sign, so that inclusions, which takes no other option,
+    has more argvs than GENERA's 18 values."""
+    genus = draw(GENERA)
+    text = str(genus) if genus < 0 else draw(st.sampled_from(["", "0", "00", "+"])) + str(genus)
+    return draw(st.sampled_from([["--genus", text], [f"--genus={text}"]]))
+
+
+@st.composite
 def catalog_argvs(draw, sub=None):
     """catalog list, verify or inclusions (``sub``, or drawn), with or without
     their filters."""
@@ -125,7 +136,7 @@ def catalog_argvs(draw, sub=None):
         sub = draw(st.sampled_from(["list", "verify", "inclusions"]))
     argv = ["catalog", sub]
     if sub == "inclusions" or draw(st.booleans()):
-        argv += ["--genus", str(draw(GENERA))]
+        argv += draw(genus_args())
     if sub == "list" and draw(st.booleans()):
         argv.append(f"--group={draw(GROUPS)}")
     if sub == "list" and draw(st.booleans()):
@@ -255,9 +266,11 @@ SPECIALIZE_G5 = ["catalog", "specialize", "--id", "g5-c1-1",
                  "--params", "a1=1,a2=1,a3=1,a4=1,a5=1"]
 
 
-# each catalog subcommand alike, so that list, verify and inclusions are drawn
-# as often as specialize
-CATALOG_SUBCOMMAND_ARGVS = st.sampled_from(["list", "verify", "inclusions", "specialize"]).flatmap(
+# each catalog subcommand alike, so that list and verify are drawn as often as
+# specialize, and inclusions twice as often: its few argvs repeat on the small
+# catalog-file branches, where hypothesis then draws the larger argv spaces
+CATALOG_SUBCOMMAND_ARGVS = st.sampled_from(
+    ["list", "verify", "inclusions", "inclusions", "specialize"]).flatmap(
     lambda sub: specialize_argvs() if sub == "specialize" else catalog_argvs(sub))
 
 
@@ -268,7 +281,7 @@ CATALOG_SUBCOMMAND_ARGVS = st.sampled_from(["list", "verify", "inclusions", "spe
 @example(HUGE_MULT, ["catalog", "list", "--csv"])
 @example(HUGE_MULT, ["catalog", "list"])
 @example(BIG_TEMPLATE, ["catalog", "inclusions", "--genus", "5"])
-@settings(max_examples=150, deadline=timedelta(seconds=5))
+@settings(max_examples=200, deadline=timedelta(seconds=5))
 def test_catalog_commands_are_total_on_any_catalog_file(content, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.jsonl")

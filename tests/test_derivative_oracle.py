@@ -2,8 +2,8 @@
 
 The reference below differentiates one order at a time in ``Scalar``
 arithmetic; ``partial_derivative`` clears the form once and applies the
-closed formula ``forms._partial`` (the one ``transvect`` uses) to integer
-vectors.  The two must agree exactly over Q, Q(sqrt -3) and Q(sqrt 5), in
+closed formula ``forms._partial`` (whose weights, ``forms._falling_products``,
+also build the weight tables of ``transvect``) to integer vectors.  The two must agree exactly over Q, Q(sqrt -3) and Q(sqrt 5), in
 both variables, at every order 0..d + 1, at degrees 0-22 and MAX_DEGREE.
 ``UnivariatePoly.derivative``, which also runs on cleared integer vectors,
 must agree with the reference's first pass in X.

@@ -4,11 +4,15 @@ The references below multiply coefficient by coefficient in ``Scalar``
 arithmetic; ``transvect`` and both ``__mul__`` methods clear denominators and
 convolve integers instead.  The two must agree exactly over Q, over
 Q(sqrt -3) and Q(sqrt 5), and when a rational operand meets an extension one.
-A self-transvectant ``(f, f)^r`` sums only half its products; the reference
-sums all of them, and operands that are equal only up to a scalar must not
-take the shorter sum.
+``ref_transvect`` is the r + 1-product algorithm ``transvect`` had before it
+became one weighted sum over a cached table of weights per (n, m, r).  A
+self-transvectant ``(f, f)^r`` is zero for odd r, built from no table, and
+reads the symmetric half-table for even r; the reference sums all products,
+and operands that are equal only up to a scalar must read the full table.
+No transvectant takes a partial derivative (``forms._partial``).
 """
 
+from contextlib import contextmanager
 from math import comb, factorial
 from unittest import mock
 
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import seacurves.forms
 from seacurves import transvection
 from seacurves.forms import BinaryForm, UnivariatePoly
 from seacurves.scalars import FieldMixError, Scalar, rational, sqrt_ext
@@ -113,9 +118,16 @@ def test_transvect_matches_reference_for_every_r(pair):
         assert transvect(f, g, r) == ref_transvect(f, g, r)
 
 
-def _convolutions():
-    """Spy on the products ``transvect`` convolves."""
-    return mock.patch.object(transvection, "_pair_convolve", wraps=transvection._pair_convolve)
+@contextmanager
+def _table_reads():
+    """Spy on the weight tables ``transvect`` reads; the spy returns the
+    builders of the tables read so far ("full" or "half") and the number of
+    ``forms._partial`` calls."""
+    names = {transvection._full_table: "full", transvection._half_table: "half"}
+    with mock.patch.object(transvection, "_cached", wraps=transvection._cached) as tables, \
+            mock.patch.object(seacurves.forms, "_partial",
+                              wraps=seacurves.forms._partial) as partial:
+        yield lambda: ([names[c.args[1]] for c in tables.call_args_list], partial.call_count)
 
 
 def _one_field_forms():
@@ -126,16 +138,16 @@ def _one_field_forms():
 @given(_one_field_forms())
 @settings(max_examples=40, deadline=None)
 def test_self_transvectant_matches_reference(f):
-    # (f, f)^r is zero for odd r and sums r/2 + 1 products for even r; an
-    # equal form built from distinct Scalars takes the same path
+    # (f, f)^r is zero for odd r, with no table, and reads the half-table for
+    # even r; an equal form built from distinct Scalars takes the same path
     copy = BinaryForm(f.degree, [Scalar(c.a, c.b, c.disc) for c in f.coeffs])
     for r in range(f.degree + 1):
         expected = ref_transvect(f, f, r)
         for g in (f, copy):
-            with _convolutions() as spy:
+            with _table_reads() as reads:
                 out = transvect(f, g, r)
             assert out == expected and repr(out) == repr(expected)
-            assert spy.call_count == (0 if r % 2 else r // 2 + 1)
+            assert reads() == ([] if r % 2 else ["half"], 0)
 
 
 # f and 2f (and f/2) clear to the same integer vector over other denominators
@@ -149,11 +161,11 @@ def test_near_equal_operands_take_the_full_sum(f):
     assume(not f.is_zero)
     for g in (f.scale(2), f.scale(rational(1, 2))):
         for r in range(f.degree + 1):
-            with _convolutions() as spy:
+            with _table_reads() as reads:
                 out = transvect(f, g, r)
             expected = ref_transvect(f, g, r)
             assert out == expected and repr(out) == repr(expected)
-            assert spy.call_count == r + 1
+            assert reads() == (["full"], 0)
 
 
 @given(form_pairs())

@@ -1,11 +1,15 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_form, unimodular_matrix
-from seacurves.forms import BinaryForm, Matrix2, make_form, moebius_act
+from seacurves import transvection
+from seacurves.forms import MAX_DEGREE, BinaryForm, Matrix2, make_form, moebius_act
 from seacurves.scalars import Scalar, sqrt_ext
 from seacurves.transvection import TransvectionError, transvect
 
@@ -127,3 +131,73 @@ def test_quadratic_extension_path():
     out = transvect(f, f, 2)
     assert out.degree == 0
     assert out.constant_value() == Scalar(2) - (s * s) / 2  # = 7/2, back in Q
+
+
+def _big_form(rng: random.Random, digits: int) -> BinaryForm:
+    return BinaryForm(MAX_DEGREE, [rng.randrange(-10 ** digits, 10 ** digits)
+                                   for _ in range(MAX_DEGREE + 1)])
+
+
+def test_largest_self_transvectant_meets_the_fuzz_deadline(monkeypatch):
+    """(f, f)^50 at MAX_DEGREE with 2000-digit coefficients, its half-table
+    built cold, finishes within the 5 s the CLI fuzz gives one command."""
+    monkeypatch.setattr(transvection, "_TABLES", {})
+    f = _big_form(random.Random(2000), 2000)
+    start = time.perf_counter()
+    h = transvect(f, f, 50)
+    assert time.perf_counter() - start < 5.0
+    assert h.degree == 2 * MAX_DEGREE - 100 and not h.is_zero
+
+
+def test_table_cache_stays_within_its_byte_bound(monkeypatch):
+    """Distinct MAX_DEGREE shapes, full tables and half-tables, fill the cache
+    past its byte bound; after every call it counts at most _CACHE_BYTES."""
+    monkeypatch.setattr(transvection, "_TABLES", {})
+    rng = random.Random(100)
+    f, g = _big_form(rng, 2), _big_form(rng, 2)
+    calls = [(f, g, r) for r in range(0, MAX_DEGREE + 1, 25)]
+    calls += [(f, f, r) for r in range(0, MAX_DEGREE + 1, 2)]
+    built = 0
+    for u, v, r in calls:
+        transvect(u, v, r)
+        built += 1
+        held = list(transvection._TABLES.values())
+        assert sum(size for _, size in held) <= transvection._CACHE_BYTES
+        assert len(held) <= transvection._CACHE_ENTRIES
+    assert all(size == transvection._table_bytes(table) for table, size in held)
+    # the bound was reached: some tables were evicted, the newest kept
+    assert len(held) < built
+    assert (MAX_DEGREE, MAX_DEGREE) in transvection._TABLES
+    # the largest full table at MAX_DEGREE, as the module states it
+    assert transvection._table_bytes(transvection._full_table(100, 100, 40)) < 1.5 * 2 ** 20
+
+
+def test_table_cache_under_threads(monkeypatch):
+    """Eight threads (more than cores) evict one another's tables from a
+    cache held to three; each gets the single-threaded results, and the
+    cache keeps its bound and its byte counts."""
+    monkeypatch.setattr(transvection, "_TABLES", {})
+    monkeypatch.setattr(transvection, "_CACHE_ENTRIES", 3)
+    rng = random.Random(8)
+    fs = [rand_form(rng, d) for d in range(3, 10)]
+    jobs = [(f, g, r) for f in fs for g in fs[:3] for r in range(min(f.degree, g.degree) + 1)] * 4
+    expected = [transvect(*job) for job in jobs]
+    results = {}
+
+    def work(i):
+        results[i] = [transvect(*job) for job in jobs]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == expected for i in range(8))
+    held = list(transvection._TABLES.values())
+    assert len(held) <= 3 and all(size == transvection._table_bytes(t) for t, size in held)

@@ -1,10 +1,11 @@
 """Every value of the package copies and pickles, and none can be changed.
 
 Scalars, forms, polynomials, matrices, groups, signatures, curves, catalog
-rows and invariant vectors round-trip through ``pickle``, ``copy.copy`` and
-``copy.deepcopy`` to an equal value (with an equal hash, where the value is
-hashable), so they can be sent to worker processes; assigning to one of
-their fields, or to a name they do not have, raises AttributeError.
+rows, equation templates and invariant vectors round-trip through
+``pickle``, ``copy.copy`` and ``copy.deepcopy`` to an equal value (with an
+equal hash, where the value is hashable), so they can be sent to worker
+processes; assigning to one of their fields or to a name they do not have,
+and deleting a field, raise AttributeError.
 """
 
 import copy
@@ -16,7 +17,7 @@ from conftest import packaged_catalog
 from seacurves.curves import ReducedGroup, Signature, make_curve
 from seacurves.forms import BinaryForm, Matrix2, UnivariatePoly
 from seacurves.invariants import sextic_invariants
-from seacurves.scalars import Scalar, rational
+from seacurves.scalars import ZERO, Scalar, rational
 
 # name -> (a function building the value, one of its fields)
 VALUES = {
@@ -30,6 +31,7 @@ VALUES = {
     "reduced-group": (lambda: ReducedGroup("D2m", 3), "m"),
     "curve": (lambda: make_curve(3, UnivariatePoly([1, 0, 0, 0, 1])), "genus"),
     "row": (lambda: packaged_catalog()["g5-c1-1"], "equation"),
+    "template": (lambda: packaged_catalog()["g5-c3-1"].template, "factors"),
     "invariant-vector": (lambda: sextic_invariants(BinaryForm(6, [1, 2, 0, 3, 0, 5, 1])),
                          "kind"),
 }
@@ -48,4 +50,13 @@ def test_value_copies_pickles_and_is_frozen(name):
     for attr in (field, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, attr, 1)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
     assert value == build()
+
+
+def test_deleting_a_field_of_a_shared_scalar_raises():
+    for name in Scalar.__slots__:
+        with pytest.raises(AttributeError):
+            delattr(ZERO, name)
+    assert ZERO + 1 == 1 and str(ZERO) == "0" and ZERO.is_zero and hash(ZERO) == 0

@@ -135,6 +135,20 @@ def _ref_partial(vec, n, p, k):
     return [vec[i + p] * perm(i + p, p) * perm(n - i - p, k) for i in range(n - p - k + 1)]
 
 
+def _scaled_pair_convolve(acc, f, g, disc, scale):
+    """acc += scale * f * g for (A, B) pairs, a B of None the zero vector: the
+    scaled product the r + 1 products of ``ref_transvect`` were summed with."""
+    (a1, b1), (a2, b2) = f, g
+    terms = [(0, a1, a2, scale)]
+    if disc:
+        terms += [(0, b1, b2, scale * disc), (1, a1, b2, scale), (1, b1, a2, scale)]
+    for part, u, v, c in terms:
+        if u is not None and v is not None:
+            for i, x in enumerate(u):
+                for j, y in enumerate(v):
+                    acc[part][i + j] += c * x * y
+
+
 def ref_transvect(f, g, r):
     n, m = f.degree, g.degree
     if r < 0 or r > min(n, m):
@@ -151,7 +165,7 @@ def ref_transvect(f, g, r):
         weight = 2 if same and 2 * k < r else 1
         left = (_ref_partial(fa, n, r - k, k), _ref_partial(fb, n, r - k, k))
         right = (_ref_partial(ga, m, k, r - k), _ref_partial(gb, m, k, r - k))
-        _pair_convolve(acc, left, right, disc, weight * (-1) ** k * comb(r, k) * pref_num)
+        _scaled_pair_convolve(acc, left, right, disc, weight * (-1) ** k * comb(r, k) * pref_num)
     den = factorial(n) * factorial(m) * fden * gden
     return RefBinaryForm(deg, _to_scalars(acc, den, disc))
 
