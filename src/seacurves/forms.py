@@ -33,7 +33,6 @@ No operation here ever touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm, perm
 from typing import Iterable, Sequence
 
@@ -151,17 +150,11 @@ def _falling_products(n: int, p: int, k: int) -> list:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _partial_weights(n: int, p: int, k: int) -> tuple:
-    """The factors of _partial, cached per (n, p, k)."""
-    return tuple(_falling_products(n, p, k))
-
-
 def _partial(vec, n: int, p: int, k: int):
     """d^(p+k) / dX^p dZ^k of the degree-n form with ascending coefficients vec."""
     if vec is None:
         return None
-    return [x * w for x, w in zip(vec[p:], _partial_weights(n, p, k))]
+    return [x * w for x, w in zip(vec[p:], _falling_products(n, p, k))]
 
 
 def _to_scalars(acc, den: int, disc: int) -> list[Scalar]:

@@ -30,6 +30,10 @@ are taken inline on the integer pairs, so Q and Q(sqrt D) share the loop,
 and the result is a vector over the denominator P(n, r) P(m, r) den(f)
 den(g), made canonical once.
 
+At r = 0 the weights are all 1 and (f, g)^0 is the product f * g, which
+``transvect`` returns before any table is looked up: the same canonical
+vector, and the same ``FieldMixError`` for operands over two fields.
+
 A self-transvectant (f, f)^r, recognised by equal cleared operands, uses the
 symmetry (f, g)^r = (-1)^r (g, f)^r, that is W(a, b) = (-1)^r W(b, a) when
 n = m: for odd r the result is zero and no table is built, and for even r
@@ -164,6 +168,8 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
         raise TransvectionError(
             f"transvection order {_int_str(r)} out of range for degrees ({n}, {m})"
         )
+    if r == 0:
+        return f * g
     deg = n + m - 2 * r
     fden, fa, fb, fdisc = f.vec
     gden, ga, gb, gdisc = g.vec

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from seacurves.catalog import Catalog, _data_path, load_catalog
 from seacurves.forms import BinaryForm, Matrix2
@@ -11,10 +12,47 @@ def packaged_catalog() -> Catalog:
     return load_catalog(str(_data_path()))
 
 
+def spy(monkeypatch, owner, name: str) -> list:
+    """The argument tuples of every call of ``owner.name`` from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def fractions_built(monkeypatch) -> list:
+    """The arguments of every Fraction constructed from now on."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and built == [(1, 2)]  # the count sees a construction
+    built.clear()
+    return built
+
+
 def rand_scalar(rng: random.Random, height: int = 10, disc: int = 0) -> Scalar:
     """A random integer, or a + b*sqrt(disc) with integer a, b when disc != 0."""
     a = rng.randint(-height, height)
     return Scalar(a, rng.randint(-height, height), disc) if disc else Scalar(a)
+
+
+def rand_sparse(rng: random.Random, disc: int, zeros: float) -> Scalar:
+    """Zero with probability ``zeros``, else a + b*sqrt(disc) with a and b
+    (0 over Q) of numerator at most 9 and denominator at most 5."""
+    if rng.random() < zeros:
+        return Scalar(0)
+    b = rational(rng.randint(-9, 9), rng.randint(1, 5)) if disc else 0
+    return Scalar(rational(rng.randint(-9, 9), rng.randint(1, 5)), b, disc)
 
 
 def rand_rational(rng: random.Random, height: int = 9) -> Scalar:

@@ -4,8 +4,9 @@ The references below are the parsers and renderers the package had before
 scalars and templates shared one depth-0 splitter, one numeral parser and
 one term renderer: ``parse_scalar`` with its own splitter loop; the template
 parser with its own splitter, top-level-sign walk and balanced-parentheses
-walk and a two-regex term cascade; and the three term renderers of
-``BinaryForm.__repr__``, ``UnivariatePoly.__repr__`` and template text.
+walk and a two-regex term cascade; and the term renderer of template
+text.  The reprs of forms and polynomials are checked against the model's
+``reference.ref_form_repr`` and ``reference.ref_poly_repr``.
 
 On every generated string and every catalog equation the package must give
 the reference's verdict, exception type and value, and render byte for
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import ref_form_repr, ref_poly_repr, to_model
 from seacurves.catalog.templates import (
     EquationTemplate,
     Factor,
@@ -223,43 +225,6 @@ def ref_parse_template(text):
 # -- reference renderers ----------------------------------------------------------------------
 
 
-def ref_form_repr(f):
-    terms = []
-    d = f.degree
-    for i, c in enumerate(f.coeffs):
-        if c.is_zero:
-            continue
-        mono = "".join((f"X^{i}" if i > 1 else "X" if i == 1 else "",
-                        f"Z^{d - i}" if d - i > 1 else "Z" if d - i == 1 else ""))
-        cs = _ref_coeff_to_string(c, None)
-        if mono and cs == "1":
-            terms.append(mono)
-        elif mono and cs == "-1":
-            terms.append("-" + mono)
-        else:
-            terms.append(f"{cs}{'*' if mono else ''}{mono}")
-    body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-    return f"BinaryForm<{d}>({body})"
-
-
-def ref_poly_repr(p):
-    if p.is_zero:
-        return "UnivariatePoly(0)"
-    terms = []
-    for i, c in enumerate(p.coeffs):
-        if c.is_zero:
-            continue
-        mono = "x" if i == 1 else (f"x^{i}" if i > 1 else "")
-        cs = _ref_coeff_to_string(c, None)
-        if mono and cs == "1":
-            terms.append(mono)
-        elif mono and cs == "-1":
-            terms.append("-" + mono)
-        else:
-            terms.append(f"{cs}{'*' if mono else ''}{mono}")
-    return "UnivariatePoly(" + " + ".join(terms).replace("+ -", "- ") + ")"
-
-
 def _ref_coeff_to_string(const, param):
     if param is None:
         text = str(const)
@@ -447,8 +412,8 @@ def test_renderers_match_reference(coeffs, quadratic):
     field = 5 if quadratic else -3  # one field per coefficient list
     coeffs = [c if c.disc in (0, field) else Scalar(c.a) for c in coeffs]
     p = UnivariatePoly(coeffs)
-    assert repr(p) == ref_poly_repr(p)
+    assert repr(p) == ref_poly_repr(to_model(p))
     assert poly_to_string(p) == ref_poly_to_string(p)
     if coeffs:
         f = BinaryForm(len(coeffs) - 1, coeffs)
-        assert repr(f) == ref_form_repr(f)
+        assert repr(f) == ref_form_repr(to_model(f))

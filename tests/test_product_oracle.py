@@ -1,19 +1,19 @@
-"""Differential tests of every form product against schoolbook references.
+"""Differential tests of every form product against the model.
 
-The references below multiply coefficient by coefficient in ``Scalar``
-arithmetic; ``transvect`` and both ``__mul__`` methods clear denominators and
-convolve integers instead.  The two must agree exactly over Q, over
-Q(sqrt -3) and Q(sqrt 5), and when a rational operand meets an extension one.
-``ref_transvect`` is the r + 1-product algorithm ``transvect`` had before it
-became one weighted sum over a cached table of weights per (n, m, r).  A
-self-transvectant ``(f, f)^r`` is zero for odd r, built from no table, and
-reads the symmetric half-table for even r; the reference sums all products,
-and operands that are equal only up to a scalar must read the full table.
-No transvectant takes a partial derivative (``forms._partial``).
+``transvect`` and both ``__mul__`` methods clear denominators and convolve
+integers; ``reference.ref_product`` multiplies coefficient by coefficient
+and ``reference.ref_transvect`` sums the r + 1 products of partial
+derivatives that define (f, g)^r.  The two must agree exactly over Q, over
+Q(sqrt -3) and Q(sqrt 5), and when a rational operand meets an extension
+one.  ``transvect`` is one weighted sum over a cached table of weights per
+(n, m, r): a self-transvectant ``(f, f)^r`` is zero for odd r, built from no
+table, and reads the symmetric half-table for even r > 0; operands that
+are equal only up to a scalar read the full table; at r = 0 every
+transvectant is the product ``f * g`` and reads no table.  No transvectant
+takes a partial derivative (``forms._partial``).
 """
 
 from contextlib import contextmanager
-from math import comb, factorial
 from unittest import mock
 
 import pytest
@@ -21,6 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import seacurves.forms
+from reference import coefficients, ref_form_repr, ref_product, ref_transvect, to_model
 from seacurves import transvection
 from seacurves.forms import BinaryForm, UnivariatePoly
 from seacurves.scalars import FieldMixError, Scalar, rational, sqrt_ext
@@ -29,71 +30,11 @@ from seacurves.transvection import transvect
 MAX_DEG = 12
 
 
-def _falling(x: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
-def _partial(f: BinaryForm, r: int, k: int) -> list:
-    """Coefficients of d^r f / dX^(r-k) dZ^k."""
-    p = r - k
-    n = f.degree
-    return [
-        f.coeffs[i + p] * (_falling(i + p, p) * _falling(n - i - p, k))
-        for i in range(n - r + 1)
-    ]
-
-
-def ref_transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
-    n, m = f.degree, g.degree
-    deg = n + m - 2 * r
-    tf = [_partial(f, r, k) for k in range(r + 1)]
-    tg = [_partial(g, r, k) for k in range(r + 1)]
-    acc = [Scalar(0)] * (deg + 1)
-    for k in range(r + 1):
-        sign_binom = comb(r, k) if k % 2 == 0 else -comb(r, k)
-        for i, a in enumerate(tf[k]):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(tg[r - k]):
-                if not b.is_zero:
-                    acc[i + j] = acc[i + j] + sign_binom * a * b
-    pref = rational(factorial(m - r) * factorial(n - r), factorial(n) * factorial(m))
-    return BinaryForm(deg, [pref * c for c in acc])
-
-
-def ref_product(u, v) -> list:
-    out = [Scalar(0)] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(v):
-            if not b.is_zero:
-                out[i + j] = out[i + j] + a * b
-    return out
-
-
-# numerators up to 10^20 reach multi-limb integers; denominators up to 12
-# make the common-denominator path non-trivial
-_RATS = st.builds(
-    rational,
-    st.one_of(st.integers(-30, 30), st.integers(-10 ** 20, 10 ** 20)),
-    st.integers(1, 12),
-)
-
-
-def scalars(disc: int):
-    zero = st.just(Scalar(0))
-    if disc == 0:
-        return st.one_of(zero, _RATS)
-    ext = st.builds(lambda a, b: Scalar(a.a, b.a, disc), _RATS, _RATS)
-    return st.one_of(zero, _RATS, ext)
+HEIGHT = 10 ** 20  # numerators reach multi-limb integers
 
 
 def forms(disc: int, degree: int):
-    return st.lists(scalars(disc), min_size=degree + 1, max_size=degree + 1).map(
+    return st.lists(coefficients(disc, HEIGHT), min_size=degree + 1, max_size=degree + 1).map(
         lambda cs: BinaryForm(degree, cs)
     )
 
@@ -114,8 +55,9 @@ def form_pairs(draw, max_deg: int = MAX_DEG):
 @settings(max_examples=60, deadline=None)
 def test_transvect_matches_reference_for_every_r(pair):
     f, g = pair
+    rf, rg = to_model(f), to_model(g)
     for r in range(min(f.degree, g.degree) + 1):
-        assert transvect(f, g, r) == ref_transvect(f, g, r)
+        assert to_model(transvect(f, g, r)) == ref_transvect(rf, rg, r)
 
 
 @contextmanager
@@ -138,16 +80,18 @@ def _one_field_forms():
 @given(_one_field_forms())
 @settings(max_examples=40, deadline=None)
 def test_self_transvectant_matches_reference(f):
-    # (f, f)^r is zero for odd r, with no table, and reads the half-table for
-    # even r; an equal form built from distinct Scalars takes the same path
+    # (f, f)^r is zero for odd r, with no table, reads the half-table for
+    # even r > 0 and no table at r = 0; an equal form built from distinct
+    # Scalars takes the same path
     copy = BinaryForm(f.degree, [Scalar(c.a, c.b, c.disc) for c in f.coeffs])
+    rf = to_model(f)
     for r in range(f.degree + 1):
-        expected = ref_transvect(f, f, r)
+        expected = ref_transvect(rf, rf, r)
         for g in (f, copy):
             with _table_reads() as reads:
                 out = transvect(f, g, r)
-            assert out == expected and repr(out) == repr(expected)
-            assert reads() == ([] if r % 2 else ["half"], 0)
+            assert to_model(out) == expected and repr(out) == ref_form_repr(expected)
+            assert reads() == ([] if r % 2 or r == 0 else ["half"], 0)
 
 
 # f and 2f (and f/2) clear to the same integer vector over other denominators
@@ -160,32 +104,27 @@ HALVES = BinaryForm(3, [Scalar(1), rational(1, 2), Scalar(0), rational(3, 2)])
 def test_near_equal_operands_take_the_full_sum(f):
     assume(not f.is_zero)
     for g in (f.scale(2), f.scale(rational(1, 2))):
+        rf, rg = to_model(f), to_model(g)
         for r in range(f.degree + 1):
             with _table_reads() as reads:
                 out = transvect(f, g, r)
-            expected = ref_transvect(f, g, r)
-            assert out == expected and repr(out) == repr(expected)
-            assert reads() == (["full"], 0)
+            expected = ref_transvect(rf, rg, r)
+            assert to_model(out) == expected and repr(out) == ref_form_repr(expected)
+            assert reads() == ([] if r == 0 else ["full"], 0)
 
 
 @given(form_pairs())
 @settings(max_examples=80, deadline=None)
 def test_form_product_matches_reference(pair):
     f, g = pair
-    expected = BinaryForm(f.degree + g.degree, ref_product(f.coeffs, g.coeffs))
-    assert f * g == expected
+    assert to_model(f * g) == ref_product(to_model(f), to_model(g))
 
 
 @given(form_pairs())
 @settings(max_examples=80, deadline=None)
 def test_poly_product_matches_reference(pair):
     p, q = UnivariatePoly(pair[0].coeffs), UnivariatePoly(pair[1].coeffs)
-    expected = (
-        UnivariatePoly(())
-        if p.is_zero or q.is_zero
-        else UnivariatePoly(ref_product(p.coeffs, q.coeffs))
-    )
-    assert p * q == expected
+    assert to_model(p * q) == ref_product(to_model(p), to_model(q))
 
 
 @pytest.mark.parametrize("disc", [0, -3, 5])
@@ -195,7 +134,7 @@ def test_zero_operands(disc):
         assert (f * z).is_zero and (z * f).degree == 4 + z.degree
         for r in range(min(z.degree, 4) + 1):
             out = transvect(z, f, r)
-            assert out.is_zero and out == ref_transvect(z, f, r)
+            assert out.is_zero and to_model(out) == ref_transvect(to_model(z), to_model(f), r)
     p = UnivariatePoly(f.coeffs)
     assert p * UnivariatePoly(()) == UnivariatePoly(()) == UnivariatePoly(()) * p
 

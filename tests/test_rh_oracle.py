@@ -1,13 +1,14 @@
 """Differential tests of the integer Riemann-Hurwitz formula.
 
-``ref_rh_residual`` and ``ref_complete_signature`` are the Fraction versions
-the package had before :mod:`seacurves.curves` computed |G| times the
-residual on integers: they accumulated 2(g-1)/|G| and each 1 - 1/e as
-Fractions and completed a signature with e = 1/(1 - residual).  On random
-genera, group orders and signatures (indices that divide |G| and some that do
-not) and on every catalog row, the package must agree with them: the same
-residual, as a Fraction, the same completion, or the same exception type and
-message.  A guard pins that ``verify_all`` builds no Fraction.
+:mod:`seacurves.curves` computes |G| times the residual on integers.
+``reference.ref_rh_residual`` and ``reference.ref_complete_signature`` are
+the formula on Fractions: 2(g-1)/|G| and each 1 - 1/e accumulated as
+Fractions, a signature completed by the one index e = 1/(1 - residual).  On
+random genera, group orders and signatures (indices that divide |G| and
+some that do not) and on every catalog row, the package must agree with
+them: the same residual, as a Fraction, the same completion, or the same
+exception type and message.  A guard pins that ``verify_all`` builds no
+Fraction.
 """
 
 from fractions import Fraction
@@ -15,45 +16,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import packaged_catalog
+from conftest import fractions_built, packaged_catalog
+from reference import ref_complete_signature, ref_rh_residual
 from seacurves.catalog import verify_all
-from seacurves.curves import (
-    CompletionResult,
-    CurveDataError,
-    Signature,
-    complete_signature,
-    rh_residual,
-)
-
-# -- the Fraction versions, verbatim ------------------------------------------
-
-
-def ref_rh_residual(g: int, group_order: int, sig: Signature) -> Fraction:
-    if group_order < 1:
-        raise CurveDataError("group order must be positive")
-    for e, _ in sig.pairs:
-        if group_order % e:
-            raise CurveDataError(f"index {e} does not divide group order {group_order}")
-    lhs = Fraction(2 * (g - 1), group_order)
-    rhs = Fraction(-2)
-    for e, mult in sig.pairs:
-        rhs += mult * (1 - Fraction(1, e))
-    return lhs - rhs
-
-
-def ref_complete_signature(g: int, group_order: int, printed: Signature) -> CompletionResult:
-    res = ref_rh_residual(g, group_order, printed)
-    if res == 0:
-        return CompletionResult("already_complete", printed)
-    if res >= 1 or res <= 0:
-        return CompletionResult("failed", None)
-    e = 1 / (1 - res)
-    if e.denominator != 1:
-        return CompletionResult("failed", None)
-    e = int(e)
-    if e < 2 or group_order % e:
-        return CompletionResult("failed", None)
-    return CompletionResult("completed", Signature(printed.pairs + ((e, 1),)), added_index=e)
+from seacurves.curves import CurveDataError, Signature, complete_signature, rh_residual
 
 
 # -- agreement ------------------------------------------------------------------
@@ -66,12 +32,17 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _completion(g, group_order, sig):
+    result = complete_signature(g, group_order, sig)
+    return result.status, result.signature and result.signature.pairs, result.added_index
+
+
 def _assert_agree(g, group_order, sig):
     got = _outcome(rh_residual, g, group_order, sig)
-    assert got == _outcome(ref_rh_residual, g, group_order, sig)
+    assert got == _outcome(ref_rh_residual, g, group_order, sig.pairs)
     assert type(got[1]) is (Fraction if got[0] == "ok" else str)
-    assert (_outcome(complete_signature, g, group_order, sig)
-            == _outcome(ref_complete_signature, g, group_order, sig))
+    assert (_outcome(_completion, g, group_order, sig)
+            == _outcome(ref_complete_signature, g, group_order, sig.pairs))
 
 
 @st.composite
@@ -115,15 +86,6 @@ def test_integer_formula_matches_on_every_catalog_row():
 
 def test_verify_builds_no_fraction(monkeypatch):
     catalog = packaged_catalog()
-    built = []
-    new = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
-    assert Fraction(1, 2) and built == [(1, 2)]  # the count sees a construction
-    built.clear()
+    built = fractions_built(monkeypatch)
     assert verify_all(catalog).rows
     assert built == []

@@ -11,6 +11,13 @@ caller overrides is a constant dressed as an option.  ``object.__setattr__``
 appears only in constructors (``__init__``, ``__new__``, ``__post_init__``,
 ``_from_vec``), and only ``Scalar`` writes its own ``__setattr__``: every
 other value is a frozen dataclass.
+
+Two checks read ``tests/``: the differential tests share one model,
+``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
+at module level in one file there, and no other file redefines a name the
+model defines (its hypothesis strategies included); and the model reads the
+package through public names only, so it imports no ``_``-prefixed name of
+``seacurves`` and reads none as an attribute of what it imports.
 """
 
 import ast
@@ -18,8 +25,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 MODULES = sorted((SRC / "seacurves").rglob("*.py"))
+REFERENCE = TESTS / "reference.py"
 
 _READ_ELSEWHERE = {
     ("scalars", "_RAT"): "bench/run.py records it in each run's environment",
@@ -61,15 +70,24 @@ def _imported(tree: ast.Module) -> set:
     return names
 
 
-def _private_definitions(tree: ast.Module) -> set:
+def _definitions(tree: ast.Module) -> set:
+    """The names a module defines at its top level."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    return set(filter(_is_private, _definitions(tree)))
 
 
 def _module_name(path: Path) -> str:
@@ -125,8 +143,7 @@ def test_every_private_default_is_passed_somewhere():
     trees = {_module_name(p): _tree(p) for p in MODULES}
     calls = [node for t in trees.values() for node in ast.walk(t) if isinstance(node, ast.Call)]
     dead = [(mod, func.name, name) for mod, tree in trees.items() for func in tree.body
-            if isinstance(func, ast.FunctionDef) and func.name.startswith("_")
-            and not func.name.endswith("__")
+            if isinstance(func, ast.FunctionDef) and _is_private(func.name)
             for position, name in _defaulted_params(func)
             if not any(_callee(c) == func.name and _passes(c, position, name) for c in calls)]
     assert dead == []
@@ -169,3 +186,41 @@ def test_only_scalar_writes_its_own_setattr():
               for item in node.body
               if isinstance(item, ast.FunctionDef) and item.name == "__setattr__"]
     assert owners == [("scalars", "Scalar")]
+
+
+def test_each_reference_is_defined_once():
+    """One home per reference: a ``ref_*`` function or ``Ref*`` class in one
+    file under ``tests/``, and no name of the model defined again elsewhere."""
+    model = _definitions(_tree(REFERENCE))
+    homes: dict = {}
+    for path in sorted(TESTS.rglob("*.py")):
+        for name in _definitions(_tree(path)):
+            if name.startswith(("ref_", "Ref")) or name in model:
+                homes.setdefault(name, []).append(str(path.relative_to(TESTS)))
+    assert {name: files for name, files in homes.items() if len(files) > 1} == {}
+
+
+def test_reference_reads_only_public_names():
+    """The model shares no code with the kernel it checks: no private name of
+    ``seacurves`` is imported, or read from an imported name."""
+    tree = _tree(REFERENCE)
+    imported, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "seacurves":
+                    imported.add(a.asname or "seacurves")
+                    private += [a.name for part in a.name.split(".") if _is_private(part)]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "seacurves":
+            imported.update(a.asname or a.name for a in node.names)
+            private += [f"{node.module}.{a.name}" for a in node.names
+                        if _is_private(a.name) or any(map(_is_private, node.module.split(".")))]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                private.append(f"{root.id}...{node.attr}")
+    assert imported
+    assert private == []
