@@ -24,7 +24,8 @@ and polynomials.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from ..forms import (MAX_DEGREE, UnivariatePoly, _const_to_string, _join_coeff_field, _join_terms,
                      _power, _term, poly_to_string)
@@ -130,13 +131,11 @@ def _numeral_key(digits: str) -> tuple[int, str]:
 class EquationTemplate:
     """Product of factors; expands to a UnivariatePoly at a parameter map.
 
-    A frozen dataclass on ``factors`` (any iterable, kept as a tuple); the
-    support map is memoized in a dict the constructor creates, empty until
-    the first :meth:`support_classification`.
+    A frozen dataclass on ``factors`` (any iterable, kept as a tuple), with
+    its support map a cached property.
     """
 
     factors: tuple
-    _support: dict = field(default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -218,13 +217,15 @@ class EquationTemplate:
             out.setdefault(e, {})[mono] = c
         return out
 
+    @cached_property
+    def _support(self) -> dict:
+        return {e: ("const", poly[()]) if list(poly) == [()] else "param"
+                for e, poly in self.symbolic().items()}
+
     def support_classification(self) -> dict:
         """exp -> ("const", Scalar) for parameter-free coefficients,
         exp -> "param" for parameter-dependent ones.  The template is expanded
         on the first call only; every call returns its own copy of the map."""
-        if not self._support:  # never empty once filled: the leading coefficient is not 0
-            self._support.update((e, ("const", poly[()]) if list(poly) == [()] else "param")
-                                 for e, poly in self.symbolic().items())
         return dict(self._support)
 
     def to_string(self) -> str:

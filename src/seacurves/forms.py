@@ -26,7 +26,9 @@ weights of the transvectant's cached tables (:mod:`seacurves.transvection`).
 
 Resultants, discriminants (hence the squarefree test) and gcds all run on
 one subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the
-same vectors: every division in it is exact in Z[sqrt(D)].
+same vectors, entered through one function, ``_prs``, that clears both
+operands over their joint field and orders them by degree: every division
+in the sequence is exact in Z[sqrt(D)].
 No operation here ever touches floating point.
 """
 
@@ -581,18 +583,20 @@ def _subresultant_prs(f, g, disc: int):
     return f, g, h, s
 
 
-def _clear_pairs(p: UnivariatePoly, q: UnivariatePoly):
-    """(den_p, f, den_q, g, disc): p = f / den_p and q = g / den_q.
-
-    f and g are the (A, B) pairs of the vectors of p and q over their joint
-    field; B is a vector exactly when disc != 0.
-    """
-    pden, pa, pb, pdisc = p.vec
-    qden, qa, qb, qdisc = q.vec
+def _prs(p: UnivariatePoly, q: UnivariatePoly):
+    """(f, g, h, s, disc): :func:`_subresultant_prs` of p and q, cleared to
+    (A, B) pairs over their joint field, the one of larger degree first; s
+    includes the sign of that swap, so it is the sign of Res(p, q)."""
+    _, pa, pb, pdisc = p.vec
+    _, qa, qb, qdisc = q.vec
     disc = _join_field(pdisc, qdisc)
     if disc:  # a rational operand over Q(sqrt disc) gets a zero B
         pb, qb = pb or (0,) * len(pa), qb or (0,) * len(qa)
-    return pden, (pa, pb), qden, (qa, qb), disc
+    f, g = (pa, pb), (qa, qb)
+    if p.degree < q.degree:  # Res(q, p) = (-1)^(deg p deg q) Res(p, q)
+        f, g, h, s = _subresultant_prs(g, f, disc)
+        return f, g, h, -s if p.degree & q.degree & 1 else s, disc
+    return (*_subresultant_prs(f, g, disc), disc)
 
 
 def resultant(p: UnivariatePoly, q: UnivariatePoly) -> Scalar:
@@ -600,24 +604,18 @@ def resultant(p: UnivariatePoly, q: UnivariatePoly) -> Scalar:
 
     p and q are cleared once each to integer pairs P = den_p p and Q = den_q q
     over Z[sqrt(D)], and Res(P, Q) is the last subresultant of
-    :func:`_subresultant_prs` (Cohen, Algorithm 3.3.7).  Then
-    Res(p, q) = Res(P, Q) / (den_p^(deg q) den_q^(deg p)), divided once.
+    :func:`_subresultant_prs` (Cohen, Algorithm 3.3.7), run by :func:`_prs`.
+    Then Res(p, q) = Res(P, Q) / (den_p^(deg q) den_q^(deg p)), divided once.
     A constant operand c gives c^(degree of the other); the zero polynomial
     raises :class:`DegreeError`.
     """
     if p.is_zero or q.is_zero:
         raise DegreeError("resultant of the zero polynomial is undefined")
-    pden, f, qden, g, disc = _clear_pairs(p, q)
-    m, n = p.degree, q.degree
-    if m < n:
-        f, g = g, f
-    f, g, h, s = _subresultant_prs(f, g, disc)
+    f, g, h, s, disc = _prs(p, q)
     if not g[0]:
         return ZERO
-    if m < n and m & n & 1:  # Res(q, p) = (-1)^(deg p deg q) Res(p, q)
-        s = -s
     r0, r1 = _next_h(_elt(g, 0), h, len(f[0]) - 1, disc)
-    return _scalar(pden ** n * qden ** m, s * r0, s * r1, disc)
+    return _scalar(p.vec[0] ** q.degree * q.vec[0] ** p.degree, s * r0, s * r1, disc)
 
 
 def discriminant(p: UnivariatePoly) -> Scalar:
@@ -637,18 +635,15 @@ def is_squarefree(p: UnivariatePoly) -> bool:
 def poly_gcd(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:
     """Monic gcd: the last nonzero member of the subresultant PRS, made monic.
 
-    The sequence is the one :func:`resultant` runs (Brown and Traub 1971;
-    Cohen, Algorithm 3.3.7); its members are associates of the Euclidean
-    remainders in K[x] whose integer coefficients stay the size of a
-    determinant.
+    The sequence is the one :func:`resultant` runs, by :func:`_prs` (Brown
+    and Traub 1971; Cohen, Algorithm 3.3.7); its members are associates of
+    the Euclidean remainders in K[x] whose integer coefficients stay the
+    size of a determinant.
     The gcd with the zero polynomial is the other operand made monic.
     """
     if p.is_zero or q.is_zero:
         return (q if p.is_zero else p).monic()
-    _, f, _, g, disc = _clear_pairs(p, q)
-    if p.degree < q.degree:
-        f, g = g, f
-    f, g, _, _ = _subresultant_prs(f, g, disc)
+    f, g, _, _, disc = _prs(p, q)
     return _monic(g if g[0] else f, disc)
 
 

@@ -19,16 +19,16 @@ g = sum g_b X^b Z^(m-b) and P(x, j) = x!/(x-j)! the falling factorial,
     W(a, b) = sum_k alpha_k(a) beta_k(b),
     alpha_k(a) = (-1)^k C(r, k) P(a, r-k) P(n-a, k),  beta_k(b) = P(b, k) P(m-b, r-k).
 
-W depends only on the shape (n, m, r), so it is built once per shape, each
-alpha_k and beta_k row by the ratio recurrence of
-``forms._falling_products``, and cached.  A table keeps, per a, only the
-b with W(a, b) != 0 (these have 0 <= a + b - r <= n + m - 2r), as parallel
-tuples of b, the output index s = a + b - r and the weight.  A transvectant
-is then one double loop over the table on the forms' cleared vectors (see
+W depends only on the shape (n, m, r), so one builder, ``_table``, makes it
+once per shape, each alpha_k and beta_k row by the ratio recurrence of
+``forms._falling_products``.  A table keeps, per a, only the b with
+W(a, b) != 0 (these have 0 <= a + b - r <= n + m - 2r), as parallel tuples of
+b, the output index s = a + b - r and the weight.  A transvectant is then one
+double loop over the table on the forms' cleared vectors (see
 :mod:`seacurves.forms`): the products (x_a + x_b sqrt D)(y_a + y_b sqrt D)
-are taken inline on the integer pairs, so Q and Q(sqrt D) share the loop,
-and the result is a vector over the denominator P(n, r) P(m, r) den(f)
-den(g), made canonical once.
+are taken inline on the integer pairs, so Q and Q(sqrt D) share the loop, and
+the result is a vector over the denominator P(n, r) P(m, r) den(f) den(g),
+made canonical once.
 
 At r = 0 the weights are all 1 and (f, g)^0 is the product f * g, which
 ``transvect`` returns before any table is looked up: the same canonical
@@ -38,16 +38,23 @@ A self-transvectant (f, f)^r, recognised by equal cleared operands, uses the
 symmetry (f, g)^r = (-1)^r (g, f)^r, that is W(a, b) = (-1)^r W(b, a) when
 n = m: for odd r the result is zero and no table is built, and for even r
 the loop reads a symmetric half-table S(a, b) = W(a, b) + W(b, a) = 2 W(a, b)
-over a < b, with S(a, a) = W(a, a).
+over a < b, with S(a, a) = W(a, a): ``_table`` with its ``half`` flag set,
+which skips b < a while it builds.
 
-Tables are cached oldest-first-out within two bounds, ``_CACHE_ENTRIES``
-tables and ``_CACHE_BYTES`` (16 MiB) as ``_table_bytes`` counts them: every
-tuple and int of a table, shared small ints included, so the count
-over-states the memory a table holds.  A table larger than the byte bound is
-used and not kept, so the cache never holds more than 16 MiB.  At
-``MAX_DEGREE`` = 100 the largest full table, (100, 100, 40), counts 1.4 MiB,
-the largest half-table 0.7 MiB, and the 51 half-tables together 28 MiB; the
-self-tables of degrees 6-22 together count 1.9 MiB.
+Tables are cached oldest-first-out under one key, (n, m, r, half), within
+two bounds, ``_CACHE_ENTRIES`` tables and ``_CACHE_BYTES`` (16 MiB) as
+``_table_bytes`` counts them: every tuple and int of a table, shared small
+ints included, so the count over-states the memory a table holds.  A table
+larger than the byte bound is used and not kept, so the cache never holds
+more than 16 MiB.  At ``MAX_DEGREE`` = 100 the largest full table,
+(100, 100, 40), counts 1.4 MiB, the largest half-table 0.7 MiB and the 50
+half-tables (even r >= 2) 27.0 MiB; the self-tables of degrees 6-22 (even
+r >= 2) count 1.59 MiB.  Six rounds of seed 1 of the benchmark read 62
+tables on gate (32 full, 30 half, 0.53 MiB), 52 on sqrt_ext (0.36 MiB) and
+31 on catalog_cli (0.12 MiB), so neither bound binds there.  The byte bound
+caps the memory of in-process callers that use many shapes; the entry bound
+caps the dict and the recount on each insert, as the byte bound alone would
+admit about 26,000 of the smallest tables (640 B).
 """
 
 from __future__ import annotations
@@ -64,8 +71,8 @@ __all__ = ["transvect", "TransvectionError"]
 _CACHE_ENTRIES = 512
 _CACHE_BYTES = 16 * 2 ** 20
 
-# (n, m, r) -> (full table, bytes) and (n, r) -> (half table, bytes), oldest
-# first; lookups read it unlocked, inserts and evictions hold the lock
+# (n, m, r, half) -> (table, bytes), oldest first; lookups read it unlocked,
+# inserts and evictions hold the lock
 _TABLES: dict = {}
 _TABLES_LOCK = threading.Lock()
 
@@ -74,44 +81,28 @@ class TransvectionError(SeacurvesError):
     """r exceeds the degree of one of the operands (or is negative)."""
 
 
-def _rows(w: list, r: int) -> tuple:
-    """The table of the weights w[a][b]: per a, three parallel tuples of the
-    b with w[a][b] != 0, their output indices a + b - r, and the weights."""
-    table = []
-    for a, row in enumerate(w):
-        bs = tuple(b for b, x in enumerate(row) if x)
-        table.append((bs, tuple(a + b - r for b in bs), tuple(row[b] for b in bs)))
-    return tuple(table)
-
-
-def _weight_matrix(n: int, m: int, r: int, upper: bool) -> list:
-    """W(a, b) for degrees n and m as rows a = 0 .. n, over b >= a only if
-    ``upper``: row a gains alpha_k(a) beta_k(b) over b = k .. m - r + k."""
+def _table(n: int, m: int, r: int, half: bool) -> tuple:
+    """The weights of (f, g)^r for degrees n and m: per a, the b with
+    W(a, b) != 0, their output indices a + b - r and the weights.  Row a
+    gains alpha_k(a) beta_k(b) over b = k .. m - r + k, or with ``half``
+    (n = m, even r) over b >= a only, doubled at b > a to S(a, b)."""
     w = [[0] * (m + 1) for _ in range(n + 1)]
     for k in range(r + 1):
         c = -comb(r, k) if k % 2 else comb(r, k)
         beta = _falling_products(m, k, r - k)
         hi = k + len(beta)
         for a, x in enumerate(_falling_products(n, r - k, k), r - k):
-            lo = max(a, k) if upper else k
+            lo = max(a, k) if half else k
             x *= c
             row = w[a]
             row[lo:hi] = [z + x * y for z, y in zip(row[lo:hi], beta[lo - k:])]
-    return w
-
-
-def _full_table(n: int, m: int, r: int) -> tuple:
-    """The weights W(a, b) of (f, g)^r for degrees n and m."""
-    return _rows(_weight_matrix(n, m, r, False), r)
-
-
-def _half_table(n: int, r: int) -> tuple:
-    """The weights S(a, b) of (f, f)^r over a <= b, for even r and degree n:
-    W is symmetric, so S(a, b) = 2 W(a, b) for a < b and S(a, a) = W(a, a)."""
-    w = _weight_matrix(n, n, r, True)
+    table = []
     for a, row in enumerate(w):
-        row[a + 1:] = [2 * x for x in row[a + 1:]]
-    return _rows(w, r)
+        if half:
+            row[a + 1:] = [2 * x for x in row[a + 1:]]
+        bs = tuple(b for b, x in enumerate(row) if x)
+        table.append((bs, tuple(a + b - r for b in bs), tuple(row[b] for b in bs)))
+    return tuple(table)
 
 
 def _table_bytes(table: tuple) -> int:
@@ -120,12 +111,12 @@ def _table_bytes(table: tuple) -> int:
                                                        for t in row) for row in table)
 
 
-def _cached(key: tuple, build) -> tuple:
-    """build(*key), kept in ``_TABLES`` within both cache bounds."""
+def _cached(key: tuple) -> tuple:
+    """``_table(*key)``, kept in ``_TABLES`` within both cache bounds."""
     hit = _TABLES.get(key)
     if hit is not None:
         return hit[0]
-    table = build(*key)
+    table = _table(*key)
     size = _table_bytes(table)
     if size <= _CACHE_BYTES:
         with _TABLES_LOCK:
@@ -174,11 +165,9 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     fden, fa, fb, fdisc = f.vec
     gden, ga, gb, gdisc = g.vec
     disc = _join_field(fdisc, gdisc)
-    if f.vec == g.vec:
-        if r % 2:
-            return BinaryForm.zero(deg)
-        table = _cached((n, r), _half_table)
-    else:
-        table = _cached((n, m, r), _full_table)
+    half = f.vec == g.vec
+    if half and r % 2:
+        return BinaryForm.zero(deg)
+    table = _cached((n, m, r, half))
     a, b = _weighted_sum(table, (fa, fb), (ga, gb), disc, deg + 1)
     return BinaryForm._from_vec(perm(n, r) * perm(m, r) * fden * gden, a, b, disc)

@@ -63,13 +63,13 @@ def test_transvect_matches_reference_for_every_r(pair):
 @contextmanager
 def _table_reads():
     """Spy on the weight tables ``transvect`` reads; the spy returns the
-    builders of the tables read so far ("full" or "half") and the number of
-    ``forms._partial`` calls."""
-    names = {transvection._full_table: "full", transvection._half_table: "half"}
+    kinds of the tables read so far ("full" or "half", the flag of the cache
+    key) and the number of ``forms._partial`` calls."""
     with mock.patch.object(transvection, "_cached", wraps=transvection._cached) as tables, \
             mock.patch.object(seacurves.forms, "_partial",
                               wraps=seacurves.forms._partial) as partial:
-        yield lambda: ([names[c.args[1]] for c in tables.call_args_list], partial.call_count)
+        yield lambda: (["half" if c.args[0][3] else "full" for c in tables.call_args_list],
+                       partial.call_count)
 
 
 def _one_field_forms():

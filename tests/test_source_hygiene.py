@@ -10,7 +10,8 @@ passed, by position or by keyword, by some call in ``src/``: a default no
 caller overrides is a constant dressed as an option.  ``object.__setattr__``
 appears only in constructors (``__init__``, ``__new__``, ``__post_init__``,
 ``_from_vec``), and only ``Scalar`` writes its own ``__setattr__``: every
-other value is a frozen dataclass.
+other value is a frozen dataclass, and no dataclass field defaults to a
+mutable container (``default_factory`` of ``dict``, ``list`` or ``set``).
 
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
@@ -186,6 +187,21 @@ def test_only_scalar_writes_its_own_setattr():
               for item in node.body
               if isinstance(item, ast.FunctionDef) and item.name == "__setattr__"]
     assert owners == [("scalars", "Scalar")]
+
+
+def test_no_field_defaults_to_a_mutable_container():
+    """A field made with ``default_factory=dict`` (or ``list``, ``set``) puts a
+    mutable container inside a frozen value; a lazy derived value is a
+    ``functools.cached_property`` instead."""
+    fields = [(_module_name(p), cls.name, item.target.id) for p in MODULES
+              for cls in ast.walk(_tree(p)) if isinstance(cls, ast.ClassDef)
+              for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.value, ast.Call)
+              and _callee(item.value) == "field"
+              for k in item.value.keywords
+              if k.arg == "default_factory" and isinstance(k.value, ast.Name)
+              and k.value.id in ("dict", "list", "set")]
+    assert fields == []
 
 
 def test_each_reference_is_defined_once():

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 import time
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,29 @@ def test_quadratic_extension_path():
     assert out.constant_value() == Scalar(2) - (s * s) / 2  # = 7/2, back in Q
 
 
+def _weight(n: int, m: int, r: int, a: int, b: int) -> int:
+    """W(a, b) = sum_k (-1)^k C(r, k) P(a, r-k) P(n-a, k) P(b, k) P(m-b, r-k)."""
+    return sum((-1) ** k * comb(r, k) * perm(a, r - k) * perm(n - a, k)
+               * perm(b, k) * perm(m - b, r - k) for k in range(r + 1))
+
+
+def test_tables_match_their_closed_form():
+    """Row a of every table with n, m <= 12 and r >= 1 lists exactly the b
+    with W(a, b) != 0, their output indices a + b - r and the weights; a
+    half-table row starts at b = a, with its weights doubled at b > a."""
+    shapes = [(n, m, r, False) for n in range(13) for m in range(13)
+              for r in range(1, min(n, m) + 1)]
+    shapes += [(n, n, r, True) for n in range(13) for r in range(2, n + 1, 2)]
+    for n, m, r, half in shapes:
+        rows = []
+        for a in range(n + 1):
+            ws = {b: _weight(n, m, r, a, b) * (2 if half and b > a else 1)
+                  for b in range(a if half else 0, m + 1)}
+            bs = tuple(b for b, w in ws.items() if w)
+            rows.append((bs, tuple(a + b - r for b in bs), tuple(ws[b] for b in bs)))
+        assert transvection._table(n, m, r, half) == tuple(rows), (n, m, r, half)
+
+
 def _big_form(rng: random.Random, digits: int) -> BinaryForm:
     return BinaryForm(MAX_DEGREE, [rng.randrange(-10 ** digits, 10 ** digits)
                                    for _ in range(MAX_DEGREE + 1)])
@@ -167,9 +191,9 @@ def test_table_cache_stays_within_its_byte_bound(monkeypatch):
     assert all(size == transvection._table_bytes(table) for table, size in held)
     # the bound was reached: some tables were evicted, the newest kept
     assert len(held) < built
-    assert (MAX_DEGREE, MAX_DEGREE) in transvection._TABLES
+    assert (MAX_DEGREE, MAX_DEGREE, MAX_DEGREE, True) in transvection._TABLES
     # the largest full table at MAX_DEGREE, as the module states it
-    assert transvection._table_bytes(transvection._full_table(100, 100, 40)) < 1.5 * 2 ** 20
+    assert transvection._table_bytes(transvection._table(100, 100, 40, False)) < 1.5 * 2 ** 20
 
 
 def test_table_cache_under_threads(monkeypatch):
