@@ -159,24 +159,28 @@ def _id_key(record: FamilyRecord):
     return (record.genus, record.case_nr, _numeral_key(record.id.rsplit("-", 1)[1]))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class Catalog:
     """Immutable sequence of records, kept in id order (genus, case, sequence
     number) whatever order they come in, with id lookup and filtering.
 
     :func:`load_catalog` hands one instance to every caller that reads the
     same dataset text, so it is a frozen dataclass, its records are frozen
-    and ``by_id`` is read-only.
+    and ``by_id`` is read-only.  It compares, prints and pickles by its
+    records alone (a ``MappingProxyType`` does not pickle).
     """
 
     records: tuple
-    by_id: MappingProxyType = field(init=False)
+    by_id: MappingProxyType = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(sorted(self.records, key=_id_key)))
         object.__setattr__(self, "by_id", MappingProxyType({r.id: r for r in self.records}))
         if len(self.by_id) != len(self.records):
             raise CatalogError("duplicate record ids")
+
+    def __reduce__(self):
+        return Catalog, (self.records,)
 
     def __iter__(self):
         return iter(self.records)
@@ -286,6 +290,7 @@ class RowReport:
     status: str
     checks: dict
     completion: CompletionResult | None
+    __hash__ = None  # holds a dict
 
     @property
     def failed_checks(self) -> list[str]:
@@ -350,6 +355,7 @@ def verify_record(record: FamilyRecord) -> RowReport:
 @dataclass(frozen=True)
 class VerificationReport:
     rows: tuple
+    __hash__ = None  # its rows hold dicts
     # Failures on clean rows break the build; flagged rows are documented
     # exceptions and only reported.
 

@@ -44,7 +44,7 @@ The chain itself runs on the forms' cleared vectors (see
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 from .forms import BinaryForm, DegreeError, dehomogenize, is_squarefree
@@ -94,26 +94,21 @@ DECIMIC_NAMES = ("J2", "J4", "A6", "C6", "J8", "J9", "J10", "J14", "A14", "J14_p
 GENERAL_NAMES = ("I2", "I3", "I4", "I4p", "I6", "I6p", "I6star", "I12")
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class InvariantVector:
     """Named invariant values of one system, with degree metadata and the
     intermediate covariants that produced them; frozen, like every value.
 
+    ``_entries`` maps name -> (value, coefficient degree, definition).
     ``covariants`` is a read-only mapping name -> form; a covariant no entry
-    needed is computed when it is first read."""
+    needed is computed when it is first read, and equality never reads one.
+    Holding mappings, an invariant vector is unhashable."""
 
     kind: str
     _entries: dict
-    covariants: Mapping
+    covariants: Mapping = field(compare=False)
     unavailable: frozenset
-
-    def __init__(self, kind, entries, covariants: Mapping, unavailable=()):
-        # entries: iterable of (name, value, coefficient-degree, definition)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_entries", {name: (value, degree, definition)
-                                              for name, value, degree, definition in entries})
-        object.__setattr__(self, "covariants", covariants)
-        object.__setattr__(self, "unavailable", frozenset(unavailable))
+    __hash__ = None
 
     def names(self):
         return tuple(self._entries)
@@ -138,34 +133,23 @@ class InvariantVector:
     def items(self):
         return [(name, v[0]) for name, v in self._entries.items()]
 
-    def __eq__(self, other):
-        if not isinstance(other, InvariantVector):
-            return NotImplemented
-        return self.kind == other.kind and self.scalars() == other.scalars()
-
     def __repr__(self):
         vals = ", ".join(f"{n}={v[0]}" for n, v in self._entries.items())
         return f"InvariantVector[{self.kind}]({vals})"
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class AbsoluteInvariants:
     """Ratios of invariants; entries are defined, undefined (zero
     denominator) or unavailable (ingredients missing at this degree).
-    Frozen, like every value."""
+    Frozen, like every value; holding a mapping, it is unhashable."""
 
     kind: str
     names: tuple
     _values: dict
     undefined: frozenset
     unavailable: frozenset
-
-    def __init__(self, kind, names, values, undefined=(), unavailable=()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "_values", dict(values))
-        object.__setattr__(self, "undefined", frozenset(undefined))
-        object.__setattr__(self, "unavailable", frozenset(unavailable))
+    __hash__ = None
 
     def defined(self, name: str) -> bool:
         return name in self._values
@@ -184,16 +168,6 @@ class AbsoluteInvariants:
 
     def defined_items(self):
         return [(name, self._values[name]) for name in self.names if name in self._values]
-
-    def __eq__(self, other):
-        if not isinstance(other, AbsoluteInvariants):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self._values == other._values
-            and self.undefined == other.undefined
-            and self.unavailable == other.unavailable
-        )
 
     def __repr__(self):
         bits = []
@@ -276,7 +250,7 @@ def _system(kind, chain: _Chain, nodes, names, definitions=None,
     named transvectant nodes of positive order in ``nodes`` are the
     covariants.  ``definitions`` overrides the nodes' formulas,
     ``prefactors`` scales entries."""
-    entries = []
+    entries = {}
     for name in names:
         if name not in chain:
             continue
@@ -287,10 +261,10 @@ def _system(kind, chain: _Chain, nodes, names, definitions=None,
         if prefactors:
             value = prefactors[name] * value
             definition = f"{prefactors[name]}*{definition}"
-        entries.append((name, value, degree, definition))
+        entries[name] = (value, degree, definition)
     covariants = tuple(name for name, _, _, op, order in nodes
                        if name and isinstance(op, int) and order)
-    unavailable = [name for name in names if name not in chain]
+    unavailable = frozenset(name for name in names if name not in chain)
     return InvariantVector(kind, entries, _Covariants(chain, covariants), unavailable)
 
 
@@ -307,7 +281,8 @@ def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
             undefined.add(name)
             continue
         values[name] = prod((v[n] ** e for n, e in num.items()), start=ONE) / bottom
-    return AbsoluteInvariants(kind, table, values, undefined, unavailable)
+    return AbsoluteInvariants(kind, tuple(table), values, frozenset(undefined),
+                              frozenset(unavailable))
 
 
 def _require_degree(f: BinaryForm, d: int):
@@ -371,7 +346,7 @@ def genus2_isomorphic(f1: BinaryForm, f2: BinaryForm) -> bool:
     a2 = sextic_absolute(f2)
     if a1.undefined or a2.undefined:
         raise InconclusiveError("J10 vanishes; absolute invariants undefined")
-    return all(a1[t] == a2[t] for t in ("t1", "t2", "t3"))
+    return a1 == a2
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +413,7 @@ def genus3_isomorphic(f1: BinaryForm, f2: BinaryForm) -> bool:
                 f"{label} octavic has {', '.join(bad)} = 0; t-invariants not defined"
             )
         vs.append(v)
-    a1 = octavic_absolute(vs[0])
-    a2 = octavic_absolute(vs[1])
-    return all(a1[t] == a2[t] for t in a1.names)
+    return octavic_absolute(vs[0]) == octavic_absolute(vs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +522,7 @@ def general_absolute(F) -> AbsoluteInvariants:
 class Genus10Result:
     invariants: InvariantVector       # I6star_g10, I12star (+ covariant S)
     absolute: AbsoluteInvariants      # v5 = I6star_g10 / I12star
+    __hash__ = None                   # its fields are unhashable
 
 
 _GENUS10 = (

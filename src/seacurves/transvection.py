@@ -25,10 +25,11 @@ once per shape, each alpha_k and beta_k row by the ratio recurrence of
 W(a, b) != 0 (these have 0 <= a + b - r <= n + m - 2r), as parallel tuples of
 b, the output index s = a + b - r and the weight.  A transvectant is then one
 double loop over the table on the forms' cleared vectors (see
-:mod:`seacurves.forms`): the products (x_a + x_b sqrt D)(y_a + y_b sqrt D)
-are taken inline on the integer pairs, so Q and Q(sqrt D) share the loop, and
-the result is a vector over the denominator P(n, r) P(m, r) den(f) den(g),
-made canonical once.
+:mod:`seacurves.forms`), giving a vector over the denominator
+P(n, r) P(m, r) den(f) den(g), made canonical once.  ``_weighted_sum`` keeps
+two loops, chosen by ``disc``: one on the integers over Q, which the gate
+benchmark runs, and one on the pairs (x + x' sqrt D)(y + y' sqrt D) over
+Q(sqrt D), which sqrt_ext runs; on Q the pair loop would multiply zeros.
 
 At r = 0 the weights are all 1 and (f, g)^0 is the product f * g, which
 ``transvect`` returns before any table is looked up: the same canonical

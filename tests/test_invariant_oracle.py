@@ -49,7 +49,7 @@ def _evaluate(nodes, values: dict) -> dict:
 
 def _system(kind, nodes, values, names, definitions=None, prefactors=None):
     values = _evaluate(nodes, values)
-    entries = []
+    entries = {}
     for name in names:
         if name not in values:
             continue
@@ -60,10 +60,10 @@ def _system(kind, nodes, values, names, definitions=None, prefactors=None):
         if prefactors:
             value = prefactors[name] * value
             definition = f"{prefactors[name]}*{definition}"
-        entries.append((name, value, degree, definition))
+        entries[name] = (value, degree, definition)
     covariants = {name: values[name][0] for name, _, _, op, order in nodes
                   if name and isinstance(op, int) and order}
-    unavailable = [name for name in names if name not in values]
+    unavailable = frozenset(name for name in names if name not in values)
     return inv.InvariantVector(kind, entries, covariants, unavailable)
 
 

@@ -13,6 +13,11 @@ on integer pairs over Z[sqrt D].  Two models of ``reference`` check them:
 ``monic``, which divides the cleared vector once by its leading element over
 Z[sqrt D].
 
+The projective squarefree verdict ``form_is_squarefree`` is checked against
+the Sylvester resultant of the two partial derivatives of the form: by
+Euler's identity d*f = X*f_X + Z*f_Z, a common root of f_X and f_Z is a
+repeated root of f, the root [1:0] included.
+
 They must agree exactly over Q, Q(sqrt -3) and Q(sqrt 5): with vanishing
 leading and constant terms, half-integral coordinates (a + b sqrt D) / 2,
 degree gaps greater than one inside the sequence (polynomials in x^k),
@@ -23,12 +28,12 @@ repeated factors.  sympy, when importable, is a third, independent check.
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spy
 from reference import (coefficients, euclid_gcd, euclid_resultant, from_model, ref_discriminant,
-                       ref_monic, ref_resultant, to_model, to_sympy)
+                       ref_monic, ref_partial, ref_resultant, to_model, to_sympy)
 from seacurves import forms
 from seacurves.forms import (
     BinaryForm,
@@ -39,6 +44,7 @@ from seacurves.forms import (
     poly_gcd,
     resultant,
 )
+from seacurves.invariants import form_is_squarefree
 from seacurves.scalars import Scalar, rational
 
 MAX_DEG = 12
@@ -101,6 +107,40 @@ def test_discriminant_matches_sylvester(p):
     expected = ref_discriminant(to_model(p))
     assert to_model(discriminant(p)) == expected
     assert is_squarefree(p) == (not expected.is_zero)
+
+
+@st.composite
+def linear_products(draw):
+    """A form of degree 2..9 over Q(sqrt disc): a nonzero constant times 0, 1
+    or 2 factors Z (roots at [1:0]) and factors X - rZ whose roots r are
+    drawn from a pool of distinct roots, as many as the factors half the
+    time and fewer otherwise, so that roots repeat."""
+    disc = draw(st.sampled_from([0, -3, 5]))
+    d = draw(st.integers(2, 9))
+    at_infinity = draw(st.integers(0, 2))
+    finite = d - at_infinity
+    distinct = finite if draw(st.booleans()) else draw(st.integers(min(1, finite), finite))
+    pool = draw(st.lists(small_scalars(disc), min_size=distinct, max_size=distinct, unique=True))
+    roots = pool + [draw(st.sampled_from(pool)) for _ in range(finite - distinct)]
+    f = BinaryForm(0, [draw(small_scalars(disc).filter(lambda c: not c.is_zero))])
+    for r in roots:
+        f = f * BinaryForm(1, [-r, 1])
+    for _ in range(at_infinity):
+        f = f * BinaryForm(1, [1, 0])
+    return f
+
+
+@given(linear_products())
+@example(BinaryForm(4, [-1, 0, 1, 0, 0]))  # Z^2 (X^2 - Z^2): a double root at [1:0]
+@example(BinaryForm(3, [-5, 0, 1, 0]))  # Z (X^2 - 5 Z^2): a simple root at [1:0]
+@example(BinaryForm(2, [1, 0, 0]))  # Z^2
+@settings(max_examples=200, deadline=None)
+def test_form_squarefree_matches_sylvester_of_partials(f):
+    """``form_is_squarefree(f)`` is Res(f_X, f_Z) != 0, both partials taken
+    as forms of declared degree d - 1."""
+    F = to_model(f)
+    assert form_is_squarefree(f) == (not ref_resultant(ref_partial(F, "X"),
+                                                       ref_partial(F, "Z")).is_zero)
 
 
 def test_constant_operands():

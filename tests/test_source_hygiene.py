@@ -12,6 +12,8 @@ appears only in constructors (``__init__``, ``__new__``, ``__post_init__``,
 ``_from_vec``), and only ``Scalar`` writes its own ``__setattr__``: every
 other value is a frozen dataclass, and no dataclass field defaults to a
 mutable container (``default_factory`` of ``dict``, ``list`` or ``set``).
+A dataclass keeps the ``__init__`` and ``__eq__`` the decorator generates:
+it neither turns them off nor writes its own (``forms._Cleared`` excepted).
 
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
@@ -202,6 +204,27 @@ def test_no_field_defaults_to_a_mutable_container():
               if k.arg == "default_factory" and isinstance(k.value, ast.Name)
               and k.value.id in ("dict", "list", "set")]
     assert fields == []
+
+
+def _replaces_generated_methods(cls: ast.ClassDef) -> bool:
+    """``cls`` is a dataclass that passes ``init=False`` or ``eq=False``, or
+    defines ``__init__`` or ``__eq__`` in its body."""
+    decorators = [d for d in cls.decorator_list
+                  if getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"]
+    turned_off = any(k.arg in ("init", "eq") and getattr(k.value, "value", None) is False
+                     for d in decorators for k in getattr(d, "keywords", ()))
+    written = any(isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__eq__")
+                  for item in cls.body)
+    return bool(decorators) and (turned_off or written)
+
+
+def test_dataclasses_keep_their_generated_init_and_eq():
+    """A value is built and compared by the methods its dataclass generates.
+    ``forms._Cleared`` is the one exception: its constructor takes Scalars
+    and stores their cleared vector, so its arguments are not its state."""
+    owners = [(_module_name(p), node.name) for p in MODULES for node in ast.walk(_tree(p))
+              if isinstance(node, ast.ClassDef) and _replaces_generated_methods(node)]
+    assert owners == [("forms", "_Cleared")]
 
 
 def test_each_reference_is_defined_once():

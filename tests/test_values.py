@@ -1,11 +1,14 @@
 """Every value of the package copies and pickles, and none can be changed.
 
-Scalars, forms, polynomials, matrices, groups, signatures, curves, catalog
-rows, equation templates and invariant vectors round-trip through
-``pickle``, ``copy.copy`` and ``copy.deepcopy`` to an equal value (with an
-equal hash, where the value is hashable), so they can be sent to worker
-processes; assigning to one of their fields or to a name they do not have,
-and deleting a field, raise AttributeError.
+Scalars, forms, polynomials, matrices, groups, signatures, signature
+completions, curves, catalog rows, the catalog, equation templates with
+their terms, sum blocks and factors, check results, row and verification
+reports, invariant vectors, absolute invariants and genus-10 results
+round-trip through ``pickle``, ``copy.copy`` and ``copy.deepcopy`` to an
+equal value with an equal repr (and an equal hash, where the value is
+hashable: a value that holds a mapping declares itself unhashable), so
+they can be sent to worker processes; assigning to one of their fields or
+to a name they do not have, and deleting a field, raise AttributeError.
 """
 
 import copy
@@ -14,10 +17,14 @@ import pickle
 import pytest
 
 from conftest import packaged_catalog
-from seacurves.curves import ReducedGroup, Signature, make_curve
+from seacurves.catalog import CheckResult, verify_all, verify_record
+from seacurves.catalog.templates import Factor, SumBlock, Term
+from seacurves.curves import ReducedGroup, Signature, complete_signature, make_curve
 from seacurves.forms import BinaryForm, Matrix2, UnivariatePoly
-from seacurves.invariants import sextic_invariants
+from seacurves.invariants import genus10_special, sextic_absolute, sextic_invariants
 from seacurves.scalars import ZERO, Scalar, rational
+
+SEXTIC = BinaryForm(6, [1, 2, 0, 3, 0, 5, 1])
 
 # name -> (a function building the value, one of its fields)
 VALUES = {
@@ -29,11 +36,21 @@ VALUES = {
     "matrix": (lambda: Matrix2(1, rational(1, 2), Scalar(0, 1, 5), 3), "a"),
     "signature": (lambda: Signature([2, 2, (3, 2)]), "pairs"),
     "reduced-group": (lambda: ReducedGroup("D2m", 3), "m"),
+    "completion": (lambda: complete_signature(5, 8, Signature([2] * 7)), "status"),
     "curve": (lambda: make_curve(3, UnivariatePoly([1, 0, 0, 0, 1])), "genus"),
     "row": (lambda: packaged_catalog()["g5-c1-1"], "equation"),
+    "catalog": (packaged_catalog, "records"),
     "template": (lambda: packaged_catalog()["g5-c3-1"].template, "factors"),
-    "invariant-vector": (lambda: sextic_invariants(BinaryForm(6, [1, 2, 0, 3, 0, 5, 1])),
-                         "kind"),
+    "term": (lambda: Term(Scalar(rational(1, 2), 1, 5), "a1", 3), "const"),
+    "sum-block": (lambda: SumBlock(1, 5, 2, 1), "hi"),
+    "factor": (lambda: Factor((Term(rational(1, 2), None, 0), SumBlock(1, 3, 2, 0))), "items"),
+    "check": (lambda: CheckResult(None, "no equation template"), "passed"),
+    "row-report": (lambda: verify_record(packaged_catalog()["g5-c1-1"]), "checks"),
+    "verification-report": (lambda: verify_all(packaged_catalog(), genus=5), "rows"),
+    "invariant-vector": (lambda: sextic_invariants(SEXTIC), "kind"),
+    "absolute-invariants": (lambda: sextic_absolute(SEXTIC), "names"),
+    "genus10-result": (lambda: genus10_special(BinaryForm(22, [1] + [0] * 21 + [1])),
+                       "absolute"),
 }
 
 

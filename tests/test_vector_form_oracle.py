@@ -164,7 +164,7 @@ def test_vectors_are_reduced_by_content():
 
 
 def _vector(kind, entries):
-    return inv.InvariantVector(kind, [(n, v, 1, n) for n, v in entries.items()], {})
+    return inv.InvariantVector(kind, {n: (v, 1, n) for n, v in entries.items()}, {}, frozenset())
 
 
 @given(st.sampled_from([0, -3, 5]).flatmap(
