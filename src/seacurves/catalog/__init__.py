@@ -67,6 +67,7 @@ STATUS_MISSING_EQUATION = "missing_equation"
 _STATUSES = (STATUS_OK, STATUS_ILLEGIBLE, STATUS_CORRECTED, STATUS_MISSING_EQUATION)
 
 DATA_ENV_VAR = "SEA_CATALOG"
+_DATA_DIR = resources.files(__package__) / "data"  # located once, at import
 _ID = re.compile(r".*-[0-9]+")  # the trailing integer orders rows within a case
 
 
@@ -210,13 +211,9 @@ class Catalog:
         return sorted({r.genus for r in self.records})
 
 
-def _data_path():
-    return resources.files(__package__).joinpath("data/table.jsonl")
-
-
 def flags_text() -> str:
     """The FLAGS file shipped with the dataset."""
-    return resources.files(__package__).joinpath("data/FLAGS.md").read_text("utf-8")
+    return (_DATA_DIR / "FLAGS.md").read_text("utf-8")
 
 
 def load_catalog(path: str | None = None) -> Catalog:
@@ -231,15 +228,12 @@ def load_catalog(path: str | None = None) -> Catalog:
     A malformed or non-UTF-8 text raises :class:`CatalogError` on every call.
     """
     if path is None:
-        path = os.environ.get(DATA_ENV_VAR) or None
-    if path is None:
-        text = _data_path().read_text("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise CatalogError(f"catalog {path} is not UTF-8: {exc}") from None
+        path = os.environ.get(DATA_ENV_VAR) or _DATA_DIR / "table.jsonl"
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"catalog {path} is not UTF-8: {exc}") from None
     return _build_catalog(text)
 
 

@@ -259,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {"--f", "--g", "--f1", "--f2", "--coeffs", "--poly", "--params"}
+# a tuple, so that of two flags left without a value the same one is reported
+_VALUE_FLAGS = ("--f", "--g", "--f1", "--f2", "--coeffs", "--poly", "--params")
 
 
 def _join_value_flags(argv: list[str]) -> list[str]:
@@ -283,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(_join_value_flags(list(argv)))
+    for flag in _VALUE_FLAGS:  # argparse drops a "--" value, leaving []
+        if not isinstance(getattr(args, flag[2:], ""), str):
+            parser.error(f"argument {flag}: expected one argument")
     try:
         return args.func(args)
     except OrderBookkeepingError as exc:

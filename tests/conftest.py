@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from seacurves.catalog import Catalog, _data_path, load_catalog
+from seacurves.catalog import _DATA_DIR, Catalog, load_catalog
 from seacurves.forms import BinaryForm, Matrix2
 from seacurves.scalars import Scalar, rational
 
@@ -9,7 +9,7 @@ from seacurves.scalars import Scalar, rational
 def packaged_catalog() -> Catalog:
     """The packaged table, whatever SEA_CATALOG names: the same shared
     instance that load_catalog() returns when the variable is unset."""
-    return load_catalog(str(_data_path()))
+    return load_catalog(str(_DATA_DIR / "table.jsonl"))
 
 
 def spy(monkeypatch, owner, name: str) -> list:

@@ -1,6 +1,8 @@
 import csv
+import importlib.resources
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -279,6 +281,41 @@ def test_env_override(catalog, tmp_path, monkeypatch):
     assert len(load_catalog()) == 20
 
 
+def test_path_argument_wins_over_sea_catalog(catalog, tmp_path, monkeypatch):
+    five, six = tmp_path / "five.jsonl", tmp_path / "six.jsonl"
+    for path, genus in ((five, 5), (six, 6)):
+        path.write_text(export_jsonl(Catalog(catalog.query(genus=genus))), encoding="utf-8")
+    monkeypatch.setenv("SEA_CATALOG", str(six))
+    assert load_catalog(str(five)).genera() == [5]
+    assert load_catalog().genera() == [6]
+    with pytest.raises(FileNotFoundError):  # an explicit path is opened as given
+        load_catalog("")
+
+
+def test_empty_sea_catalog_means_the_packaged_table(monkeypatch):
+    monkeypatch.setenv("SEA_CATALOG", "")
+    assert load_catalog() is packaged_catalog()
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["path", "env"])
+def test_non_utf8_catalog_names_the_file(via_env, tmp_path, monkeypatch):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b"\xff\xfe\x00\n")
+    monkeypatch.setenv("SEA_CATALOG", str(path) if via_env else "")
+    with pytest.raises(CatalogError, match=f"^catalog {re.escape(str(path))} is not UTF-8: "):
+        load_catalog() if via_env else load_catalog(str(path))
+
+
+def test_packaged_data_is_located_at_import(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("importlib.resources.files called after import")
+
+    monkeypatch.setattr(importlib.resources, "files", refuse)
+    monkeypatch.delenv("SEA_CATALOG", raising=False)
+    assert len(load_catalog()) == 210
+    assert "g6-c5-3" in flags_text()
+
+
 def test_load_catalog_rereads_a_changed_file(catalog, tmp_path):
     path = tmp_path / "rows.jsonl"
     for genus, rows in ((5, 20), (6, 36), (5, 20)):
@@ -304,7 +341,7 @@ def test_shared_catalog_matches_a_fresh_build():
     shared = packaged_catalog()
     assert packaged_catalog() is shared
     inclusions(shared, 6)  # leaves the support maps of genus 6 filled in
-    text = catalog_mod._data_path().read_text("utf-8")
+    text = (catalog_mod._DATA_DIR / "table.jsonl").read_text("utf-8")
     fresh = catalog_mod._build_catalog.__wrapped__(text)
     assert fresh is not shared
     assert export_jsonl(fresh) == export_jsonl(shared)

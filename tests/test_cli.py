@@ -230,6 +230,33 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+# one argv per free-text flag, with "--" as its value
+DASH_VALUES = {
+    "--f": ["transvect", "--f", "--", "--g", "1,0,1", "-r", "1"],
+    "--g": ["transvect", "--f", "1,0,1", "--g", "--", "-r", "1"],
+    "--f1": ["isomorphic", "--genus", "2", "--f1", "--", "--f2", "x^6+1"],
+    "--f2": ["isomorphic", "--genus", "2", "--f1", "x^6+1", "--f2", "--"],
+    "--coeffs": ["invariants", "--kind", "sextic", "--coeffs", "--"],
+    "--poly": ["genus", "-n", "2", "--poly", "--"],
+    "--params": ["catalog", "specialize", "--id", "g5-c1-1", "--params", "--"],
+}
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["two_tokens", "equals"])
+@pytest.mark.parametrize("flag", DASH_VALUES)
+def test_dash_value_is_a_usage_error(capsys, flag, joined):
+    """argparse drops a "--" value, so the flag is left without one: exit 2."""
+    argv = list(DASH_VALUES[flag])
+    if joined:
+        i = argv.index(flag)
+        argv[i:i + 2] = [f"{flag}=--"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: argument {flag}: expected one argument\n" in captured.err
+
+
 def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     from seacurves import cli
     from seacurves.invariants import OrderBookkeepingError

@@ -5,10 +5,11 @@ them), ``sqrt(...)`` with bad radicands (squares, 0, 1, out of range, two
 radicals in one input) and good ones up to 10^12, ``x^k`` terms up to
 k = 101 (one past ``MAX_DEGREE``) and coefficient CSVs, for ``genus --poly``
 (with levels ``-n`` of up to 4300 digits), ``transvect``,
-``invariants --coeffs``, ``isomorphic`` and ``catalog specialize --params``,
-and from negative and huge ``--genus`` values (as one token or two, with
-leading zeros or a plus sign) and arbitrary ``--group``
-text for ``catalog list``, ``verify`` and ``inclusions``.  Whatever the
+``invariants --coeffs``, ``isomorphic`` and ``catalog specialize --params``
+(each of these values sometimes ``--``, which argparse drops), and from
+negative and huge ``--genus`` values (as one token or two, with leading
+zeros or a plus sign) and arbitrary ``--group`` text for ``catalog list``,
+``verify`` and ``inclusions``.  Whatever the
 input, ``main`` must return 0, 1 or 2 without raising, within a per-example
 deadline, and a second run must print byte-identical stdout.
 
@@ -60,8 +61,10 @@ def scalars(d: int):
 @st.composite
 def forms(draw, size=None):
     """A coefficient CSV (of ``size`` entries if given), or a poly-string of
-    x^k terms with k <= 101."""
+    x^k terms with k <= 101, or, one time in twenty, "--"."""
     d = draw(RADICANDS)
+    if draw(st.integers(0, 19)) == 0:
+        return "--"
     if size or draw(st.booleans()):
         return ",".join(draw(st.lists(scalars(d), min_size=size or 1, max_size=size or 12)))
     coeff = st.one_of(st.just(""), st.integers(-9, 9).map(str), st.just(f"sqrt({d})"))
@@ -99,7 +102,7 @@ def specialize_argvs(draw):
     values = scalars(draw(RADICANDS))
     params = ",".join(f"{n}={draw(values)}" for n in names)
     if draw(st.integers(0, 9)) == 0:
-        params = draw(st.sampled_from(["a1", "=1", "a1=1,a1=2", "a1=,a2=3", "a1=1,"]))
+        params = draw(st.sampled_from(["a1", "=1", "a1=1,a1=2", "a1=,a2=3", "a1=1,", "--"]))
     return ["catalog", "specialize", "--id", row, "--params", params]
 
 
@@ -193,6 +196,14 @@ def _run(argv):
 @example(["genus", "-n", "7" * 4299, "--poly", "x^100+1"])
 # a radicand near 10^12 in every coefficient of a degree-100 f
 @example(["genus", "-n", "2", "--poly", ",".join(["1+sqrt(999999999989)"] * 101)])
+# a free-text flag given "--", which argparse drops from the value
+@example(["transvect", "--f", "--", "--g", "1,0,1", "-r", "1"])
+@example(["transvect", "--f", "1,0,1", "--g", "--", "-r", "1"])
+@example(["isomorphic", "--genus", "2", "--f1", "--", "--f2", "x^6+1"])
+@example(["isomorphic", "--genus", "2", "--f1", "x^6+1", "--f2", "--"])
+@example(["invariants", "--kind", "sextic", "--coeffs", "--"])
+@example(["genus", "-n", "2", "--poly", "--"])
+@example(["catalog", "specialize", "--id", "g5-c1-1", "--params", "--"])
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 def test_main_is_total_and_deterministic(argv):
     code, out, err = _run(argv)
