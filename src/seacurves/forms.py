@@ -18,8 +18,11 @@ only its vector: its Scalar tuple ``coeffs`` is built on each read.  Sums,
 products, scaling, the GL2 substitution, derivatives, ``monic``,
 (de)homogenization and the transvectant read vectors and return values built
 from vectors (``_from_vec``), on Python ints over Z[sqrt(D)]; fields join by
-:func:`seacurves.scalars._join_field`.  Products and the GL2 substitution
-convolve (A, B) pairs (``_pair_convolve``); a partial derivative scales each
+:func:`seacurves.scalars._join_field`.  Products convolve (A, B) pairs
+(``_pair_product``).  The GL2 substitution is two shears, each a Taylor
+shift between diagonal scalings, and runs each shift's Horner pass on
+Kronecker-packed integers, one fixed-width slot per coefficient, the width
+bounded from the inputs (``_taylor_shift``).  A partial derivative scales each
 coefficient by a product of falling factorials (``_falling_products``, built
 by a ratio recurrence), and the same products, summed over k, are the
 weights of the transvectant's cached tables (:mod:`seacurves.transvection`).
@@ -35,7 +38,9 @@ No operation here ever touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import lcm, perm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .scalars import (ZERO, Scalar, SeacurvesError, _conj, _content, _int_str, _join_field,
@@ -107,29 +112,24 @@ def _convolve(acc: list, u: list, v: list) -> None:
                     acc[i + j] += x * y
 
 
-def _pair_convolve(acc, f, g, disc: int) -> None:
-    """acc += f * g for (A, B) pairs of vectors over Z[sqrt(disc)].
+def _pair_product(f, g, disc: int):
+    """The (A, B) pair of f * g for nonempty (A, B) pairs over Z[sqrt(disc)].
 
     (a1 + b1 s)(a2 + b2 s) = a1 a2 + disc b1 b2 + (a1 b2 + b1 a2) s; a B of
     None is the zero vector.
     """
     (a1, b1), (a2, b2) = f, g
+    size = len(a1) + len(a2) - 1
+    acc = ([0] * size, [0] * size)
     _convolve(acc[0], a1, a2)
     if not disc:  # every B is zero over Q
-        return
+        return acc
     if b1 and b2:
-        _convolve(acc[0], b1, [disc * y for y in b2])  # g is the short one in moebius_act
+        _convolve(acc[0], b1, [disc * y for y in b2])
     if b2:
         _convolve(acc[1], a1, b2)
     if b1:
         _convolve(acc[1], b1, a2)
-
-
-def _pair_product(f, g, disc: int):
-    """The (A, B) pair of f * g for nonempty (A, B) pairs over Z[sqrt(disc)]."""
-    size = len(f[0]) + len(g[0]) - 1
-    acc = ([0] * size, [0] * size)
-    _pair_convolve(acc, f, g, disc)
     return acc
 
 
@@ -410,25 +410,135 @@ def moebius_act(M: Matrix2, f: BinaryForm) -> BinaryForm:
     """Substituted form f(aX + bZ, cX + dZ); requires det(M) != 0.
 
     Composition order: acting by M then by N equals acting by N @ M once,
-    matching the contravariance of substitution actions.  M is cleared once
-    and f read as its vector; the Horner pass runs on integer pairs, over the
-    denominator den(f) * e^d of the result.
+    matching the contravariance of substitution actions.
+
+    M is cleared once to integers a, b, c, d over the denominator e, with
+    t = ad - bc, and f read as its vector F.  With the pivot d != 0 (else
+    the rows of M are swapped and F reversed, which leaves the result alone,
+    and then b != 0 is the pivot), cX + dZ = W and d(aX + bZ) = tX + bW, so
+    d^n f(aX + bZ, cX + dZ) is F(tX + bW, dW) at W = cX + dZ: two shears,
+    each a Taylor shift (:func:`_taylor_shift`) between diagonal scalings.
+
+    * G(x) = sum F_i d^(n-i) (x + b)^i, then G_j times t^j;
+    * R(y) = sum_j G_j (y + c)^(n-j), and d^n f(aX + bZ, cX + dZ) is R(dZ)
+      at X = 1, so result coefficient i is R_(n-i) / d^i, an exact division
+      (by the conjugate over the norm in Z[sqrt(D)]).
+
+    The result is over the denominator den(f) * e^n.
     """
-    if M.det().is_zero:
+    e, ma, mb, mdisc = _clear((M.a, M.b, M.c, M.d))
+    a, b, c, d = zip(ma, mb or (0,) * 4)
+    ad, bc = _mul(a, d, mdisc), _mul(b, c, mdisc)
+    det = ad[0] - bc[0], ad[1] - bc[1]
+    if det == (0, 0):
         raise SingularMatrixError("substitution matrix must be invertible")
-    # e*M is integral; lin1 = e(aX + bZ) and lin2 = e(cX + dZ) as (A, B) pairs
-    e, ma, mb, mdisc = _clear((M.b, M.a, M.d, M.c))
-    fden, fa, fb, fdisc = f.vec
+    den, fa, fb, fdisc = f.vec
     disc = _join_field(mdisc, fdisc)
-    lin1, lin2 = (ma[:2], mb and mb[:2]), (ma[2:], mb and mb[2:])
-    d = f.degree
-    # Horner in lin1: after coefficient i, acc = sum_{j>=i} F_j lin1^(j-i) lin2^(d-j)
-    acc, power = ([fa[d]], fb and [fb[d]]), ([1], None)
-    for i in range(d - 1, -1, -1):
-        power = _pair_product(power, lin2, disc)
-        acc = _pair_product(acc, lin1, disc)
-        _pair_convolve(acc, power, ([fa[i]], fb and [fb[i]]), disc)
-    return BinaryForm._from_vec(fden * e ** d, acc[0], acc[1], disc)
+    if disc and fb is None:
+        fb = (0,) * len(fa)
+    vec = fa, fb
+    if d == (0, 0):  # f(aX + bZ, cX + dZ) = f'(cX + dZ, aX + bZ) for f' = f reversed
+        vec = _reversed(vec)
+        a, b, c, d, det = c, d, a, b, (-det[0], -det[1])
+    g = _taylor_shift(_scale(vec, d, disc, reverse=True), b, disc)
+    r = _taylor_shift(_reversed(_scale(g, det, disc)), c, disc)
+    return BinaryForm._from_vec(den * e ** f.degree, *_unscale(_reversed(r), d, disc), disc)
+
+
+def _reversed(f):
+    """The (A, B) pair f with its coefficients in reverse order."""
+    return f[0][::-1], f[1] and f[1][::-1]
+
+
+def _powers(y, n: int, disc: int) -> list:
+    """y^0 .. y^n for an element y of Z[sqrt(disc)], as ints when y is rational."""
+    if not y[1]:
+        return list(accumulate(repeat(y[0], n), mul, initial=1))
+    return list(accumulate(repeat(y, n), lambda p, q: _mul(p, q, disc), initial=(1, 0)))
+
+
+def _scale(f, y, disc: int, reverse: bool = False):
+    """The (A, B) pair with coefficient i of f times y^i, or times y^(n-i)
+    with ``reverse``, for an element y of Z[sqrt(disc)]."""
+    a, b = f
+    ps = _powers(y, len(a) - 1, disc)
+    if reverse:
+        ps.reverse()
+    if not y[1]:
+        return [x * p for x, p in zip(a, ps)], b and [x * p for x, p in zip(b, ps)]
+    out = [_mul(x, p, disc) for x, p in zip(zip(a, b), ps)]
+    return [x for x, _ in out], [x for _, x in out]
+
+
+def _unscale(f, y, disc: int):
+    """The (A, B) pair with coefficient i of f divided by y^i, which divides it."""
+    a, b = f
+    ps = _powers(y, len(a) - 1, disc)
+    if not y[1]:
+        return [x // p for x, p in zip(a, ps)], b and [x // p for x, p in zip(b, ps)]
+    out = [(_mul(x, _conj(p), disc), _norm(p, disc)) for x, p in zip(zip(a, b), ps)]
+    return [x // m for (x, _), m in out], [x // m for (_, x), m in out]
+
+
+def _taylor_shift(f, v, disc: int):
+    """The (A, B) pair of sum_i f_i (x + v)^i, by Kronecker substitution.
+
+    Each coefficient gets a slot of k bytes of one integer, so that a
+    polynomial p is the integer p(2^(8k)), and one Horner step,
+    p = (p << 8k) + v p + f_i, is a shift, a product by the small v and two
+    sums, whatever the degree.  A rational v shifts A and B apart; otherwise
+    the step runs on (A, B) pairs of packed integers.  The slots are read
+    back once, at the end, and :func:`_slot_bytes` sizes them.
+    """
+    a, b = f
+    if not v[1]:
+        return _shift(a, v[0]), b and _shift(b, v[0])
+    n = len(a) - 1
+    k = _slot_bytes((a, b), max(1, abs(disc)) * (1 + abs(v[0]) + abs(v[1])))
+    acc, shift = (a[n], b[n]), 8 * k
+    for i in range(n - 1, -1, -1):
+        lo = _mul(acc, v, disc)
+        acc = (acc[0] << shift) + lo[0] + a[i], (acc[1] << shift) + lo[1] + b[i]
+    return _unpack(acc[0], n, k), _unpack(acc[1], n, k)
+
+
+def _shift(a, v: int) -> list:
+    """sum_i a_i (x + v)^i over Z, the one-part case of :func:`_taylor_shift`."""
+    n = len(a) - 1
+    k = _slot_bytes((a,), 1 + abs(v))
+    acc, shift = a[n], 8 * k
+    for i in range(n - 1, -1, -1):
+        acc = (acc << shift) + acc * v + a[i]
+    return _unpack(acc, n, k)
+
+
+def _slot_bytes(parts, growth: int) -> int:
+    """Bytes k per slot that hold sum_i f_i (x + v)^i for f with the
+    coefficient parts ``parts`` (A, or A and B) and growth >= s (1 + h(v)).
+
+    With h(x) = |x_0| + |x_1| and s = max(1, |D|) over Z[sqrt(D)] (s = 1
+    over Z), h(xy) <= s h(x) h(y), so every coefficient of f_i (x + v)^i has
+    h at most h(f_i) growth^i, and every coefficient of the sum, with each
+    of its parts, at most n + 1 times the largest such term.  The slots
+    keep two bits more than that bound, one of them for the sign.
+    """
+    n = len(parts[0]) - 1
+    step = growth.bit_length()
+    offsets = range(0, step * (n + 1), step)
+    # h(f_i) < 2^bits(A_i) for one part; for two, h(f_i) is at most twice the larger part
+    top = max(max(map(add, map(int.bit_length, p), offsets)) for p in parts) + len(parts) - 1
+    return (top + (n + 1).bit_length() + 9) // 8
+
+
+def _unpack(x: int, n: int, k: int) -> list:
+    """The n + 1 signed k-byte slots of x = sum x_i 2^(8ki), |x_i| < 2^(8k-1).
+
+    A bias of 2^(8k-1) in every slot makes each one a byte string of the
+    sum, read without a division.
+    """
+    bias = int.from_bytes((bytes(k - 1) + b"\x80") * (n + 1), "little")
+    data, half = (x + bias).to_bytes(k * (n + 1), "little"), 1 << (8 * k - 1)
+    return [int.from_bytes(data[i:i + k], "little") - half for i in range(0, len(data), k)]
 
 
 class UnivariatePoly(_Cleared):

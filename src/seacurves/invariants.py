@@ -33,8 +33,9 @@ Absolute invariants are tables too: name -> (numerator, denominator), each a
 map from invariant name to exponent.  A ratio whose denominator vanishes is
 *undefined* (a first-class state, never an exception and never zero), and a
 ratio whose ingredients do not exist at the given degree is *unavailable*.
-A ratio is the quotient of two products of Scalar powers, each on the
-Scalars' cleared integers over Z[sqrt(D)].
+Each side of a ratio is one cleared element x / den of Z[sqrt(D)], the
+product of its entries' integer powers, and the ratio is made canonical
+once, as top * conj(bottom) over the norm of bottom.
 
 The chain itself runs on the forms' cleared vectors (see
 :mod:`seacurves.forms`); Scalars are built only for the entries, where
@@ -45,10 +46,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from math import prod
 
 from .forms import BinaryForm, DegreeError, dehomogenize, is_squarefree
-from .scalars import ONE, OutputTooLargeError, Scalar, SeacurvesError, rational
+from .scalars import (OutputTooLargeError, Scalar, SeacurvesError, _conj, _join_field, _mul, _norm,
+                      _pow, _scalar, rational)
 from .transvection import transvect
 
 __all__ = [
@@ -270,19 +271,39 @@ def _system(kind, chain: _Chain, nodes, names, definitions=None,
 
 def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
     """Absolute invariants of ``v`` from ``table``: name -> (numerator,
-    denominator), each a map invariant name -> exponent."""
+    denominator), each a map invariant name -> exponent.
+
+    Each side is one cleared element x / den (:func:`_power_product`); the
+    ratio top / bottom is top * conj(bottom) * bden / (tden * N(bottom)),
+    made canonical once.
+    """
     values, undefined, unavailable = {}, set(), set()
     for name, (num, den) in table.items():
         if not all(v.available(n) for n in (*num, *den)):
             unavailable.add(name)
             continue
-        bottom = prod((v[n] ** e for n, e in den.items()), start=ONE)
-        if bottom.is_zero:
+        bden, bottom, bdisc = _power_product(v, den)
+        if bottom == (0, 0):
             undefined.add(name)
             continue
-        values[name] = prod((v[n] ** e for n, e in num.items()), start=ONE) / bottom
+        tden, top, tdisc = _power_product(v, num)
+        disc = _join_field(tdisc, bdisc)
+        a, b = _mul(top, _conj(bottom), disc)
+        values[name] = _scalar(tden * _norm(bottom, disc), a * bden, b * bden, disc)
     return AbsoluteInvariants(kind, tuple(table), values, frozenset(undefined),
                               frozenset(unavailable))
+
+
+def _power_product(v: InvariantVector, powers) -> tuple:
+    """(den, x, disc) with prod v[n]^e = x / den over powers {n: e}, x an
+    element of Z[sqrt(disc)], disc the entries' joint field."""
+    den, x, disc = 1, (1, 0), 0
+    for n, e in powers.items():
+        s = v[n]
+        disc = _join_field(disc, s.disc)
+        den *= s._den ** e
+        x = _mul(x, _pow((s._a, s._b), e, disc), disc)
+    return den, x, disc
 
 
 def _require_degree(f: BinaryForm, d: int):

@@ -3,11 +3,14 @@
 ``reference.ref_moebius_act`` builds the power tables (aX + bZ)^i and
 (cX + dZ)^j and sums the d + 1 full-degree products
 a_i (aX + bZ)^i (cX + dZ)^(d-i) in Fraction-pair arithmetic;
-``moebius_act`` runs one Horner pass in (aX + bZ) on integer pairs instead.
-The two must agree exactly over Q (non-integer rationals included),
-Q(sqrt -3) and Q(sqrt 5), at degrees 0-22 and MAX_DEGREE, with zero
-coefficients anywhere in the form.  sympy, when importable, checks the
-substitution itself.
+``moebius_act`` instead runs two shears, each a Taylor shift whose Horner
+pass runs on Kronecker-packed integers with a slot width bounded from the
+inputs.  The two must agree exactly over Q (non-integer rationals
+included), Q(sqrt -3) and Q(sqrt 5), at degrees 0-22 and MAX_DEGREE, with
+zero coefficients anywhere in the form, for every pattern of zero entries
+of an invertible M (d = 0 moves the pivot to b), and on inputs where no
+sum cancels, whose coefficients come nearest the slot bound.  sympy, when
+importable, checks the substitution itself.
 """
 
 import random
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import rand_sparse, spy
 from reference import coefficients, ref_moebius_act, to_model, to_sympy
 from seacurves import forms
-from seacurves.forms import MAX_DEGREE, BinaryForm, Matrix2, moebius_act
+from seacurves.forms import MAX_DEGREE, BinaryForm, Matrix2, SingularMatrixError, moebius_act
 from seacurves.scalars import FieldMixError, Scalar, rational, sqrt_ext
 
 MAX_DEG = 22
@@ -65,14 +68,57 @@ def test_moebius_act_every_degree(disc):
         assert_matches_model(M, BinaryForm(d, [scalar() for _ in range(d + 1)]))
 
 
+# every pattern of zero entries of M that leaves det(M) = ad - bc nonzero
+# whatever the other entries: d = 0 alone puts the pivot on b, (a, d) is the
+# antidiagonal, (b, c) the diagonal
+ZERO_PATTERNS = [("a",), ("b",), ("c",), ("d",), ("a", "d"), ("b", "c")]
+
+
+@pytest.mark.parametrize("zeros", ZERO_PATTERNS, ids="".join)
+@pytest.mark.parametrize("disc", [0, -3, 5])
+def test_moebius_act_every_zero_pattern(disc, zeros):
+    rng = random.Random(f"{disc}{zeros}")
+    for d in (0, 1, 2, 7, MAX_DEG, MAX_DEGREE):
+        M = Matrix2(*(Scalar(0) if name in zeros else rand_sparse(rng, disc, 0)
+                      for name in "abcd"))
+        assert_matches_model(M, BinaryForm(d, [rand_sparse(rng, disc, 0.3)
+                                               for _ in range(d + 1)]))
+
+
+@pytest.mark.parametrize("disc", [0, 5])
+def test_moebius_act_without_cancellation(disc):
+    """Every coefficient, matrix entry and radical part positive at HEIGHT,
+    with ad > bc part by part: no sum cancels, so the result's coefficients
+    come near the slot bound of the packed Horner steps."""
+    rng = random.Random(disc)
+
+    def positive(low, high):
+        return Scalar(rng.randint(low, high), rng.randint(low, high) if disc else 0, disc)
+
+    big, small = (HEIGHT // 2, HEIGHT), (1, HEIGHT // 2)
+    M = Matrix2(positive(*big), positive(*small), positive(*small), positive(*big))
+    f = BinaryForm(MAX_DEGREE, [positive(*big) for _ in range(MAX_DEGREE + 1)])
+    assert_matches_model(M, f)
+
+
 def test_moebius_act_rejects_mixed_fields():
     f = BinaryForm(2, [1, sqrt_ext(1, 5), 2])
     with pytest.raises(FieldMixError):
         moebius_act(Matrix2(sqrt_ext(1, -3), 0, 0, 1), f)
+    with pytest.raises(FieldMixError):  # the entries of M alone span two fields
+        moebius_act(Matrix2(sqrt_ext(1, -3), 0, 0, sqrt_ext(1, 5)), BinaryForm(2, [1, 2, 3]))
+
+
+def test_moebius_act_singular_before_field_mix():
+    """A singular M is reported as such before its field meets f's."""
+    f = BinaryForm(2, [1, sqrt_ext(1, 5), 2])
+    r = sqrt_ext(1, -3)
+    with pytest.raises(SingularMatrixError):
+        moebius_act(Matrix2(r, r * 2, 1, 2), f)
 
 
 def test_moebius_act_clears_each_operand_once(monkeypatch):
-    """M and f are cleared once each, not once per Horner step."""
+    """M and f are cleared once each, not once per shear or Horner step."""
     calls = spy(monkeypatch, forms, "_clear")
     f = BinaryForm(22, [rational(i - 11, i % 5 + 1) for i in range(23)])
     moebius_act(Matrix2(rational(1, 2), 3, -2, rational(5, 3)), f)

@@ -192,6 +192,23 @@ def test_ratio_with_zero_denominator_is_undefined():
     assert got.undefined == {"t1", "t2", "t3"} and not got.defined_items()
 
 
+@pytest.mark.parametrize("entries", [
+    # J10, the denominator of every sextic ratio, a pure radical
+    {"J2": rational(3, 2), "J4": Scalar(1, 2, -3), "J6": Scalar(5),
+     "J10": Scalar(0, rational(2, 7), -3)},
+    # J2 = 0: every numerator vanishes, so each value is 0 and defined
+    {"J2": Scalar(0), "J4": Scalar(1, 1, -3), "J6": Scalar(4),
+     "J10": Scalar(rational(1, 3), 1, -3)},
+    # J10 with a rational and a radical part, over a real field (negative norm)
+    {"J2": Scalar(1, 3, 5), "J4": rational(-2, 9), "J6": Scalar(0, 1, 5),
+     "J10": Scalar(rational(1, 2), rational(-3, 4), 5)},
+], ids=["radical-bottom", "zero-top", "mixed-bottom"])
+def test_ratio_edge_cases(entries):
+    got = inv._ratios("sextic", _vector("sextic", entries), inv._SEXTIC_ABSOLUTE)
+    assert_ratios(got, entries, inv._SEXTIC_ABSOLUTE)
+    assert not got.undefined and len(got.defined_items()) == 3
+
+
 # -- guards on the kernel contract --------------------------------------------------------------
 
 
