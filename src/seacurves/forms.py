@@ -18,20 +18,26 @@ only its vector: its Scalar tuple ``coeffs`` is built on each read.  Sums,
 products, scaling, the GL2 substitution, derivatives, ``monic``,
 (de)homogenization and the transvectant read vectors and return values built
 from vectors (``_from_vec``), on Python ints over Z[sqrt(D)]; fields join by
-:func:`seacurves.scalars._join_field`.  Products convolve (A, B) pairs
-(``_pair_product``).  The GL2 substitution is two shears, each a Taylor
-shift between diagonal scalings, and runs each shift's Horner pass on
-Kronecker-packed integers, one fixed-width slot per coefficient, the width
-bounded from the inputs (``_taylor_shift``).  A partial derivative scales each
-coefficient by a product of falling factorials (``_falling_products``, built
-by a ratio recurrence), and the same products, summed over k, are the
-weights of the transvectant's cached tables (:mod:`seacurves.transvection`).
+:func:`seacurves.scalars._join_field`, and every operation reads its
+operands as (A, B) pairs over the joint field through one lift, ``_lift``,
+which gives a rational vector over Q(sqrt(D)) its zero B.  Products convolve
+(A, B) pairs (``_pair_product``).  The GL2 substitution is two shears, each
+a Taylor shift between diagonal scalings, and runs each shift's Horner pass
+on Kronecker-packed integers, one fixed-width slot per coefficient, the
+width bounded from the inputs (``_taylor_shift``).  A partial derivative
+scales each coefficient by a product of falling factorials
+(``_falling_products``, built by a ratio recurrence), and the same products,
+summed over k, are the weights of the transvectant's cached tables
+(:mod:`seacurves.transvection`).
 
 Resultants, discriminants (hence the squarefree test) and gcds all run on
 one subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the
-same vectors, entered through one function, ``_prs``, that clears both
-operands over their joint field and orders them by degree: every division
-in the sequence is exact in Z[sqrt(D)].
+same vectors, entered through one function, ``_prs``, that lifts both
+operands to their joint field and orders them by degree: every division
+in the sequence is exact in Z[sqrt(D)], and an exact division of one
+element by another is :func:`seacurves.scalars._quo`, as in the GL2
+substitution's last scaling.  One renderer, ``_render``, writes the text
+of polynomials and the reprs of forms and polynomials.
 No operation here ever touches floating point.
 """
 
@@ -39,12 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from math import lcm, perm
+from math import isqrt, lcm, perm
 from operator import add, mul
 from typing import Iterable, Sequence
 
 from .scalars import (ZERO, Scalar, SeacurvesError, _conj, _content, _int_str, _join_field,
-                      _mul, _norm, _pow, _repr_str, _scalar, parse_scalar)
+                      _mul, _norm, _pow, _quo, _repr_str, _scalar, parse_scalar)
 
 __all__ = [
     "BinaryForm",
@@ -101,6 +107,14 @@ def _clear(coeffs: Sequence[Scalar]):
     if not any(c.disc for c in coeffs):
         return den, a, None, disc
     return den, a, [c._b * (den // c._den) for c in coeffs], disc
+
+
+def _lift(vec, disc: int):
+    """The (A, B) pair of a cleared vector read over the field disc, the join
+    of its own field with another: B is None over Q, and zeros for a
+    rational vector over Q(sqrt(disc))."""
+    _, a, b, _ = vec
+    return a, ((0,) * len(a) if disc and b is None else b)
 
 
 def _convolve(acc: list, u: list, v: list) -> None:
@@ -162,7 +176,7 @@ def _partial(vec, n: int, p: int, k: int):
 def _to_scalars(acc, den: int, disc: int) -> list[Scalar]:
     """The canonical Scalars (A[i] + B[i]*sqrt(disc)) / den of an (A, B) pair."""
     a, b = acc
-    return [_scalar(den, x, y, disc) for x, y in zip(a, b or [0] * len(a))]
+    return [_scalar(den, x, y, disc) for x, y in zip(a, b or repeat(0))]
 
 
 def _power(var: str, e: int) -> str:
@@ -192,10 +206,15 @@ def _const_to_string(const: Scalar) -> str:
     return f"({text})" if const.disc and const._a else text
 
 
+def _render(terms) -> str:
+    """The text of (monomial, coefficient) pairs, zero coefficients left out:
+    the one renderer of polynomial strings and of form and polynomial reprs."""
+    return _join_terms(_term(_const_to_string(c), mono) for mono, c in terms if not c.is_zero)
+
+
 def poly_to_string(p: UnivariatePoly) -> str:
     """Canonical descending-power string for a concrete polynomial."""
-    return _join_terms(_term(_const_to_string(c), _power("x", e))
-                       for e, c in reversed(list(enumerate(p.coeffs))) if not c.is_zero)
+    return _render((_power("x", e), c) for e, c in reversed(list(enumerate(p.coeffs))))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -268,12 +287,9 @@ class _Cleared:
 
     def scale(self, c):
         c = _scal(c)
-        den, a, b, disc = self.vec
-        disc = _join_field(disc, c.disc)
-        if c.disc and b is None:
-            b = (0,) * len(a)
-        a, b = _pair_scale((a, b), (c._a, c._b), disc)
-        return self._from_vec(den * c._den, a, b, disc)
+        disc = _join_field(self.vec[3], c.disc)
+        a, b = _pair_scale(_lift(self.vec, disc), (c._a, c._b), disc)
+        return self._from_vec(self.vec[0] * c._den, a, b, disc)
 
 
 class BinaryForm(_Cleared):
@@ -303,15 +319,13 @@ class BinaryForm(_Cleared):
             raise DegreeError(
                 f"cannot add forms of degrees {self.degree} and {other.degree}"
             )
-        (uden, ua, ub, udisc), (vden, va, vb, vdisc) = self.vec, other.vec
-        disc = _join_field(udisc, vdisc)
+        disc = _join_field(self.vec[3], other.vec[3])
+        (ua, ub), (va, vb) = _lift(self.vec, disc), _lift(other.vec, disc)
+        uden, vden = self.vec[0], other.vec[0]
         den = lcm(uden, vden)
         s, t = den // uden, den // vden
         a = [s * x + t * y for x, y in zip(ua, va)]
-        b = None
-        if disc:
-            zero = (0,) * len(a)
-            b = [s * x + t * y for x, y in zip(ub or zero, vb or zero)]
+        b = ub and [s * x + t * y for x, y in zip(ub, vb)]
         return BinaryForm._from_vec(den, a, b, disc)
 
     def __sub__(self, other: BinaryForm) -> BinaryForm:
@@ -335,8 +349,7 @@ class BinaryForm(_Cleared):
 
     def __repr__(self):
         d = self.degree
-        body = _join_terms(_term(_const_to_string(c), _power("X", i) + _power("Z", d - i))
-                           for i, c in enumerate(self.coeffs) if not c.is_zero)
+        body = _render((_power("X", i) + _power("Z", d - i), c) for i, c in enumerate(self.coeffs))
         return f"BinaryForm<{d}>({body})"
 
 
@@ -419,30 +432,29 @@ def moebius_act(M: Matrix2, f: BinaryForm) -> BinaryForm:
     d^n f(aX + bZ, cX + dZ) is F(tX + bW, dW) at W = cX + dZ: two shears,
     each a Taylor shift (:func:`_taylor_shift`) between diagonal scalings.
 
-    * G(x) = sum F_i d^(n-i) (x + b)^i, then G_j times t^j;
-    * R(y) = sum_j G_j (y + c)^(n-j), and d^n f(aX + bZ, cX + dZ) is R(dZ)
-      at X = 1, so result coefficient i is R_(n-i) / d^i, an exact division
-      (by the conjugate over the norm in Z[sqrt(D)]).
+    * G(x) = sum_i F_i d^(n-i) (x + b)^i: F scaled by d (:func:`_scale`),
+      then shifted by b;
+    * R(y) = sum_j G_j t^j (y + c)^(n-j): G reversed, scaled by t as F was
+      by d, then shifted by c.  d^n f(aX + bZ, cX + dZ) is R(dZ) at X = 1,
+      so result coefficient i is R_(n-i) / d^i, an exact division
+      (:func:`seacurves.scalars._quo`).
 
     The result is over the denominator den(f) * e^n.
     """
     e, ma, mb, mdisc = _clear((M.a, M.b, M.c, M.d))
-    a, b, c, d = zip(ma, mb or (0,) * 4)
+    a, b, c, d = zip(ma, mb or repeat(0))
     ad, bc = _mul(a, d, mdisc), _mul(b, c, mdisc)
     det = ad[0] - bc[0], ad[1] - bc[1]
     if det == (0, 0):
         raise SingularMatrixError("substitution matrix must be invertible")
-    den, fa, fb, fdisc = f.vec
-    disc = _join_field(mdisc, fdisc)
-    if disc and fb is None:
-        fb = (0,) * len(fa)
-    vec = fa, fb
+    disc = _join_field(mdisc, f.vec[3])
+    vec = _lift(f.vec, disc)
     if d == (0, 0):  # f(aX + bZ, cX + dZ) = f'(cX + dZ, aX + bZ) for f' = f reversed
         vec = _reversed(vec)
         a, b, c, d, det = c, d, a, b, (-det[0], -det[1])
-    g = _taylor_shift(_scale(vec, d, disc, reverse=True), b, disc)
-    r = _taylor_shift(_reversed(_scale(g, det, disc)), c, disc)
-    return BinaryForm._from_vec(den * e ** f.degree, *_unscale(_reversed(r), d, disc), disc)
+    g = _taylor_shift(_scale(vec, d, disc), b, disc)
+    r = _taylor_shift(_scale(_reversed(g), det, disc), c, disc)
+    return BinaryForm._from_vec(f.vec[0] * e ** f.degree, *_unscale(_reversed(r), d, disc), disc)
 
 
 def _reversed(f):
@@ -457,13 +469,11 @@ def _powers(y, n: int, disc: int) -> list:
     return list(accumulate(repeat(y, n), lambda p, q: _mul(p, q, disc), initial=(1, 0)))
 
 
-def _scale(f, y, disc: int, reverse: bool = False):
-    """The (A, B) pair with coefficient i of f times y^i, or times y^(n-i)
-    with ``reverse``, for an element y of Z[sqrt(disc)]."""
+def _scale(f, y, disc: int):
+    """The (A, B) pair with coefficient i of f times y^(n-i), n = deg f, for
+    an element y of Z[sqrt(disc)]."""
     a, b = f
-    ps = _powers(y, len(a) - 1, disc)
-    if reverse:
-        ps.reverse()
+    ps = _powers(y, len(a) - 1, disc)[::-1]
     if not y[1]:
         return [x * p for x, p in zip(a, ps)], b and [x * p for x, p in zip(b, ps)]
     out = [_mul(x, p, disc) for x, p in zip(zip(a, b), ps)]
@@ -476,8 +486,8 @@ def _unscale(f, y, disc: int):
     ps = _powers(y, len(a) - 1, disc)
     if not y[1]:
         return [x // p for x, p in zip(a, ps)], b and [x // p for x, p in zip(b, ps)]
-    out = [(_mul(x, _conj(p), disc), _norm(p, disc)) for x, p in zip(zip(a, b), ps)]
-    return [x // m for (x, _), m in out], [x // m for (_, x), m in out]
+    out = [_quo(x, p, disc) for x, p in zip(zip(a, b), ps)]
+    return [x for x, _ in out], [x for _, x in out]
 
 
 def _taylor_shift(f, v, disc: int):
@@ -494,7 +504,8 @@ def _taylor_shift(f, v, disc: int):
     if not v[1]:
         return _shift(a, v[0]), b and _shift(b, v[0])
     n = len(a) - 1
-    k = _slot_bytes((a, b), max(1, abs(disc)) * (1 + abs(v[0]) + abs(v[1])))
+    r = 1 + isqrt(abs(disc) - 1)  # ceil(sqrt|D|), so r^2 >= |D|
+    k = _slot_bytes((a, [r * x for x in b]), 1 + abs(v[0]) + r * abs(v[1]))
     acc, shift = (a[n], b[n]), 8 * k
     for i in range(n - 1, -1, -1):
         lo = _mul(acc, v, disc)
@@ -514,13 +525,15 @@ def _shift(a, v: int) -> list:
 
 def _slot_bytes(parts, growth: int) -> int:
     """Bytes k per slot that hold sum_i f_i (x + v)^i for f with the
-    coefficient parts ``parts`` (A, or A and B) and growth >= s (1 + h(v)).
+    coefficient parts ``parts`` (A over Z; A and r B over Z[sqrt(D)]) and
+    growth >= 1 + h(v).
 
-    With h(x) = |x_0| + |x_1| and s = max(1, |D|) over Z[sqrt(D)] (s = 1
-    over Z), h(xy) <= s h(x) h(y), so every coefficient of f_i (x + v)^i has
-    h at most h(f_i) growth^i, and every coefficient of the sum, with each
-    of its parts, at most n + 1 times the largest such term.  The slots
-    keep two bits more than that bound, one of them for the sign.
+    With h(x) = |x| over Z and h(x) = |x_0| + r |x_1| over Z[sqrt(D)],
+    r = ceil(sqrt|D|), h(xy) <= h(x) h(y), as r^2 >= |D| bounds the term
+    D x_1 y_1 of xy.  So every coefficient of f_i (x + v)^i has h at most
+    h(f_i) growth^i, and every coefficient of the sum, with each of its
+    parts, at most n + 1 times the largest such term.  The slots keep two
+    bits more than that bound, one of them for the sign.
     """
     n = len(parts[0]) - 1
     step = growth.bit_length()
@@ -581,10 +594,8 @@ class UnivariatePoly(_Cleared):
         return _monic((a, b), disc)
 
     def __repr__(self):
-        return "UnivariatePoly(" + _join_terms(
-            _term(_const_to_string(c), _power("x", i))
-            for i, c in enumerate(self.coeffs) if not c.is_zero
-        ) + ")"
+        body = _render((_power("x", i), c) for i, c in enumerate(self.coeffs))
+        return f"UnivariatePoly({body})"
 
 
 def homogenize(p: UnivariatePoly, degree: int) -> BinaryForm:
@@ -665,8 +676,7 @@ def _next_h(lead, h, delta: int, disc: int):
     """h^(1 - delta) lead^delta, which is exact in Z[sqrt(disc)]."""
     if not delta:
         return h
-    x = _pow(lead, delta, disc)
-    return _elt(_divexact(([x[0]], [x[1]]), _pow(h, delta - 1, disc), disc), 0)
+    return _quo(_pow(lead, delta, disc), _pow(h, delta - 1, disc), disc)
 
 
 def _subresultant_prs(f, g, disc: int):
@@ -694,15 +704,11 @@ def _subresultant_prs(f, g, disc: int):
 
 
 def _prs(p: UnivariatePoly, q: UnivariatePoly):
-    """(f, g, h, s, disc): :func:`_subresultant_prs` of p and q, cleared to
+    """(f, g, h, s, disc): :func:`_subresultant_prs` of p and q, lifted to
     (A, B) pairs over their joint field, the one of larger degree first; s
     includes the sign of that swap, so it is the sign of Res(p, q)."""
-    _, pa, pb, pdisc = p.vec
-    _, qa, qb, qdisc = q.vec
-    disc = _join_field(pdisc, qdisc)
-    if disc:  # a rational operand over Q(sqrt disc) gets a zero B
-        pb, qb = pb or (0,) * len(pa), qb or (0,) * len(qa)
-    f, g = (pa, pb), (qa, qb)
+    disc = _join_field(p.vec[3], q.vec[3])
+    f, g = _lift(p.vec, disc), _lift(q.vec, disc)
     if p.degree < q.degree:  # Res(q, p) = (-1)^(deg p deg q) Res(p, q)
         f, g, h, s = _subresultant_prs(g, f, disc)
         return f, g, h, -s if p.degree & q.degree & 1 else s, disc

@@ -15,10 +15,10 @@ This is the one arithmetic kernel of the package: forms and polynomials
 hold the same cleared value for a whole coefficient vector
 (:mod:`seacurves.forms`), and Scalars, those vectors and the subresultant
 PRS share the helpers on elements ``(a, b)`` of Z[sqrt(D)] below (``_mul``,
-``_pow``, ``_conj``, ``_norm``, and ``_content``, the signed gcd that makes
-a cleared value canonical) and one field rule, ``_join_field``.  A Fraction
-is accepted as input, and built only by the read-only views :attr:`Scalar.a`
-and :attr:`Scalar.b`.
+``_pow``, ``_conj``, ``_norm``, the exact division ``_quo``, and
+``_content``, the signed gcd that makes a cleared value canonical) and one
+field rule, ``_join_field``.  A Fraction is accepted as input, and built
+only by the read-only views :attr:`Scalar.a` and :attr:`Scalar.b`.
 
 :func:`parse_scalar` reads the text :meth:`Scalar.__str__` writes, and is
 the only way from text to a Scalar: the constructor takes no strings.  Its
@@ -145,6 +145,16 @@ def _conj(x):
 def _norm(x, disc: int) -> int:
     """x * conj(x) = a^2 - disc*b^2, nonzero for x != 0 as disc is no square."""
     return x[0] * x[0] - disc * x[1] * x[1]
+
+
+def _quo(x, y, disc: int):
+    """x / y for elements x, y of Z[sqrt(disc)] where y divides x: x conj(y)
+    over the norm of y, each part an exact division."""
+    if not y[1]:
+        return x[0] // y[0], x[1] // y[0]
+    a, b = _mul(x, _conj(y), disc)
+    n = _norm(y, disc)
+    return a // n, b // n
 
 
 def _content(den: int, *xs: int) -> int:

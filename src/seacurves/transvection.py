@@ -24,12 +24,14 @@ once per shape, each alpha_k and beta_k row by the ratio recurrence of
 ``forms._falling_products``.  A table keeps, per a, only the b with
 W(a, b) != 0 (these have 0 <= a + b - r <= n + m - 2r), as parallel tuples of
 b, the output index s = a + b - r and the weight.  A transvectant is then one
-double loop over the table on the forms' cleared vectors (see
-:mod:`seacurves.forms`), giving a vector over the denominator
-P(n, r) P(m, r) den(f) den(g), made canonical once.  ``_weighted_sum`` keeps
-two loops, chosen by ``disc``: one on the integers over Q, which the gate
-benchmark runs, and one on the pairs (x + x' sqrt D)(y + y' sqrt D) over
-Q(sqrt D), which sqrt_ext runs; on Q the pair loop would multiply zeros.
+double loop over the table on the forms' cleared vectors, read over their
+joint field by the one lift of :mod:`seacurves.forms` (``_lift``, which
+gives a rational operand over Q(sqrt D) a zero B), giving a vector over the
+denominator P(n, r) P(m, r) den(f) den(g), made canonical once.
+``_weighted_sum`` keeps two loops, chosen by ``disc``: one on the integers
+over Q, which the gate benchmark runs, and one on the pairs
+(x + x' sqrt D)(y + y' sqrt D) over Q(sqrt D), which sqrt_ext runs; on Q the
+pair loop would multiply zeros.
 
 At r = 0 the weights are all 1 and (f, g)^0 is the product f * g, which
 ``transvect`` returns before any table is looked up: the same canonical
@@ -64,7 +66,7 @@ import threading
 from math import comb, perm
 from sys import getsizeof
 
-from .forms import BinaryForm, _falling_products, _join_field
+from .forms import BinaryForm, _falling_products, _join_field, _lift
 from .scalars import SeacurvesError, _int_str
 
 __all__ = ["transvect", "TransvectionError"]
@@ -130,7 +132,8 @@ def _cached(key: tuple) -> tuple:
 
 def _weighted_sum(table: tuple, f, g, disc: int, size: int):
     """The (A, B) pair of sum f_a g_b W(a, b) at a + b - r over a table, for
-    (A, B) pairs f and g over Z[sqrt(disc)]; B is None over Q."""
+    (A, B) pairs f and g lifted to Z[sqrt(disc)] (``forms._lift``): B is
+    None over Q, and a vector over Q(sqrt disc)."""
     (fa, fb), (ga, gb) = f, g
     acc = [0] * size
     if not disc:
@@ -142,7 +145,6 @@ def _weighted_sum(table: tuple, f, g, disc: int, size: int):
                         acc[s] += x * y * w
         return acc, None
     rad = [0] * size
-    fb, gb = fb or (0,) * len(fa), gb or (0,) * len(ga)
     for x0, x1, (bs, ss, ws) in zip(fa, fb, table):
         if x0 or x1:
             for b, s, w in zip(bs, ss, ws):
@@ -163,12 +165,10 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     if r == 0:
         return f * g
     deg = n + m - 2 * r
-    fden, fa, fb, fdisc = f.vec
-    gden, ga, gb, gdisc = g.vec
-    disc = _join_field(fdisc, gdisc)
+    disc = _join_field(f.vec[3], g.vec[3])
     half = f.vec == g.vec
     if half and r % 2:
         return BinaryForm.zero(deg)
     table = _cached((n, m, r, half))
-    a, b = _weighted_sum(table, (fa, fb), (ga, gb), disc, deg + 1)
-    return BinaryForm._from_vec(perm(n, r) * perm(m, r) * fden * gden, a, b, disc)
+    a, b = _weighted_sum(table, _lift(f.vec, disc), _lift(g.vec, disc), disc, deg + 1)
+    return BinaryForm._from_vec(perm(n, r) * perm(m, r) * f.vec[0] * g.vec[0], a, b, disc)

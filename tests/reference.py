@@ -14,7 +14,8 @@ this model; it is not kept as a second copy.
   derivatives one order per pass, and the transvectant from its
   partial-derivative definition (Olver, *Classical Invariant Theory*, 1999,
   ch. 5).
-- GL2 substitution f(aX + bZ, cX + dZ) by tables of powers.
+- GL2 substitution f(aX + bZ, cX + dZ) by Horner's rule over a table of
+  powers.
 - The Sylvester determinant by Gaussian elimination, the Euclidean
   remainder sequence, and the discriminant on the model's own derivative
   (Cohen, *A Course in Computational Algebraic Number Theory*, 1993, 3.3).
@@ -259,21 +260,24 @@ def ref_transvect(f, g, r: int) -> tuple:
 
 def ref_moebius_act(M, f) -> tuple:
     """f(aX + bZ, cX + dZ) = sum_i f_i (aX + bZ)^i (cX + dZ)^(d-i) for the
-    matrix M = (a, b, c, d), from tables of powers of the two linear forms.
+    matrix M = (a, b, c, d), by Horner's rule in aX + bZ over a table of
+    powers of cX + dZ: from acc = f_d, acc becomes
+    acc (aX + bZ) + f_i (cX + dZ)^(d-i) for i = d - 1 .. 0, O(d^2) products.
 
-    f is homogeneous of degree d, so f(eM) = e^d f(M): the tables are built
-    for the matrix eM, whose entries have integer parts, in int arithmetic."""
+    f is homogeneous of degree d, so f(eM) = e^d f(M): the linear forms are
+    those of the matrix eM, whose entries have integer parts, so their
+    powers are built in int arithmetic."""
     e, (a, b, c, d) = _integral(M)
     deg = len(f) - 1
-    pow1, pow2 = [(ONE,)], [(ONE,)]
+    pow2 = [(ONE,)]
     for _ in range(deg):
-        pow1.append(ref_product(pow1[-1], (b, a)))
         pow2.append(ref_product(pow2[-1], (d, c)))
-    out = [ZERO] * (deg + 1)
-    for i, fi in enumerate(f):
-        if fi:
-            out = [x + fi * y for x, y in zip(out, ref_product(pow1[i], pow2[deg - i]))]
-    return tuple(Fraction(1, e ** deg) * x for x in out)
+    acc = (f[deg],)
+    for i in range(deg - 1, -1, -1):
+        acc = ref_product(acc, (b, a))
+        if f[i]:
+            acc = tuple(x + f[i] * y for x, y in zip(acc, pow2[deg - i]))
+    return tuple(Fraction(1, e ** deg) * x for x in acc)
 
 
 # -- resultants and gcds -------------------------------------------------------------------
@@ -487,6 +491,10 @@ def _sqrt_in(field, disc: int):
 
 
 # -- hypothesis strategies -----------------------------------------------------------------
+
+# (field of the first operand, field of the second): Q, both extensions, and a
+# rational operand meeting an extension one in either order
+FIELD_PAIRS = [(0, 0), (-3, -3), (5, 5), (0, -3), (5, 0)]
 
 
 def coefficients(disc: int, height: int):

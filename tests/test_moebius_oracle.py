@@ -85,18 +85,27 @@ def test_moebius_act_every_zero_pattern(disc, zeros):
                                                for _ in range(d + 1)]))
 
 
-@pytest.mark.parametrize("disc", [0, 5])
-def test_moebius_act_without_cancellation(disc):
+@pytest.mark.parametrize("disc, shear", [(0, False), (5, False), (3, True)],
+                         ids=["0", "5", "3-shear"])
+def test_moebius_act_without_cancellation(disc, shear):
     """Every coefficient, matrix entry and radical part positive at HEIGHT,
     with ad > bc part by part: no sum cancels, so the result's coefficients
-    come near the slot bound of the packed Horner steps."""
+    come near the slot bound of the packed Horner steps.
+
+    With ``shear``, M is (1, b sqrt(disc), 0, 1) for b at HEIGHT, so the
+    largest coefficients are those of the highest powers of b: there the
+    bound rests on r = ceil(sqrt|D|) in the height |x_0| + r |x_1| of
+    Z[sqrt D], which a floor (r = 1 for D = 3) no longer bounds."""
     rng = random.Random(disc)
 
     def positive(low, high):
         return Scalar(rng.randint(low, high), rng.randint(low, high) if disc else 0, disc)
 
     big, small = (HEIGHT // 2, HEIGHT), (1, HEIGHT // 2)
-    M = Matrix2(positive(*big), positive(*small), positive(*small), positive(*big))
+    if shear:
+        M = Matrix2(1, Scalar(0, rng.randint(*big), disc), 0, 1)
+    else:
+        M = Matrix2(positive(*big), positive(*small), positive(*small), positive(*big))
     f = BinaryForm(MAX_DEGREE, [positive(*big) for _ in range(MAX_DEGREE + 1)])
     assert_matches_model(M, f)
 

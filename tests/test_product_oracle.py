@@ -21,7 +21,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import seacurves.forms
-from reference import coefficients, ref_form_repr, ref_product, ref_transvect, to_model
+from reference import (FIELD_PAIRS, coefficients, ref_form_repr, ref_product, ref_transvect,
+                       to_model)
 from seacurves import transvection
 from seacurves.forms import BinaryForm, UnivariatePoly
 from seacurves.scalars import FieldMixError, Scalar, rational, sqrt_ext
@@ -37,10 +38,6 @@ def forms(disc: int, degree: int):
     return st.lists(coefficients(disc, HEIGHT), min_size=degree + 1, max_size=degree + 1).map(
         lambda cs: BinaryForm(degree, cs)
     )
-
-
-# (field of f, field of g): Q, both extensions, and rational x extension
-FIELD_PAIRS = [(0, 0), (-3, -3), (5, 5), (0, -3), (5, 0)]
 
 
 @st.composite

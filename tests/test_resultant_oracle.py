@@ -18,7 +18,8 @@ the Sylvester resultant of the two partial derivatives of the form: by
 Euler's identity d*f = X*f_X + Z*f_Z, a common root of f_X and f_Z is a
 repeated root of f, the root [1:0] included.
 
-They must agree exactly over Q, Q(sqrt -3) and Q(sqrt 5): with vanishing
+They must agree exactly over Q, Q(sqrt -3) and Q(sqrt 5), and with a
+rational operand meeting either field in either argument order: with vanishing
 leading and constant terms, half-integral coordinates (a + b sqrt D) / 2,
 degree gaps greater than one inside the sequence (polynomials in x^k),
 either operand of larger degree, constant operands, and forced common and
@@ -32,8 +33,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spy
-from reference import (coefficients, euclid_gcd, euclid_resultant, from_model, ref_discriminant,
-                       ref_monic, ref_partial, ref_resultant, to_model, to_sympy)
+from reference import (FIELD_PAIRS, coefficients, euclid_gcd, euclid_resultant, from_model,
+                       ref_discriminant, ref_monic, ref_partial, ref_resultant, to_model,
+                       to_sympy)
 from seacurves import forms
 from seacurves.forms import (
     BinaryForm,
@@ -71,14 +73,15 @@ def polys(draw, disc: int, min_deg: int = 0, max_deg: int = MAX_DEG, small: bool
 
 @st.composite
 def poly_pairs(draw):
-    """(p, q) over one field; sometimes both carry a common factor h."""
-    disc = draw(st.sampled_from([0, -3, 5]))
+    """(p, q) over the fields of one of ``FIELD_PAIRS``; sometimes both carry
+    a common factor h, rational when the fields differ."""
+    dp, dq = draw(st.sampled_from(FIELD_PAIRS))
     if draw(st.booleans()):
-        h = draw(polys(disc, 1, 3))
-        p = draw(polys(disc, 0, MAX_DEG - h.degree))
-        q = draw(polys(disc, 0, MAX_DEG - h.degree))
+        h = draw(polys(dp if dp == dq else 0, 1, 3))
+        p = draw(polys(dp, 0, MAX_DEG - h.degree))
+        q = draw(polys(dq, 0, MAX_DEG - h.degree))
         return p * h, q * h
-    return draw(polys(disc)), draw(polys(disc))
+    return draw(polys(dp)), draw(polys(dq))
 
 
 @given(poly_pairs())
@@ -213,20 +216,21 @@ def in_x_power(p: UnivariatePoly, k: int) -> UnivariatePoly:
 
 @st.composite
 def euclid_pairs(draw):
-    """(p, q) over one field with deg p, deg q <= EUCLID_MAX_DEG: independent,
-    with a common factor h, or with a common h and a repeated h^2 in p."""
-    disc = draw(st.sampled_from([0, -3, 5]))
+    """(p, q) over the fields of one of ``FIELD_PAIRS`` with deg p, deg q <=
+    EUCLID_MAX_DEG: independent, with a common factor h, or with a common h
+    and a repeated h^2 in p; h is rational when the fields differ."""
+    dp, dq = draw(st.sampled_from(FIELD_PAIRS))
     k = draw(st.sampled_from([1, 1, 2, 3]))
     top = EUCLID_MAX_DEG // k
     shape = draw(st.sampled_from(["free", "common", "repeated"]))
     if shape == "free":
-        p = draw(polys(disc, 0, top, small=True))
-        q = draw(polys(disc, 0, top, small=True))
+        p = draw(polys(dp, 0, top, small=True))
+        q = draw(polys(dq, 0, top, small=True))
     else:
-        h = draw(polys(disc, 1, 3, small=True))
+        h = draw(polys(dp if dp == dq else 0, 1, 3, small=True))
         hp = h * h if shape == "repeated" else h
-        p = draw(polys(disc, 0, top - hp.degree, small=True)) * hp
-        q = draw(polys(disc, 0, top - h.degree, small=True)) * h
+        p = draw(polys(dp, 0, top - hp.degree, small=True)) * hp
+        q = draw(polys(dq, 0, top - h.degree, small=True)) * h
     return in_x_power(p, k), in_x_power(q, k)
 
 

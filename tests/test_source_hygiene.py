@@ -14,6 +14,9 @@ other value is a frozen dataclass, and no dataclass field defaults to a
 mutable container (``default_factory`` of ``dict``, ``list`` or ``set``).
 A dataclass keeps the ``__init__`` and ``__eq__`` the decorator generates:
 it neither turns them off nor writes its own (``forms._Cleared`` excepted).
+A rational coefficient vector meets Q(sqrt D) with a zero radical part,
+``(0,) * len(...)``, built in one function (``forms._lift``) and at no
+site that joins fields.
 
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
@@ -155,8 +158,8 @@ def test_every_private_default_is_passed_somewhere():
 _CONSTRUCTORS = {"__init__", "__new__", "__post_init__", "_from_vec"}
 
 
-def _setattr_sites(tree: ast.Module) -> list:
-    """(enclosing function or None, line) of each ``object.__setattr__``."""
+def _sites(tree: ast.Module, match) -> list:
+    """(enclosing function or None, line) of each node for which ``match`` holds."""
     sites = []
 
     def visit(node, func):
@@ -164,8 +167,7 @@ def _setattr_sites(tree: ast.Module) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
-                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+            if match(child):
                 sites.append((func, child.lineno))
             visit(child, func)
 
@@ -173,12 +175,32 @@ def _setattr_sites(tree: ast.Module) -> list:
     return sites
 
 
+def _is_object_setattr(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def _is_zero_pad(node: ast.AST) -> bool:
+    """``(0,) * len(...)``: a vector of zeros as long as another."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Tuple) and len(node.left.elts) == 1
+            and isinstance(node.left.elts[0], ast.Constant) and node.left.elts[0].value == 0
+            and isinstance(node.right, ast.Call) and _callee(node.right) == "len")
+
+
 def test_object_setattr_only_while_constructing():
     """Values are immutable: ``object.__setattr__`` fills a slot of a value
     being built, never one already handed out (a memo written on read)."""
     writes = [(_module_name(p), func, line) for p in MODULES
-              for func, line in _setattr_sites(_tree(p)) if func not in _CONSTRUCTORS]
+              for func, line in _sites(_tree(p), _is_object_setattr) if func not in _CONSTRUCTORS]
     assert writes == []
+
+
+def test_zero_radical_pad_has_one_home():
+    """The mixed-field rule has one home: every site where a rational vector
+    meets Q(sqrt D) takes its zero radical part from ``forms._lift``."""
+    pads = [(_module_name(p), func) for p in MODULES for func, _ in _sites(_tree(p), _is_zero_pad)]
+    assert pads == [("forms", "_lift")]
 
 
 def test_only_scalar_writes_its_own_setattr():
