@@ -186,7 +186,7 @@ class EquationTemplate:
             coeffs = [ZERO] * (factor.degree + 1)
             for term in factor.all_terms():
                 value = term.const if term.param is None else term.const * params[term.param]
-                coeffs[term.exp] = coeffs[term.exp] + value
+                coeffs[term.exp] = value  # _validate made the exponents distinct
             poly = poly * UnivariatePoly(coeffs)
         return poly
 

@@ -104,7 +104,7 @@ def _clear(coeffs: Sequence[Scalar]):
     disc = _join_coeff_field(coeffs)
     den = lcm(*(c._den for c in coeffs))
     a = [c._a * (den // c._den) for c in coeffs]
-    if not any(c.disc for c in coeffs):
+    if not disc:
         return den, a, None, disc
     return den, a, [c._b * (den // c._den) for c in coeffs], disc
 

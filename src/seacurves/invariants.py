@@ -34,8 +34,9 @@ map from invariant name to exponent.  A ratio whose denominator vanishes is
 *undefined* (a first-class state, never an exception and never zero), and a
 ratio whose ingredients do not exist at the given degree is *unavailable*.
 Each side of a ratio is one cleared element x / den of Z[sqrt(D)], the
-product of its entries' integer powers, and the ratio is made canonical
-once, as top * conj(bottom) over the norm of bottom.
+product of its entries' integer powers, and the ratio is the package's one
+quotient, made canonical once: the rule ``Scalar`` division follows
+(:mod:`seacurves.scalars`).
 
 The chain itself runs on the forms' cleared vectors (see
 :mod:`seacurves.forms`); Scalars are built only for the entries, where
@@ -48,8 +49,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .forms import BinaryForm, DegreeError, dehomogenize, is_squarefree
-from .scalars import (OutputTooLargeError, Scalar, SeacurvesError, _conj, _join_field, _mul, _norm,
-                      _pow, _scalar, rational)
+from .scalars import (OutputTooLargeError, Scalar, SeacurvesError, _join_field, _power_product,
+                      _quotient, rational)
 from .transvection import transvect
 
 __all__ = [
@@ -164,9 +165,6 @@ class AbsoluteInvariants:
             raise KeyError(f"{name} is unavailable for this degree")
         raise KeyError(name)
 
-    def get(self, name: str):
-        return self._values.get(name)
-
     def defined_items(self):
         return [(name, self._values[name]) for name in self.names if name in self._values]
 
@@ -273,9 +271,9 @@ def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
     """Absolute invariants of ``v`` from ``table``: name -> (numerator,
     denominator), each a map invariant name -> exponent.
 
-    Each side is one cleared element x / den (:func:`_power_product`); the
-    ratio top / bottom is top * conj(bottom) * bden / (tden * N(bottom)),
-    made canonical once.
+    Each side is one cleared element x / den (``scalars._power_product``),
+    and the ratio is the one quotient of the package, ``scalars._quotient``,
+    the rule Scalar division uses too.
     """
     values, undefined, unavailable = {}, set(), set()
     for name, (num, den) in table.items():
@@ -287,23 +285,9 @@ def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
             undefined.add(name)
             continue
         tden, top, tdisc = _power_product(v, num)
-        disc = _join_field(tdisc, bdisc)
-        a, b = _mul(top, _conj(bottom), disc)
-        values[name] = _scalar(tden * _norm(bottom, disc), a * bden, b * bden, disc)
+        values[name] = _quotient(tden, top, bden, bottom, _join_field(tdisc, bdisc))
     return AbsoluteInvariants(kind, tuple(table), values, frozenset(undefined),
                               frozenset(unavailable))
-
-
-def _power_product(v: InvariantVector, powers) -> tuple:
-    """(den, x, disc) with prod v[n]^e = x / den over powers {n: e}, x an
-    element of Z[sqrt(disc)], disc the entries' joint field."""
-    den, x, disc = 1, (1, 0), 0
-    for n, e in powers.items():
-        s = v[n]
-        disc = _join_field(disc, s.disc)
-        den *= s._den ** e
-        x = _mul(x, _pow((s._a, s._b), e, disc), disc)
-    return den, x, disc
 
 
 def _require_degree(f: BinaryForm, d: int):

@@ -17,8 +17,13 @@ hold the same cleared value for a whole coefficient vector
 PRS share the helpers on elements ``(a, b)`` of Z[sqrt(D)] below (``_mul``,
 ``_pow``, ``_conj``, ``_norm``, the exact division ``_quo``, and
 ``_content``, the signed gcd that makes a cleared value canonical) and one
-field rule, ``_join_field``.  A Fraction is accepted as input, and built
-only by the read-only views :attr:`Scalar.a` and :attr:`Scalar.b`.
+field rule, ``_join_field``.  One quotient, ``_quotient``, divides two
+cleared values into a canonical Scalar: Scalar division and inverse, and
+the absolute invariants (:mod:`seacurves.invariants`), each side of which
+is a ``_power_product`` of Scalars.  Only this module and
+:mod:`seacurves.forms` read a Scalar's parts.  A Fraction is accepted as
+input, and built only by the read-only views :attr:`Scalar.a` and
+:attr:`Scalar.b` and by the hash of a rational.
 
 :func:`parse_scalar` reads the text :meth:`Scalar.__str__` writes, and is
 the only way from text to a Scalar: the constructor takes no strings.  Its
@@ -137,6 +142,18 @@ def _pow(x, e: int, disc: int):
     return r
 
 
+def _power_product(values, powers):
+    """(den, x, disc) with prod values[n]^e = x / den over powers {n: e}, for
+    Scalars values[n]: x an element of Z[sqrt(disc)], disc their joint field."""
+    den, x, disc = 1, (1, 0), 0
+    for n, e in powers.items():
+        s = values[n]
+        disc = _join_field(disc, s.disc)
+        den *= s._den ** e
+        x = _mul(x, _pow((s._a, s._b), e, disc), disc)
+    return den, x, disc
+
+
 def _conj(x):
     """a - b*sqrt(disc) for x = a + b*sqrt(disc)."""
     return x[0], -x[1]
@@ -155,6 +172,16 @@ def _quo(x, y, disc: int):
     a, b = _mul(x, _conj(y), disc)
     n = _norm(y, disc)
     return a // n, b // n
+
+
+def _quotient(xden: int, x, yden: int, y, disc: int) -> Scalar:
+    """The canonical Scalar (x / xden) / (y / yden) for elements x and y != 0
+    of Z[sqrt(disc)]: x conj(y) yden over xden N(y), made canonical once; a
+    rational y divides as itself, not through its square norm."""
+    if not y[1]:
+        return _scalar(xden * y[0], x[0] * yden, x[1] * yden, disc)
+    a, b = _mul(x, _conj(y), disc)
+    return _scalar(xden * _norm(y, disc), a * yden, b * yden, disc)
 
 
 def _content(den: int, *xs: int) -> int:
@@ -183,6 +210,13 @@ def _product(x, y):
     disc = _join_field(x.disc, y.disc)
     a, b = _mul((x._a, x._b), (y._a, y._b), disc)
     return _scalar(x._den * y._den, a, b, disc)
+
+
+def _divide(x, y):
+    """x / y for Scalars x and y."""
+    if y.is_zero:
+        raise DivisionByZeroError("scalar division by zero")
+    return _quotient(x._den, (x._a, x._b), y._den, (y._a, y._b), _join_field(x.disc, y.disc))
 
 
 class Scalar:
@@ -244,21 +278,14 @@ class Scalar:
     __sub__ = _binary(lambda x, y: _sum(x, y, -1))
     __rsub__ = _binary(lambda x, y: _sum(y, x, -1))
     __mul__ = __rmul__ = _binary(_product)
-    __truediv__ = _binary(lambda x, y: _product(x, y.inverse()))
-    __rtruediv__ = _binary(lambda x, y: _product(y, x.inverse()))
+    __truediv__ = _binary(_divide)
+    __rtruediv__ = _binary(lambda x, y: _divide(y, x))
 
     def __neg__(self):
         return _new(self._den, -self._a, -self._b, self.disc)
 
     def inverse(self) -> Scalar:
-        if self.is_zero:
-            raise DivisionByZeroError("scalar division by zero")
-        den, x, disc = self._den, (self._a, self._b), self.disc
-        if not disc:
-            return _scalar(x[0], den, 0, 0)
-        # den/(a + b s) = den (a - b s)/N(a + b s)
-        a, b = _conj(x)
-        return _scalar(_norm(x, disc), den * a, den * b, disc)
+        return _divide(ONE, self)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -275,7 +302,7 @@ class Scalar:
 
     def __hash__(self):
         if self.disc == 0:
-            return _rational_hash(self._a, self._den)
+            return hash(Fraction(self._a, self._den))
         return hash((self._den, self._a, self._b, self.disc))
 
     def __bool__(self):
@@ -343,14 +370,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return _new(x.denominator, x.numerator, 0, 0)
     return NotImplemented
-
-
-def _rational_hash(num: int, den: int) -> int:
-    """hash(Fraction(num, den)) for num/den in lowest terms, den > 0."""
-    try:  # hash(n) for an int n is n mod the modulus, signed
-        return hash(num * pow(den, -1, sys.hash_info.modulus))
-    except ValueError:  # den is a multiple of the modulus
-        return sys.hash_info.inf if num > 0 else -sys.hash_info.inf
 
 
 def _rat_str(num: int, den: int) -> str:

@@ -38,6 +38,10 @@ def test_make_form():
 
     with pytest.raises(DegreeError):
         make_form(3, [1, 0, 0])  # needs d+1 coefficients
+    with pytest.raises(DegreeError):
+        BinaryForm(-1, [])
+    with pytest.raises(DegreeError):
+        f.constant_value()  # only a degree-0 form is a constant
 
 
 def test_form_add():
@@ -47,6 +51,8 @@ def test_form_add():
     assert a + BinaryForm.zero(2) == a
     with pytest.raises(DegreeError):
         a + make_form(4, [1, 0, 0, 0, 1])
+    with pytest.raises(TypeError):
+        a + 1  # a number is not a form of any degree
 
 
 def test_form_mul():
@@ -58,6 +64,8 @@ def test_form_mul():
     xpz = make_form(1, [1, 1])
     xmz = make_form(1, [-1, 1])
     assert xpz * xmz == make_form(2, [-1, 0, 1])
+    assert x2 * 2 == 2 * x2 == make_form(2, [0, 0, 2])  # a scalar factor scales
+    assert x2 * rational(1, 2) == make_form(2, [0, 0, rational(1, 2)])
 
 
 def test_partial_derivative():
@@ -159,6 +167,7 @@ def test_resultant_fixtures():
         resultant(x2p1, UnivariatePoly([0, 0]))
     with pytest.raises(DegreeError):
         UnivariatePoly([]).leading()
+    assert UnivariatePoly([]).monic() == UnivariatePoly([])  # zero stays zero
 
 
 def test_discriminant_fixtures():

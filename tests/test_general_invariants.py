@@ -38,6 +38,15 @@ def test_availability_by_degree():
     v6 = general_invariants(rand_form(random.Random(1), 6))
     assert v6.unavailable == {"I3", "I4p", "I6p", "I6star", "I12"}
     assert v6.available("I2") and v6.available("I4") and v6.available("I6")
+    with pytest.raises(KeyError, match="unavailable"):
+        v6["I4p"]
+    with pytest.raises(KeyError, match="I2"):
+        v6.covariants["I2"]  # an invariant, not a covariant
+    a6 = general_absolute(v6)  # every ratio reads an entry missing at degree 6
+    with pytest.raises(KeyError, match="unavailable"):
+        a6["i1"]
+    assert repr(a6) == "AbsoluteInvariants[general](" + ", ".join(
+        f"{name}=unavailable" for name in a6.names) + ")"
 
     v8 = general_invariants(rand_form(random.Random(2), 8))
     assert v8.unavailable == {"I6star", "I12"}

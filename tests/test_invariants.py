@@ -62,6 +62,14 @@ def test_sextic_degenerate_symmetric_forms():
         assert absolute.undefined == {"t1", "t2", "t3"}
 
 
+def test_squarefree_at_low_degree():
+    # [1:0] is a root of the zero form, of every multiplicity
+    assert not form_is_squarefree(BinaryForm.zero(6))
+    assert not form_is_squarefree(BinaryForm.zero(1))
+    assert form_is_squarefree(make_form(0, [3]))  # no root at all
+    assert form_is_squarefree(make_form(1, [1, 2]))  # one simple root
+
+
 def test_sextic_double_root_fixture():
     # (X-Z)^2 (X^4+Z^4): J10 does not vanish at this double root, so the
     # absolute invariants stay defined; pinned by exact computation
@@ -131,7 +139,13 @@ def test_octavic_absolute_undefined_on_zero_j2():
     a = octavic_absolute(make_form(8, [0] * 8 + [1]))
     for t in ("t1", "t2", "t6"):
         assert t in a.undefined
+        with pytest.raises(KeyError, match="undefined"):
+            a[t]
     assert not a.defined_items()
+    with pytest.raises(KeyError, match="t7"):
+        a["t7"]  # not an octavic absolute invariant
+    assert repr(a) == ("AbsoluteInvariants[octavic](t1=undefined, t2=undefined, t3=undefined, "
+                       "t4=undefined, t5=undefined, t6=undefined)")
 
 
 def test_octavic_absolute_invariance():

@@ -128,7 +128,8 @@ def test_parse_rejects(bad):
 
 @pytest.mark.parametrize("call", [lambda: Scalar("1.5"), lambda: Scalar("3e2"),
                                   lambda: Scalar(1, "1/2", 5), lambda: rational("1/2"),
-                                  lambda: rational(1, "2"), lambda: Scalar(1.5)])
+                                  lambda: rational(1, "2"), lambda: Scalar(1.5),
+                                  lambda: Scalar(2) ** 0.5])
 def test_text_and_floats_are_not_scalars(call):
     """Text reaches a Scalar through parse_scalar alone."""
     with pytest.raises(TypeError):

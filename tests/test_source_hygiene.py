@@ -16,7 +16,9 @@ A dataclass keeps the ``__init__`` and ``__eq__`` the decorator generates:
 it neither turns them off nor writes its own (``forms._Cleared`` excepted).
 A rational coefficient vector meets Q(sqrt D) with a zero radical part,
 ``(0,) * len(...)``, built in one function (``forms._lift``) and at no
-site that joins fields.
+site that joins fields.  A Scalar's parts, the attributes ``_den``, ``_a``
+and ``_b``, are read in ``scalars`` and ``forms`` only, the kernel that
+holds the cleared values.
 
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
@@ -201,6 +203,14 @@ def test_zero_radical_pad_has_one_home():
     meets Q(sqrt D) takes its zero radical part from ``forms._lift``."""
     pads = [(_module_name(p), func) for p in MODULES for func, _ in _sites(_tree(p), _is_zero_pad)]
     assert pads == [("forms", "_lift")]
+
+
+def test_scalar_parts_are_read_only_by_the_kernel():
+    """Every rule on a Scalar's cleared value lives in the kernel: outside
+    ``scalars`` and ``forms`` a Scalar is read through its public names."""
+    readers = sorted({_module_name(p) for p in MODULES for node in ast.walk(_tree(p))
+                      if isinstance(node, ast.Attribute) and node.attr in ("_den", "_a", "_b")})
+    assert readers == ["forms", "scalars"]
 
 
 def test_only_scalar_writes_its_own_setattr():

@@ -166,6 +166,7 @@ def test_rejects_malformed():
                 # every factor's leading coefficient must be a nonzero constant
                 "a1*x^3 + 1", "0*x^3 + x", "0*a1*x^3 + 1", "sum(i=1..3, a_i*x^i) + 1",
                 "(x^2 + 1)*(a1*x + 1)",
+                "x^3 - sum(i=1..2, a_i*x^i) + 1",  # a sum block cannot be negated
                 # one quadratic field per template
                 "(x + sqrt(-3))*(x + sqrt(5))", "x^2 + sqrt(-3)*x + sqrt(5)"):
         with pytest.raises(TemplateError):
