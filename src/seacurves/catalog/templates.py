@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..forms import (MAX_DEGREE, UnivariatePoly, _const_to_string, _join_coeff_field, _join_terms,
-                     _power, _term, poly_to_string)
+                     _power, _scal, _term, poly_to_string)
 from ..scalars import (ONE, ZERO, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
                        _int_str, _parse_int, _repr_str, _split_top, _strip_sign, parse_scalar)
 
@@ -171,8 +171,7 @@ class EquationTemplate:
 
     def expand(self, params: dict | None = None) -> UnivariatePoly:
         """Substitute parameter values and multiply out, exactly."""
-        params = {k: (v if isinstance(v, Scalar) else Scalar(v))
-                  for k, v in (params or {}).items()}
+        params = {k: _scal(v) for k, v in (params or {}).items()}
         wanted = set(self.param_names())
         given = set(params)
         if wanted != given:
@@ -302,14 +301,12 @@ def _parse_coeff(text: str):
     if pm:
         num = pm.group("num")
         return (ONE if num is None else parse_scalar(num)), pm.group("param")
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    return parse_scalar(text), None
+    return parse_scalar(_unwrap(text)), None
 
 
 def _unwrap(atom: str) -> str:
-    # the parentheses round a whole factor; when the first one closes early
-    # the inside is unbalanced, which _split_top rejects
+    # the parentheses round a whole factor or coefficient; when the first one
+    # closes early the inside is unbalanced, which _split_top rejects
     return atom[1:-1] if atom.startswith("(") and atom.endswith(")") else atom
 
 

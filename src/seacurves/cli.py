@@ -54,9 +54,7 @@ def _parse_form(text: str) -> BinaryForm:
     """Ascending coefficient CSV, or a poly-string homogenized at its degree."""
     text = text.strip()
     if "x" in text:
-        poly = parse_poly_string(text)
-        if poly.is_zero:
-            raise DegreeError("zero polynomial has no degree to homogenize at")
+        poly = parse_poly_string(text)  # never zero: each factor leads with a nonzero constant
         return homogenize(poly, poly.degree)
     coeffs = _parse_csv(text)
     return BinaryForm(len(coeffs) - 1, coeffs)

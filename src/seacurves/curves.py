@@ -45,8 +45,10 @@ class CurveDataError(SeacurvesError):
     """A reduced group, signature, group order or genus outside its range."""
 
 
-_REDUCED_ORDERS = {"A4": 12, "S4": 24, "A5": 60}
-REDUCED_KINDS = ("Cm", "D2m", "A4", "S4", "A5")
+# kind -> (order, per unit of m for C_m and D_2m; label, formatted with the order)
+_REDUCED = {"Cm": (1, "C_{}"), "D2m": (2, "D_{}"), "A4": (12, "A_4"), "S4": (24, "S_4"),
+            "A5": (60, "A_5")}
+REDUCED_KINDS = tuple(_REDUCED)
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,10 @@ class ReducedGroup:
 
     @property
     def order(self) -> int:
-        if self.kind == "Cm":
-            return self.m
-        if self.kind == "D2m":
-            return 2 * self.m
-        return _REDUCED_ORDERS[self.kind]
+        return _REDUCED[self.kind][0] * (self.m or 1)
 
     def label(self) -> str:
-        if self.kind == "Cm":
-            return f"C_{self.m}"
-        if self.kind == "D2m":
-            return f"D_{2 * self.m}"
-        return {"A4": "A_4", "S4": "S_4", "A5": "A_5"}[self.kind]
+        return _REDUCED[self.kind][1].format(self.order)
 
 
 @dataclass(frozen=True)

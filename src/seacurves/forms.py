@@ -387,22 +387,19 @@ def evaluate(f: BinaryForm, x, z) -> Scalar:
 class Matrix2:
     """2x2 matrix over Scalar, acting on (X, Z) by substitution.
 
-    A frozen dataclass on the entries a, b, c, d, coerced to Scalars; its
-    slots are declared by hand, as for forms, so ``__reduce__`` rebuilds it.
+    A frozen dataclass on the entries a, b, c, d, coerced to Scalars.  Like
+    every value but Scalar and the forms, it keeps no hand-declared slots, so
+    it is compared, hashed, copied and pickled without a method of its own.
     """
 
-    __slots__ = ("a", "b", "c", "d")
     a: Scalar
     b: Scalar
     c: Scalar
     d: Scalar
 
     def __post_init__(self):
-        for name in self.__slots__:
+        for name in "abcd":
             object.__setattr__(self, name, _scal(getattr(self, name)))
-
-    def __reduce__(self):
-        return Matrix2, (self.a, self.b, self.c, self.d)
 
     def det(self) -> Scalar:
         return self.a * self.d - self.b * self.c

@@ -276,7 +276,8 @@ def test_export_csv(catalog):
 def test_env_override(catalog, tmp_path, monkeypatch):
     sub = Catalog(catalog.query(genus=5))
     path = tmp_path / "five.jsonl"
-    path.write_text(export_jsonl(sub), encoding="utf-8")
+    text = export_jsonl(sub).replace("\n", "\n \n")  # blank lines between rows
+    path.write_text(text, encoding="utf-8")
     monkeypatch.setenv("SEA_CATALOG", str(path))
     assert len(load_catalog()) == 20
 

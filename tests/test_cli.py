@@ -220,8 +220,9 @@ def test_env_override(capsys, tmp_path, monkeypatch):
     path = tmp_path / "six.jsonl"
     path.write_text(export_jsonl(sub), encoding="utf-8")
     monkeypatch.setenv("SEA_CATALOG", str(path))
-    code, doc, _ = run_json(capsys, "catalog", "verify")
-    assert code == 0 and doc["rows"] == 36
+    monkeypatch.setattr("sys.argv", ["seacurves", "catalog", "verify"])
+    assert main() == 0  # with no argv, main reads sys.argv[1:]
+    assert json.loads(capsys.readouterr().out)["rows"] == 36
 
 
 def test_usage_error_exit_code():

@@ -221,7 +221,9 @@ def test_reduced_groups():
     assert ReducedGroup("A4").order == 12
     assert ReducedGroup("S4").order == 24
     assert ReducedGroup("A5").order == 60
-    assert ReducedGroup("D2m", 2).label() == "D_4"
+    assert [ReducedGroup("Cm", 11).label(), ReducedGroup("D2m", 2).label(),
+            ReducedGroup("A4").label(), ReducedGroup("S4").label(),
+            ReducedGroup("A5").label()] == ["C_11", "D_4", "A_4", "S_4", "A_5"]
     with pytest.raises(ValueError):
         ReducedGroup("A4", 3)
     with pytest.raises(ValueError):

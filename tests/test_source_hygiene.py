@@ -14,6 +14,8 @@ other value is a frozen dataclass, and no dataclass field defaults to a
 mutable container (``default_factory`` of ``dict``, ``list`` or ``set``).
 A dataclass keeps the ``__init__`` and ``__eq__`` the decorator generates:
 it neither turns them off nor writes its own (``forms._Cleared`` excepted).
+Only ``Scalar`` and the ``forms._Cleared`` family declare ``__slots__`` by
+hand, and only they and ``catalog.Catalog`` write ``__reduce__``.
 A rational coefficient vector meets Q(sqrt D) with a zero radical part,
 ``(0,) * len(...)``, built in one function (``forms._lift``) and at no
 site that joins fields.  A Scalar's parts, the attributes ``_den``, ``_a``
@@ -78,8 +80,8 @@ def _imported(tree: ast.Module) -> set:
     return names
 
 
-def _definitions(tree: ast.Module) -> set:
-    """The names a module defines at its top level."""
+def _definitions(tree: ast.Module | ast.ClassDef) -> set:
+    """The names a module, or a class body, defines at its top level."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -257,6 +259,25 @@ def test_dataclasses_keep_their_generated_init_and_eq():
     owners = [(_module_name(p), node.name) for p in MODULES for node in ast.walk(_tree(p))
               if isinstance(node, ast.ClassDef) and _replaces_generated_methods(node)]
     assert owners == [("forms", "_Cleared")]
+
+
+def _classes_defining(name: str) -> list:
+    """(module, class) of each class whose body defines or assigns ``name``."""
+    return sorted((_module_name(p), node.name) for p in MODULES for node in ast.walk(_tree(p))
+                  if isinstance(node, ast.ClassDef) and name in _definitions(node))
+
+
+def test_hand_slots_and_reduce_have_few_homes():
+    """Hand-declared slots, and the ``__reduce__`` they need to copy and
+    pickle, belong to the values the kernel builds on hot paths: ``Scalar``
+    and the cleared forms.  ``Catalog`` writes ``__reduce__`` because its
+    ``by_id`` proxy does not pickle.  Every other value is a plain frozen
+    dataclass that copies and pickles without a method of its own."""
+    assert _classes_defining("__slots__") == [
+        ("forms", "BinaryForm"), ("forms", "UnivariatePoly"), ("forms", "_Cleared"),
+        ("scalars", "Scalar")]
+    assert _classes_defining("__reduce__") == [
+        ("catalog", "Catalog"), ("forms", "_Cleared"), ("scalars", "Scalar")]
 
 
 def test_each_reference_is_defined_once():

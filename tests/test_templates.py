@@ -171,6 +171,8 @@ def test_rejects_malformed():
                 "(x + sqrt(-3))*(x + sqrt(5))", "x^2 + sqrt(-3)*x + sqrt(5)"):
         with pytest.raises(TemplateError):
             parse_template(bad)
+    with pytest.raises(TemplateError, match="template needs at least one factor"):
+        EquationTemplate(())
     for bad in ("x^2 + a1*x + 1", "x^2 + a" + "1" * 5000 + "*x + 1"):
         with pytest.raises(TemplateError):
             parse_poly_string(bad)  # parameters are not concrete
