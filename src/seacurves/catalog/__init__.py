@@ -16,7 +16,6 @@ delta = branch points - 3, and the 84(g-1) bound.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import os
@@ -216,6 +215,12 @@ def flags_text() -> str:
     return (_DATA_DIR / "FLAGS.md").read_text("utf-8")
 
 
+# The bytes of the last dataset text that built, and its catalog: one slot,
+# as a process reads one dataset text.  Comparing the bytes costs less than
+# decoding or hashing them.
+_last_built: tuple = (None, None)
+
+
 def load_catalog(path: str | None = None) -> Catalog:
     """Load the embedded dataset, or a JSONL override.
 
@@ -224,23 +229,29 @@ def load_catalog(path: str | None = None) -> Catalog:
 
     The source is read on every call, so an edited or swapped file is always
     seen, but the catalog is built once per distinct text and process: calls
-    that read the same text get the same shared, read-only :class:`Catalog`.
-    A malformed or non-UTF-8 text raises :class:`CatalogError` on every call.
+    that read the same bytes as the last text that built get the same
+    shared, read-only :class:`Catalog`.  A malformed or non-UTF-8 text is
+    never kept, so it raises :class:`CatalogError` on every call.
     """
+    global _last_built
     if path is None:
         path = os.environ.get(DATA_ENV_VAR) or _DATA_DIR / "table.jsonl"
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise CatalogError(f"catalog {path} is not UTF-8: {exc}") from None
-    return _build_catalog(text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    built, catalog = _last_built
+    if data != built:
+        catalog = _build_catalog(data, path)
+        _last_built = data, catalog
+    return catalog
 
 
-@functools.lru_cache(maxsize=1)  # a process reads one dataset text
-def _build_catalog(text: str) -> Catalog:
-    # lru_cache keeps no exception, so a bad text fails again on the next call
+def _build_catalog(data: bytes, path) -> Catalog:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"catalog {path} is not UTF-8: {exc}") from None
     records = []
+    # splitlines ends a line at \r\n, \r or \n, as reading in text mode did
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -393,21 +404,21 @@ def verify_all(catalog: Catalog, genus: int | None = None) -> VerificationReport
 # -- inclusion DAG ---------------------------------------------------------------
 
 
-def _specializes(a: FamilyRecord, b: FamilyRecord, support: dict) -> bool:
+def _specializes(a: FamilyRecord, b: FamilyRecord, sets: dict) -> bool:
     """True when a's template is a syntactic specialization of b's.
 
     Rule: same level n, delta(a) <= delta(b), and at every exponent either
     b's coefficient depends on parameters (assignable to whatever a has
     there, 0 included) or it is a constant equal to a's.  Support maps hold
     no zero coefficient (``EquationTemplate.symbolic`` drops them), so this
-    is containment: a's exponents are among b's, and each constant of b is
-    a's entry there.  The delta gate keeps coupled-coefficient templates
-    (the f1 rows) from absorbing freer families: a specialization can never
-    have more parameters than the family it sits inside.
+    is containment of the sets ``sets`` maps each row id to
+    (``templates._containment_sets``): a's exponents are among b's, and each
+    fixed pair of b is a pair of a.  The delta gate keeps coupled-coefficient
+    templates (the f1 rows) from absorbing freer families: a specialization
+    can never have more parameters than the family it sits inside.
     """
-    ca, cb = support[a.id], support[b.id]
-    return (a.n == b.n and a.delta <= b.delta and ca.keys() <= cb.keys()
-            and all(ca.get(e) == c for e, c in cb.items() if c != "param"))
+    (keys_a, _, items_a), (keys_b, fixed_b, _) = sets[a.id], sets[b.id]
+    return a.n == b.n and a.delta <= b.delta and keys_a <= keys_b and fixed_b <= items_a
 
 
 def inclusions(catalog: Catalog, genus: int) -> list[tuple[str, str]]:
@@ -417,8 +428,8 @@ def inclusions(catalog: Catalog, genus: int) -> list[tuple[str, str]]:
     the transitive reduction is returned, sorted for determinism.
     """
     records = [r for r in catalog.query(genus=genus) if r.template is not None]
-    support = {r.id: r.template.support_classification() for r in records}
-    above = {a.id: {b.id for b in records if a.id != b.id and _specializes(a, b, support)}
+    sets = {r.id: r.template._support_sets for r in records}
+    above = {a.id: {b.id for b in records if a.id != b.id and _specializes(a, b, sets)}
              for a in records}
     # templates that specialize each other (equal supports, as g6-c8-5 and
     # g6-c18-1, both x*(x^4 - 1)) would make a cycle: such pairs get no edge

@@ -132,7 +132,8 @@ class EquationTemplate:
     """Product of factors; expands to a UnivariatePoly at a parameter map.
 
     A frozen dataclass on ``factors`` (any iterable, kept as a tuple), with
-    its support map a cached property.
+    its support map, and the sets the inclusion pair test reads from it,
+    cached properties.
     """
 
     factors: tuple
@@ -221,6 +222,10 @@ class EquationTemplate:
         return {e: ("const", poly[()]) if list(poly) == [()] else "param"
                 for e, poly in self.symbolic().items()}
 
+    @cached_property
+    def _support_sets(self) -> tuple:
+        return _containment_sets(self._support)
+
     def support_classification(self) -> dict:
         """exp -> ("const", Scalar) for parameter-free coefficients,
         exp -> "param" for parameter-dependent ones.  The template is expanded
@@ -243,6 +248,13 @@ class EquationTemplate:
 
     def __repr__(self):
         return f"EquationTemplate({self.to_string()!r})"
+
+
+def _containment_sets(support: dict) -> tuple[frozenset, frozenset, frozenset]:
+    """The exponents, the fixed (exp, ("const", c)) pairs and all the pairs
+    of a support map: the inclusion pair test is containment of these."""
+    items = frozenset(support.items())
+    return frozenset(support), frozenset(i for i in items if i[1] != "param"), items
 
 
 def _term_to_string(term: Term) -> str:

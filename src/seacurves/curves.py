@@ -143,6 +143,8 @@ def genus_formula(n: int, d: int) -> int:
 
 def hurwitz_bound(g: int) -> int:
     """84(g - 1), the automorphism-count bound for genus g >= 2."""
+    if not isinstance(g, int):
+        raise TypeError(f"genus g must be an int, got {_repr_str(g)}")
     if g < 2:
         raise CurveDataError(f"Hurwitz bound needs genus >= 2, got {_int_str(g)}")
     return 84 * (g - 1)

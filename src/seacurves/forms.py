@@ -30,14 +30,16 @@ scales each coefficient by a product of falling factorials
 summed over k, are the weights of the transvectant's cached tables
 (:mod:`seacurves.transvection`).
 
-Resultants, discriminants (hence the squarefree test) and gcds all run on
-one subresultant pseudo-remainder sequence, ``_subresultant_prs``, on the
-same vectors, entered through one function, ``_prs``, that lifts both
-operands to their joint field and orders them by degree: every division
-in the sequence is exact in Z[sqrt(D)], and an exact division of one
-element by another is :func:`seacurves.scalars._quo`, as in the GL2
-substitution's last scaling.  One renderer, ``_render``, writes the text
-of polynomials and the reprs of forms and polynomials.
+Resultants, discriminants and gcds all run on one subresultant
+pseudo-remainder sequence, ``_subresultant_prs``, on the same vectors,
+entered through one function, ``_prs``, that lifts both operands to their
+joint field and orders them by degree: every division in the sequence is
+exact in Z[sqrt(D)], and an exact division of one element by another is
+:func:`seacurves.scalars._quo`, as in the GL2 substitution's last scaling.
+The squarefree test first tries a certificate modulo one word-size prime
+(``_squarefree_mod_prime``) and runs the sequence only when that fails.
+One renderer, ``_render``, writes the text of polynomials and the reprs of
+forms and polynomials.
 No operation here ever touches floating point.
 """
 
@@ -292,14 +294,21 @@ class _Cleared:
         return self._from_vec(self.vec[0] * c._den, a, b, disc)
 
 
+def _check_degree(degree) -> None:
+    """A form's degree is an int (a bool counts) and nonnegative."""
+    if not isinstance(degree, int):
+        raise TypeError(f"degree must be an int, got {_repr_str(degree)}")
+    if degree < 0:
+        raise DegreeError("degree must be nonnegative")
+
+
 class BinaryForm(_Cleared):
     """Homogeneous bivariate polynomial of a fixed degree."""
 
     __slots__ = ()
 
     def __init__(self, degree: int, coeffs: Sequence):
-        if degree < 0:
-            raise DegreeError("degree must be nonnegative")
+        _check_degree(degree)
         cs = tuple(_scal(c) for c in coeffs)
         if len(cs) != degree + 1:
             raise DegreeError(f"degree {_int_str(degree)} needs {_int_str(degree + 1)} "
@@ -308,8 +317,7 @@ class BinaryForm(_Cleared):
 
     @classmethod
     def zero(cls, degree: int) -> BinaryForm:
-        if degree < 0:
-            raise DegreeError("degree must be nonnegative")
+        _check_degree(degree)
         return cls._from_vec(1, (0,) * (degree + 1), None, 0)
 
     def __add__(self, other: BinaryForm) -> BinaryForm:
@@ -741,8 +749,65 @@ def discriminant(p: UnivariatePoly) -> Scalar:
 
 
 def is_squarefree(p: UnivariatePoly) -> bool:
-    """True iff p has no repeated root (discriminant nonzero)."""
-    return not discriminant(p).is_zero
+    """True iff p has no repeated root (discriminant nonzero); requires deg p >= 1.
+
+    A certificate modulo one prime (:func:`_squarefree_mod_prime`) settles
+    almost every squarefree p in time independent of its coefficient size;
+    the rest, p with a repeated root among them, take the exact
+    :func:`discriminant`.
+    """
+    return p.degree >= 1 and _squarefree_mod_prime(p) or not discriminant(p).is_zero
+
+
+# The largest primes P = 3 mod 4 below 2^30: each residue is one digit of a
+# Python int, and a square D mod P has the root D^((P + 1)/4).
+_PRIMES = (1073741783, 1073741723, 1073741719, 1073741671,
+           1073741663, 1073741651, 1073741567, 1073741527)
+
+
+def _squarefree_mod_prime(p: UnivariatePoly) -> bool:
+    """True when p, of degree >= 1, is squarefree by a certificate modulo a prime.
+
+    The prime P is the first of ``_PRIMES`` (over Q(sqrt D), the first at
+    which D is a nonzero square, with root s).  Reducing mod P, with
+    sqrt(D) -> s, is a ring map from Z[sqrt D]; when it keeps the leading
+    coefficient of p's cleared integer pair F, it takes Res(F, F') to
+    Res(F mod P, F' mod P), which is nonzero when the two are coprime in
+    F_P[x] (Brown 1971; von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, ch. 6).  Then disc(p) != 0.  False proves nothing: P may
+    divide the leading coefficient or the discriminant, p may have a
+    repeated root, or D may be a square modulo none of the primes.
+    """
+    _, a, b, disc = p.vec
+    for P in _PRIMES:
+        if not disc or pow(disc, (P - 1) // 2, P) == 1:  # Euler's criterion
+            break
+    else:
+        return False
+    s = pow(disc, (P + 1) // 4, P)
+    f = [x % P for x in a] if b is None else [(x + s * y) % P for x, y in zip(a, b)]
+    if not f[-1]:
+        return False
+    # the lead of F' is deg(p) lc(F), nonzero mod P > deg(p)
+    return _coprime_mod(f, [i * x % P for i, x in enumerate(f)][1:], P)
+
+
+def _coprime_mod(f: list, g: list, P: int) -> bool:
+    """gcd(f, g) = 1 in F_P[x], by Euclid, for residue lists f and g (ascending,
+    g with a nonzero lead, deg f >= deg g); f is overwritten."""
+    while g:
+        n = len(g) - 1
+        inv = pow(g[n], -1, P)
+        for k in range(len(f) - 1 - n, -1, -1):
+            c = f[n + k] * inv % P
+            if c:
+                for j in range(n):
+                    f[k + j] = (f[k + j] - c * g[j]) % P
+        del f[n:]
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    return len(f) == 1
 
 
 def poly_gcd(p: UnivariatePoly, q: UnivariatePoly) -> UnivariatePoly:

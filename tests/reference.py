@@ -364,6 +364,12 @@ def euclid_gcd(p, q) -> tuple:
     return ref_monic(p)
 
 
+def ref_poly_is_squarefree(p) -> bool:
+    """p of degree >= 1 has no repeated root: the Euclidean gcd of p and p'
+    is a constant."""
+    return len(euclid_gcd(p, ref_partial(p, "X"))) == 1
+
+
 def ref_discriminant(p, resultant=ref_resultant) -> RefScalar:
     """disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p) for p of degree d >= 1."""
     d = len(p) - 1

@@ -2,13 +2,15 @@ import csv
 import importlib.resources
 import io
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
-from conftest import packaged_catalog
+from conftest import packaged_catalog, spy
 from seacurves import catalog as catalog_mod
+from seacurves import forms
 from seacurves.catalog import (
     Catalog,
     CatalogError,
@@ -22,9 +24,9 @@ from seacurves.catalog import (
     verify_all,
     verify_record,
 )
-from seacurves.catalog.templates import EquationTemplate
+from seacurves.catalog.templates import EquationTemplate, _containment_sets
 from seacurves.curves import NotSquarefreeError, Signature
-from seacurves.scalars import Scalar
+from seacurves.scalars import Scalar, rational
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,27 @@ def test_specialize(catalog):
 def test_specialize_quadratic_extension_row(catalog):
     curve = specialize(catalog["g7-c11-1"], {"a1": 2})
     assert curve.genus == 7 and curve.degree == 16
+
+
+def test_specializing_squarefree_rows_skips_the_subresultant_sequence(catalog, monkeypatch):
+    """Every templated row, at the first seeded parameters that leave its
+    polynomial squarefree (nonzero discriminant), specializes on the
+    certificate modulo a prime alone: the subresultant sequence never runs."""
+    rng = random.Random(31)
+    cases = []
+    for r in catalog:
+        if r.template is not None:
+            for _ in range(20):
+                params = {name: rational(rng.randint(-9, 9), rng.randint(1, 4))
+                          for name in r.template.param_names()}
+                if not forms.discriminant(r.template.expand(params)).is_zero:
+                    cases.append((r, params))
+                    break
+    assert len(cases) == 208
+    calls = spy(monkeypatch, forms, "_subresultant_prs")
+    for r, params in cases:
+        assert specialize(r, params).genus == r.genus
+    assert calls == []
 
 
 def test_verify_single_rows(catalog):
@@ -325,6 +348,23 @@ def test_load_catalog_rereads_a_changed_file(catalog, tmp_path):
         assert len(loaded) == rows and {r.genus for r in loaded} == {genus}
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_read_as_in_text_mode(catalog, tmp_path, newline):
+    """A file whose lines end in CRLF or a lone CR loads the records of its
+    LF twin, and a bad row is named by the line number it has when the file
+    is read in text mode (universal newlines)."""
+    rows = export_jsonl(Catalog(catalog.query(genus=5))).splitlines()
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(newline.join(rows + [""]).encode("utf-8"))
+    assert export_jsonl(load_catalog(str(path))).splitlines() == rows
+    path.write_bytes(newline.join(rows[:3] + ["", "{", ""]).encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read().splitlines().index("{") + 1 == 5
+    for _ in range(2):
+        with pytest.raises(CatalogError, match="^bad catalog record on line 5: "):
+            load_catalog(str(path))
+
+
 def test_malformed_dataset_fails_on_every_call(catalog, tmp_path):
     path = tmp_path / "rows.jsonl"
     good = export_jsonl(Catalog(catalog.query(genus=5)))
@@ -342,8 +382,8 @@ def test_shared_catalog_matches_a_fresh_build():
     shared = packaged_catalog()
     assert packaged_catalog() is shared
     inclusions(shared, 6)  # leaves the support maps of genus 6 filled in
-    text = (catalog_mod._DATA_DIR / "table.jsonl").read_text("utf-8")
-    fresh = catalog_mod._build_catalog.__wrapped__(text)
+    path = catalog_mod._DATA_DIR / "table.jsonl"
+    fresh = catalog_mod._build_catalog(path.read_bytes(), path)
     assert fresh is not shared
     assert export_jsonl(fresh) == export_jsonl(shared)
     for old, new in zip(shared, fresh):
@@ -490,9 +530,9 @@ def _path_reduced_inclusions(catalog, genus):
     from seacurves.catalog import _specializes
 
     records = [r for r in catalog.query(genus=genus) if r.template is not None]
-    support = {r.id: r.template.support_classification() for r in records}
+    sets = {r.id: _containment_sets(r.template.support_classification()) for r in records}
     edges = {(a.id, b.id) for a in records for b in records
-             if a.id != b.id and _specializes(a, b, support)}
+             if a.id != b.id and _specializes(a, b, sets)}
     edges = {(x, y) for x, y in edges if (y, x) not in edges}
     adjacency = {}
     for x, y in edges:
@@ -526,8 +566,8 @@ def test_inclusions_drop_mutual_specializations(catalog):
     # equal templates x*(x^4 - 1), same n and delta: each specializes the other
     for genus, pair in ((6, ("g6-c8-5", "g6-c18-1")), (10, ("g10-c8-6", "g10-c18-1"))):
         a, b = (catalog[i] for i in pair)
-        support = {r.id: r.template.support_classification() for r in (a, b)}
-        assert _specializes(a, b, support) and _specializes(b, a, support)
+        sets = {r.id: _containment_sets(r.template.support_classification()) for r in (a, b)}
+        assert _specializes(a, b, sets) and _specializes(b, a, sets)
         assert not any(set(e) == set(pair) for e in inclusions(catalog, genus))
 
 
@@ -642,7 +682,8 @@ def test_only_inclusions_expands_templates(monkeypatch):
         raise AssertionError("symbolic() called")
 
     monkeypatch.setattr(EquationTemplate, "symbolic", refuse)
-    catalog_mod._build_catalog.cache_clear()  # build anew while symbolic() refuses
+    # build anew while symbolic() refuses
+    monkeypatch.setattr(catalog_mod, "_last_built", (None, None))
     catalog = packaged_catalog()
     assert all("_support" not in vars(r.template) for r in catalog if r.template is not None)
     assert verify_all(catalog).ok

@@ -106,6 +106,48 @@ def test_genus_at_degree_limit(capsys):
     assert code == 0 and doc == {"genus": 49}
 
 
+# the fuzz's deadline for one command; the limit rows below must meet it
+FUZZ_DEADLINE_S = 5.0
+
+
+def _numerals(seed: int, count: int, digits: int = 4000) -> list:
+    """``count`` signed random numerals of ``digits`` digits (the interpreter's
+    limit is 4300)."""
+    rng = random.Random(seed)
+    return [str(rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits))
+            for _ in range(count)]
+
+
+def _timed(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < FUZZ_DEADLINE_S, argv[:2]
+    return code, json.loads(out) if out else None, err
+
+
+def test_genus_at_degree_and_numeral_limits(capsys):
+    """A squarefree f of degree 100 with 4000-digit coefficients."""
+    code, doc, _ = _timed(capsys, "genus", "-n", "2", "--poly", ",".join(_numerals(100, 101)))
+    assert code == 0 and doc == {"genus": 49}
+
+
+def test_specialize_at_numeral_limit(capsys):
+    """The degree-22 row g10-c1-1 (ten parameters) at 4000-digit parameters."""
+    params = ",".join(f"a{i}={v}" for i, v in enumerate(_numerals(22, 10), start=1))
+    code, doc, _ = _timed(capsys, "catalog", "specialize", "--id", "g10-c1-1", "--params", params)
+    assert code == 0 and doc["genus"] == 10
+
+
+def test_isomorphic_at_numeral_limit(capsys):
+    """Two sextics with 4000-digit coefficients, and one against its negation."""
+    f1, f2 = (",".join(_numerals(seed, 7)) for seed in (61, 62))
+    code, doc, _ = _timed(capsys, "isomorphic", "--genus", "2", "--f1", f1, "--f2", f2)
+    assert code == 1 and doc == {"isomorphic": False}
+    minus = ",".join(c[1:] if c[0] == "-" else "-" + c for c in f1.split(","))
+    code, doc, _ = _timed(capsys, "isomorphic", "--genus", "2", "--f1", f1, "--f2", minus)
+    assert code == 0 and doc == {"isomorphic": True}
+
+
 def test_general_invariants_at_degree_limit(capsys):
     from seacurves.forms import make_form
     from test_invariant_oracle import eager_invariants
@@ -316,7 +358,7 @@ def test_golden_digests(capsys, monkeypatch):
     monkeypatch.delenv("SEA_CATALOG", raising=False)
     entries = json.loads(GOLDEN.read_text("utf-8"))
     assert len(entries) == 36
-    catalog._build_catalog.cache_clear()
+    monkeypatch.setattr(catalog, "_last_built", (None, None))
     cli._build_parser.cache_clear()
     for _ in ("cold", "warm"):
         for entry in entries:

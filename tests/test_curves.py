@@ -72,6 +72,11 @@ def test_make_curve_typed_errors():
     (lambda: genus_formula(1, 5), LevelError, "need n >= 2 and d >= 2, got n=1, d=5"),
     (lambda: genus_formula(2, 1), DegreeError, "need n >= 2 and d >= 2, got n=2, d=1"),
     (lambda: hurwitz_bound(1), CurveDataError, "Hurwitz bound needs genus >= 2, got 1"),
+    # a bool is an int, so it reaches the range checks
+    (lambda: hurwitz_bound(True), CurveDataError, "Hurwitz bound needs genus >= 2, got True"),
+    (lambda: hurwitz_bound(2.5), TypeError, "genus g must be an int, got 2.5"),
+    (lambda: make_form(1.5, [1, 2]), TypeError, "degree must be an int, got 1.5"),
+    (lambda: BinaryForm.zero(2.0), TypeError, "degree must be an int, got 2.0"),
     (lambda: rh_residual(5, 0, Signature([2])), CurveDataError, "group order must be positive"),
     (lambda: rh_residual(5, 10, Signature([3])), CurveDataError,
      "index 3 does not divide group order 10"),
@@ -140,11 +145,16 @@ def test_make_curve_typed_errors():
                  f"bad sum block bounds {TOO_LARGE}", id="sum-block-type"),
     pytest.param(lambda: Scalar([H]), TypeError,
                  f"cannot interpret {TOO_LARGE} as an exact rational", id="scalar-type"),
+    pytest.param(lambda: make_form([H], [1]), TypeError,
+                 f"degree must be an int, got {TOO_LARGE}", id="form-degree-type"),
+    pytest.param(lambda: hurwitz_bound([H]), TypeError,
+                 f"genus g must be an int, got {TOO_LARGE}", id="hurwitz-bound-type"),
 ])
 def test_precondition_errors_are_typed(call, error, message):
     """Each precondition of curves, forms, transvection, scalars and catalog
     rows raises a SeacurvesError subclass (a TypeError for a Scalar built
-    from a value of no numeric type); the messages are those of the untyped
+    from a value of no numeric type, and for a form's degree or a genus that
+    is not an int); the messages are those of the untyped
     raises they replace, with an int past the digit limit printed as
     "(too large to print)" whatever its size."""
     with pytest.raises(error) as exc:

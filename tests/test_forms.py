@@ -35,6 +35,7 @@ def test_make_form():
 
     z = make_form(2, [0, 0, 0])
     assert z.is_zero and z.degree == 2
+    assert make_form(True, [1, 2]) == make_form(1, [1, 2])  # a bool is an int
 
     with pytest.raises(DegreeError):
         make_form(3, [1, 0, 0])  # needs d+1 coefficients

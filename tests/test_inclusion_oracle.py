@@ -2,9 +2,10 @@
 
 The reference below is the rule as the package first wrote it: a walk over
 the union of both rows' exponents, reading a missing exponent as the
-constant 0.  ``_specializes`` states the same rule as containment of
-support maps, which holds because a support map never has a zero entry
-(guarded in ``test_symbolic_oracle.py``).  The two must agree on random
+constant 0.  ``_specializes`` states the same rule as containment of the
+sets ``templates._containment_sets`` makes of a support map (the sets each
+template caches), which holds because a support map never has a zero
+entry (guarded in ``test_symbolic_oracle.py``).  The two must agree on random
 zero-free support maps over exponents 0-12, with constants drawn from a
 small pool of rationals and Q(sqrt -3) values so that equal and unequal
 constants both occur, and on levels n in {2, 3} and deltas 0-4.
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seacurves.catalog import _specializes
+from seacurves.catalog.templates import _containment_sets
 from seacurves.scalars import ZERO, Scalar, rational
 
 
@@ -64,5 +66,6 @@ def _pair(draw):
 @given(_pair())
 def test_specializes_matches_reference(pair):
     (a, b), support = pair
-    assert _specializes(a, b, support) == ref_specializes(a, b, support)
-    assert _specializes(b, a, support) == ref_specializes(b, a, support)
+    sets = {key: _containment_sets(value) for key, value in support.items()}
+    assert _specializes(a, b, sets) == ref_specializes(a, b, support)
+    assert _specializes(b, a, sets) == ref_specializes(b, a, support)

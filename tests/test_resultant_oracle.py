@@ -13,6 +13,13 @@ on integer pairs over Z[sqrt D].  Two models of ``reference`` check them:
 ``monic``, which divides the cleared vector once by its leading element over
 Z[sqrt D].
 
+``is_squarefree`` first tries a certificate modulo one prime and falls
+back to the discriminant.  Its verdict is checked against the discriminant
+and against ``ref_poly_is_squarefree`` (the Euclidean gcd of p and p'),
+over Q, Q(sqrt -3), Q(sqrt 5) and Q(sqrt -1), where no listed prime has a
+root of -1, with repeated factors; fixed cases take the fallback where the
+residues mislead.
+
 The projective squarefree verdict ``form_is_squarefree`` is checked against
 the Sylvester resultant of the two partial derivatives of the form: by
 Euler's identity d*f = X*f_X + Z*f_Z, a common root of f_X and f_Z is a
@@ -27,6 +34,7 @@ repeated factors.  sympy, when importable, is a third, independent check.
 """
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -34,8 +42,8 @@ from hypothesis import strategies as st
 
 from conftest import spy
 from reference import (FIELD_PAIRS, coefficients, euclid_gcd, euclid_resultant, from_model,
-                       ref_discriminant, ref_monic, ref_partial, ref_resultant, to_model,
-                       to_sympy)
+                       ref_discriminant, ref_monic, ref_partial, ref_poly_is_squarefree,
+                       ref_resultant, to_model, to_sympy)
 from seacurves import forms
 from seacurves.forms import (
     BinaryForm,
@@ -110,6 +118,38 @@ def test_discriminant_matches_sylvester(p):
     expected = ref_discriminant(to_model(p))
     assert to_model(discriminant(p)) == expected
     assert is_squarefree(p) == (not expected.is_zero)
+
+
+# -1 is a square modulo no prime P = 3 mod 4, so over Q(sqrt -1) the
+# certificate never applies and every verdict comes from the discriminant
+NO_ROOT_DISC = -1
+
+
+@st.composite
+def squarefree_cases(draw):
+    """p of degree >= 1 over Q, Q(sqrt -3), Q(sqrt 5) or Q(sqrt -1); half the
+    time times h^2 or h^3, so that a root repeats."""
+    disc = draw(st.sampled_from([0, -3, 5, NO_ROOT_DISC]))
+    if draw(st.booleans()):
+        h = draw(polys(disc, 1, 3))
+        k = draw(st.sampled_from([2, 3]))
+        p = draw(polys(disc, 0, MAX_DEG - k * h.degree))
+        for _ in range(k):
+            p = p * h
+        return p
+    return draw(polys(disc, 1))
+
+
+@given(squarefree_cases())
+@settings(max_examples=200, deadline=None)
+def test_squarefree_certificate_matches_discriminant(p):
+    expected = not discriminant(p).is_zero
+    assert ref_poly_is_squarefree(to_model(p)) == expected
+    assert is_squarefree(p) == expected
+    certified = forms._squarefree_mod_prime(p)
+    assert expected or not certified  # a certificate is a proof
+    if p.vec[3] == NO_ROOT_DISC:
+        assert not certified
 
 
 @st.composite
@@ -274,6 +314,24 @@ def test_euclidean_edge_cases(disc):
     for a, b in cases:
         assert_matches_euclidean(a, b)
         assert_matches_euclidean(b, a)
+
+
+def test_certificate_primes():
+    """Each listed prime is a prime P = 3 mod 4 below 2^30 (trial division)."""
+    for P in forms._PRIMES:
+        assert P % 4 == 3 and P < 2 ** 30
+        assert all(P % q for q in range(2, isqrt(P) + 1))
+
+
+def test_squarefree_falls_back_where_the_residues_mislead(monkeypatch):
+    """(P x + 1)^2 (x - 1) reduces mod P to the squarefree x - 1, as its lead
+    vanishes; x^2 - P is squarefree but reduces to x^2, as P divides its
+    discriminant 4P.  Both verdicts come from the subresultant sequence."""
+    P = forms._PRIMES[0]
+    calls = spy(monkeypatch, forms, "_subresultant_prs")
+    lead_vanishes = _x(1, P) * _x(1, P) * _x(-1, 1)
+    assert not is_squarefree(lead_vanishes) and len(calls) == 1
+    assert is_squarefree(_x(-P, 0, 1)) and len(calls) == 2
 
 
 def test_degree_100_pair_matches_euclidean():
