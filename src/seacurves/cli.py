@@ -6,7 +6,9 @@ Exit codes: 0 success (or affirmative verdict), 1 negative verdict
 file, self-contradictory ones included), 3 a bookkeeping bug or any other
 exception, reported on one stderr line without a traceback.  Stdout carries a
 JSON document on exit codes 0 and 1 (except ``catalog list --csv``, which
-emits CSV by request); diagnostics go to stderr.  Identical argv produces
+emits CSV by request); diagnostics go to stderr.  Each command returns its exit
+code and stdout text, and :func:`main` writes that text once, after the command
+has returned, so an error leaves stdout empty.  Identical argv produces
 byte-identical stdout.
 
 The catalog subcommands read the embedded dataset unless the SEA_CATALOG
@@ -51,13 +53,12 @@ __all__ = ["main"]
 
 
 def _parse_form(text: str) -> BinaryForm:
-    """Ascending coefficient CSV, or a poly-string homogenized at its degree."""
-    text = text.strip()
-    if "x" in text:
-        poly = parse_poly_string(text)  # never zero: each factor leads with a nonzero constant
-        return homogenize(poly, poly.degree)
-    coeffs = _parse_csv(text)
-    return BinaryForm(len(coeffs) - 1, coeffs)
+    """A form argument as a polynomial homogenized at its declared degree: a
+    poly-string's degree, or one less than a CSV's entry count (so trailing
+    zeros keep theirs: "1,0,0" is Z^2).  A poly-string is never zero, since
+    each factor leads with a nonzero constant."""
+    poly = _parse_poly(text)
+    return homogenize(poly, poly.degree if "x" in text else text.count(","))
 
 
 def _parse_poly(text: str) -> UnivariatePoly:
@@ -91,12 +92,11 @@ def _parse_params(text: str) -> dict[str, Scalar]:
     return params
 
 
-def _emit(doc) -> None:
+def _json(doc) -> str:
     try:
-        text = json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2) + "\n"
     except ValueError:  # on these documents, only an int past the digit limit
         raise OutputTooLargeError() from None
-    sys.stdout.write(text + "\n")
 
 
 # The dispatch tables are also the choices of --kind and isomorphic --genus, in
@@ -138,63 +138,41 @@ def _invariants_doc(kind: str, form: BinaryForm) -> dict:
     }
 
 
-def _cmd_transvect(args) -> int:
-    f = _parse_form(args.f)
-    g = _parse_form(args.g)
-    _emit(transvect(f, g, args.r).to_json())
-    return 0
+def _cmd_transvect(args) -> tuple[int, str]:
+    return 0, _json(transvect(_parse_form(args.f), _parse_form(args.g), args.r).to_json())
 
 
-def _cmd_invariants(args) -> int:
-    form = _parse_form(args.coeffs)
-    _emit(_invariants_doc(args.kind, form))
-    return 0
+def _cmd_invariants(args) -> tuple[int, str]:
+    return 0, _json(_invariants_doc(args.kind, _parse_form(args.coeffs)))
 
 
-def _cmd_genus(args) -> int:
-    curve = make_curve(args.n, _parse_poly(args.poly))
-    _emit({"genus": curve.genus})
-    return 0
+def _cmd_genus(args) -> tuple[int, str]:
+    return 0, _json({"genus": make_curve(args.n, _parse_poly(args.poly)).genus})
 
 
-def _cmd_isomorphic(args) -> int:
-    f1 = _parse_form(args.f1)
-    f2 = _parse_form(args.f2)
-    verdict = _ISOMORPHIC[args.genus](f1, f2)
-    _emit({"isomorphic": verdict})
-    return 0 if verdict else 1
+def _cmd_isomorphic(args) -> tuple[int, str]:
+    verdict = _ISOMORPHIC[args.genus](_parse_form(args.f1), _parse_form(args.f2))
+    return 0 if verdict else 1, _json({"isomorphic": verdict})
 
 
-def _cmd_catalog_list(args) -> int:
-    catalog = load_catalog()
-    records = catalog.query(genus=args.genus, reduced_group=args.group)
-    if args.csv:
-        sys.stdout.write(export_csv(records))
-    else:
-        _emit([r.to_json() for r in records])
-    return 0
+def _cmd_catalog_list(args) -> tuple[int, str]:
+    records = load_catalog().query(genus=args.genus, reduced_group=args.group)
+    return 0, export_csv(records) if args.csv else _json([r.to_json() for r in records])
 
 
-def _cmd_catalog_verify(args) -> int:
-    catalog = load_catalog()
-    report = verify_all(catalog, genus=args.genus)
-    _emit(report.summary())
-    return 0 if report.ok else 1
+def _cmd_catalog_verify(args) -> tuple[int, str]:
+    report = verify_all(load_catalog(), genus=args.genus)
+    return 0 if report.ok else 1, _json(report.summary())
 
 
-def _cmd_catalog_specialize(args) -> int:
-    catalog = load_catalog()
-    record = catalog[args.id]
-    curve = specialize(record, _parse_params(args.params))
-    _emit(curve.to_json())
-    return 0
+def _cmd_catalog_specialize(args) -> tuple[int, str]:
+    curve = specialize(load_catalog()[args.id], _parse_params(args.params))
+    return 0, _json(curve.to_json())
 
 
-def _cmd_catalog_inclusions(args) -> int:
-    catalog = load_catalog()
-    edges = inclusions(catalog, args.genus)
-    _emit({"genus": args.genus, "edges": [list(e) for e in edges]})
-    return 0
+def _cmd_catalog_inclusions(args) -> tuple[int, str]:
+    edges = inclusions(load_catalog(), args.genus)
+    return 0, _json({"genus": args.genus, "edges": [list(e) for e in edges]})
 
 
 @functools.cache  # parse_args keeps no state on the parser, so main calls share one
@@ -286,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(getattr(args, flag[2:], ""), str):
             parser.error(f"argument {flag}: expected one argument")
     try:
-        return args.func(args)
+        code, out = args.func(args)
     except OrderBookkeepingError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
@@ -299,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a bug: one line naming the exception, no traceback
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
+    sys.stdout.write(out)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

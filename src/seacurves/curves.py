@@ -75,7 +75,10 @@ class ReducedGroup:
         return _REDUCED[self.kind][0] * (self.m or 1)
 
     def label(self) -> str:
-        return _REDUCED[self.kind][1].format(self.order)
+        return _REDUCED[self.kind][1].format(_int_str(self.order))
+
+    def __repr__(self):
+        return f"ReducedGroup(kind={self.kind!r}, m={_repr_str(self.m)})"
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,8 @@ class SuperellipticCurve:
         return {"n": self.n, "f": poly_to_string(self.f), "genus": self.genus}
 
     def __repr__(self):
-        return f"SuperellipticCurve(y^{self.n} = {self.f!r}, genus {self.genus})"
+        return (f"SuperellipticCurve(y^{_int_str(self.n)} = {self.f!r}, "
+                f"genus {_int_str(self.genus)})")
 
 
 def make_curve(n: int, f: UnivariatePoly) -> SuperellipticCurve:

@@ -759,10 +759,22 @@ def is_squarefree(p: UnivariatePoly) -> bool:
     return p.degree >= 1 and _squarefree_mod_prime(p) or not discriminant(p).is_zero
 
 
-# The largest primes P = 3 mod 4 below 2^30: each residue is one digit of a
-# Python int, and a square D mod P has the root D^((P + 1)/4).
+# The largest primes P = 3 mod 4 below 2^30, then the largest P = 5 mod 8, at
+# which -1 is a square too: each residue is one digit of a Python int.
 _PRIMES = (1073741783, 1073741723, 1073741719, 1073741671,
-           1073741663, 1073741651, 1073741567, 1073741527)
+           1073741663, 1073741651, 1073741567, 1073741527,
+           1073741789, 1073741741, 1073741717, 1073741621,
+           1073741477, 1073741381, 1073741309, 1073741237)
+
+
+def _sqrt_mod(d: int, P: int) -> int:
+    """A root s of s^2 = d mod P, for d a nonzero square modulo a listed P:
+    d^((P + 1)/4) when P = 3 mod 4, else Atkin's d v (2 d v^2 - 1) with
+    v = (2d)^((P - 5)/8), as 2d v^2 is a root of -1 when P = 5 mod 8."""
+    if P % 4 == 3:
+        return pow(d, (P + 1) // 4, P)
+    v = pow(2 * d, (P - 5) // 8, P)
+    return d * v * (2 * d * v * v - 1) % P
 
 
 def _squarefree_mod_prime(p: UnivariatePoly) -> bool:
@@ -784,7 +796,7 @@ def _squarefree_mod_prime(p: UnivariatePoly) -> bool:
             break
     else:
         return False
-    s = pow(disc, (P + 1) // 4, P)
+    s = disc and _sqrt_mod(disc, P)
     f = [x % P for x in a] if b is None else [(x + s * y) % P for x, y in zip(a, b)]
     if not f[-1]:
         return False

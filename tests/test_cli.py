@@ -131,6 +131,16 @@ def test_genus_at_degree_and_numeral_limits(capsys):
     assert code == 0 and doc == {"genus": 49}
 
 
+def test_genus_over_gaussian_rationals_at_degree_limit(capsys):
+    """A squarefree f of degree 100 over Q(sqrt -1) with 40-digit parts: -1 is
+    a square modulo the listed primes P = 5 mod 8, so a prime certifies f
+    without the subresultant sequence (23 s before those primes were listed)."""
+    parts = zip(_numerals(71, 101, 40), _numerals(72, 101, 40))
+    coeffs = ",".join(f"{a}{'' if b[0] == '-' else '+'}{b}*sqrt(-1)" for a, b in parts)
+    code, doc, _ = _timed(capsys, "genus", "-n", "2", "--poly", coeffs)
+    assert code == 0 and doc == {"genus": 49}
+
+
 def test_specialize_at_numeral_limit(capsys):
     """The degree-22 row g10-c1-1 (ten parameters) at 4000-digit parameters."""
     params = ",".join(f"a{i}={v}" for i, v in enumerate(_numerals(22, 10), start=1))

@@ -117,6 +117,9 @@ def test_make_curve_typed_errors():
                  TransvectionError,
                  f"transvection order {TOO_LARGE} out of range for degrees (2, 2)",
                  id="transvect-order"),
+    pytest.param(lambda: transvect(make_form(2, [1, 0, 1]), make_form(2, [1, 0, 1]), 1.0),
+                 TypeError, "transvection order r must be an int, got 1.0",
+                 id="transvect-order-type"),
     pytest.param(lambda: homogenize(poly(1, 0, 1), -H), DegreeError,
                  f"cannot homogenize degree-2 poly at degree {TOO_LARGE}", id="homogenize"),
     pytest.param(lambda: Scalar(0, 1, H), RadicandError,
@@ -153,14 +156,36 @@ def test_make_curve_typed_errors():
 def test_precondition_errors_are_typed(call, error, message):
     """Each precondition of curves, forms, transvection, scalars and catalog
     rows raises a SeacurvesError subclass (a TypeError for a Scalar built
-    from a value of no numeric type, and for a form's degree or a genus that
-    is not an int); the messages are those of the untyped
+    from a value of no numeric type, and for a form's degree, a genus or a
+    transvection order that is not an int); the messages are those of the untyped
     raises they replace, with an int past the digit limit printed as
     "(too large to print)" whatever its size."""
     with pytest.raises(error) as exc:
         call()
     assert isinstance(exc.value, SeacurvesError) != (error is TypeError)
     assert str(exc.value) == message
+
+
+def test_curve_prints_a_level_past_the_digit_limit():
+    c = make_curve(H, poly(1, 0, 1))
+    assert repr(c) == str(c) == f"SuperellipticCurve(y^{TOO_LARGE} = {c.f!r}, genus {TOO_LARGE})"
+    assert repr(make_curve(3, poly(1, 0, 1))) == \
+        "SuperellipticCurve(y^3 = UnivariatePoly(1 + x^2), genus 1)"
+
+
+def test_reduced_group_prints_an_m_past_the_digit_limit():
+    g = ReducedGroup("Cm", H)
+    assert repr(g) == str(g) == f"ReducedGroup(kind='Cm', m={TOO_LARGE})"
+    assert g.label() == f"C_{TOO_LARGE}"
+    assert (repr(ReducedGroup("D2m", 3)), ReducedGroup("D2m", 3).label()) == \
+        ("ReducedGroup(kind='D2m', m=3)", "D_6")
+    assert repr(ReducedGroup("A5")) == "ReducedGroup(kind='A5', m=None)"
+
+
+def test_transvection_order_may_be_a_bool():
+    f = make_form(2, [1, 2, 3])
+    g = make_form(3, [1, 0, -1, 2])
+    assert transvect(f, g, True) == transvect(f, g, 1)
 
 
 def test_low_genus_flag():

@@ -16,8 +16,9 @@ Z[sqrt D].
 ``is_squarefree`` first tries a certificate modulo one prime and falls
 back to the discriminant.  Its verdict is checked against the discriminant
 and against ``ref_poly_is_squarefree`` (the Euclidean gcd of p and p'),
-over Q, Q(sqrt -3), Q(sqrt 5) and Q(sqrt -1), where no listed prime has a
-root of -1, with repeated factors; fixed cases take the fallback where the
+over Q, Q(sqrt -3), Q(sqrt 5), Q(sqrt -1) (a root of -1 only modulo the
+primes P = 5 mod 8) and Q(sqrt 7427), where no listed prime has a root of
+7427, with repeated factors; fixed cases take the fallback where the
 residues mislead.
 
 The projective squarefree verdict ``form_is_squarefree`` is checked against
@@ -120,16 +121,18 @@ def test_discriminant_matches_sylvester(p):
     assert is_squarefree(p) == (not expected.is_zero)
 
 
-# -1 is a square modulo no prime P = 3 mod 4, so over Q(sqrt -1) the
-# certificate never applies and every verdict comes from the discriminant
-NO_ROOT_DISC = -1
+# 7427 = 7 * 1061 is a square modulo none of the listed primes, so over
+# Q(sqrt 7427) the certificate never applies and every verdict comes from the
+# discriminant
+NO_ROOT_DISC = 7427
 
 
 @st.composite
 def squarefree_cases(draw):
-    """p of degree >= 1 over Q, Q(sqrt -3), Q(sqrt 5) or Q(sqrt -1); half the
-    time times h^2 or h^3, so that a root repeats."""
-    disc = draw(st.sampled_from([0, -3, 5, NO_ROOT_DISC]))
+    """p of degree >= 1 over Q, Q(sqrt -3), Q(sqrt 5), Q(sqrt -1) or
+    Q(sqrt NO_ROOT_DISC); half the time times h^2 or h^3, so that a root
+    repeats."""
+    disc = draw(st.sampled_from([0, -3, 5, -1, NO_ROOT_DISC]))
     if draw(st.booleans()):
         h = draw(polys(disc, 1, 3))
         k = draw(st.sampled_from([2, 3]))
@@ -317,10 +320,17 @@ def test_euclidean_edge_cases(disc):
 
 
 def test_certificate_primes():
-    """Each listed prime is a prime P = 3 mod 4 below 2^30 (trial division)."""
+    """Each listed prime is a prime P = 3 mod 4 or P = 5 mod 8 below 2^30
+    (trial division), and its root of each radicand D that is a nonzero
+    square mod P squares to D."""
+    radicands = [d for d in range(-40, 41) if d] + [NO_ROOT_DISC, -10 ** 12 + 1, 10 ** 12 - 11]
     for P in forms._PRIMES:
-        assert P % 4 == 3 and P < 2 ** 30
+        assert (P % 4 == 3 or P % 8 == 5) and P < 2 ** 30
         assert all(P % q for q in range(2, isqrt(P) + 1))
+        for d in radicands:
+            if pow(d, (P - 1) // 2, P) == 1:
+                assert forms._sqrt_mod(d, P) ** 2 % P == d % P
+    assert not any(pow(NO_ROOT_DISC, (P - 1) // 2, P) == 1 for P in forms._PRIMES)
 
 
 def test_squarefree_falls_back_where_the_residues_mislead(monkeypatch):

@@ -20,7 +20,8 @@ A rational coefficient vector meets Q(sqrt D) with a zero radical part,
 ``(0,) * len(...)``, built in one function (``forms._lift``) and at no
 site that joins fields.  A Scalar's parts, the attributes ``_den``, ``_a``
 and ``_b``, are read in ``scalars`` and ``forms`` only, the kernel that
-holds the cleared values.
+holds the cleared values.  The CLI has one writer: no ``print`` call and no
+``sys.stdout`` or ``sys.stderr`` appears outside ``cli.main``.
 
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
@@ -278,6 +279,24 @@ def test_hand_slots_and_reduce_have_few_homes():
         ("scalars", "Scalar")]
     assert _classes_defining("__reduce__") == [
         ("catalog", "Catalog"), ("forms", "_Cleared"), ("scalars", "Scalar")]
+
+
+def _writes_a_stream(node: ast.AST) -> bool:
+    """A ``print`` call, or a reference to ``sys.stdout`` or ``sys.stderr``."""
+    if isinstance(node, ast.Call):
+        return _callee(node) == "print"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "sys" and any(a.name in ("stdout", "stderr") for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def test_only_cli_main_writes_to_the_streams():
+    """Every command returns its stdout text and ``main`` writes it once, after
+    the command has returned, so no error path can have written to stdout."""
+    writers = {(_module_name(p), func) for p in MODULES
+               for func, _ in _sites(_tree(p), _writes_a_stream)}
+    assert writers == {("cli", "main")}
 
 
 def test_each_reference_is_defined_once():

@@ -196,6 +196,22 @@ def test_table_cache_stays_within_its_byte_bound(monkeypatch):
     assert transvection._table_bytes(transvection._table(100, 100, 40, False)) < 1.5 * 2 ** 20
 
 
+def test_table_past_the_byte_bound_is_used_and_not_kept(monkeypatch):
+    """With the byte bound below one table's size, that table is built, used
+    for the same transvectant as at the real bound, and not kept; a smaller
+    table already held stays."""
+    monkeypatch.setattr(transvection, "_TABLES", {})
+    rng = random.Random(41)
+    f, g = rand_form(rng, 9), rand_form(rng, 7)
+    expected = transvect(f, g, 3)
+    size = transvection._table_bytes(transvection._table(9, 7, 3, False))
+    monkeypatch.setattr(transvection, "_TABLES", {})
+    monkeypatch.setattr(transvection, "_CACHE_BYTES", size - 1)
+    transvect(f, rand_form(rng, 2), 1)
+    assert transvect(f, g, 3) == expected
+    assert list(transvection._TABLES) == [(9, 2, 1, False)]
+
+
 def test_table_cache_under_threads(monkeypatch):
     """Eight threads (more than cores) evict one another's tables from a
     cache held to three; each gets the single-threaded results, and the
