@@ -5,6 +5,11 @@ The Riemann-Hurwitz helpers work with the full automorphism group order
 single letter for both the covering degree and the group order) and the
 quotient P^1, on integers: ``_rh_excess`` is |G| times the residual.  Printed
 signatures may lack their last entry, which :func:`complete_signature` restores.
+
+Every curve's level and degree are checked by :func:`genus_formula`, which
+``SuperellipticCurve`` computes first; the level rule (an int >= 2) is
+stated once, in ``_check_level``, which :func:`full_group_order` reads too.
+An integer parameter of the wrong type raises a ``TypeError`` naming it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .forms import DegreeError, UnivariatePoly, is_squarefree, poly_to_string
-from .scalars import SeacurvesError, _int_str, _repr_str
+from .scalars import SeacurvesError, _int_str, _repr_str, _require_int
 
 __all__ = [
     "ReducedGroup",
@@ -130,6 +135,13 @@ class Signature:
         return f"Signature({self.compact()})"
 
 
+def _check_level(n: int) -> None:
+    """The level n of y^n = f(x) is an int >= 2."""
+    _require_int(n, "level n")
+    if n < 2:
+        raise LevelError(f"level must be >= 2, got {_int_str(n)}")
+
+
 def genus_formula(n: int, d: int) -> int:
     """Genus of y^n = f(x) with deg f = d and f squarefree:
     (n(d-1) - d - gcd(n, d))/2 + 1.
@@ -137,17 +149,17 @@ def genus_formula(n: int, d: int) -> int:
     When gcd(n, d) = 1 this equals (n-1)(d-1)/2; the two closed forms agree
     wherever both apply.
     """
-    if n < 2 or d < 2:
-        error = LevelError if n < 2 else DegreeError
-        raise error(f"need n >= 2 and d >= 2, got n={_int_str(n)}, d={_int_str(d)}")
+    _check_level(n)
+    _require_int(d, "degree d")
+    if d < 2:
+        raise DegreeError(f"need deg f >= 2, got {_int_str(d)}")
     num = n * (d - 1) - d - gcd(n, d)
     return num // 2 + 1
 
 
 def hurwitz_bound(g: int) -> int:
     """84(g - 1), the automorphism-count bound for genus g >= 2."""
-    if not isinstance(g, int):
-        raise TypeError(f"genus g must be an int, got {_repr_str(g)}")
+    _require_int(g, "genus g")
     if g < 2:
         raise CurveDataError(f"Hurwitz bound needs genus >= 2, got {_int_str(g)}")
     return 84 * (g - 1)
@@ -207,8 +219,7 @@ def complete_signature(g: int, group_order: int, printed: Signature) -> Completi
 
 def full_group_order(n: int, reduced: ReducedGroup) -> int:
     """|G| = n * |reduced|, the order of the full automorphism group."""
-    if n < 2:
-        raise LevelError(f"level must be >= 2, got {_int_str(n)}")
+    _check_level(n)
     return n * reduced.order
 
 
@@ -225,13 +236,9 @@ class SuperellipticCurve:
     genus: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise LevelError(f"level must be >= 2, got {_int_str(self.n)}")
-        if self.f.degree < 2:
-            raise DegreeError(f"need deg f >= 2, got {self.f.degree}")
+        object.__setattr__(self, "genus", genus_formula(self.n, self.f.degree))
         if not is_squarefree(self.f):
             raise NotSquarefreeError("f has a repeated root (discriminant = 0)")
-        object.__setattr__(self, "genus", genus_formula(self.n, self.f.degree))
 
     @property
     def degree(self) -> int:

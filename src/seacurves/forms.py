@@ -52,7 +52,7 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .scalars import (ZERO, Scalar, SeacurvesError, _conj, _content, _int_str, _join_field,
-                      _mul, _norm, _pow, _quo, _repr_str, _scalar, parse_scalar)
+                      _mul, _norm, _pow, _quo, _repr_str, _require_int, _scalar, parse_scalar)
 
 __all__ = [
     "BinaryForm",
@@ -295,9 +295,8 @@ class _Cleared:
 
 
 def _check_degree(degree) -> None:
-    """A form's degree is an int (a bool counts) and nonnegative."""
-    if not isinstance(degree, int):
-        raise TypeError(f"degree must be an int, got {_repr_str(degree)}")
+    """A form's degree is an int and nonnegative."""
+    _require_int(degree, "degree")
     if degree < 0:
         raise DegreeError("degree must be nonnegative")
 
@@ -374,6 +373,7 @@ def partial_derivative(f: BinaryForm, var: str, order: int = 1) -> BinaryForm:
     """
     if var not in ("X", "Z"):
         raise SeacurvesError(f"var must be 'X' or 'Z', got {_repr_str(var)}")
+    _require_int(order, "order")
     if order < 0:
         raise DegreeError("order must be nonnegative")
     n = f.degree
@@ -605,6 +605,7 @@ class UnivariatePoly(_Cleared):
 
 def homogenize(p: UnivariatePoly, degree: int) -> BinaryForm:
     """sum c_i x^i -> sum c_i X^i Z^(degree-i); requires degree >= deg p."""
+    _require_int(degree, "degree")
     if degree < p.degree:
         raise DegreeError(f"cannot homogenize degree-{p.degree} poly at degree {_int_str(degree)}")
     den, a, b, disc = p.vec

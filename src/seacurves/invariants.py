@@ -49,8 +49,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .forms import BinaryForm, DegreeError, dehomogenize, is_squarefree
-from .scalars import (OutputTooLargeError, Scalar, SeacurvesError, _join_field, _power_product,
-                      _quotient, rational)
+from .scalars import (Scalar, SeacurvesError, _int_str, _join_field, _power_product, _quotient,
+                      rational)
 from .transvection import transvect
 
 __all__ = [
@@ -545,11 +545,7 @@ def genus10_special(F: BinaryForm) -> Genus10Result:
     chain = _Chain(_general_nodes(22) + _GENUS10, "F", F)
     I12 = chain["I12"][0].constant_value()
     if not I12.is_zero:
-        try:
-            shown = f"I12 = {I12}"
-        except OutputTooLargeError:
-            shown = "I12 (too large to print)"
-        raise Genus10CaseError(f"{shown} != 0; the special invariants are only "
+        raise Genus10CaseError(f"I12 = {_int_str(I12)} != 0; the special invariants are only "
                                "defined on the I12 = 0 locus")
     vec = _system("genus10", chain, _GENUS10, ("I6star_g10", "I12star"))
     return Genus10Result(vec, _ratios("genus10", vec, _GENUS10_ABSOLUTE))

@@ -34,8 +34,13 @@ depth-0 signs or products, ``_strip_sign`` folds leading signs and
 numeral or parenthesis rule holds in both grammars.  A numeral longer than
 ``sys.get_int_max_str_digits()`` digits is refused both ways: as input by
 ``_parse_int`` and as output by ``_rat_str`` (:class:`OutputTooLargeError`);
-``_int_str`` prints such an int in a message as "(too large to print)", and
-``_repr_str`` any value holding one.
+``_int_str`` prints such a number in a message as the placeholder
+``_TOO_LARGE``, and ``_repr_str`` any value holding one.
+
+An integer parameter of the Python API (a level, a degree, an order, a
+genus) is checked by ``_require_int`` at the entry point: a value of another
+type raises a ``TypeError`` naming the parameter, and a bool counts as an
+int.
 """
 
 from __future__ import annotations
@@ -389,10 +394,10 @@ def _rat_str(num: int, den: int) -> str:
 _TOO_LARGE = "(too large to print)"
 
 
-def _int_str(n: int) -> str:
-    """The text of n, or "(too large to print)" past the interpreter's digit
-    limit: for messages and reports, which must not fail on the numbers they
-    describe."""
+def _int_str(n) -> str:
+    """The text of n, an int or a Scalar, or ``_TOO_LARGE`` past the
+    interpreter's digit limit: for messages and reports, which must not fail
+    on the numbers they describe."""
     try:
         return str(n)
     except ValueError:  # beyond sys.get_int_max_str_digits()
@@ -400,12 +405,19 @@ def _int_str(n: int) -> str:
 
 
 def _repr_str(value) -> str:
-    """repr(value), or "(too large to print)" when it holds an int past the
-    digit limit: for messages quoting a caller's value of the wrong type."""
+    """repr(value), or ``_TOO_LARGE`` when it holds an int past the digit
+    limit: for messages quoting a caller's value of the wrong type."""
     try:
         return repr(value)
     except ValueError:  # an int beyond sys.get_int_max_str_digits()
         return _TOO_LARGE
+
+
+def _require_int(value, what: str) -> None:
+    """The one check of an integer parameter: a TypeError naming ``what``
+    unless value is an int (a bool counts)."""
+    if not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {_repr_str(value)}")
 
 
 ZERO = _new(1, 0, 0, 0)

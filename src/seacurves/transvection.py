@@ -67,7 +67,7 @@ from math import comb, perm
 from sys import getsizeof
 
 from .forms import BinaryForm, _falling_products, _join_field, _lift
-from .scalars import SeacurvesError, _int_str, _repr_str
+from .scalars import SeacurvesError, _int_str, _require_int
 
 __all__ = ["transvect", "TransvectionError"]
 
@@ -157,8 +157,7 @@ def _weighted_sum(table: tuple, f, g, disc: int, size: int):
 
 def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     """The r-transvection (f, g)^r, exact."""
-    if not isinstance(r, int):
-        raise TypeError(f"transvection order r must be an int, got {_repr_str(r)}")
+    _require_int(r, "transvection order r")
     n, m = f.degree, g.degree
     if r < 0 or r > min(n, m):
         raise TransvectionError(

@@ -69,8 +69,10 @@ def test_make_curve_typed_errors():
     (lambda: Signature([2.0]), CurveDataError, "branch index 2.0 is not an integer"),
     (lambda: Signature([1]), CurveDataError, "branch index must be >= 2, got 1"),
     (lambda: Signature([(2, 0)]), CurveDataError, "multiplicity must be >= 1, got 0"),
-    (lambda: genus_formula(1, 5), LevelError, "need n >= 2 and d >= 2, got n=1, d=5"),
-    (lambda: genus_formula(2, 1), DegreeError, "need n >= 2 and d >= 2, got n=2, d=1"),
+    pytest.param(lambda: genus_formula(1, 5), LevelError, "level must be >= 2, got 1",
+                 id="genus-formula-level"),
+    pytest.param(lambda: genus_formula(2, 1), DegreeError, "need deg f >= 2, got 1",
+                 id="genus-formula-degree"),
     (lambda: hurwitz_bound(1), CurveDataError, "Hurwitz bound needs genus >= 2, got 1"),
     # a bool is an int, so it reaches the range checks
     (lambda: hurwitz_bound(True), CurveDataError, "Hurwitz bound needs genus >= 2, got True"),
@@ -104,7 +106,7 @@ def test_make_curve_typed_errors():
     pytest.param(lambda: Signature([(2, -H)]), CurveDataError,
                  f"multiplicity must be >= 1, got {TOO_LARGE}", id="signature-multiplicity"),
     pytest.param(lambda: genus_formula(-H, 3), LevelError,
-                 f"need n >= 2 and d >= 2, got n={TOO_LARGE}, d=3", id="genus-formula"),
+                 f"level must be >= 2, got {TOO_LARGE}", id="genus-formula"),
     pytest.param(lambda: hurwitz_bound(-H), CurveDataError,
                  f"Hurwitz bound needs genus >= 2, got {TOO_LARGE}", id="hurwitz-bound"),
     pytest.param(lambda: full_group_order(-H, ReducedGroup("Cm", 2)), LevelError,
@@ -152,12 +154,30 @@ def test_make_curve_typed_errors():
                  f"degree must be an int, got {TOO_LARGE}", id="form-degree-type"),
     pytest.param(lambda: hurwitz_bound([H]), TypeError,
                  f"genus g must be an int, got {TOO_LARGE}", id="hurwitz-bound-type"),
+    # an exact function returns no float, and a level, degree or order of the
+    # wrong type is named at the entry, not met by the first operation on it
+    pytest.param(lambda: full_group_order(2.0, ReducedGroup("A5")), TypeError,
+                 "level n must be an int, got 2.0", id="full-group-order-type"),
+    pytest.param(lambda: make_curve(2.0, poly(1, 0, 1)), TypeError,
+                 "level n must be an int, got 2.0", id="make-curve-type"),
+    pytest.param(lambda: make_curve("2", poly(1, 0, 1)), TypeError,
+                 "level n must be an int, got '2'", id="make-curve-str"),
+    pytest.param(lambda: genus_formula(2.0, 5), TypeError,
+                 "level n must be an int, got 2.0", id="genus-formula-type"),
+    pytest.param(lambda: genus_formula(2, 5.0), TypeError,
+                 "degree d must be an int, got 5.0", id="genus-formula-degree-type"),
+    pytest.param(lambda: homogenize(poly(1, 0, 1), 2.0), TypeError,
+                 "degree must be an int, got 2.0", id="homogenize-type"),
+    pytest.param(lambda: partial_derivative(make_form(2, [1, 0, 1]), "X", 1.0), TypeError,
+                 "order must be an int, got 1.0", id="derivative-order-type"),
+    pytest.param(lambda: genus_formula(True, 5), LevelError, "level must be >= 2, got True",
+                 id="genus-formula-bool"),
 ])
 def test_precondition_errors_are_typed(call, error, message):
     """Each precondition of curves, forms, transvection, scalars and catalog
     rows raises a SeacurvesError subclass (a TypeError for a Scalar built
-    from a value of no numeric type, and for a form's degree, a genus or a
-    transvection order that is not an int); the messages are those of the untyped
+    from a value of no numeric type, and for an integer parameter that is
+    not an int, a bool counting as one); the messages are those of the untyped
     raises they replace, with an int past the digit limit printed as
     "(too large to print)" whatever its size."""
     with pytest.raises(error) as exc:

@@ -143,8 +143,22 @@ def squarefree_cases(draw):
     return draw(polys(disc, 1))
 
 
+I = Scalar(0, 1, -1)
+
+
+def square_times(h, k):
+    """h^2 k for ascending coefficient lists h and k."""
+    h, k = UnivariatePoly(h), UnivariatePoly(k)
+    return h * h * k
+
+
 @given(squarefree_cases())
 @settings(max_examples=200, deadline=None)
+# Gaussian inputs with a repeated root, whatever the draw: a wrong root of -1
+# modulo the primes P = 5 mod 8 certifies each of them as squarefree
+@example(square_times([-I, 1], [3, 1]))
+@example(square_times([-1 - 2 * I, 1], [-I, 1]))
+@example(square_times([1, I, 1], [1]))
 def test_squarefree_certificate_matches_discriminant(p):
     expected = not discriminant(p).is_zero
     assert ref_poly_is_squarefree(to_model(p)) == expected

@@ -1,5 +1,7 @@
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -150,3 +152,12 @@ def test_printing_past_the_digit_limit_is_a_typed_error():
         with pytest.raises(OutputTooLargeError, match=f"exceeds {limit} digits"):
             str(big)
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_interpreter_floor_has_the_digit_limit():
+    """Every numeral bound in ``scalars`` reads ``sys.get_int_max_str_digits``,
+    which first shipped in Python 3.10.7: on an older interpreter nothing is
+    refused, so the package declares 3.10.7 as its floor."""
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text("utf-8")
+    floor = re.search(r'^requires-python = ">=([0-9.]+)"$', pyproject, re.MULTILINE)
+    assert tuple(map(int, floor.group(1).split("."))) >= (3, 10, 7)

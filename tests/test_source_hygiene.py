@@ -21,7 +21,10 @@ A rational coefficient vector meets Q(sqrt D) with a zero radical part,
 site that joins fields.  A Scalar's parts, the attributes ``_den``, ``_a``
 and ``_b``, are read in ``scalars`` and ``forms`` only, the kernel that
 holds the cleared values.  The CLI has one writer: no ``print`` call and no
-``sys.stdout`` or ``sys.stderr`` appears outside ``cli.main``.
+``sys.stdout`` or ``sys.stderr`` appears outside ``cli.main``.  An input rule
+has one home: only ``scalars._require_int`` raises a ``TypeError`` when a
+value is not an int, and the placeholder for an unprintable number is
+written once in ``src/``.
 
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
@@ -297,6 +300,35 @@ def test_only_cli_main_writes_to_the_streams():
     writers = {(_module_name(p), func) for p in MODULES
                for func, _ in _sites(_tree(p), _writes_a_stream)}
     assert writers == {("cli", "main")}
+
+
+def _is_int_check(node: ast.AST) -> bool:
+    """``if not isinstance(x, int): raise TypeError(...)``."""
+    if not (isinstance(node, ast.If) and isinstance(node.test, ast.UnaryOp)
+            and isinstance(node.test.op, ast.Not) and isinstance(node.test.operand, ast.Call)):
+        return False
+    call = node.test.operand
+    return (_callee(call) == "isinstance" and len(call.args) == 2
+            and isinstance(call.args[1], ast.Name) and call.args[1].id == "int"
+            and any(isinstance(stmt, ast.Raise) and isinstance(stmt.exc, ast.Call)
+                    and _callee(stmt.exc) == "TypeError" for stmt in node.body))
+
+
+def test_integer_parameters_have_one_check():
+    """Every integer parameter of the API is checked by one function, so the
+    rule (a bool counts) and the message have one statement."""
+    checks = [(_module_name(p), func) for p in MODULES
+              for func, _ in _sites(_tree(p), _is_int_check)]
+    assert checks == [("scalars", "_require_int")]
+
+
+def test_unprintable_placeholder_is_written_once():
+    """Every message names a number past the digit limit by the one
+    placeholder, ``scalars._TOO_LARGE``, read through ``_int_str`` or
+    ``_repr_str``."""
+    homes = [(_module_name(p), p.read_text("utf-8").count("(too large to print)"))
+             for p in MODULES]
+    assert [(mod, n) for mod, n in homes if n] == [("scalars", 1)]
 
 
 def test_each_reference_is_defined_once():

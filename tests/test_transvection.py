@@ -110,7 +110,7 @@ def test_zero_form_inputs():
     assert transvect(z, f, 2).degree == 4
 
 
-def test_generic_path_agrees_with_fast_path():
+def test_bilinear_over_sqrt_minus_3():
     # scaling both inputs by sqrt(-3) puts their coefficients in Q(sqrt -3);
     # bilinearity pins that output against the same forms' rational output
     rng = random.Random(31)
