@@ -36,6 +36,7 @@ from ..curves import (
     hurwitz_bound,
     make_curve,
 )
+from ..forms import DegreeError
 from ..scalars import SeacurvesError, _int_str, _repr_str
 from .templates import EquationTemplate, TemplateParamError, _numeral_key, parse_template
 
@@ -312,7 +313,10 @@ def verify_record(record: FamilyRecord) -> RowReport:
 
     if record.template is not None:
         deg = record.template.degree
-        got = genus_formula(record.n, deg) if deg >= 2 else "undefined (deg f < 2)"
+        try:
+            got = genus_formula(record.n, deg)
+        except DegreeError:
+            got = "undefined (deg f < 2)"
         checks["genus"] = CheckResult(
             got == record.genus,
             f"genus_formula({record.n}, {deg}) = {_int_str(got)}, cataloged {record.genus}",
@@ -417,27 +421,55 @@ def _specializes(a: FamilyRecord, b: FamilyRecord, sets: dict) -> bool:
     templates (the f1 rows) from absorbing freer families: a specialization
     can never have more parameters than the family it sits inside.
     """
+    if a.n != b.n or a.delta > b.delta:
+        return False
     (keys_a, _, items_a), (keys_b, fixed_b, _) = sets[a.id], sets[b.id]
-    return a.n == b.n and a.delta <= b.delta and keys_a <= keys_b and fixed_b <= items_a
+    return keys_a <= keys_b and fixed_b <= items_a
 
 
 def inclusions(catalog: Catalog, genus: int) -> list[tuple[str, str]]:
     """Directed edges A -> B: A's family is a syntactic specialization of B's.
 
     Reflexive edges and pairs that specialize each other are omitted, and
-    the transitive reduction is returned, sorted for determinism.
+    the transitive reduction is returned, sorted for determinism.  Rows of
+    different levels never specialize, so the rows are grouped by level n
+    and :func:`_specializes` runs only within a level; the edges of a level
+    are bitsets over its rows' positions.
     """
     records = [r for r in catalog.query(genus=genus) if r.template is not None]
     sets = {r.id: r.template._support_sets for r in records}
-    above = {a.id: {b.id for b in records if a.id != b.id and _specializes(a, b, sets)}
-             for a in records}
-    # templates that specialize each other (equal supports, as g6-c8-5 and
-    # g6-c18-1, both x*(x^4 - 1)) would make a cycle: such pairs get no edge
-    above = {x: {y for y in ys if x not in above[y]} for x, ys in above.items()}
-    # _specializes is transitive and so is what is left of it, so an edge
-    # is implied by the others exactly when it factors through a third row
-    return sorted((x, y) for x, ys in above.items()
-                  for y in ys - set().union(*(above[z] for z in ys)))
+    levels = {}
+    for r in records:
+        levels.setdefault(r.n, []).append(r)
+    edges = []
+    for rows in levels.values():
+        above, below = [0] * len(rows), [0] * len(rows)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                if i != j and _specializes(a, b, sets):
+                    above[i] |= 1 << j
+                    below[j] |= 1 << i
+        # templates that specialize each other (equal supports, as g6-c8-5
+        # and g6-c18-1, both x*(x^4 - 1)) would make a cycle: such pairs get
+        # no edge
+        above = [up & ~down for up, down in zip(above, below)]
+        # _specializes is transitive and so is what is left of it, so an
+        # edge is implied by the others exactly when it factors through a
+        # third row
+        for i, up in enumerate(above):
+            implied = 0
+            for j in _bits(up):
+                implied |= above[j]
+            edges += [(rows[i].id, rows[j].id) for j in _bits(up & ~implied)]
+    return sorted(edges)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # -- export -------------------------------------------------------------------------

@@ -13,6 +13,16 @@ The string grammar round-trips bit-exactly: ``parse_template(t.to_string())``
 reproduces the template, and ``to_string`` output is canonical (terms sorted
 by descending exponent, single spaces around + and -, none around *).
 
+Arithmetic runs on the integer kernel of :mod:`seacurves.forms`.  Each
+template builds, on first use, one cleared form: per factor, its constants
+cleared by ``forms._clear`` into an integer scale and ``(exp, param, A, B)``
+terms, each constant being (A + B*sqrt(D)) / scale.
+:meth:`EquationTemplate.expand` clears the parameter values once, builds
+one integer vector per factor and multiplies them by
+``forms._pair_product``, making the product canonical once;
+:meth:`EquationTemplate.symbolic` accumulates integers per exponent and
+monomial and builds a Scalar only for each entry that survives.
+
 Parsing shares its splitter, sign folding and numeral parser with
 :func:`~seacurves.scalars.parse_scalar`, and coefficients are scalar text;
 every :class:`~seacurves.scalars.ScalarParseError` becomes a
@@ -26,11 +36,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
-from ..forms import (MAX_DEGREE, UnivariatePoly, _const_to_string, _join_coeff_field, _join_terms,
-                     _power, _scal, _term, poly_to_string)
+from ..forms import (MAX_DEGREE, UnivariatePoly, _clear, _const_to_string, _join_coeff_field,
+                     _join_terms, _lift, _pair_product, _power, _scal, _term, poly_to_string)
 from ..scalars import (ONE, ZERO, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
-                       _int_str, _parse_int, _repr_str, _split_top, _strip_sign, parse_scalar)
+                       _int_str, _join_field, _mul, _parse_int, _repr_str, _scalar, _split_top,
+                       _strip_sign, parse_scalar)
 
 __all__ = [
     "EquationTemplate",
@@ -166,29 +178,84 @@ class EquationTemplate:
     def degree(self) -> int:
         return sum(f.degree for f in self.factors)
 
+    @cached_property
+    def _names(self) -> frozenset:
+        """The parameter names, apart from the cleared form: verification
+        reads them without clearing any constant."""
+        return frozenset(t.param for f in self.factors for t in f.all_terms() if t.param)
+
+    @cached_property
+    def _form(self) -> tuple:
+        """The cleared form that :meth:`expand` and :meth:`symbolic` read:
+        ``(disc, factors)``, with disc the field of the constants and per
+        factor ``(scale, count, terms)``: its number of terms and the
+        ``(exp, param, A, B)`` of each nonzero term in the factor's order,
+        the leading term first, its constant being (A + B*sqrt(disc)) / scale.
+        Each factor's constants are cleared once, by one ``_clear`` call."""
+        disc, factors = 0, []
+        for factor in self.factors:
+            terms = factor.all_terms()
+            scale, a, b, fdisc = _clear([t.const for t in terms])
+            disc = _join_field(disc, fdisc)
+            factors.append((scale, len(terms), tuple(
+                (t.exp, t.param, x, y) for t, x, y in zip(terms, a, b or repeat(0)) if x or y)))
+        return disc, tuple(factors)
+
     def param_names(self) -> tuple[str, ...]:
-        names = {t.param for factor in self.factors for t in factor.all_terms() if t.param}
-        return tuple(sorted(names, key=lambda name: _numeral_key(name[1:])))
+        return tuple(sorted(self._names, key=lambda name: _numeral_key(name[1:])))
 
     def expand(self, params: dict | None = None) -> UnivariatePoly:
-        """Substitute parameter values and multiply out, exactly."""
-        params = {k: _scal(v) for k, v in (params or {}).items()}
-        wanted = set(self.param_names())
-        given = set(params)
-        if wanted != given:
-            missing = sorted(wanted - given)
-            extra = sorted(given - wanted)
+        """Substitute parameter values and multiply out, exactly.
+
+        The values are cleared by one ``_clear`` call; each factor becomes
+        one integer vector, over its scale times the values' denominator, and
+        the vectors are multiplied by ``_pair_product`` and made canonical
+        once.
+        """
+        values = {k: _scal(v) for k, v in (params or {}).items()}
+        names = self._names
+        if names != values.keys():
+            missing = sorted(names - values.keys())
+            extra = sorted(values.keys() - names)
             raise TemplateParamError(
                 f"parameter mismatch: missing {missing}, unexpected {extra}"
             )
-        poly = UnivariatePoly((ONE,))
-        for factor in self.factors:
-            coeffs = [ZERO] * (factor.degree + 1)
-            for term in factor.all_terms():
-                value = term.const if term.param is None else term.const * params[term.param]
-                coeffs[term.exp] = value  # _validate made the exponents distinct
-            poly = poly * UnivariatePoly(coeffs)
-        return poly
+        disc, factors = self._form
+        if len({disc, *(v.disc for v in values.values())} - {0}) > 1:
+            disc = self._joint_field(values)
+            values = {k: v if v.disc in (0, disc) else ZERO for k, v in values.items()}
+        cleared = _clear(list(values.values()))
+        disc = disc or cleared[3]
+        pden, (pa, pb) = cleared[0], _lift(cleared, disc)
+        value = dict(zip(values, zip(pa, pb or repeat(0))))
+        den, acc = 1, ([1], None)
+        for scale, _, terms in factors:
+            size = terms[0][0] + 1  # the leading term's exponent, the factor's degree
+            va, vb = [0] * size, [0] * size
+            for e, p, x, y in terms:
+                va[e], vb[e] = _mul((x, y), value[p], disc) if p else (x * pden, y * pden)
+            acc = _pair_product(acc, (va, vb), disc)
+            den *= scale * pden
+        return UnivariatePoly._from_vec(den, *acc, disc)
+
+    def _joint_field(self, values: dict) -> int:
+        """The one field of the product at ``values`` of several fields,
+        joined as the product is built: factor by factor, each from its
+        constant term up, so a FieldMixError names the first field met and
+        the first other one.  A value that meets only zero constants joins
+        none."""
+        consts, factors = self._form
+        disc = 0
+        for _, _, terms in factors:
+            fdisc = 0
+            for _, p, _, y in sorted(terms):
+                d = consts if y else 0
+                if p:
+                    d = _join_field(d, values[p].disc)
+                if d:
+                    fdisc = _join_field(fdisc, d)
+            disc = _join_field(disc, fdisc)
+        return disc
 
     def symbolic(self) -> dict:
         """Expanded coefficients as polynomials in the parameters, in one flat pass.
@@ -196,25 +263,31 @@ class EquationTemplate:
         Returns exp -> {monomial: Scalar} with monomial a sorted tuple of
         parameter names (with repetition).  Used by the inclusion DAG through
         :meth:`support_classification`; identically-zero coefficients are dropped.
-        A template needing over ``_MAX_PRODUCTS`` term products raises
-        :class:`TemplateError` before making them.
+        The pass accumulates integer pairs (A, B), A + B*sqrt(disc), over the
+        product of the factors' scales, and builds a Scalar for each entry that
+        survives.  A template needing over ``_MAX_PRODUCTS`` term products
+        raises :class:`TemplateError` before making them.
         """
-        acc = {(0, ()): ONE}
+        disc, factors = self._form
+        acc = {(0, ()): (1, 0)}
+        den = 1
         products = 0
-        for factor in self.factors:
-            terms = factor.all_terms()
-            products += len(acc) * len(terms)
+        for scale, count, terms in factors:
+            products += len(acc) * count
             if products > _MAX_PRODUCTS:
                 raise TemplateError(f"symbolic expansion needs over {_MAX_PRODUCTS} term products")
             new = {}
             for (e1, m1), c1 in acc.items():
-                for t in terms:
-                    key = (e1 + t.exp, tuple(sorted(m1 + (t.param,))) if t.param else m1)
-                    new[key] = new.get(key, ZERO) + c1 * t.const
-            acc = {key: c for key, c in new.items() if not c.is_zero}
+                for e2, p, x, y in terms:
+                    key = (e1 + e2, tuple(sorted(m1 + (p,))) if p else m1)
+                    a, b = _mul(c1, (x, y), disc)
+                    old = new.get(key, (0, 0))
+                    new[key] = (old[0] + a, old[1] + b)
+            acc = {key: c for key, c in new.items() if c != (0, 0)}
+            den *= scale
         out = {}
-        for (e, mono), c in acc.items():
-            out.setdefault(e, {})[mono] = c
+        for (e, mono), (a, b) in acc.items():
+            out.setdefault(e, {})[mono] = _scalar(den, a, b, disc)
         return out
 
     @cached_property

@@ -444,8 +444,11 @@ def moebius_act(M: Matrix2, f: BinaryForm) -> BinaryForm:
       so result coefficient i is R_(n-i) / d^i, an exact division
       (:func:`seacurves.scalars._quo`).
 
-    The result is over the denominator den(f) * e^n.
+    The result is over the denominator den(f) * e^n.  An M that is not a
+    :class:`Matrix2` is a TypeError naming it.
     """
+    if not isinstance(M, Matrix2):
+        raise TypeError(f"matrix M must be a Matrix2, got {_repr_str(M)}")
     e, ma, mb, mdisc = _clear((M.a, M.b, M.c, M.d))
     a, b, c, d = zip(ma, mb or repeat(0))
     ad, bc = _mul(a, d, mdisc), _mul(b, c, mdisc)

@@ -23,7 +23,7 @@ the absolute invariants (:mod:`seacurves.invariants`), each side of which
 is a ``_power_product`` of Scalars.  Only this module and
 :mod:`seacurves.forms` read a Scalar's parts.  A Fraction is accepted as
 input, and built only by the read-only views :attr:`Scalar.a` and
-:attr:`Scalar.b` and by the hash of a rational.
+:attr:`Scalar.b` and by the hash of a rational that is not an integer.
 
 :func:`parse_scalar` reads the text :meth:`Scalar.__str__` writes, and is
 the only way from text to a Scalar: the constructor takes no strings.  Its
@@ -306,9 +306,10 @@ class Scalar:
                      and x._b == y._b and x.disc == y.disc)
 
     def __hash__(self):
-        if self.disc == 0:
-            return hash(Fraction(self._a, self._den))
-        return hash((self._den, self._a, self._b, self.disc))
+        if self.disc:
+            return hash((self._den, self._a, self._b, self.disc))
+        # an integer's hash, the int's, equals its Fraction's by Python's numeric hash rule
+        return hash(self._a) if self._den == 1 else hash(Fraction(self._a, self._den))
 
     def __bool__(self):
         return not self.is_zero

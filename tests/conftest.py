@@ -81,3 +81,21 @@ def invertible_matrix(rng: random.Random, height: int = 5) -> Matrix2:
         m = Matrix2(*(rand_rational(rng, height) for _ in range(4)))
         if not m.det().is_zero:
             return m
+
+
+def folded_rows(copies: int, seed: int | None = None) -> list:
+    """The packaged table's JSON rows repeated ``copies`` times, each copy
+    with a fresh id: the row's id followed by the copy index, written at one
+    width so that no two ids meet.  With a seed, each row's copies get their
+    indices in random order and the rows are shuffled."""
+    rng = random.Random(seed)
+    width = len(str(copies - 1))
+    out = []
+    for row in (r.to_json() for r in packaged_catalog()):
+        order = list(range(copies))
+        if seed is not None:
+            rng.shuffle(order)
+        out += [{**row, "id": f"{row['id']}{c:0{width}d}"} for c in order]
+    if seed is not None:
+        rng.shuffle(out)
+    return out

@@ -10,7 +10,8 @@ this model; it is not kept as a second copy.
 - Scalars: :class:`RefScalar`, a + b*sqrt(D) for rationals a and b.
 - Forms and polynomials: tuples of model scalars, ascending in the power of
   X (or x); a form of degree d has d + 1 entries, a polynomial no trailing
-  zero (the zero polynomial is ``()``).  Schoolbook products, partial
+  zero (the zero polynomial is ``()``).  Schoolbook products, a template
+  expanded factor by factor at given parameter values, partial
   derivatives one order per pass, and the transvectant from its
   partial-derivative definition (Olver, *Classical Invariant Theory*, 1999,
   ch. 5).
@@ -209,6 +210,20 @@ def ref_product(u, v) -> tuple:
                 if y:
                     out[i + j] = out[i + j] + x * y
     return tuple(out)
+
+
+def ref_expand(template, values: dict) -> tuple:
+    """A template's polynomial at model parameter values: each value
+    substituted into each factor's terms, read through ``all_terms``, and
+    the factors multiplied by :func:`ref_product`."""
+    product = (ONE,)
+    for factor in template.factors:
+        coeffs = [ZERO] * (factor.degree + 1)
+        for t in factor.all_terms():
+            c = to_model(t.const)
+            coeffs[t.exp] = c if t.param is None else c * values[t.param]
+        product = ref_product(product, tuple(coeffs))
+    return product
 
 
 def ref_partial(f, var: str) -> tuple:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import packaged_catalog, spy
+from conftest import folded_rows, packaged_catalog, spy
 from seacurves import catalog as catalog_mod
 from seacurves import forms
 from seacurves.catalog import (
@@ -558,6 +558,30 @@ def _path_reduced_inclusions(catalog, genus):
 def test_inclusions_match_path_reduction(catalog):
     for genus in range(5, 11):
         assert inclusions(catalog, genus) == _path_reduced_inclusions(catalog, genus)
+
+
+@pytest.mark.parametrize("copies,seed", [(2, None), (4, 7)], ids=["2-fold", "4-fold-shuffled"])
+def test_inclusions_match_path_reduction_on_folded_catalogs(copies, seed):
+    """Every copy of a row specializes every other copy of it, so a folded
+    file puts mutual pairs across copies, and each copy of a row gets an
+    edge to every copy of each family above it."""
+    folded = Catalog(FamilyRecord.from_json(row) for row in folded_rows(copies, seed))
+    assert len(folded) == 210 * copies
+    for genus in range(5, 11):
+        assert inclusions(folded, genus) == _path_reduced_inclusions(folded, genus)
+
+
+def test_inclusions_compare_rows_only_within_a_level(catalog, monkeypatch):
+    """Rows of different levels never specialize, so the pair test runs on
+    each ordered pair of distinct rows of one level and on no other."""
+    calls = spy(monkeypatch, catalog_mod, "_specializes")
+    inclusions(catalog, 10)
+    levels = {}
+    for r in catalog.query(genus=10):
+        if r.template is not None:
+            levels[r.n] = levels.get(r.n, 0) + 1
+    assert all(a.n == b.n and a is not b for a, b, _ in calls)
+    assert len(calls) == sum(k * (k - 1) for k in levels.values()) == 778
 
 
 def test_inclusions_drop_mutual_specializations(catalog):

@@ -148,6 +148,23 @@ def test_specialize_at_numeral_limit(capsys):
     assert code == 0 and doc["genus"] == 10
 
 
+def test_inclusions_on_a_16_fold_catalog(capsys, tmp_path, monkeypatch):
+    """The packaged table repeated 16 times with fresh ids (3360 rows, 880 of
+    genus 10): each copy of a row gets an edge to each copy of every family
+    its row has an edge to, and none to another copy of itself."""
+    from conftest import folded_rows, packaged_catalog
+    from seacurves.catalog import inclusions
+
+    path = tmp_path / "folded.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in folded_rows(16)), encoding="utf-8")
+    monkeypatch.setenv("SEA_CATALOG", str(path))
+    code, doc, _ = _timed(capsys, "catalog", "inclusions", "--genus", "10")
+    copies = [f"{c:02d}" for c in range(16)]
+    edges = inclusions(packaged_catalog(), 10)
+    assert code == 0
+    assert doc["edges"] == sorted([a + c, b + d] for a, b in edges for c in copies for d in copies)
+
+
 def test_isomorphic_at_numeral_limit(capsys):
     """Two sextics with 4000-digit coefficients, and one against its negation."""
     f1, f2 = (",".join(_numerals(seed, 7)) for seed in (61, 62))

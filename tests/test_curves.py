@@ -21,7 +21,7 @@ from seacurves.curves import (
     rh_residual,
 )
 from seacurves.forms import (BinaryForm, DegreeError, UnivariatePoly, homogenize, make_form,
-                             partial_derivative)
+                             moebius_act, partial_derivative)
 from seacurves.scalars import (ZERO, DivisionByZeroError, RadicandError, Scalar,
                                SeacurvesError, rational)
 from seacurves.transvection import TransvectionError, transvect
@@ -172,12 +172,15 @@ def test_make_curve_typed_errors():
                  "order must be an int, got 1.0", id="derivative-order-type"),
     pytest.param(lambda: genus_formula(True, 5), LevelError, "level must be >= 2, got True",
                  id="genus-formula-bool"),
+    pytest.param(lambda: moebius_act((1, 0, 0, 1), make_form(2, [1, 0, 1])), TypeError,
+                 "matrix M must be a Matrix2, got (1, 0, 0, 1)", id="moebius-matrix-type"),
 ])
 def test_precondition_errors_are_typed(call, error, message):
     """Each precondition of curves, forms, transvection, scalars and catalog
     rows raises a SeacurvesError subclass (a TypeError for a Scalar built
-    from a value of no numeric type, and for an integer parameter that is
-    not an int, a bool counting as one); the messages are those of the untyped
+    from a value of no numeric type, for an integer parameter that is not
+    an int, a bool counting as one, and for a matrix that is not a
+    Matrix2); the messages are those of the untyped
     raises they replace, with an int past the digit limit printed as
     "(too large to print)" whatever its size."""
     with pytest.raises(error) as exc:

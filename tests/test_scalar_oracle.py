@@ -128,6 +128,15 @@ def test_hash_of_denominators_at_the_hash_modulus():
             == hash(RefScalar(num) / den)
 
 
+def test_hash_of_an_integer_is_the_ints():
+    """An integral Scalar hashes as its int, which equals the Fraction's hash
+    by Python's numeric hash rule, at the hash modulus and far past it."""
+    p = sys.hash_info.modulus  # 2^61 - 1 on 64-bit builds
+    big = int("7" * 4000)
+    for n in (0, 1, -1, 2, -2, p, -p, big, -big):
+        assert hash(scalars.Scalar(n)) == hash(n) == hash(Fraction(n))
+
+
 def test_fields_do_not_mix():
     x, X = scalars.sqrt_ext(1, -3), RefScalar(0, 1, -3)
     y, Y = scalars.sqrt_ext(2, 5), RefScalar(0, 2, 5)
