@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
+from math import lcm
 
 from ..forms import (MAX_DEGREE, UnivariatePoly, _clear, _const_to_string, _join_coeff_field,
                      _join_terms, _lift, _pair_product, _power, _scal, _term, poly_to_string)
-from ..scalars import (ONE, ZERO, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
+from ..scalars import (ONE, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
                        _int_str, _join_field, _mul, _parse_int, _repr_str, _scalar, _split_top,
                        _strip_sign, parse_scalar)
 
@@ -210,7 +211,8 @@ class EquationTemplate:
         The values are cleared by one ``_clear`` call; each factor becomes
         one integer vector, over its scale times the values' denominator, and
         the vectors are multiplied by ``_pair_product`` and made canonical
-        once.
+        once.  Values of a field other than the template's go through
+        :meth:`_expand_mixed`.
         """
         values = {k: _scal(v) for k, v in (params or {}).items()}
         names = self._names
@@ -222,8 +224,7 @@ class EquationTemplate:
             )
         disc, factors = self._form
         if len({disc, *(v.disc for v in values.values())} - {0}) > 1:
-            disc = self._joint_field(values)
-            values = {k: v if v.disc in (0, disc) else ZERO for k, v in values.items()}
+            return self._expand_mixed(values)
         cleared = _clear(list(values.values()))
         disc = disc or cleared[3]
         pden, (pa, pb) = cleared[0], _lift(cleared, disc)
@@ -238,24 +239,34 @@ class EquationTemplate:
             den *= scale * pden
         return UnivariatePoly._from_vec(den, *acc, disc)
 
-    def _joint_field(self, values: dict) -> int:
-        """The one field of the product at ``values`` of several fields,
-        joined as the product is built: factor by factor, each from its
-        constant term up, so a FieldMixError names the first field met and
-        the first other one.  A value that meets only zero constants joins
-        none."""
-        consts, factors = self._form
-        disc = 0
-        for _, _, terms in factors:
-            fdisc = 0
-            for _, p, _, y in sorted(terms):
-                d = consts if y else 0
+    def _expand_mixed(self, values: dict) -> UnivariatePoly:
+        """:meth:`expand` at values of more than one field.
+
+        Fields join as the product is built, the way Scalar arithmetic joins
+        them: each constant with its value, then a factor's coefficients from
+        x^0 up, then the product so far with the factor; a product whose
+        radical part cancels is rational.  So a FieldMixError names the first
+        field met and the first other one, and (x^2 - 5)*(x + a1) expands at
+        a1 = sqrt(-3).  Each factor is one integer vector over its own field,
+        and the factors are multiplied as polynomials.
+        """
+        disc, factors = self._form
+        cleared = {k: _clear([v]) for k, v in values.items()}
+        poly = UnivariatePoly._from_vec(1, [1], None, 0)
+        for scale, _, terms in factors:
+            den = scale * lcm(*(cleared[p][0] for _, p, _, _ in terms if p))
+            size = terms[0][0] + 1
+            va, vb, fields = [0] * size, [0] * size, [0] * size
+            for e, p, x, y in terms:
+                c, d, pden = (x, y), disc if y else 0, 1
                 if p:
-                    d = _join_field(d, values[p].disc)
-                if d:
-                    fdisc = _join_field(fdisc, d)
-            disc = _join_field(disc, fdisc)
-        return disc
+                    pden, (a,), b, vdisc = cleared[p]
+                    d = _join_field(d, vdisc)
+                    c = _mul(c, (a, b[0] if b else 0), d)
+                k = den // (scale * pden)
+                va[e], vb[e], fields[e] = c[0] * k, c[1] * k, d if c[1] else 0
+            poly = poly * UnivariatePoly._from_vec(den, va, vb, reduce(_join_field, fields, 0))
+        return poly
 
     def symbolic(self) -> dict:
         """Expanded coefficients as polynomials in the parameters, in one flat pass.

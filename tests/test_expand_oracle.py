@@ -7,11 +7,13 @@ factor and multiplies the vectors (``forms._pair_product``); the model,
 ``ref_product``.  Templates are drawn over Q, Q(sqrt -3) and Q(sqrt 5),
 with sum blocks, zero constants, radical multiples of a parameter and
 parameters shared between factors; values have denominators, and radicals
-of the template's field (of any one field over Q).  A value from another
-field raises FieldMixError naming both fields; the fixed cases pin which
-one the message names first: the first field met, factor by factor, each
-factor from its constant term up.
-"""
+of the template's field (of any one field over Q).  Values of two fields
+join as the product is built: a value from another field that must meet a
+radical constant raises FieldMixError naming both fields, and a product
+whose radical part cancels is rational, so a later factor may bring another
+field.  The fixed cases pin which field the message names first (the first
+field met, factor by factor, each factor from its constant term up) and
+products that cancel, catalog row g5-c4-1 among them."""
 
 from fractions import Fraction
 
@@ -20,8 +22,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import ref_expand, to_model
-from seacurves.catalog.templates import EquationTemplate, Factor, SumBlock, Term, parse_template
-from seacurves.scalars import FieldMixError, Scalar, parse_scalar
+from seacurves.catalog.templates import (EquationTemplate, Factor, SumBlock, Term, parse_poly_string,
+                                        parse_template)
+from seacurves.scalars import ONE, FieldMixError, Scalar, parse_scalar
 
 _RATS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
 _NAMES = ("a1", "a2", "a3")
@@ -70,19 +73,27 @@ def test_expand_matches_the_model(case):
     assert to_model(template.expand(values)) == ref_expand(template, to_model(values))
 
 
-def _meets_a_nonzero_constant(template, name: str) -> bool:
-    return any(t.param == name and not t.const.is_zero
-               for f in template.factors for t in f.all_terms())
+def _must_clash(template, name: str) -> bool:
+    """Whether a value of another field named name meets a radical constant
+    in its own factor: it multiplies one, or a nonzero constant in a factor
+    with a radical constant term."""
+    for factor in template.factors:
+        terms = factor.all_terms()
+        radical = any(t.const.disc for t in terms if t.param is None)
+        if any(t.param == name and not t.const.is_zero and (radical or t.const.disc)
+               for t in terms):
+            return True
+    return False
 
 
 @settings(max_examples=60, deadline=None)
 @given(_cases(discs=(-3, 5)), st.data())
 def test_a_value_from_another_field_is_refused(case, data):
-    """A template over Q(sqrt D) with a radical constant, and one value over
-    the other extension where it multiplies a nonzero constant."""
+    """A template over Q(sqrt D), and one value over the other extension
+    where it meets a radical constant within a factor."""
     template, disc, values = case
-    names = [n for n in values if _meets_a_nonzero_constant(template, n)]
-    assume(names and any(t.const.disc for f in template.factors for t in f.all_terms()))
+    names = [n for n in values if _must_clash(template, n)]
+    assume(names)
     other = 5 if disc == -3 else -3
     values[data.draw(st.sampled_from(names))] = Scalar(data.draw(_RATS), 1, other)
     with pytest.raises(FieldMixError) as exc:
@@ -110,6 +121,9 @@ _MIXED = {
                     "cannot mix sqrt(-3) and sqrt(5)"),
     "two-values": ("(x + a2)*(x^2 + a1*x + 1)", {"a1": "sqrt(-3)", "a2": "2*sqrt(5)"},
                    "cannot mix sqrt(5) and sqrt(-3)"),
+    # (x + sqrt(5))*(x + sqrt(-3)) is met before sqrt(5) cancels
+    "cancels-too-late": ("(x + sqrt(5))*(x + a1)*(x - sqrt(5))", {"a1": "sqrt(-3)"},
+                         "cannot mix sqrt(5) and sqrt(-3)"),
 }
 
 
@@ -119,6 +133,59 @@ def test_mixed_fields_name_the_first_field_met(text, params, message):
     with pytest.raises(FieldMixError) as exc:
         parse_template(text).expand(values)
     assert str(exc.value) == message
+
+
+def test_a_radical_multiple_meets_its_value_after_its_constant():
+    """sqrt(5)*a1, built directly (the grammar writes rational multiples of
+    a parameter only): the constant's field is named first, and at
+    a1 = sqrt(5) the coefficient is rational, so the factor's other
+    coefficients may lie in Q(sqrt -3)."""
+    t = EquationTemplate([Factor((Term(ONE, None, 2), Term(Scalar(0, 1, 5), "a1", 1),
+                                  Term(ONE, "a2", 0)))])
+    with pytest.raises(FieldMixError) as exc:
+        t.expand({"a1": Scalar(0, 1, -3), "a2": ONE})
+    assert str(exc.value) == "cannot mix sqrt(5) and sqrt(-3)"
+    assert t.expand({"a1": Scalar(0, 1, 5), "a2": Scalar(0, 1, -3)}) == \
+        parse_poly_string("x^2 + 5*x + sqrt(-3)")
+
+
+_CANCELS = {
+    # the first two factors multiply to x^8 - 3*x^4 + 1
+    "g5-c4-1": ("(x^4 + a1*x^2 + 1)*(x^4 + a2*x^2 + 1)*(x^4 + a3*x^2 + 1)",
+                {"a1": "sqrt(5)", "a2": "-sqrt(5)", "a3": "sqrt(-3)"},
+                "(x^8 - 3*x^4 + 1)*(x^4 + sqrt(-3)*x^2 + 1)"),
+    "constant-factors": ("(x + sqrt(5))*(x - sqrt(5))*(x + a1)", {"a1": "sqrt(-3)"},
+                         "(x^2 - 5)*(x + sqrt(-3))"),
+    "denominators": ("(x + sqrt(5))*(x - sqrt(5))*(x^2 + a1*x + a2)",
+                     {"a1": "1/3", "a2": "sqrt(-3)"}, "(x^2 - 5)*(x^2 + 1/3*x + sqrt(-3))"),
+}
+
+
+@pytest.mark.parametrize("text,params,expected", _CANCELS.values(), ids=_CANCELS.keys())
+def test_a_product_whose_radical_cancels_is_rational(text, params, expected):
+    values = {name: parse_scalar(v) for name, v in params.items()}
+    assert parse_template(text).expand(values) == parse_poly_string(expected)
+
+
+_TWO_FIELDS = st.sampled_from([
+    Scalar(0, 1, 5), Scalar(0, -1, 5), Scalar(1, 1, 5), Scalar(1, -1, 5), Scalar(0, Fraction(1, 2), 5),
+    Scalar(0, Fraction(-1, 2), 5), Scalar(0, 1, -3), Scalar(0, -1, -3), Scalar(Fraction(1, 3), 1, -3),
+    Scalar(Fraction(1, 3), -1, -3), Scalar(2), Scalar(Fraction(1, 2)), Scalar(0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases(), st.data())
+def test_values_of_two_fields_expand_as_the_model(case, data):
+    """Values of Q(sqrt 5) and Q(sqrt -3), conjugates among them: where
+    ``expand`` does not raise FieldMixError it gives the model's polynomial
+    (so where the model raises, it raises)."""
+    template, _, values = case
+    values = {name: data.draw(_TWO_FIELDS) for name in values}
+    try:
+        got = to_model(template.expand(values))
+    except FieldMixError:
+        return
+    assert got == ref_expand(template, to_model(values))
 
 
 def test_a_value_that_meets_only_zero_constants_joins_no_field():
