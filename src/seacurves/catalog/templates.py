@@ -211,8 +211,8 @@ class EquationTemplate:
         The values are cleared by one ``_clear`` call; each factor becomes
         one integer vector, over its scale times the values' denominator, and
         the vectors are multiplied by ``_pair_product`` and made canonical
-        once.  Values of a field other than the template's go through
-        :meth:`_expand_mixed`.
+        once.  Values of more than one field, the template's counted, go
+        through :meth:`_expand_mixed`.
         """
         values = {k: _scal(v) for k, v in (params or {}).items()}
         names = self._names
@@ -246,8 +246,8 @@ class EquationTemplate:
         them: each constant with its value, then a factor's coefficients from
         x^0 up, then the product so far with the factor; a product whose
         radical part cancels is rational.  So a FieldMixError names the first
-        field met and the first other one, and (x^2 - 5)*(x + a1) expands at
-        a1 = sqrt(-3).  Each factor is one integer vector over its own field,
+        field met and the first other one, and
+        (x + sqrt(5))*(x - sqrt(5))*(x + a1) expands at a1 = sqrt(-3).  Each factor is one integer vector over its own field,
         and the factors are multiplied as polynomials.
         """
         disc, factors = self._form
