@@ -17,11 +17,12 @@ Arithmetic runs on the integer kernel of :mod:`seacurves.forms`.  Each
 template builds, on first use, one cleared form: per factor, its constants
 cleared by ``forms._clear`` into an integer scale and ``(exp, param, A, B)``
 terms, each constant being (A + B*sqrt(D)) / scale.
-:meth:`EquationTemplate.expand` clears the parameter values once, builds
-one integer vector per factor and multiplies them by
-``forms._pair_product``, making the product canonical once;
-:meth:`EquationTemplate.symbolic` accumulates integers per exponent and
-monomial and builds a Scalar only for each entry that survives.
+:meth:`EquationTemplate.expand` is one pass for values of any fields: it
+clears the values over one denominator, each over its own field, builds one
+integer vector per factor, joining fields as Scalar arithmetic joins them,
+and multiplies the vectors by ``forms._pair_product``, making the product
+canonical once; :meth:`EquationTemplate.symbolic` accumulates integers per
+exponent and monomial and builds a Scalar only for each entry that survives.
 
 Parsing shares its splitter, sign folding and numeral parser with
 :func:`~seacurves.scalars.parse_scalar`, and coefficients are scalar text;
@@ -37,10 +38,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
-from math import lcm
 
-from ..forms import (MAX_DEGREE, UnivariatePoly, _clear, _const_to_string, _join_coeff_field,
-                     _join_terms, _lift, _pair_product, _power, _scal, _term, poly_to_string)
+from ..forms import (MAX_DEGREE, UnivariatePoly, _clear, _clear_each, _const_to_string,
+                     _join_coeff_field, _join_terms, _pair_product, _power, _scal, _term,
+                     poly_to_string)
 from ..scalars import (ONE, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
                        _int_str, _join_field, _mul, _parse_int, _repr_str, _scalar, _split_top,
                        _strip_sign, parse_scalar)
@@ -117,14 +118,18 @@ class Factor:
     def degree(self) -> int:
         return max(item.max_exp for item in self.items)
 
-    def all_terms(self) -> list[Term]:
-        out = []
+    @cached_property
+    def _terms(self) -> tuple:
+        # built on first read, which a template makes only after its degree
+        # check: a sum block past MAX_DEGREE is refused before it is enumerated
+        terms = []
         for item in self.items:
-            if isinstance(item, SumBlock):
-                out.extend(item.terms())
-            else:
-                out.append(item)
-        return out
+            terms += item.terms() if isinstance(item, SumBlock) else (item,)
+        return tuple(terms)
+
+    def all_terms(self) -> tuple[Term, ...]:
+        """The terms in item order, each sum block enumerated; built once."""
+        return self._terms
 
 
 # Term products one symbolic() expansion may make.  The packaged table needs at
@@ -206,13 +211,17 @@ class EquationTemplate:
         return tuple(sorted(self._names, key=lambda name: _numeral_key(name[1:])))
 
     def expand(self, params: dict | None = None) -> UnivariatePoly:
-        """Substitute parameter values and multiply out, exactly.
+        """Substitute parameter values and multiply out, exactly, in one pass.
 
-        The values are cleared by one ``_clear`` call; each factor becomes
-        one integer vector, over its scale times the values' denominator, and
+        The values are cleared over one denominator, each over its own field
+        (``forms._clear_each``); each factor becomes one integer vector, and
         the vectors are multiplied by ``_pair_product`` and made canonical
-        once.  Values of more than one field, the template's counted, go
-        through :meth:`_expand_mixed`.
+        once.  Fields join as Scalar arithmetic joins them: each constant with
+        its value, then a factor's coefficients from x^0 up, then the product
+        so far with the factor, a product whose radical part vanished being
+        rational.  So a FieldMixError names the first field met and the first
+        other one, and (x + sqrt(5))*(x - sqrt(5))*(x + a1) expands at
+        a1 = sqrt(-3).
         """
         values = {k: _scal(v) for k, v in (params or {}).items()}
         names = self._names
@@ -223,50 +232,27 @@ class EquationTemplate:
                 f"parameter mismatch: missing {missing}, unexpected {extra}"
             )
         disc, factors = self._form
-        if len({disc, *(v.disc for v in values.values())} - {0}) > 1:
-            return self._expand_mixed(values)
-        cleared = _clear(list(values.values()))
-        disc = disc or cleared[3]
-        pden, (pa, pb) = cleared[0], _lift(cleared, disc)
-        value = dict(zip(values, zip(pa, pb or repeat(0))))
-        den, acc = 1, ([1], None)
+        pden, value = _clear_each(values)
+        den, acc, field = 1, ([1], [0]), 0
         for scale, _, terms in factors:
             size = terms[0][0] + 1  # the leading term's exponent, the factor's degree
-            va, vb = [0] * size, [0] * size
-            for e, p, x, y in terms:
-                va[e], vb[e] = _mul((x, y), value[p], disc) if p else (x * pden, y * pden)
-            acc = _pair_product(acc, (va, vb), disc)
-            den *= scale * pden
-        return UnivariatePoly._from_vec(den, *acc, disc)
-
-    def _expand_mixed(self, values: dict) -> UnivariatePoly:
-        """:meth:`expand` at values of more than one field.
-
-        Fields join as the product is built, the way Scalar arithmetic joins
-        them: each constant with its value, then a factor's coefficients from
-        x^0 up, then the product so far with the factor; a product whose
-        radical part cancels is rational.  So a FieldMixError names the first
-        field met and the first other one, and
-        (x + sqrt(5))*(x - sqrt(5))*(x + a1) expands at a1 = sqrt(-3).  Each factor is one integer vector over its own field,
-        and the factors are multiplied as polynomials.
-        """
-        disc, factors = self._form
-        cleared = {k: _clear([v]) for k, v in values.items()}
-        poly = UnivariatePoly._from_vec(1, [1], None, 0)
-        for scale, _, terms in factors:
-            den = scale * lcm(*(cleared[p][0] for _, p, _, _ in terms if p))
-            size = terms[0][0] + 1
             va, vb, fields = [0] * size, [0] * size, [0] * size
             for e, p, x, y in terms:
-                c, d, pden = (x, y), disc if y else 0, 1
+                d = disc if y else 0
                 if p:
-                    pden, (a,), b, vdisc = cleared[p]
+                    a, b, vdisc = value[p]
                     d = _join_field(d, vdisc)
-                    c = _mul(c, (a, b[0] if b else 0), d)
-                k = den // (scale * pden)
-                va[e], vb[e], fields[e] = c[0] * k, c[1] * k, d if c[1] else 0
-            poly = poly * UnivariatePoly._from_vec(den, va, vb, reduce(_join_field, fields, 0))
-        return poly
+                    va[e], vb[e] = _mul((x, y), (a, b), d)
+                else:
+                    va[e], vb[e] = x * pden, y * pden
+                if vb[e]:
+                    fields[e] = d
+            fdisc = reduce(_join_field, filter(None, fields), 0)
+            # a product whose B vanished is rational, and meets any field
+            field = _join_field(field if any(acc[1]) else 0, fdisc)
+            acc = _pair_product(acc, (va, vb), field)
+            den *= scale * pden
+        return UnivariatePoly._from_vec(den, *acc, field)
 
     def symbolic(self) -> dict:
         """Expanded coefficients as polynomials in the parameters, in one flat pass.

@@ -111,6 +111,15 @@ def _clear(coeffs: Sequence[Scalar]):
     return den, a, [c._b * (den // c._den) for c in coeffs], disc
 
 
+def _clear_each(values: dict):
+    """(den, {key: (A, B, disc)}) with values[key] == (A + B*sqrt(disc)) / den:
+    den the lcm of the Scalars' denominators, each value over its own field
+    (B is 0 over Q)."""
+    den = lcm(*(v._den for v in values.values()))
+    return den, {k: (v._a * (den // v._den), v._b * (den // v._den), v.disc)
+                 for k, v in values.items()}
+
+
 def _lift(vec, disc: int):
     """The (A, B) pair of a cleared vector read over the field disc, the join
     of its own field with another: B is None over Q, and zeros for a

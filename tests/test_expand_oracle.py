@@ -124,6 +124,9 @@ _MIXED = {
     # (x + sqrt(5))*(x + sqrt(-3)) is met before sqrt(5) cancels
     "cancels-too-late": ("(x + sqrt(5))*(x + a1)*(x - sqrt(5))", {"a1": "sqrt(-3)"},
                          "cannot mix sqrt(5) and sqrt(-3)"),
+    # a rational factor keeps the product's radical: it neither cancels nor resets it
+    "across-a-rational-factor": ("(x + sqrt(5))*(x^2 + 1)*(x + a1)", {"a1": "sqrt(-3)"},
+                                 "cannot mix sqrt(5) and sqrt(-3)"),
 }
 
 
@@ -158,6 +161,9 @@ _CANCELS = {
                          "(x^2 - 5)*(x + sqrt(-3))"),
     "denominators": ("(x + sqrt(5))*(x - sqrt(5))*(x^2 + a1*x + a2)",
                      {"a1": "1/3", "a2": "sqrt(-3)"}, "(x^2 - 5)*(x^2 + 1/3*x + sqrt(-3))"),
+    # a rational factor between the cancellation and the other field
+    "rational-between": ("(x + sqrt(5))*(x - sqrt(5))*(x^2 + 1)*(x + a1)", {"a1": "sqrt(-3)"},
+                         "(x^2 - 5)*(x^2 + 1)*(x + sqrt(-3))"),
 }
 
 

@@ -24,7 +24,7 @@ holds the cleared values.  The CLI has one writer: no ``print`` call and no
 ``sys.stdout`` or ``sys.stderr`` appears outside ``cli.main``.  An input rule
 has one home: only ``scalars._require_int`` raises a ``TypeError`` when a
 value is not an int, and the placeholder for an unprintable number is
-written once in ``src/``.
+written once in ``src/``.  No line in ``src/`` is longer than 100 characters.
 
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
@@ -329,6 +329,13 @@ def test_unprintable_placeholder_is_written_once():
     homes = [(_module_name(p), p.read_text("utf-8").count("(too large to print)"))
              for p in MODULES]
     assert [(mod, n) for mod, n in homes if n] == [("scalars", 1)]
+
+
+def test_no_line_is_longer_than_100_characters():
+    long_lines = [(_module_name(p), n) for p in MODULES
+                  for n, line in enumerate(p.read_text("utf-8").splitlines(), 1)
+                  if len(line) > 100]
+    assert long_lines == []
 
 
 def test_each_reference_is_defined_once():

@@ -176,3 +176,17 @@ def test_rejects_malformed():
     for bad in ("x^2 + a1*x + 1", "x^2 + a" + "1" * 5000 + "*x + 1"):
         with pytest.raises(TemplateError):
             parse_poly_string(bad)  # parameters are not concrete
+
+
+def test_degree_is_checked_before_any_sum_block_term_is_built(monkeypatch):
+    """A sum block past MAX_DEGREE is refused from its bounds alone: its
+    terms, one per index, are never enumerated."""
+    def refuse(block):
+        raise AssertionError(f"terms of {block} built")
+
+    monkeypatch.setattr(SumBlock, "terms", refuse)
+    message = "template degree 1000000 exceeds 100"
+    with pytest.raises(TemplateError, match=message):
+        parse_template("sum(i=1..1000000, a_i*x^i) + 1")
+    with pytest.raises(TemplateError, match=message):
+        EquationTemplate([Factor((SumBlock(1, 1_000_000, 1, 0), Term(ONE, None, 0)))])
