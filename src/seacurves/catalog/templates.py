@@ -35,7 +35,7 @@ and polynomials.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import repeat
 
@@ -118,18 +118,12 @@ class Factor:
     def degree(self) -> int:
         return max(item.max_exp for item in self.items)
 
-    @cached_property
-    def _terms(self) -> tuple:
-        # built on first read, which a template makes only after its degree
-        # check: a sum block past MAX_DEGREE is refused before it is enumerated
+    def all_terms(self) -> tuple[Term, ...]:
+        """The terms in item order, each sum block enumerated."""
         terms = []
         for item in self.items:
             terms += item.terms() if isinstance(item, SumBlock) else (item,)
         return tuple(terms)
-
-    def all_terms(self) -> tuple[Term, ...]:
-        """The terms in item order, each sum block enumerated; built once."""
-        return self._terms
 
 
 # Term products one symbolic() expansion may make.  The packaged table needs at
@@ -149,46 +143,42 @@ def _numeral_key(digits: str) -> tuple[int, str]:
 class EquationTemplate:
     """Product of factors; expands to a UnivariatePoly at a parameter map.
 
-    A frozen dataclass on ``factors`` (any iterable, kept as a tuple), with
-    its support map, and the sets the inclusion pair test reads from it,
+    A frozen dataclass on ``factors`` (any iterable, kept as a tuple).
+    Construction is the one pass over the terms: it checks them and stores
+    each factor's term tuple and the parameter names; the cleared form, the
+    support map and the sets the inclusion pair test reads from it are
     cached properties.
     """
 
     factors: tuple
+    _terms: tuple = field(init=False, compare=False, repr=False)  # per factor, all_terms()
+    _names: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise TemplateError("template needs at least one factor")
-        # before _validate enumerates sum-block terms or expands anything
+        # before any sum-block term is enumerated
         if self.degree > MAX_DEGREE:
             raise TemplateError(f"template degree {_int_str(self.degree)} exceeds {MAX_DEGREE}")
-        self._validate()
-
-    def _validate(self):
-        consts = []
-        for factor in self.factors:
-            terms = factor.all_terms()
-            if len({t.exp for t in terms}) != len(terms):
+        terms = tuple(factor.all_terms() for factor in self.factors)
+        for factor, fterms in zip(self.factors, terms):
+            if len({t.exp for t in fterms}) != len(fterms):
                 raise TemplateError("duplicate exponent inside a factor")
             lead = factor.items[0]
             if not isinstance(lead, Term) or lead.param is not None or lead.const.is_zero:
                 raise TemplateError("template leading coefficient must be a nonzero constant")
-            consts += [t.const for t in terms]
         try:
-            _join_coeff_field(consts)
+            _join_coeff_field(t.const for fterms in terms for t in fterms)
         except FieldMixError as exc:
             raise TemplateError(str(exc)) from None
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_names", frozenset(
+            t.param for fterms in terms for t in fterms if t.param))
 
     @property
     def degree(self) -> int:
         return sum(f.degree for f in self.factors)
-
-    @cached_property
-    def _names(self) -> frozenset:
-        """The parameter names, apart from the cleared form: verification
-        reads them without clearing any constant."""
-        return frozenset(t.param for f in self.factors for t in f.all_terms() if t.param)
 
     @cached_property
     def _form(self) -> tuple:
@@ -199,8 +189,7 @@ class EquationTemplate:
         the leading term first, its constant being (A + B*sqrt(disc)) / scale.
         Each factor's constants are cleared once, by one ``_clear`` call."""
         disc, factors = 0, []
-        for factor in self.factors:
-            terms = factor.all_terms()
+        for terms in self._terms:
             scale, a, b, fdisc = _clear([t.const for t in terms])
             disc = _join_field(disc, fdisc)
             factors.append((scale, len(terms), tuple(
@@ -307,9 +296,8 @@ class EquationTemplate:
         product, and a one-term factor whose coefficient is not 1 or -1
         always is, so that parsing splits no factor at its * or +."""
         bodies = []
-        for factor in self.factors:
+        for factor, terms in zip(self.factors, self._terms):
             body = _factor_to_string(factor)
-            terms = factor.all_terms()
             if (len(terms) > 1 and len(self.factors) > 1
                     or len(terms) == 1 and terms[0].const not in (1, -1)):
                 body = f"({body})"

@@ -198,8 +198,11 @@ def _content(den: int, *xs: int) -> int:
 def _binary(fn):
     """The operator fn(x, y) on Scalars, taking an int or Fraction for y."""
     def op(x, y):
-        y = _coerce(y)
-        return NotImplemented if y is NotImplemented else fn(x, y)
+        if isinstance(y, Scalar):
+            return fn(x, y)
+        if isinstance(y, (int, Fraction)):
+            return fn(x, _new(y.denominator, y.numerator, 0, 0))
+        return NotImplemented
     return op
 
 
@@ -368,14 +371,6 @@ def _rational(x) -> tuple[int, int]:
     if isinstance(x, Scalar) and not x.disc:
         return x._a, x._den
     raise TypeError(f"cannot interpret {_repr_str(x)} as an exact rational")
-
-
-def _coerce(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return _new(x.denominator, x.numerator, 0, 0)
-    return NotImplemented
 
 
 def _rat_str(num: int, den: int) -> str:
