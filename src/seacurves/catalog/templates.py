@@ -11,12 +11,21 @@ Q(sqrt D).  Both rules are checked without multiplying the template out.
 
 The string grammar round-trips bit-exactly: ``parse_template(t.to_string())``
 reproduces the template, and ``to_string`` output is canonical (terms sorted
-by descending exponent, single spaces around + and -, none around *).
+by descending exponent, single spaces around + and -, none around *).  A
+template built through the Python API is held to the same grammar when its
+factors are built: a factor is a nonempty sum of Terms and SumBlocks, an
+exponent or sum-block bound is an int (``TypeError`` otherwise), a constant
+a Scalar (``TypeError``), an exponent is >= 0 and a parameter is named ``a``
+followed by digits (:class:`TemplateError` otherwise).
 
-Arithmetic runs on the integer kernel of :mod:`seacurves.forms`.  Each
-template builds, on first use, one cleared form: per factor, its constants
-cleared by ``forms._clear`` into an integer scale and ``(exp, param, A, B)``
-terms, each constant being (A + B*sqrt(D)) / scale.
+Construction is the one pass over a template's terms: after the degree
+check, so that a sum block past ``MAX_DEGREE`` is refused from its bounds,
+it enumerates each factor's terms once, checks them and stores the term
+tuples and the parameter names.  Arithmetic runs on the integer kernel of
+:mod:`seacurves.forms`.  Each template builds, on first use, one cleared
+form: per factor, its constants cleared by ``forms._clear`` into an integer
+scale and ``(exp, param, A, B)`` terms, each constant being
+(A + B*sqrt(D)) / scale.
 :meth:`EquationTemplate.expand` is one pass for values of any fields: it
 clears the values over one denominator, each over its own field, builds one
 integer vector per factor, joining fields as Scalar arithmetic joins them,
@@ -43,8 +52,8 @@ from ..forms import (MAX_DEGREE, UnivariatePoly, _clear, _clear_each, _const_to_
                      _join_coeff_field, _join_terms, _pair_product, _power, _scal, _term,
                      poly_to_string)
 from ..scalars import (ONE, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
-                       _int_str, _join_field, _mul, _parse_int, _repr_str, _scalar, _split_top,
-                       _strip_sign, parse_scalar)
+                       _int_str, _join_field, _mul, _parse_int, _repr_str, _require_int, _scalar,
+                       _split_top, _strip_sign, parse_scalar)
 
 __all__ = [
     "EquationTemplate",
@@ -90,6 +99,8 @@ class SumBlock:
     offset: int
 
     def __post_init__(self):
+        for bound in (self.lo, self.hi, self.scale, self.offset):
+            _require_int(bound, "sum block bound")
         if self.lo > self.hi or self.lo < 1 or self.scale < 1 or self.offset < 0:
             raise TemplateError(f"bad sum block bounds {_repr_str(self)}")
 
@@ -104,19 +115,46 @@ class SumBlock:
         ]
 
 
+# a parameter name: the only names the grammar reads back
+_PARAM_RE = re.compile(r"a\d+")
+
+
+def _check_term(term: Term) -> None:
+    """The rules on a Term given to a Factor (a sum block's terms keep them
+    by construction): an int exponent >= 0, a Scalar constant, and no
+    parameter or one named as the grammar writes it."""
+    _require_int(term.exp, "term exponent")
+    if term.exp < 0:
+        raise TemplateError(f"negative exponent {_int_str(term.exp)}")
+    if not isinstance(term.const, Scalar):
+        raise TypeError(f"term constant must be a Scalar, got {_repr_str(term.const)}")
+    if term.param is not None and not (isinstance(term.param, str)
+                                       and _PARAM_RE.fullmatch(term.param)):
+        raise TemplateError(f"parameter name {_repr_str(term.param)} is not 'a' followed by digits")
+
+
 @dataclass(frozen=True)
 class Factor:
-    """A sum of Terms and SumBlocks, kept sorted by descending ``max_exp``
-    (stably), so that its first item is its leading term."""
+    """A nonempty sum of Terms and SumBlocks, kept sorted by descending
+    ``max_exp`` (stably), so that its first item is its leading term; each
+    Term is checked by ``_check_term``."""
 
     items: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(sorted(self.items, key=lambda i: -i.max_exp)))
+        items = tuple(self.items)
+        if not items:
+            raise TemplateError("empty factor")
+        for item in items:
+            if isinstance(item, Term):
+                _check_term(item)
+            elif not isinstance(item, SumBlock):
+                raise TemplateError(f"factor item {_repr_str(item)} is not a Term or SumBlock")
+        object.__setattr__(self, "items", tuple(sorted(items, key=lambda i: -i.max_exp)))
 
     @property
     def degree(self) -> int:
-        return max(item.max_exp for item in self.items)
+        return self.items[0].max_exp
 
     def all_terms(self) -> tuple[Term, ...]:
         """The terms in item order, each sum block enumerated."""
@@ -340,7 +378,8 @@ def _factor_to_string(factor: Factor) -> str:
 _SUM_RE = re.compile(
     r"^sum\(i=(\d+)\.\.(\d+),a_i\*x(?:\^(?:\((?:(\d+)\*)?i(?:\+(\d+))?\)|i))\)$"
 )
-_PARAM_COEFF_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)\*)?(?P<param>a\d+)$")
+_PARAM_COEFF_RE = re.compile(
+    rf"^(?:(?P<num>-?\d+(?:/\d+)?)\*)?(?P<param>{_PARAM_RE.pattern})$")
 _TERM_RE = re.compile(r"^(?:(?P<coeff>.+)\*)?x(?:\^(?P<exp>\d+))?$")
 
 

@@ -437,11 +437,15 @@ _RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
 def parse_scalar(text: str) -> Scalar:
     """Parse "p/q", "p/q+r/s*sqrt(D)", "sqrt(-3)", "-2*sqrt(5)", etc.
 
-    Whitespace-insensitive; inverse of :meth:`Scalar.__str__`.  The radicand
-    D must satisfy |D| <= 10^12 (its squarefreeness is checked by trial
-    division); a larger one raises ScalarParseError.
+    Whitespace-insensitive; inverse of :meth:`Scalar.__str__`.  A multiplier
+    of sqrt(D) is a rational joined to it by at most one ``*`` (``2**sqrt(5)``
+    and ``*sqrt(5)`` are refused).  The radicand D must satisfy
+    |D| <= 10^12 (its squarefreeness is checked by trial division); a larger
+    one raises ScalarParseError.
     """
     s = re.sub(r"\s+", "", text)
+    if _RATIONAL_RE.match(s):  # one unsigned rational, most of the catalog's constants
+        return _parse_rat(s, text)
     if not s:
         raise ScalarParseError("empty scalar")
     parts = _split_top(s, "+-")
@@ -459,10 +463,10 @@ def parse_scalar(text: str) -> Scalar:
             d = _parse_int(m.group(1))
             if disc and d != disc:
                 raise ScalarParseError(f"two different radicals in {text!r}")
-            coeff_txt = part[: m.start()].rstrip("*")
+            head = part[: m.start()]
             if part[m.end():]:
                 raise ScalarParseError(f"unexpected trailing text in {text!r}")
-            coeff = ONE if not coeff_txt else _parse_rat(coeff_txt, text)
+            coeff = _parse_rat(head.removesuffix("*"), text) if head else ONE
             b += coeff if sign > 0 else -coeff
             disc = d
         else:

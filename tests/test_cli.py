@@ -403,3 +403,9 @@ def test_golden_digests(capsys, monkeypatch):
 def test_genus_rejects_low_level_and_degree(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", message)
+
+
+def test_a_doubled_star_before_a_radical_is_refused(capsys):
+    """``2**sqrt(5)`` is not ``2*sqrt(5)``: one * joins a rational to sqrt(D)."""
+    code, out, err = run(capsys, "genus", "-n", "2", "--poly", "x^5+2**sqrt(5)*x+1")
+    assert (code, out, err) == (2, "", "error: bad rational '2*' in '2**sqrt(5)'\n")

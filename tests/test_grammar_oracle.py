@@ -12,9 +12,13 @@ On every generated string and every catalog equation the package must give
 the reference's verdict, exception type and value, and render byte for
 byte the same text; a template it parses with no parameters expands to a
 nonzero polynomial of the template's degree, which the CLI homogenizes at
-that degree.  The one intended difference: a malformed multiplier of
-a parameter (``1/0*a1``) used to escape ``parse_template`` as a bare
-``ScalarParseError`` and is now a ``TemplateError``.  The template renderer
+that degree.  Two intended differences: a malformed multiplier of a
+parameter (``1/0*a1``) used to escape ``parse_template`` as a bare
+``ScalarParseError`` and is now a ``TemplateError``; and the radical's
+multiplier is the text before ``sqrt(`` less exactly one ``*``, a rational
+when that text is not empty, where the old parser stripped every trailing
+``*`` and so read ``2**sqrt(5)`` as ``2*sqrt(5)`` and ``*sqrt(5)`` as
+``sqrt(5)``; the reference below makes the same change.  The template renderer
 reference also parenthesizes every one-term factor whose coefficient is not
 1 or -1, as the package does since ``(2*x^3)*x`` stopped rendering as
 ``2*x^3*x``, text that parses to three factors.
@@ -88,10 +92,10 @@ def ref_parse_scalar(text):
             d = _ref_int(m.group(1), ScalarParseError)
             if disc and d != disc:
                 raise ScalarParseError(f"two different radicals in {text!r}")
-            coeff_txt = part[: m.start()].rstrip("*")
+            head = part[: m.start()]
             if part[m.end():]:
                 raise ScalarParseError(f"unexpected trailing text in {text!r}")
-            coeff = Fraction(1) if not coeff_txt else _ref_rat(coeff_txt, text)
+            coeff = _ref_rat(head.removesuffix("*"), text) if head else Fraction(1)
             b += sign * coeff
             disc = d
         else:

@@ -103,6 +103,7 @@ def test_pow():
     ("-7/2", rational(-7, 2)),
     ("sqrt(-3)", sqrt_ext(1, -3)),
     ("2*sqrt(-3)", sqrt_ext(2, -3)),
+    ("2sqrt(5)", sqrt_ext(2, 5)),
     ("-1/2*sqrt(5)", sqrt_ext(rational(-1, 2), 5)),
     ("3/4+2/5*sqrt(-3)", Scalar(rational(3, 4).a, rational(2, 5).a, -3)),
     (" 1 - sqrt(-3) ", Scalar(1, -1, -3)),
@@ -119,6 +120,8 @@ def test_parse_roundtrip(x, y):
 
 @pytest.mark.parametrize("bad", ["", "x", "1+1+1", "sqrt(-3)+sqrt(5)", "3/0", "1//2",
                                  "sqrt(100000000000000000039)",
+                                 # one * joins a rational to the radical, none dangles
+                                 "2**sqrt(5)", "*sqrt(5)", "1+*sqrt(5)",
                                  # numerals past the interpreter's int-string digit limit
                                  pytest.param("1" * 5000, id="5000-digit-integer"),
                                  pytest.param("sqrt(" + "1" * 5000 + ")", id="5000-digit-radicand"),

@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,6 +172,8 @@ def test_rejects_malformed():
                 "a1*x^3 + 1", "0*x^3 + x", "0*a1*x^3 + 1", "sum(i=1..3, a_i*x^i) + 1",
                 "(x^2 + 1)*(a1*x + 1)",
                 "x^3 - sum(i=1..2, a_i*x^i) + 1",  # a sum block cannot be negated
+                # one term per exponent in a factor, a sum block's included
+                "x^2 + x^2 + 1", "x^3 + sum(i=1..2, a_i*x^i) + x + 1",
                 # one quadratic field per template
                 "(x + sqrt(-3))*(x + sqrt(5))", "x^2 + sqrt(-3)*x + sqrt(5)"):
         with pytest.raises(TemplateError):
@@ -190,3 +197,49 @@ def test_degree_is_checked_before_any_sum_block_term_is_built(monkeypatch):
         parse_template("sum(i=1..1000000, a_i*x^i) + 1")
     with pytest.raises(TemplateError, match=message):
         EquationTemplate([Factor((SumBlock(1, 1_000_000, 1, 0), Term(ONE, None, 0)))])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: Factor((Term(ONE, None, 2), Term(ONE, None, -1))), TemplateError,
+                 "negative exponent -1", id="negative-exponent"),
+    pytest.param(lambda: Factor((Term(ONE, None, 2), Term(ONE, "zz", 1))), TemplateError,
+                 "parameter name 'zz' is not 'a' followed by digits", id="param-name"),
+    pytest.param(lambda: Factor((Term(ONE, None, 2), Term(ONE, "a1b", 1))), TemplateError,
+                 "parameter name 'a1b'", id="param-name-suffix"),
+    pytest.param(lambda: Factor(()), TemplateError, "empty factor", id="empty-factor"),
+    pytest.param(lambda: Factor(("x",)), TemplateError,
+                 "factor item 'x' is not a Term or SumBlock", id="item-type"),
+    pytest.param(lambda: Factor((Term(1, None, 2),)), TypeError,
+                 "term constant must be a Scalar, got 1", id="int-constant"),
+    pytest.param(lambda: Factor((Term(ONE, None, 2.0),)), TypeError,
+                 "term exponent must be an int, got 2.0", id="float-exponent"),
+    pytest.param(lambda: Factor((Term(ONE, None, "2"), Term(ONE, None, 1))), TypeError,
+                 "term exponent must be an int, got '2'", id="str-exponent"),
+    pytest.param(lambda: SumBlock(1, 2.0, 1, 0), TypeError,
+                 "sum block bound must be an int, got 2.0", id="sum-block-bound"),
+])
+def test_malformed_parts_are_refused(build, error, message):
+    """A part built through the Python API that the grammar could not write
+    back is refused when its factor is built, not met later by ``expand``
+    or ``to_string``: x^-1 would overwrite the x^2 slot, and ``zz*x`` would
+    print text that does not parse."""
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
+def test_a_cloned_template_expands_prints_and_names_as_the_original():
+    """The term tuples and names stored at construction travel with a copy,
+    and ``dataclasses.replace`` builds them afresh."""
+    values = {"a1": rational(1, 2), "a2": -3, "a3": sqrt_ext(2, 5)}
+    for warm in (False, True):
+        t = parse_template("(x^4 + sqrt(5)*x + a3)*(x^6 + sum(i=1..2, a_i*x^(2*i)) + 1)")
+        if warm:  # the cleared form and the support map built before the copy
+            t.expand(values), t.support_classification()
+        clones = (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t),
+                  dataclasses.replace(t), dataclasses.replace(t, factors=list(t.factors)))
+        for clone in clones:
+            assert clone == t and hash(clone) == hash(t)
+            assert clone.to_string() == t.to_string() and repr(clone) == repr(t)
+            assert clone.param_names() == t.param_names() == ("a1", "a2", "a3")
+            assert clone.expand(values) == t.expand(values)
+            assert clone.support_classification() == t.support_classification()
