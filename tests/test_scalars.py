@@ -103,10 +103,10 @@ def test_pow():
     ("-7/2", rational(-7, 2)),
     ("sqrt(-3)", sqrt_ext(1, -3)),
     ("2*sqrt(-3)", sqrt_ext(2, -3)),
-    ("2sqrt(5)", sqrt_ext(2, 5)),
     ("-1/2*sqrt(5)", sqrt_ext(rational(-1, 2), 5)),
     ("3/4+2/5*sqrt(-3)", Scalar(rational(3, 4).a, rational(2, 5).a, -3)),
     (" 1 - sqrt(-3) ", Scalar(1, -1, -3)),
+    ("2sqrt(5)", sqrt_ext(2, 5)),
 ])
 def test_parse(text, value):
     assert parse_scalar(text) == value
