@@ -51,9 +51,9 @@ from itertools import repeat
 from ..forms import (MAX_DEGREE, UnivariatePoly, _clear, _clear_each, _const_to_string,
                      _join_coeff_field, _join_terms, _pair_product, _power, _scal, _term,
                      poly_to_string)
-from ..scalars import (ONE, FieldMixError, Scalar, ScalarParseError, SeacurvesError,
-                       _int_str, _join_field, _mul, _parse_int, _repr_str, _require_int, _scalar,
-                       _split_top, _strip_sign, parse_scalar)
+from ..scalars import (_RATIONAL_RE, ONE, FieldMixError, Scalar, ScalarParseError,
+                       SeacurvesError, _int_str, _join_field, _mul, _parse_int, _repr_str,
+                       _require_int, _scalar, _split_top, _strip_sign, parse_scalar)
 
 __all__ = [
     "EquationTemplate",
@@ -116,7 +116,7 @@ class SumBlock:
 
 
 # a parameter name: the only names the grammar reads back
-_PARAM_RE = re.compile(r"a\d+")
+_PARAM_RE = re.compile(r"a[0-9]+")
 
 
 def _check_term(term: Term) -> None:
@@ -376,11 +376,11 @@ def _factor_to_string(factor: Factor) -> str:
 # -- parsing ------------------------------------------------------------------
 
 _SUM_RE = re.compile(
-    r"^sum\(i=(\d+)\.\.(\d+),a_i\*x(?:\^(?:\((?:(\d+)\*)?i(?:\+(\d+))?\)|i))\)$"
+    r"^sum\(i=([0-9]+)\.\.([0-9]+),a_i\*x(?:\^(?:\((?:([0-9]+)\*)?i(?:\+([0-9]+))?\)|i))\)$"
 )
 _PARAM_COEFF_RE = re.compile(
-    rf"^(?:(?P<num>-?\d+(?:/\d+)?)\*)?(?P<param>{_PARAM_RE.pattern})$")
-_TERM_RE = re.compile(r"^(?:(?P<coeff>.+)\*)?x(?:\^(?P<exp>\d+))?$")
+    rf"^(?:(?P<num>-?{_RATIONAL_RE.pattern})\*)?(?P<param>{_PARAM_RE.pattern})$")
+_TERM_RE = re.compile(r"^(?:(?P<coeff>.+)\*)?x(?:\^(?P<exp>[0-9]+))?$")
 
 
 def _parse_term(text: str):

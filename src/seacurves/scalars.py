@@ -28,9 +28,10 @@ input, and built only by the read-only views :attr:`Scalar.a` and
 :func:`parse_scalar` reads the text :meth:`Scalar.__str__` writes, and is
 the only way from text to a Scalar: the constructor takes no strings.  Its
 pieces are the text grammar of the whole package: ``_split_top`` splits at
-depth-0 signs or products, ``_strip_sign`` folds leading signs and
-``_parse_int`` reads every numeral.  Equation templates
-(:mod:`seacurves.catalog.templates`) parse with the same three, so one
+depth-0 signs or products, ``_strip_sign`` folds leading signs,
+``_RATIONAL_RE`` is the one pattern of an unsigned rational numeral, in
+ASCII digits, and ``_parse_int`` reads every numeral.  Equation templates
+(:mod:`seacurves.catalog.templates`) parse with the same four, so one
 numeral or parenthesis rule holds in both grammars.  A numeral longer than
 ``sys.get_int_max_str_digits()`` digits is refused both ways: as input by
 ``_parse_int`` and as output by ``_rat_str`` (:class:`OutputTooLargeError`);
@@ -430,56 +431,47 @@ def sqrt_ext(b, disc: int) -> Scalar:
     return Scalar(0, b, disc)
 
 
-_SQRT_RE = re.compile(r"sqrt\((-?\d+)\)")
-_RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
+# an unsigned numeral p or p/q in ASCII digits: the rational text every grammar reads
+_RATIONAL_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
+# a radical part: sqrt(D), after a rational multiplier joined by at most one *
+_RADICAL_RE = re.compile(rf"(?:({_RATIONAL_RE.pattern})\*?)?sqrt\((-?[0-9]+)\)")
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse "p/q", "p/q+r/s*sqrt(D)", "sqrt(-3)", "-2*sqrt(5)", etc.
 
-    Whitespace-insensitive; inverse of :meth:`Scalar.__str__`.  A multiplier
-    of sqrt(D) is a rational joined to it by at most one ``*`` (``2**sqrt(5)``
-    and ``*sqrt(5)`` are refused).  The radicand D must satisfy
-    |D| <= 10^12 (its squarefreeness is checked by trial division); a larger
-    one raises ScalarParseError.
+    Whitespace-insensitive; inverse of :meth:`Scalar.__str__`.  A scalar is
+    at most one rational part and at most one radical part, in either order,
+    each with its signs.  A multiplier of sqrt(D) is a rational joined to it
+    by at most one ``*`` (``2**sqrt(5)`` and ``*sqrt(5)`` are refused).  The
+    radicand D must satisfy |D| <= 10^12 (its squarefreeness is checked by
+    trial division); a larger one raises ScalarParseError.
     """
     s = re.sub(r"\s+", "", text)
-    if _RATIONAL_RE.match(s):  # one unsigned rational, most of the catalog's constants
+    if _RATIONAL_RE.fullmatch(s):  # one unsigned rational, most of the catalog's constants
         return _parse_rat(s, text)
     if not s:
         raise ScalarParseError("empty scalar")
-    parts = _split_top(s, "+-")
-    if len(parts) > 2:
-        raise ScalarParseError(f"too many terms in scalar {text!r}")
-
-    a = b = ZERO
+    parts = {}  # "rational" or "radical" -> its signed rational coefficient
     disc = 0
-    for part in parts:
+    for part in _split_top(s, "+-"):
         sign, part = _strip_sign(part)
-        if not part:
-            raise ScalarParseError(f"dangling sign in {text!r}")
-        m = _SQRT_RE.search(part)
+        m = _RADICAL_RE.fullmatch(part)
+        kind = "radical" if m else "rational"
+        if kind in parts:
+            raise ScalarParseError(f"two {kind} parts in {text!r}")
         if m:
-            d = _parse_int(m.group(1))
-            if disc and d != disc:
-                raise ScalarParseError(f"two different radicals in {text!r}")
-            head = part[: m.start()]
-            if part[m.end():]:
-                raise ScalarParseError(f"unexpected trailing text in {text!r}")
-            coeff = _parse_rat(head.removesuffix("*"), text) if head else ONE
-            b += coeff if sign > 0 else -coeff
-            disc = d
-        else:
-            coeff = _parse_rat(part, text)
-            a += coeff if sign > 0 else -coeff
+            part, disc = m[1] or "1", _parse_int(m[2])
+        coeff = _parse_rat(part, text)
+        parts[kind] = coeff if sign > 0 else -coeff
     try:
-        return Scalar(a, b, disc)
+        return Scalar(parts.get("rational", 0), parts.get("radical", 0), disc)
     except RadicandError as exc:
         raise ScalarParseError(str(exc)) from None
 
 
 def _parse_rat(part: str, whole: str) -> Scalar:
-    if not _RATIONAL_RE.match(part):
+    if not _RATIONAL_RE.fullmatch(part):
         raise ScalarParseError(f"bad rational {part!r} in {whole!r}")
     num, _, den = part.partition("/")
     q = _parse_int(den) if den else 1

@@ -18,10 +18,16 @@ parameter (``1/0*a1``) used to escape ``parse_template`` as a bare
 multiplier is the text before ``sqrt(`` less exactly one ``*``, a rational
 when that text is not empty, where the old parser stripped every trailing
 ``*`` and so read ``2**sqrt(5)`` as ``2*sqrt(5)`` and ``*sqrt(5)`` as
-``sqrt(5)``; the reference below makes the same change.  The template renderer
-reference also parenthesizes every one-term factor whose coefficient is not
-1 or -1, as the package does since ``(2*x^3)*x`` stopped rendering as
-``2*x^3*x``, text that parses to three factors.
+``sqrt(5)``; the reference below makes the same change.  Two more, made in
+the reference too: a scalar holds at most one rational part and at most one
+radical part, where the old parser summed two of a kind (``1+1`` was 2 and
+``sqrt(5)+sqrt(5)`` was ``2*sqrt(5)``, though ``1+1+1`` was refused); and
+every numeral, exponent, bound and parameter index is read in ASCII digits,
+where the old patterns let any Unicode decimal digit through (``x^٢ + 1``
+was x^2 + 1).  The template renderer reference also parenthesizes every
+one-term factor whose coefficient is not 1 or -1, as the package does since
+``(2*x^3)*x`` stopped rendering as ``2*x^3*x``, text that parses to three
+factors.
 """
 
 import json
@@ -48,8 +54,8 @@ from seacurves.scalars import ONE, Scalar, ScalarParseError, parse_scalar
 
 # -- reference scalar parser ----------------------------------------------------------
 
-_SQRT_RE = re.compile(r"sqrt\((-?\d+)\)")
-_RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
+_SQRT_RE = re.compile(r"sqrt\((-?[0-9]+)\)")
+_RATIONAL_RE = re.compile(r"^[0-9]+(/[0-9]+)?$")
 
 
 def _ref_int(digits, error):
@@ -79,6 +85,7 @@ def ref_parse_scalar(text):
         raise ScalarParseError(f"too many terms in scalar {text!r}")
     a = b = Fraction(0)
     disc = 0
+    kinds = set()
     for part in parts:
         sign = 1
         while part and part[0] in "+-":
@@ -88,10 +95,12 @@ def ref_parse_scalar(text):
         if not part:
             raise ScalarParseError(f"dangling sign in {text!r}")
         m = _SQRT_RE.search(part)
+        kind = "radical" if m else "rational"
+        if kind in kinds:
+            raise ScalarParseError(f"two {kind} parts in {text!r}")
+        kinds.add(kind)
         if m:
             d = _ref_int(m.group(1), ScalarParseError)
-            if disc and d != disc:
-                raise ScalarParseError(f"two different radicals in {text!r}")
             head = part[: m.start()]
             if part[m.end():]:
                 raise ScalarParseError(f"unexpected trailing text in {text!r}")
@@ -119,11 +128,11 @@ def _ref_rat(part, whole):
 # -- reference template parser ------------------------------------------------------------
 
 _SUM_RE = re.compile(
-    r"^sum\(i=(\d+)\.\.(\d+),a_i\*x(?:\^(?:\((?:(\d+)\*)?i(?:\+(\d+))?\)|i))\)$"
+    r"^sum\(i=([0-9]+)\.\.([0-9]+),a_i\*x(?:\^(?:\((?:([0-9]+)\*)?i(?:\+([0-9]+))?\)|i))\)$"
 )
-_PARAM_COEFF_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)\*)?(?P<param>a\d+)$")
-_MONO_RE = re.compile(r"^x(?:\^(\d+))?$")
-_TERM_RE = re.compile(r"^(?P<coeff>.+)\*(?P<mono>x(?:\^\d+)?)$")
+_PARAM_COEFF_RE = re.compile(r"^(?:(?P<num>-?[0-9]+(?:/[0-9]+)?)\*)?(?P<param>a[0-9]+)$")
+_MONO_RE = re.compile(r"^x(?:\^([0-9]+))?$")
+_TERM_RE = re.compile(r"^(?P<coeff>.+)\*(?P<mono>x(?:\^[0-9]+)?)$")
 
 
 def _ref_split_top(s, seps):
