@@ -53,7 +53,8 @@ from ..forms import (MAX_DEGREE, UnivariatePoly, _clear, _clear_each, _const_to_
                      poly_to_string)
 from ..scalars import (_RATIONAL_RE, ONE, FieldMixError, Scalar, ScalarParseError,
                        SeacurvesError, _int_str, _join_field, _mul, _parse_int, _repr_str,
-                       _require_int, _scalar, _split_top, _strip_sign, parse_scalar)
+                       _require_int, _scalar, _split_top, _strip_sign, _strip_space,
+                       parse_scalar)
 
 __all__ = [
     "EquationTemplate",
@@ -420,16 +421,17 @@ def _unwrap(atom: str) -> str:
 
 
 def parse_template(text: str) -> EquationTemplate:
-    """Parse the canonical template grammar (whitespace-insensitive).
+    """Parse the canonical template grammar; whitespace may sit between
+    tokens, not inside a numeral or a name.
 
     A top-level + or - makes the whole text one factor; otherwise it is a
     product of factors split at top-level *, each optionally parenthesized.
     Every malformed text raises TemplateError.
     """
-    s = re.sub(r"\s+", "", text)
-    if not s:
-        raise TemplateError("empty template")
     try:
+        s = _strip_space(text)
+        if not s:
+            raise TemplateError("empty template")
         terms = _split_top(s, "+-")
         factors = [terms] if len(terms) > 1 else [
             _split_top(_unwrap(atom), "+-") for atom in _split_top(s, "*")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .catalog import (
@@ -46,7 +47,8 @@ from .invariants import (
     sextic_absolute,
     sextic_invariants,
 )
-from .scalars import OutputTooLargeError, Scalar, SeacurvesError, parse_scalar
+from .scalars import (OutputTooLargeError, Scalar, ScalarParseError, SeacurvesError, _parse_int,
+                      parse_scalar)
 from .transvection import transvect
 
 __all__ = ["main"]
@@ -175,6 +177,22 @@ def _cmd_catalog_inclusions(args) -> tuple[int, str]:
     return 0, _json({"genus": args.genus, "edges": [list(e) for e in edges]})
 
 
+# one optional sign and ASCII digits: int() alone would also take other
+# decimal digits, underscores and surrounding whitespace
+_INT_FLAG_RE = re.compile(r"[-+]?[0-9]+")
+
+
+def _int_flag(text: str) -> int:
+    """The value of an integer flag (-n, -r, --genus), read as the package
+    reads a numeral; anything else is a usage error (exit 2)."""
+    try:
+        if _INT_FLAG_RE.fullmatch(text):
+            return _parse_int(text)
+    except ScalarParseError:  # past the interpreter's digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache  # parse_args keeps no state on the parser, so main calls share one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -187,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transvect", help="r-transvection of two binary forms")
     p.add_argument("--f", required=True, help="form: ascending coeff CSV or poly-string")
     p.add_argument("--g", required=True, help="form: ascending coeff CSV or poly-string")
-    p.add_argument("-r", type=int, required=True, help="transvection order")
+    p.add_argument("-r", type=_int_flag, required=True, help="transvection order")
     p.set_defaults(func=_cmd_transvect)
 
     p = sub.add_parser("invariants", help="invariant system of a binary form")
@@ -197,13 +215,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("genus", help="genus of the superelliptic curve y^n = f(x)")
-    p.add_argument("-n", type=int, required=True, help="level (exponent of y)")
+    p.add_argument("-n", type=_int_flag, required=True, help="level (exponent of y)")
     p.add_argument("--poly", required=True, help="f(x): poly-string or coeff CSV")
     p.set_defaults(func=_cmd_genus)
 
     p = sub.add_parser("isomorphic",
                        help="absolute-invariant isomorphism test (genus 2 or 3)")
-    p.add_argument("--genus", type=int, required=True, choices=_ISOMORPHIC)
+    p.add_argument("--genus", type=_int_flag, required=True, choices=_ISOMORPHIC)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.set_defaults(func=_cmd_isomorphic)
@@ -212,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = pc.add_subparsers(dest="subcommand", required=True)
 
     p = csub.add_parser("list", help="list rows")
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus", type=_int_flag)
     p.add_argument("--group", help="reduced group filter, e.g. A5 or D_4")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True)
@@ -220,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_catalog_list)
 
     p = csub.add_parser("verify", help="run the per-row consistency checks")
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus", type=_int_flag)
     p.set_defaults(func=_cmd_catalog_verify)
 
     p = csub.add_parser("specialize", help="instantiate a row at parameter values")
@@ -229,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_catalog_specialize)
 
     p = csub.add_parser("inclusions", help="syntactic specialization DAG for one genus")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_int_flag, required=True)
     p.set_defaults(func=_cmd_catalog_inclusions)
 
     return parser

@@ -120,6 +120,16 @@ def _is_squarefree(n: int) -> bool:
     return n == 1 or isqrt(n) ** 2 != n
 
 
+def _check_radicand(disc: int) -> None:
+    """The one check of the D of sqrt(D): RadicandError unless D is a
+    squarefree integer other than 0 and 1 with |D| <= 10^12."""
+    if abs(disc) > _MAX_RADICAND:
+        raise RadicandError(
+            f"radicand {_int_str(disc)} is outside the supported range |D| <= 10^12")
+    if disc in (0, 1) or not _is_squarefree(disc):
+        raise RadicandError(f"discriminant must be squarefree and != 0, 1, got {disc}")
+
+
 def _join_field(d1: int, d2: int) -> int:
     """The field of values over Q(sqrt(d1)) and Q(sqrt(d2)), 0 meaning Q: the
     one field check, for scalars and vectors alike (FieldMixError on two)."""
@@ -247,11 +257,8 @@ class Scalar:
         bn, bd = _rational(b)
         if not bn:
             disc = 0
-        elif abs(disc) > _MAX_RADICAND:
-            raise RadicandError(
-                f"radicand {_int_str(disc)} is outside the supported range |D| <= 10^12")
-        elif disc in (0, 1) or not _is_squarefree(disc):
-            raise RadicandError(f"discriminant must be squarefree and != 0, 1, got {disc}")
+        else:
+            _check_radicand(disc)
         # an/ad and bn/bd are in lowest terms, so over their lcm the content is 1
         den = ad if ad == bd else lcm(ad, bd)
         return _new(den, an * (den // ad), bn * (den // bd), disc)
@@ -440,31 +447,34 @@ _RADICAL_RE = re.compile(rf"(?:({_RATIONAL_RE.pattern})\*?)?sqrt\((-?[0-9]+)\)")
 def parse_scalar(text: str) -> Scalar:
     """Parse "p/q", "p/q+r/s*sqrt(D)", "sqrt(-3)", "-2*sqrt(5)", etc.
 
-    Whitespace-insensitive; inverse of :meth:`Scalar.__str__`.  A scalar is
-    at most one rational part and at most one radical part, in either order,
-    each with its signs.  A multiplier of sqrt(D) is a rational joined to it
-    by at most one ``*`` (``2**sqrt(5)`` and ``*sqrt(5)`` are refused).  The
-    radicand D must satisfy |D| <= 10^12 (its squarefreeness is checked by
-    trial division); a larger one raises ScalarParseError.
+    The inverse of :meth:`Scalar.__str__`: at most one rational part and at
+    most one radical part, in either order, each with its signs, in ASCII
+    digits; whitespace may sit between tokens but not inside a numeral or a
+    name.  A multiplier of sqrt(D) is a rational joined to it by at most one
+    ``*`` (``2**sqrt(5)`` and ``*sqrt(5)`` are refused).  The radicand D must
+    be squarefree, other than 0 and 1, and satisfy |D| <= 10^12 (its
+    squarefreeness is checked by trial division), even when its multiplier
+    is 0; any other raises ScalarParseError.
     """
-    s = re.sub(r"\s+", "", text)
+    s = _strip_space(text)
     if _RATIONAL_RE.fullmatch(s):  # one unsigned rational, most of the catalog's constants
         return _parse_rat(s, text)
     if not s:
         raise ScalarParseError("empty scalar")
     parts = {}  # "rational" or "radical" -> its signed rational coefficient
     disc = 0
-    for part in _split_top(s, "+-"):
-        sign, part = _strip_sign(part)
-        m = _RADICAL_RE.fullmatch(part)
-        kind = "radical" if m else "rational"
-        if kind in parts:
-            raise ScalarParseError(f"two {kind} parts in {text!r}")
-        if m:
-            part, disc = m[1] or "1", _parse_int(m[2])
-        coeff = _parse_rat(part, text)
-        parts[kind] = coeff if sign > 0 else -coeff
     try:
+        for part in _split_top(s, "+-"):
+            sign, part = _strip_sign(part)
+            m = _RADICAL_RE.fullmatch(part)
+            kind = "radical" if m else "rational"
+            if kind in parts:
+                raise ScalarParseError(f"two {kind} parts in {text!r}")
+            if m:  # D is checked even when its multiplier is 0
+                part, disc = m[1] or "1", _parse_int(m[2])
+                _check_radicand(disc)
+            coeff = _parse_rat(part, text)
+            parts[kind] = coeff if sign > 0 else -coeff
         return Scalar(parts.get("rational", 0), parts.get("radical", 0), disc)
     except RadicandError as exc:
         raise ScalarParseError(str(exc)) from None
@@ -489,6 +499,19 @@ def _parse_int(digits: str) -> int:
         return int(digits)
     except ValueError:  # beyond the interpreter's integer-string digit limit
         raise ScalarParseError(f"numeral too long ({len(digits)} characters)") from None
+
+
+# whitespace splitting a numeral or a name: between two digits, or after a
+# letter or _ and before a letter, digit or _
+_SPLIT_TOKEN_RE = re.compile(r"[0-9]\s+[0-9]|[A-Za-z_]\s+[A-Za-z0-9_]")
+_SPACE_RE = re.compile(r"\s+")
+
+
+def _strip_space(text: str) -> str:
+    """text less its whitespace, which may sit between tokens but not inside one."""
+    if _SPLIT_TOKEN_RE.search(text):
+        raise ScalarParseError(f"whitespace inside a numeral or name in {text!r}")
+    return _SPACE_RE.sub("", text)
 
 
 def _split_top(s: str, seps: str) -> list[str]:

@@ -409,3 +409,53 @@ def test_a_doubled_star_before_a_radical_is_refused(capsys):
     """``2**sqrt(5)`` is not ``2*sqrt(5)``: one * joins a rational to sqrt(D)."""
     code, out, err = run(capsys, "genus", "-n", "2", "--poly", "x^5+2**sqrt(5)*x+1")
     assert (code, out, err) == (2, "", "error: bad rational '2**sqrt(5)' in '2**sqrt(5)'\n")
+
+
+# one argv per class of scalar text the grammar refuses: each exited 0 before
+# the rule it names held
+MALFORMED_SCALARS = {
+    "two_parts_of_one_kind": ["genus", "-n", "2", "--poly", "1,0,0,0,0,1+1"],
+    "non_ascii_digit": ["genus", "-n", "2", "--poly", "x^٥+1"],
+    "whitespace_in_a_numeral": ["genus", "-n", "2", "--poly", "x^1 1+1"],
+    "zero_multiple_of_a_bad_radical": ["genus", "-n", "2", "--poly", "1,0,0,0,0,1+0*sqrt(4)"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_SCALARS.values(), ids=MALFORMED_SCALARS)
+def test_malformed_scalar_text_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+# one argv per integer flag, with a value int() reads but the package does not
+INT_FLAGS = {
+    "level_arabic_indic": (["genus", "-n", "٣", "--poly", "x^5+1"], "٣"),
+    "level_underscore": (["genus", "-n", "1_0", "--poly", "x^5+1"], "1_0"),
+    "level_space": (["genus", "-n", " 3", "--poly", "x^5+1"], " 3"),
+    "order": (["transvect", "--f", "x^2", "--g", "1,0,0", "-r", "٢"], "٢"),
+    "isomorphic_genus": (["isomorphic", "--genus", "٢", "--f1", "x^6+1", "--f2", "x^6+1"], "٢"),
+    "inclusions_genus": (["catalog", "inclusions", "--genus", "1_0"], "1_0"),
+    "list_genus": (["catalog", "list", "--genus", "٥"], "٥"),
+    "verify_genus": (["catalog", "verify", "--genus", "10 "], "10 "),
+}
+
+
+@pytest.mark.parametrize("flag", INT_FLAGS)
+def test_integer_flags_read_ascii_decimal(capsys, flag):
+    """-n, -r and --genus read one optional sign and ASCII digits, as the
+    package reads a numeral: a usage error (exit 2) on anything else."""
+    argv, value = INT_FLAGS[flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"invalid int value: {value!r}\n" in captured.err
+
+
+@pytest.mark.parametrize("argv, genus", [
+    (["genus", "-n", "+2", "--poly", "x^11+1"], 5),
+    (["genus", "-n", "002", "--poly", "x^11+1"], 5),
+])
+def test_integer_flags_keep_a_sign_and_leading_zeros(capsys, argv, genus):
+    code, doc, _ = run_json(capsys, *argv)
+    assert (code, doc) == (0, {"genus": genus})

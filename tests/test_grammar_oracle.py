@@ -12,26 +12,37 @@ On every generated string and every catalog equation the package must give
 the reference's verdict, exception type and value, and render byte for
 byte the same text; a template it parses with no parameters expands to a
 nonzero polynomial of the template's degree, which the CLI homogenizes at
-that degree.  Two intended differences: a malformed multiplier of a
-parameter (``1/0*a1``) used to escape ``parse_template`` as a bare
-``ScalarParseError`` and is now a ``TemplateError``; and the radical's
-multiplier is the text before ``sqrt(`` less exactly one ``*``, a rational
-when that text is not empty, where the old parser stripped every trailing
-``*`` and so read ``2**sqrt(5)`` as ``2*sqrt(5)`` and ``*sqrt(5)`` as
-``sqrt(5)``; the reference below makes the same change.  Two more, made in
-the reference too: a scalar holds at most one rational part and at most one
-radical part, where the old parser summed two of a kind (``1+1`` was 2 and
-``sqrt(5)+sqrt(5)`` was ``2*sqrt(5)``, though ``1+1+1`` was refused); and
-every numeral, exponent, bound and parameter index is read in ASCII digits,
-where the old patterns let any Unicode decimal digit through (``x^٢ + 1``
-was x^2 + 1).  The template renderer reference also parenthesizes every
-one-term factor whose coefficient is not 1 or -1, as the package does since
-``(2*x^3)*x`` stopped rendering as ``2*x^3*x``, text that parses to three
-factors.
+that degree.
+
+Intended differences from the old parsers:
+
+- a malformed multiplier of a parameter (``1/0*a1``) used to escape
+  ``parse_template`` as a bare ``ScalarParseError`` and is now a
+  ``TemplateError`` (the comparison allows for it; the reference keeps the
+  old behaviour);
+- the radical's multiplier is a rational joined to ``sqrt(`` by at most one
+  ``*``, where the old parser stripped every trailing ``*`` and so read
+  ``2**sqrt(5)`` as ``2*sqrt(5)`` and ``*sqrt(5)`` as ``sqrt(5)``;
+- a scalar holds at most one rational part and at most one radical part,
+  where the old parser summed two of a kind (``1+1`` was 2 and
+  ``sqrt(5)+sqrt(5)`` was ``2*sqrt(5)``, though ``1+1+1`` was refused);
+- every numeral, exponent, bound and parameter index is read in ASCII
+  digits, where the old patterns let any Unicode decimal digit through
+  (``x^٢ + 1`` was x^2 + 1);
+- whitespace may sit between tokens but not inside a numeral or a name,
+  where the old parsers deleted it (``1 2`` was 12 and ``x^1 1`` was x^11);
+- the radicand of a zero multiple of sqrt(D) is checked (``0*sqrt(4)`` was
+  0).
+
+The reference below makes each of the last five changes.  The template
+renderer reference also parenthesizes every one-term factor whose
+coefficient is not 1 or -1, as the package does since ``(2*x^3)*x`` stopped
+rendering as ``2*x^3*x``, text that parses to three factors.
 """
 
 import json
 import re
+import string
 from fractions import Fraction
 from importlib import resources
 
@@ -65,8 +76,23 @@ def _ref_int(digits, error):
         raise error(f"numeral too long ({len(digits)} characters)") from None
 
 
+_NAME_CHARS = string.ascii_letters + "_"
+
+
+def _ref_squeeze(text, error):
+    """text without whitespace, refusing whitespace between two digits or
+    after a letter or _ and before a letter, digit or _."""
+    words = text.split()
+    for left, right in zip(words, words[1:]):
+        a, b = left[-1], right[0]
+        if a in string.digits and b in string.digits or (
+                a in _NAME_CHARS and b in _NAME_CHARS + string.digits):
+            raise error(f"whitespace inside a token in {text!r}")
+    return "".join(words)
+
+
 def ref_parse_scalar(text):
-    s = re.sub(r"\s+", "", text)
+    s = _ref_squeeze(text, ScalarParseError)
     if not s:
         raise ScalarParseError("empty scalar")
     parts = []
@@ -109,8 +135,8 @@ def ref_parse_scalar(text):
             disc = d
         else:
             a += sign * _ref_rat(part, text)
-    try:
-        return Scalar(a, b, disc)
+    try:  # sqrt(D) is built, and D checked, even when its multiplier is 0
+        return Scalar(a) + (b * Scalar(0, 1, disc) if "radical" in kinds else 0)
     except ValueError as exc:
         raise ScalarParseError(str(exc)) from None
 
@@ -223,7 +249,7 @@ def _ref_parse_term(text):
 
 
 def ref_parse_template(text):
-    s = re.sub(r"\s+", "", text)
+    s = _ref_squeeze(text, TemplateError)
     if not s:
         raise TemplateError("empty template")
     atoms = [s] if _ref_has_top_level_sign(s) else _ref_split_top(s, "*")

@@ -107,6 +107,8 @@ def test_pow():
     ("3/4+2/5*sqrt(-3)", Scalar(rational(3, 4).a, rational(2, 5).a, -3)),
     (" 1 - sqrt(-3) ", Scalar(1, -1, -3)),
     ("2sqrt(5)", sqrt_ext(2, 5)),
+    ("sqrt(5)+1", Scalar(1, 1, 5)),
+    ("2 sqrt(5)", sqrt_ext(2, 5)),
 ])
 def test_parse(text, value):
     assert parse_scalar(text) == value
@@ -125,7 +127,13 @@ def test_parse_roundtrip(x, y):
                                  # numerals past the interpreter's int-string digit limit
                                  pytest.param("1" * 5000, id="5000-digit-integer"),
                                  pytest.param("sqrt(" + "1" * 5000 + ")", id="5000-digit-radicand"),
-                                 pytest.param("1/" + "1" * 5000, id="5000-digit-denominator")])
+                                 pytest.param("1/" + "1" * 5000, id="5000-digit-denominator"),
+                                 # one rational part and one radical part at most
+                                 "1+1", "1/2+1/3", "sqrt(5)+sqrt(5)", "sqrt(5)-sqrt(5)",
+                                 # digits are ASCII, and whitespace splits no numeral
+                                 "\u0663", "1 2", "sqrt(1 3)",
+                                 # sqrt(D) is checked even when its multiplier is 0
+                                 "0*sqrt(4)", "0*sqrt(99999999999999999999)"])
 def test_parse_rejects(bad):
     with pytest.raises(ScalarParseError):
         parse_scalar(bad)

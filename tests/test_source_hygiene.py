@@ -24,7 +24,9 @@ holds the cleared values.  The CLI has one writer: no ``print`` call and no
 ``sys.stdout`` or ``sys.stderr`` appears outside ``cli.main``.  An input rule
 has one home: only ``scalars._require_int`` raises a ``TypeError`` when a
 value is not an int, and the placeholder for an unprintable number is
-written once in ``src/``.  No line in ``src/`` is longer than 100 characters.
+written once in ``src/``.  No pattern given to a function of ``re`` in
+``src/`` reads ``\\d``: the grammar's digits are ASCII.  No line in ``src/``
+is longer than 100 characters.
 
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
@@ -336,6 +338,22 @@ def test_no_line_is_longer_than_100_characters():
                   for n, line in enumerate(p.read_text("utf-8").splitlines(), 1)
                   if len(line) > 100]
     assert long_lines == []
+
+
+def _is_re_call(node: ast.AST) -> bool:
+    """A call of a function of the ``re`` module, such as ``re.compile``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "re")
+
+
+def test_grammar_patterns_read_ascii_digits():
+    """A text grammar reads the digits the package writes, 0-9: ``\\d``
+    would match every Unicode decimal digit, so ``x^٢`` would read as x^2."""
+    sites = [(_module_name(p), node.lineno) for p in MODULES for node in ast.walk(_tree(p))
+             if _is_re_call(node) and any(
+                 isinstance(c, ast.Constant) and isinstance(c.value, str) and "\\d" in c.value
+                 for arg in node.args[:1] for c in ast.walk(arg))]
+    assert sites == []
 
 
 def test_each_reference_is_defined_once():

@@ -175,7 +175,9 @@ def test_rejects_malformed():
                 # one term per exponent in a factor, a sum block's included
                 "x^2 + x^2 + 1", "x^3 + sum(i=1..2, a_i*x^i) + x + 1",
                 # one quadratic field per template
-                "(x + sqrt(-3))*(x + sqrt(5))", "x^2 + sqrt(-3)*x + sqrt(5)"):
+                "(x + sqrt(-3))*(x + sqrt(5))", "x^2 + sqrt(-3)*x + sqrt(5)",
+                # digits are ASCII, and whitespace splits no numeral or name
+                "x^\u0662 + 1", "x^1 1 + 1", "x^2 + a 1*x + 1"):
         with pytest.raises(TemplateError):
             parse_template(bad)
     with pytest.raises(TemplateError, match="template needs at least one factor"):
