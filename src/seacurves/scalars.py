@@ -456,9 +456,9 @@ def parse_scalar(text: str) -> Scalar:
     squarefreeness is checked by trial division), even when its multiplier
     is 0; any other raises ScalarParseError.
     """
+    if _RATIONAL_RE.fullmatch(text):  # one unsigned rational, most of the catalog's constants
+        return _parse_rat(text, text)
     s = _strip_space(text)
-    if _RATIONAL_RE.fullmatch(s):  # one unsigned rational, most of the catalog's constants
-        return _parse_rat(s, text)
     if not s:
         raise ScalarParseError("empty scalar")
     parts = {}  # "rational" or "radical" -> its signed rational coefficient
@@ -470,10 +470,11 @@ def parse_scalar(text: str) -> Scalar:
             kind = "radical" if m else "rational"
             if kind in parts:
                 raise ScalarParseError(f"two {kind} parts in {text!r}")
-            if m:  # D is checked even when its multiplier is 0
+            if m:
                 part, disc = m[1] or "1", _parse_int(m[2])
-                _check_radicand(disc)
             coeff = _parse_rat(part, text)
+            if m and not coeff:  # Scalar() checks D under a nonzero multiplier only
+                _check_radicand(disc)
             parts[kind] = coeff if sign > 0 else -coeff
         return Scalar(parts.get("rational", 0), parts.get("radical", 0), disc)
     except RadicandError as exc:

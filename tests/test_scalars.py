@@ -131,7 +131,7 @@ def test_parse_roundtrip(x, y):
                                  # one rational part and one radical part at most
                                  "1+1", "1/2+1/3", "sqrt(5)+sqrt(5)", "sqrt(5)-sqrt(5)",
                                  # digits are ASCII, and whitespace splits no numeral
-                                 "\u0663", "1 2", "sqrt(1 3)",
+                                 "\u0663", "sqrt(\u0665)", "1 2", "sqrt(1 3)",
                                  # sqrt(D) is checked even when its multiplier is 0
                                  "0*sqrt(4)", "0*sqrt(99999999999999999999)"])
 def test_parse_rejects(bad):
