@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 
 from .catalog import (
@@ -177,16 +176,14 @@ def _cmd_catalog_inclusions(args) -> tuple[int, str]:
     return 0, _json({"genus": args.genus, "edges": [list(e) for e in edges]})
 
 
-# one optional sign and ASCII digits: int() alone would also take other
-# decimal digits, underscores and surrounding whitespace
-_INT_FLAG_RE = re.compile(r"[-+]?[0-9]+")
-
-
 def _int_flag(text: str) -> int:
-    """The value of an integer flag (-n, -r, --genus), read as the package
-    reads a numeral; anything else is a usage error (exit 2)."""
+    """The value of an integer flag (-n, -r, --genus): one optional sign and
+    ASCII digits, read as the package reads a numeral, where int() alone
+    would also take other decimal digits, underscores and surrounding
+    whitespace; any other text is a usage error (exit 2)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
     try:
-        if _INT_FLAG_RE.fullmatch(text):
+        if digits.isascii() and digits.isdigit():
             return _parse_int(text)
     except ScalarParseError:  # past the interpreter's digit limit
         pass

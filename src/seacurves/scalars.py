@@ -505,14 +505,13 @@ def _parse_int(digits: str) -> int:
 # whitespace splitting a numeral or a name: between two digits, or after a
 # letter or _ and before a letter, digit or _
 _SPLIT_TOKEN_RE = re.compile(r"[0-9]\s+[0-9]|[A-Za-z_]\s+[A-Za-z0-9_]")
-_SPACE_RE = re.compile(r"\s+")
 
 
 def _strip_space(text: str) -> str:
     """text less its whitespace, which may sit between tokens but not inside one."""
     if _SPLIT_TOKEN_RE.search(text):
         raise ScalarParseError(f"whitespace inside a numeral or name in {text!r}")
-    return _SPACE_RE.sub("", text)
+    return "".join(text.split())
 
 
 def _split_top(s: str, seps: str) -> list[str]:
