@@ -411,8 +411,7 @@ def test_a_doubled_star_before_a_radical_is_refused(capsys):
     assert (code, out, err) == (2, "", "error: bad rational '2**sqrt(5)' in '2**sqrt(5)'\n")
 
 
-# one argv per class of scalar text the grammar refuses: each exited 0 before
-# the rule it names held
+# one argv per class of scalar text the grammar refuses, each otherwise a valid call
 MALFORMED_SCALARS = {
     "two_parts_of_one_kind": ["genus", "-n", "2", "--poly", "1,0,0,0,0,1+1"],
     "non_ascii_digit": ["genus", "-n", "2", "--poly", "x^٥+1"],
