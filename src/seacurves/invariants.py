@@ -18,7 +18,14 @@ form (``f``, or ``F`` in the general system) or another node.  A node named
 entry's definition is its node's formula: decimic J9 reads
 ``((k,m)^1,k*k)^8``.
 
-A table is evaluated on demand: a node is computed, with the nodes it reads,
+Each table is compiled once into a plan (``_Plan``): its nodes by name, the
+entries' final definitions (prefactors included), the covariant names and
+the unavailable entries.  The fixed tables' plans are compiled on their
+first call, and the general system's on the first call at each even degree,
+kept for the at most 48 degrees up to ``MAX_DEGREE``.  A call then only
+evaluates nodes.
+
+A plan is evaluated on demand: a node is computed, with the nodes it reads,
 the first time an entry, another node or a reader of the covariants needs it,
 and never twice.  The general system at degree d thus computes only the
 J_{4j} its entries read, not all d/2 - 1 of them.  Each node computed has its
@@ -48,7 +55,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .forms import BinaryForm, DegreeError, dehomogenize, is_squarefree
+from .forms import MAX_DEGREE, BinaryForm, DegreeError, dehomogenize, is_squarefree
 from .scalars import (Scalar, SeacurvesError, _int_str, _join_field, _power_product, _quotient,
                       rational)
 from .transvection import transvect
@@ -186,37 +193,92 @@ def _formula(left: str, right: str, op) -> str:
     return f"({left},{right})^{op}"
 
 
-class _Chain:
-    """A node table over one input form, evaluated on demand.
+@dataclass(frozen=True)
+class _Plan:
+    """A node table compiled once, for every call of its system.
 
-    ``chain[name]`` is ``(form, coefficient degree, formula)``.  A node and
-    the inputs it needs are computed the first time it is read, and every
-    node computed has its order checked against the table.
+    ``steps`` maps each node name to ``(left, right, op, order)``; ``entries``
+    holds ``(name, definition, prefactor or None)`` for each entry the table
+    has, its definition final; ``covariants`` and ``unavailable`` are what
+    every invariant vector of the system exposes.  ``nodes`` is the table the
+    plan was compiled from."""
+
+    nodes: tuple
+    leaf: str
+    steps: dict
+    entries: tuple
+    covariants: tuple
+    unavailable: frozenset
+
+
+def _compile(nodes, leaf: str, names, base=None, definitions=None, prefactors=None) -> _Plan:
+    """The plan of the entries ``names`` over the table ``nodes``, which may
+    read the steps ``base`` of another plan.  The named transvectant nodes
+    of positive order in ``nodes`` are the covariants, and an entry the
+    table lacks is unavailable.  ``definitions`` overrides the nodes'
+    formulas, ``prefactors`` scales entries."""
+    steps = dict(base or ())
+    for name, left, right, op, order in nodes:
+        steps[name or _formula(left, right, op)] = (left, right, op, order)
+    entries = []
+    for name in names:
+        if name in steps:
+            definition = definitions[name] if definitions else _formula(*steps[name][:3])
+            prefactor = prefactors[name] if prefactors else None
+            if prefactor is not None:
+                definition = f"{prefactor}*{definition}"
+            entries.append((name, definition, prefactor))
+    covariants = tuple(name for name, _, _, op, order in nodes
+                       if name and isinstance(op, int) and order)
+    unavailable = frozenset(name for name in names if name not in steps)
+    return _Plan(nodes, leaf, steps, tuple(entries), covariants, unavailable)
+
+
+# kind -> the plan of a fixed system's table, compiled on its first call
+_PLANS: dict = {}
+# even degree d <= MAX_DEGREE -> the general system's plan at d, compiled on
+# its first call; at most 48 entries, one per even degree 6 .. 100
+_GENERAL_PLANS: dict = {}
+
+
+def _fixed_plan(kind: str, nodes, leaf: str, names, base=None, prefactors=None) -> _Plan:
+    """The plan of a fixed table, compiled on first use; a table rebound
+    since then (a test patches one) is compiled again."""
+    plan = _PLANS.get(kind)
+    if plan is None or plan.nodes is not nodes:
+        plan = _PLANS[kind] = _compile(nodes, leaf, names, base, prefactors=prefactors)
+    return plan
+
+
+class _Chain:
+    """A plan's nodes over one input form, evaluated on demand.
+
+    ``chain[name]`` is ``(form, coefficient degree)``.  A node and the inputs
+    it needs are computed the first time it is read, and every node computed
+    has its order checked against the table.
     """
 
-    def __init__(self, nodes, leaf: str, form: BinaryForm):
-        self._nodes = {name or _formula(left, right, op): (left, right, op, order)
-                       for name, left, right, op, order in nodes}
-        self._values = {leaf: (form, 1, leaf)}
-
-    def __contains__(self, name) -> bool:
-        return name in self._values or name in self._nodes
+    def __init__(self, plan: _Plan, form: BinaryForm):
+        self._steps = plan.steps
+        self._values = {plan.leaf: (form, 1)}
 
     def __getitem__(self, name: str) -> tuple:
-        if name not in self._values:
-            left, right, op, order = self._nodes[name]
-            a, da, _ = self[left]
-            b, db, _ = self[right]
+        value = self._values.get(name)
+        if value is None:
+            left, right, op, order = self._steps[name]
+            a, da = self[left]
+            b, db = self[right]
             if op == "*":
                 form, degree = a * b, da + db
             elif op == "+":
                 form, degree = a + b, da
             else:
                 form, degree = transvect(a, b, op), da + db
-            if form.degree != order:
-                raise OrderBookkeepingError(f"{name} has order {form.degree}, expected {order}")
-            self._values[name] = (form, degree, _formula(left, right, op))
-        return self._values[name]
+            if len(form.vec[1]) - 1 != order:
+                raise OrderBookkeepingError(
+                    f"{name} has order {len(form.vec[1]) - 1}, expected {order}")
+            value = self._values[name] = (form, degree)
+        return value
 
 
 class _Covariants(Mapping):
@@ -242,29 +304,17 @@ class _Covariants(Mapping):
         return len(self._names)
 
 
-def _system(kind, chain: _Chain, nodes, names, definitions=None,
-            prefactors=None) -> InvariantVector:
-    """Collect the entries ``names`` of ``chain``, computing only the nodes
-    they need; an entry missing from the chain's table is unavailable.  The
-    named transvectant nodes of positive order in ``nodes`` are the
-    covariants.  ``definitions`` overrides the nodes' formulas,
-    ``prefactors`` scales entries."""
+def _system(kind, plan: _Plan, chain: _Chain) -> InvariantVector:
+    """The invariant vector of ``plan``'s entries over ``chain``, computing
+    only the nodes they need."""
     entries = {}
-    for name in names:
-        if name not in chain:
-            continue
-        form, degree, definition = chain[name]
+    for name, definition, prefactor in plan.entries:
+        form, degree = chain[name]
         value = form.constant_value()
-        if definitions:
-            definition = definitions[name]
-        if prefactors:
-            value = prefactors[name] * value
-            definition = f"{prefactors[name]}*{definition}"
+        if prefactor is not None:
+            value = prefactor * value
         entries[name] = (value, degree, definition)
-    covariants = tuple(name for name, _, _, op, order in nodes
-                       if name and isinstance(op, int) and order)
-    unavailable = frozenset(name for name in names if name not in chain)
-    return InvariantVector(kind, entries, _Covariants(chain, covariants), unavailable)
+    return InvariantVector(kind, entries, _Covariants(chain, plan.covariants), plan.unavailable)
 
 
 def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
@@ -328,7 +378,8 @@ _SEXTIC_ABSOLUTE = {
 def sextic_invariants(f: BinaryForm) -> InvariantVector:
     """J2, J4, J6, J10 of a binary sextic, with the covariants H, i, l."""
     _require_degree(f, 6)
-    return _system("sextic", _Chain(_SEXTIC, "f", f), _SEXTIC, SEXTIC_NAMES)
+    plan = _fixed_plan("sextic", _SEXTIC, "f", SEXTIC_NAMES)
+    return _system("sextic", plan, _Chain(plan, f))
 
 
 def sextic_absolute(f) -> AbsoluteInvariants:
@@ -391,8 +442,8 @@ _OCTAVIC_ABSOLUTE = {
 def octavic_invariants(f: BinaryForm) -> InvariantVector:
     """J2..J10 of a binary octavic, with their exact rational prefactors."""
     _require_degree(f, 8)
-    return _system("octavic", _Chain(_OCTAVIC, "f", f), _OCTAVIC, OCTAVIC_NAMES,
-                   prefactors=_OCT_PREF)
+    plan = _fixed_plan("octavic", _OCTAVIC, "f", OCTAVIC_NAMES, prefactors=_OCT_PREF)
+    return _system("octavic", plan, _Chain(plan, f))
 
 
 def octavic_absolute(f) -> AbsoluteInvariants:
@@ -447,7 +498,8 @@ def decimic_invariants(f: BinaryForm) -> InvariantVector:
     The combined J14 + A14 is exposed as the extra entry "J14_plus_A14".
     """
     _require_degree(f, 10)
-    return _system("decimic", _Chain(_DECIMIC, "f", f), _DECIMIC, DECIMIC_NAMES)
+    plan = _fixed_plan("decimic", _DECIMIC, "f", DECIMIC_NAMES)
+    return _system("decimic", plan, _Chain(plan, f))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +520,17 @@ def _general_nodes(d: int) -> tuple:
         (d >= 10, "M", "(F,J4)^4", "(F,J8)^8", d - 10, 8), (d >= 10, "I12", "M", "M", 8, 0),
     )
     return nodes + tuple(node for ok, *node in rows if ok)
+
+
+def _general_plan(d: int) -> _Plan:
+    """The general system's plan at even degree d >= 6, compiled once per
+    degree up to ``MAX_DEGREE`` (a larger degree is compiled on each call)."""
+    plan = _GENERAL_PLANS.get(d)
+    if plan is None:
+        plan = _compile(_general_nodes(d), "F", GENERAL_NAMES, definitions=_GENERAL_DEFINITIONS)
+        if d <= MAX_DEGREE:
+            _GENERAL_PLANS[d] = plan
+    return plan
 
 
 _GENERAL_DEFINITIONS = {
@@ -506,9 +569,8 @@ def general_invariants(F: BinaryForm) -> InvariantVector:
     d = F.degree
     if d < 6 or d % 2:
         raise DegreeError(f"general invariants need even degree >= 6, got {d}")
-    nodes = _general_nodes(d)
-    return _system("general", _Chain(nodes, "F", F), nodes, GENERAL_NAMES,
-                   definitions=_GENERAL_DEFINITIONS)
+    plan = _general_plan(d)
+    return _system("general", plan, _Chain(plan, F))
 
 
 def general_absolute(F) -> AbsoluteInvariants:
@@ -542,10 +604,12 @@ _GENUS10_ABSOLUTE = {"v5": ({"I6star_g10": 1}, {"I12star": 1})}
 def genus10_special(F: BinaryForm) -> Genus10Result:
     """The auxiliary degree-22 quantities, defined only when I12(F) = 0."""
     _require_degree(F, 22)
-    chain = _Chain(_general_nodes(22) + _GENUS10, "F", F)
+    plan = _fixed_plan("genus10", _GENUS10, "F", ("I6star_g10", "I12star"),
+                       base=_general_plan(22).steps)
+    chain = _Chain(plan, F)
     I12 = chain["I12"][0].constant_value()
     if not I12.is_zero:
         raise Genus10CaseError(f"I12 = {_int_str(I12)} != 0; the special invariants are only "
                                "defined on the I12 = 0 locus")
-    vec = _system("genus10", chain, _GENUS10, ("I6star_g10", "I12star"))
+    vec = _system("genus10", plan, chain)
     return Genus10Result(vec, _ratios("genus10", vec, _GENUS10_ABSOLUTE))

@@ -23,11 +23,15 @@ W depends only on the shape (n, m, r), so one builder, ``_table``, makes it
 once per shape, each alpha_k and beta_k row by the ratio recurrence of
 ``forms._falling_products``.  A table keeps, per a, only the b with
 W(a, b) != 0 (these have 0 <= a + b - r <= n + m - 2r), as parallel tuples of
-b, the output index s = a + b - r and the weight.  A transvectant is then one
-double loop over the table on the forms' cleared vectors, read over their
-joint field by the one lift of :mod:`seacurves.forms` (``_lift``, which
-gives a rational operand over Q(sqrt D) a zero B), giving a vector over the
-denominator P(n, r) P(m, r) den(f) den(g), made canonical once.
+b, the output index s = a + b - r and the weight W(a, b) / c.  The content
+c = gcd(P(n, r) P(m, r), every weight) is divided out once, as the table is
+built, and the table keeps the scale P(n, r) P(m, r) / c next to its rows:
+at n = m = 22 and r = 20, c has 109 bits and the largest weight 30, against
+138 undivided.  A transvectant is then one double loop over the rows on the
+forms' cleared vectors, read over their joint field by the one lift of
+:mod:`seacurves.forms` (``_lift``, which gives a rational operand over
+Q(sqrt D) a zero B), giving a vector over the denominator
+scale * den(f) den(g), made canonical once.
 ``_weighted_sum`` keeps two loops, chosen by ``disc``: one on the integers
 over Q, which the gate benchmark runs, and one on the pairs
 (x + x' sqrt D)(y + y' sqrt D) over Q(sqrt D), which sqrt_ext runs; on Q the
@@ -50,20 +54,21 @@ two bounds, ``_CACHE_ENTRIES`` tables and ``_CACHE_BYTES`` (16 MiB) as
 ints included, so the count over-states the memory a table holds.  A table
 larger than the byte bound is used and not kept, so the cache never holds
 more than 16 MiB.  At ``MAX_DEGREE`` = 100 the largest full table,
-(100, 100, 40), counts 1.4 MiB, the largest half-table 0.7 MiB and the 50
-half-tables (even r >= 2) 27.0 MiB; the self-tables of degrees 6-22 (even
-r >= 2) count 1.59 MiB.  Six rounds of seed 1 of the benchmark read 62
-tables on gate (32 full, 30 half, 0.53 MiB), 52 on sqrt_ext (0.36 MiB) and
-31 on catalog_cli (0.12 MiB), so neither bound binds there.  The byte bound
-caps the memory of in-process callers that use many shapes; the entry bound
-caps the dict and the recount on each insert, as the byte bound alone would
-admit about 26,000 of the smallest tables (640 B).
+(100, 100, 18), counts 1.1 MiB ((100, 100, 40) 0.99 MiB), the largest
+half-table 0.57 MiB and the 50 half-tables (even r >= 2) 19.7 MiB; the
+self-tables of degrees 6-22 (even r >= 2) count 1.55 MiB.  Six rounds of
+seed 1 of the benchmark read 62 tables on gate (32 full, 30 half,
+0.52 MiB), 52 on sqrt_ext (0.36 MiB) and 31 on catalog_cli (0.12 MiB), so
+neither bound binds there.  The byte bound caps the memory of in-process
+callers that use many shapes; the entry bound caps the dict and the recount
+on each insert, as the byte bound alone would admit about 23,000 of the
+smallest tables (724 B).
 """
 
 from __future__ import annotations
 
 import threading
-from math import comb, perm
+from math import comb, gcd, perm
 from sys import getsizeof
 
 from .forms import BinaryForm, _falling_products, _join_field, _lift
@@ -85,9 +90,10 @@ class TransvectionError(SeacurvesError):
 
 
 def _table(n: int, m: int, r: int, half: bool) -> tuple:
-    """The weights of (f, g)^r for degrees n and m: per a, the b with
-    W(a, b) != 0, their output indices a + b - r and the weights.  Row a
-    gains alpha_k(a) beta_k(b) over b = k .. m - r + k, or with ``half``
+    """(scale, rows): the weights of (f, g)^r for degrees n and m over their
+    content c, and the scale P(n, r) P(m, r) / c.  Row a lists the b with
+    W(a, b) != 0, their output indices a + b - r and the weights W(a, b) / c;
+    it gains alpha_k(a) beta_k(b) over b = k .. m - r + k, or with ``half``
     (n = m, even r) over b >= a only, doubled at b > a to S(a, b)."""
     w = [[0] * (m + 1) for _ in range(n + 1)]
     for k in range(r + 1):
@@ -99,23 +105,27 @@ def _table(n: int, m: int, r: int, half: bool) -> tuple:
             x *= c
             row = w[a]
             row[lo:hi] = [z + x * y for z, y in zip(row[lo:hi], beta[lo - k:])]
-    table = []
-    for a, row in enumerate(w):
-        if half:
+    if half:
+        for a, row in enumerate(w):
             row[a + 1:] = [2 * x for x in row[a + 1:]]
+    scale = perm(n, r) * perm(m, r)
+    content = gcd(scale, *(x for row in w for x in row))
+    rows = []
+    for a, row in enumerate(w):
         bs = tuple(b for b, x in enumerate(row) if x)
-        table.append((bs, tuple(a + b - r for b in bs), tuple(row[b] for b in bs)))
-    return tuple(table)
+        rows.append((bs, tuple(a + b - r for b in bs), tuple(row[b] // content for b in bs)))
+    return scale // content, tuple(rows)
 
 
 def _table_bytes(table: tuple) -> int:
     """The bytes of every tuple and int of a table, shared small ints included."""
-    return getsizeof(table) + sum(getsizeof(row) + sum(getsizeof(t) + sum(map(getsizeof, t))
-                                                       for t in row) for row in table)
+    scale, rows = table
+    return getsizeof(table) + getsizeof(scale) + getsizeof(rows) + sum(
+        getsizeof(row) + sum(getsizeof(t) + sum(map(getsizeof, t)) for t in row) for row in rows)
 
 
 def _cached(key: tuple) -> tuple:
-    """``_table(*key)``, kept in ``_TABLES`` within both cache bounds."""
+    """``_table(*key)``, (scale, rows), kept in ``_TABLES`` within both cache bounds."""
     hit = _TABLES.get(key)
     if hit is not None:
         return hit[0]
@@ -130,14 +140,14 @@ def _cached(key: tuple) -> tuple:
     return table
 
 
-def _weighted_sum(table: tuple, f, g, disc: int, size: int):
-    """The (A, B) pair of sum f_a g_b W(a, b) at a + b - r over a table, for
+def _weighted_sum(rows: tuple, f, g, disc: int, size: int):
+    """The (A, B) pair of sum f_a g_b W(a, b) / c at a + b - r over a table's rows, for
     (A, B) pairs f and g lifted to Z[sqrt(disc)] (``forms._lift``): B is
     None over Q, and a vector over Q(sqrt disc)."""
     (fa, fb), (ga, gb) = f, g
     acc = [0] * size
     if not disc:
-        for x, (bs, ss, ws) in zip(fa, table):
+        for x, (bs, ss, ws) in zip(fa, rows):
             if x:
                 for b, s, w in zip(bs, ss, ws):
                     y = ga[b]
@@ -145,7 +155,7 @@ def _weighted_sum(table: tuple, f, g, disc: int, size: int):
                         acc[s] += x * y * w
         return acc, None
     rad = [0] * size
-    for x0, x1, (bs, ss, ws) in zip(fa, fb, table):
+    for x0, x1, (bs, ss, ws) in zip(fa, fb, rows):
         if x0 or x1:
             for b, s, w in zip(bs, ss, ws):
                 y0, y1 = ga[b], gb[b]
@@ -170,6 +180,6 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     half = f.vec == g.vec
     if half and r % 2:
         return BinaryForm.zero(deg)
-    table = _cached((n, m, r, half))
-    a, b = _weighted_sum(table, _lift(f.vec, disc), _lift(g.vec, disc), disc, deg + 1)
-    return BinaryForm._from_vec(perm(n, r) * perm(m, r) * f.vec[0] * g.vec[0], a, b, disc)
+    scale, rows = _cached((n, m, r, half))
+    a, b = _weighted_sum(rows, _lift(f.vec, disc), _lift(g.vec, disc), disc, deg + 1)
+    return BinaryForm._from_vec(scale * f.vec[0] * g.vec[0], a, b, disc)

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seacurves import scalars
+from seacurves.forms import MAX_DEGREE
 from seacurves.scalars import (
     ONE,
     ZERO,
+    DivisionByZeroError,
     FieldMixError,
     OutputTooLargeError,
     Scalar,
@@ -96,6 +99,45 @@ def test_pow():
     assert rational(2) ** 10 == Scalar(1024)
     assert rational(1, 2) ** -2 == Scalar(4)
     assert quad(0, 1) ** 3 == quad(0, -3)
+    assert quad(1, 1) ** -2 == (quad(1, 1) * quad(1, 1)).inverse()
+    with pytest.raises(DivisionByZeroError):
+        ZERO ** -1
+
+
+def _refuse_work(monkeypatch):
+    """Patch the power kernel and the quotient to fail if called, so that a
+    missing bound fails the test instead of running the power."""
+    def refuse(*args):
+        raise AssertionError("the power ran past its bound")
+
+    monkeypatch.setattr(scalars, "_pow", refuse)
+    monkeypatch.setattr(scalars, "_quotient", refuse)
+
+
+@pytest.mark.parametrize("base,n", [
+    (Scalar(2), 10 ** 100), (Scalar(2), -10 ** 100), (rational(1, 3), 10 ** 5000),
+    (Scalar(10 ** 4299, 1, 5), 147), (Scalar(10 ** 4299, 1, 5), -147),
+    (ONE, scalars._MAX_POWER_BITS + 1), (-ONE, -scalars._MAX_POWER_BITS - 1),
+    (ZERO, -scalars._MAX_POWER_BITS - 1),
+], ids=["huge", "huge_negative", "past_the_digit_limit", "quadratic", "quadratic_negative",
+        "one", "minus_one_negative", "zero_negative"])
+def test_pow_past_its_bound_is_refused_before_any_work(monkeypatch, base, n):
+    """|n| times the bit length of the largest of den, a and b past
+    ``_MAX_POWER_BITS`` is OutputTooLargeError, raised before any power or
+    inverse is computed."""
+    _refuse_work(monkeypatch)
+    with pytest.raises(OutputTooLargeError, match="power too large"):
+        base ** n
+
+
+def test_pow_bound_admits_the_package_uses():
+    """The bound is inclusive, and admits x ** MAX_DEGREE on a numeral at the
+    digit limit, the largest power ``forms.evaluate`` takes of such a value."""
+    assert ONE ** scalars._MAX_POWER_BITS == ONE
+    assert (-ONE) ** -scalars._MAX_POWER_BITS == ONE
+    x = Scalar(10 ** 4299 + 7)  # 4300 digits, the interpreter's default digit limit
+    assert MAX_DEGREE * x.a.numerator.bit_length() <= scalars._MAX_POWER_BITS
+    assert x ** MAX_DEGREE == Scalar((10 ** 4299 + 7) ** MAX_DEGREE)
 
 
 @pytest.mark.parametrize("text,value", [

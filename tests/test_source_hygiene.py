@@ -28,6 +28,11 @@ written once in ``src/``.  No pattern given to a function of ``re`` in
 ``src/`` reads ``\\d``: the grammar's digits are ASCII.  No line in ``src/``
 is longer than 100 characters.
 
+Every cache in ``src/`` is listed in ``_MEMOS`` with its bound: a function
+under ``functools.cache`` or ``lru_cache``, a module-level name bound to an
+empty dict, list or set, or one a function rebinds through ``global``; the
+plan caches of ``invariants`` are filled to show their bounds hold.
+
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
 at module level in one file there, and no other file redefines a name the
@@ -41,10 +46,22 @@ from pathlib import Path
 
 import pytest
 
+from seacurves import cli, invariants
+from seacurves.forms import MAX_DEGREE, make_form
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 MODULES = sorted((SRC / "seacurves").rglob("*.py"))
 REFERENCE = TESTS / "reference.py"
+
+# (module, name) -> the bound on what the cache holds, and why it holds
+_MEMOS = {
+    ("cli", "_build_parser"): "1 entry: the function takes no argument",
+    ("catalog", "_last_built"): "1 entry: the last catalog text and the catalog built from it",
+    ("transvection", "_TABLES"): "_CACHE_ENTRIES tables within _CACHE_BYTES, oldest out first",
+    ("invariants", "_PLANS"): "4 entries: the sextic, octavic, decimic and genus-10 plans",
+    ("invariants", "_GENERAL_PLANS"): "48 entries: one per even degree 6 .. MAX_DEGREE",
+}
 
 _READ_ELSEWHERE = {
     ("scalars", "_RAT"): "bench/run.py records it in each run's environment",
@@ -284,6 +301,63 @@ def test_hand_slots_and_reduce_have_few_homes():
         ("scalars", "Scalar")]
     assert _classes_defining("__reduce__") == [
         ("catalog", "Catalog"), ("forms", "_Cleared"), ("scalars", "Scalar")]
+
+
+def _is_cache_decorator(node: ast.AST) -> bool:
+    """``functools.cache`` or ``lru_cache``, bare, called or as attributes."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+            or isinstance(node, ast.Name) and node.id in ("cache", "lru_cache"))
+
+
+def _is_empty_container(node) -> bool:
+    """``{}``, ``[]``, ``set()``, ``dict()`` or ``list()``."""
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not getattr(node, "keys", None) and not getattr(node, "elts", None)
+    return (isinstance(node, ast.Call) and _callee(node) in ("dict", "list", "set")
+            and not node.args and not node.keywords)
+
+
+def _memos(tree: ast.Module) -> set:
+    """The names of the caches a module defines (see ``_MEMOS``)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and any(map(_is_cache_decorator,
+                                                         node.decorator_list)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_container(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    names.update(name for node in ast.walk(tree) if isinstance(node, ast.Global)
+                 for name in node.names)
+    return names
+
+
+def test_every_cache_is_listed_with_its_bound():
+    """A cache no one bounded grows with the inputs of a long-lived process:
+    each one in ``src/`` is listed in ``_MEMOS``, and each listed one exists."""
+    found = {(_module_name(p), name) for p in MODULES for name in _memos(_tree(p))}
+    assert found == set(_MEMOS)
+
+
+def test_plan_caches_keep_their_bounds(monkeypatch):
+    """The general plan cache holds at most 48 plans after every even degree
+    from 6 to MAX_DEGREE and one past it; the fixed plans are one per table;
+    the parser is built once."""
+    monkeypatch.setattr(invariants, "_GENERAL_PLANS", {})
+    monkeypatch.setattr(invariants, "_PLANS", {})
+    for d in [*range(6, MAX_DEGREE + 1, 2), MAX_DEGREE + 2, 6]:
+        invariants._general_plan(d)
+    assert sorted(invariants._GENERAL_PLANS) == list(range(6, MAX_DEGREE + 1, 2))
+    assert len(invariants._GENERAL_PLANS) == 48
+    for _ in range(2):
+        invariants.sextic_invariants(make_form(6, [1] * 7))
+        invariants.octavic_invariants(make_form(8, [1] * 9))
+        invariants.decimic_invariants(make_form(10, [1] * 11))
+        invariants.genus10_special(make_form(22, [1] + [0] * 21 + [1]))
+    assert sorted(invariants._PLANS) == ["decimic", "genus10", "octavic", "sextic"]
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.cache_info().currsize == 1
 
 
 def _writes_a_stream(node: ast.AST) -> bool:

@@ -2,7 +2,7 @@ import random
 import sys
 import threading
 import time
-from math import comb, perm
+from math import comb, gcd, perm
 
 import pytest
 from hypothesis import given, settings
@@ -142,8 +142,11 @@ def _weight(n: int, m: int, r: int, a: int, b: int) -> int:
 
 def test_tables_match_their_closed_form():
     """Row a of every table with n, m <= 12 and r >= 1 lists exactly the b
-    with W(a, b) != 0, their output indices a + b - r and the weights; a
-    half-table row starts at b = a, with its weights doubled at b > a."""
+    with W(a, b) != 0, their output indices a + b - r and the weights over
+    the table's content c; a half-table row starts at b = a, with its weights
+    doubled at b > a.  c is the gcd of P(n, r) P(m, r) and every weight, and
+    the table's scale times c is P(n, r) P(m, r), so the scale and the
+    stored weights have no common factor."""
     shapes = [(n, m, r, False) for n in range(13) for m in range(13)
               for r in range(1, min(n, m) + 1)]
     shapes += [(n, n, r, True) for n in range(13) for r in range(2, n + 1, 2)]
@@ -152,9 +155,17 @@ def test_tables_match_their_closed_form():
         for a in range(n + 1):
             ws = {b: _weight(n, m, r, a, b) * (2 if half and b > a else 1)
                   for b in range(a if half else 0, m + 1)}
-            bs = tuple(b for b, w in ws.items() if w)
-            rows.append((bs, tuple(a + b - r for b in bs), tuple(ws[b] for b in bs)))
-        assert transvection._table(n, m, r, half) == tuple(rows), (n, m, r, half)
+            rows.append({b: w for b, w in ws.items() if w})
+        falling = perm(n, r) * perm(m, r)
+        c = gcd(falling, *(w for row in rows for w in row.values()))
+        scale, table = transvection._table(n, m, r, half)
+        assert scale * c == falling, (n, m, r, half)
+        stored = [w for _, _, ws in table for w in ws]
+        assert gcd(scale, *stored) == 1, (n, m, r, half)
+        assert len(table) == n + 1
+        for a, ((bs, ss, ws), row) in enumerate(zip(table, rows)):
+            assert bs == tuple(row) and ss == tuple(a + b - r for b in bs), (n, m, r, half, a)
+            assert [w * c for w in ws] == list(row.values()), (n, m, r, half, a)
 
 
 def _big_form(rng: random.Random, digits: int) -> BinaryForm:
