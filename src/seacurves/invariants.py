@@ -193,45 +193,39 @@ def _formula(left: str, right: str, op) -> str:
     return f"({left},{right})^{op}"
 
 
-@dataclass(frozen=True)
 class _Plan:
     """A node table compiled once, for every call of its system.
 
     ``steps`` maps each node name to ``(left, right, op, order)``; ``entries``
     holds ``(name, definition, prefactor or None)`` for each entry the table
     has, its definition final; ``covariants`` and ``unavailable`` are what
-    every invariant vector of the system exposes.  ``nodes`` is the table the
-    plan was compiled from."""
+    every invariant vector of the system exposes.  The table ``nodes`` may
+    read the steps ``base`` of another plan; its named transvectant nodes of
+    positive order are the covariants, and an entry it lacks is unavailable.
+    ``definitions`` overrides the nodes' formulas, ``prefactors`` scales
+    entries.  A plain class, not a dataclass: the package builds plans only
+    when a system is first called, and a dataclass would cost every import.
+    """
 
-    nodes: tuple
-    leaf: str
-    steps: dict
-    entries: tuple
-    covariants: tuple
-    unavailable: frozenset
-
-
-def _compile(nodes, leaf: str, names, base=None, definitions=None, prefactors=None) -> _Plan:
-    """The plan of the entries ``names`` over the table ``nodes``, which may
-    read the steps ``base`` of another plan.  The named transvectant nodes
-    of positive order in ``nodes`` are the covariants, and an entry the
-    table lacks is unavailable.  ``definitions`` overrides the nodes'
-    formulas, ``prefactors`` scales entries."""
-    steps = dict(base or ())
-    for name, left, right, op, order in nodes:
-        steps[name or _formula(left, right, op)] = (left, right, op, order)
-    entries = []
-    for name in names:
-        if name in steps:
-            definition = definitions[name] if definitions else _formula(*steps[name][:3])
-            prefactor = prefactors[name] if prefactors else None
-            if prefactor is not None:
-                definition = f"{prefactor}*{definition}"
-            entries.append((name, definition, prefactor))
-    covariants = tuple(name for name, _, _, op, order in nodes
-                       if name and isinstance(op, int) and order)
-    unavailable = frozenset(name for name in names if name not in steps)
-    return _Plan(nodes, leaf, steps, tuple(entries), covariants, unavailable)
+    def __init__(self, nodes, leaf: str, names, base=None, definitions=None, prefactors=None):
+        steps = dict(base or ())
+        for name, left, right, op, order in nodes:
+            steps[name or _formula(left, right, op)] = (left, right, op, order)
+        entries = []
+        for name in names:
+            if name in steps:
+                definition = definitions[name] if definitions else _formula(*steps[name][:3])
+                prefactor = prefactors[name] if prefactors else None
+                if prefactor is not None:
+                    definition = f"{prefactor}*{definition}"
+                entries.append((name, definition, prefactor))
+        self.nodes = nodes
+        self.leaf = leaf
+        self.steps = steps
+        self.entries = tuple(entries)
+        self.covariants = tuple(name for name, _, _, op, order in nodes
+                                if name and isinstance(op, int) and order)
+        self.unavailable = frozenset(name for name in names if name not in steps)
 
 
 # kind -> the plan of a fixed system's table, compiled on its first call
@@ -243,10 +237,10 @@ _GENERAL_PLANS: dict = {}
 
 def _fixed_plan(kind: str, nodes, leaf: str, names, base=None, prefactors=None) -> _Plan:
     """The plan of a fixed table, compiled on first use; a table rebound
-    since then (a test patches one) is compiled again."""
+    since then is compiled again, so the module's table stays the source."""
     plan = _PLANS.get(kind)
     if plan is None or plan.nodes is not nodes:
-        plan = _PLANS[kind] = _compile(nodes, leaf, names, base, prefactors=prefactors)
+        plan = _PLANS[kind] = _Plan(nodes, leaf, names, base, prefactors=prefactors)
     return plan
 
 
@@ -527,7 +521,7 @@ def _general_plan(d: int) -> _Plan:
     degree up to ``MAX_DEGREE`` (a larger degree is compiled on each call)."""
     plan = _GENERAL_PLANS.get(d)
     if plan is None:
-        plan = _compile(_general_nodes(d), "F", GENERAL_NAMES, definitions=_GENERAL_DEFINITIONS)
+        plan = _Plan(_general_nodes(d), "F", GENERAL_NAMES, definitions=_GENERAL_DEFINITIONS)
         if d <= MAX_DEGREE:
             _GENERAL_PLANS[d] = plan
     return plan
