@@ -18,23 +18,25 @@ form (``f``, or ``F`` in the general system) or another node.  A node named
 entry's definition is its node's formula: decimic J9 reads
 ``((k,m)^1,k*k)^8``.
 
-Each table is compiled once into a plan (``_Plan``): its nodes by name, the
-entries' final definitions (prefactors included), the covariant names and
-the unavailable entries.  The fixed tables' plans are compiled on their
-first call, and the general system's on the first call at each even degree,
-kept for the at most 48 degrees up to ``MAX_DEGREE``.  A call then only
-evaluates nodes.
+Each system is one plan (``_Plan``), compiled once from its table: its kind,
+its nodes by name, their coefficient degrees, the entries' final definitions
+(prefactors included), the covariant names and the unavailable entries.  A
+coefficient degree is fixed by the tree alone: the input form has degree 1,
+a sum keeps its left degree, and degrees add under transvection and
+product.  The sextic, octavic, decimic and genus-10 plans are built at
+import; the general system's is built on the first call at each even degree
+and kept, least recently used out first, for 48 degrees: as many as there
+are even degrees 6 .. ``MAX_DEGREE``.
 
-A plan is evaluated on demand: a node is computed, with the nodes it reads,
-the first time an entry, another node or a reader of the covariants needs it,
+A call evaluates its plan over the input form in one chain (``_Chain``),
+which holds only forms and computes a node, with the nodes it reads, the
+first time an entry, another node or a reader of the covariants needs it,
 and never twice.  The general system at degree d thus computes only the
 J_{4j} its entries read, not all d/2 - 1 of them.  Each node computed has its
 order checked against ``expected_order`` (0 for an invariant), raising
-:class:`OrderBookkeepingError` on a mismatch, and gets its coefficient degree
-from the tree: the input form has degree 1, and degrees add under
-transvection and product.  Named transvectant nodes of positive order are the
-covariants a system exposes, as a read-only mapping that computes a
-covariant when it is read.
+:class:`OrderBookkeepingError` on a mismatch.  Named transvectant nodes of
+positive order are the covariants a system exposes; the chain is itself the
+read-only mapping that computes a covariant when it is read.
 
 Absolute invariants are tables too: name -> (numerator, denominator), each a
 map from invariant name to exponent.  A ratio whose denominator vanishes is
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .forms import MAX_DEGREE, BinaryForm, DegreeError, dehomogenize, is_squarefree
 from .scalars import (Scalar, SeacurvesError, _int_str, _join_field, _power_product, _quotient,
@@ -194,23 +197,29 @@ def _formula(left: str, right: str, op) -> str:
 
 
 class _Plan:
-    """A node table compiled once, for every call of its system.
+    """An invariant system's node table, compiled once for every call.
 
-    ``steps`` maps each node name to ``(left, right, op, order)``; ``entries``
-    holds ``(name, definition, prefactor or None)`` for each entry the table
-    has, its definition final; ``covariants`` and ``unavailable`` are what
-    every invariant vector of the system exposes.  The table ``nodes`` may
-    read the steps ``base`` of another plan; its named transvectant nodes of
-    positive order are the covariants, and an entry it lacks is unavailable.
-    ``definitions`` overrides the nodes' formulas, ``prefactors`` scales
-    entries.  A plain class, not a dataclass: the package builds plans only
-    when a system is first called, and a dataclass would cost every import.
+    ``steps`` maps each node name to ``(left, right, op, order)`` and
+    ``degrees`` each node, the leaf included, to its coefficient degree: the
+    leaf has degree 1, a sum keeps its left degree, and a product or a
+    transvectant adds both.  ``entries`` holds ``(name, degree, definition,
+    prefactor or None)`` for each entry the table has, its definition final;
+    ``covariants`` and ``unavailable`` are what every invariant vector of
+    ``kind`` exposes.  The table ``nodes`` may extend the plan ``base``; its
+    named transvectant nodes of positive order are the covariants, and an
+    entry it lacks is unavailable.  ``definitions`` overrides the nodes'
+    formulas, ``prefactors`` scales entries.  A plain class, not a dataclass:
+    defining a dataclass would cost every import.
     """
 
-    def __init__(self, nodes, leaf: str, names, base=None, definitions=None, prefactors=None):
-        steps = dict(base or ())
+    def __init__(self, kind: str, nodes, leaf: str, names, base=None, definitions=None,
+                 prefactors=None):
+        steps = dict(base.steps if base else ())
+        degrees = dict(base.degrees if base else {leaf: 1})
         for name, left, right, op, order in nodes:
-            steps[name or _formula(left, right, op)] = (left, right, op, order)
+            name = name or _formula(left, right, op)
+            steps[name] = (left, right, op, order)
+            degrees[name] = degrees[left] + (0 if op == "+" else degrees[right])
         entries = []
         for name in names:
             if name in steps:
@@ -218,102 +227,69 @@ class _Plan:
                 prefactor = prefactors[name] if prefactors else None
                 if prefactor is not None:
                     definition = f"{prefactor}*{definition}"
-                entries.append((name, definition, prefactor))
-        self.nodes = nodes
+                entries.append((name, degrees[name], definition, prefactor))
+        self.kind = kind
         self.leaf = leaf
         self.steps = steps
+        self.degrees = degrees
         self.entries = tuple(entries)
         self.covariants = tuple(name for name, _, _, op, order in nodes
                                 if name and isinstance(op, int) and order)
         self.unavailable = frozenset(name for name in names if name not in steps)
 
 
-# kind -> the plan of a fixed system's table, compiled on its first call
-_PLANS: dict = {}
-# even degree d <= MAX_DEGREE -> the general system's plan at d, compiled on
-# its first call; at most 48 entries, one per even degree 6 .. 100
-_GENERAL_PLANS: dict = {}
+class _Chain(Mapping):
+    """A plan's nodes over one input form, computed on demand, and the
+    read-only map name -> covariant that its invariant vector exposes.
 
-
-def _fixed_plan(kind: str, nodes, leaf: str, names, base=None, prefactors=None) -> _Plan:
-    """The plan of a fixed table, compiled on first use; a table rebound
-    since then is compiled again, so the module's table stays the source."""
-    plan = _PLANS.get(kind)
-    if plan is None or plan.nodes is not nodes:
-        plan = _PLANS[kind] = _Plan(nodes, leaf, names, base, prefactors=prefactors)
-    return plan
-
-
-class _Chain:
-    """A plan's nodes over one input form, evaluated on demand.
-
-    ``chain[name]`` is ``(form, coefficient degree)``.  A node and the inputs
-    it needs are computed the first time it is read, and every node computed
-    has its order checked against the table.
+    :meth:`_node` is the one node step: a node and the nodes it reads are
+    computed the first time one is needed, and never twice, and every node
+    computed has its order checked against the table.  Reading a covariant
+    computes it; asking whether one is there computes nothing.
     """
 
     def __init__(self, plan: _Plan, form: BinaryForm):
-        self._steps = plan.steps
-        self._values = {plan.leaf: (form, 1)}
+        self._plan = plan
+        self._forms = {plan.leaf: form}
 
-    def __getitem__(self, name: str) -> tuple:
-        value = self._values.get(name)
-        if value is None:
-            left, right, op, order = self._steps[name]
-            a, da = self[left]
-            b, db = self[right]
-            if op == "*":
-                form, degree = a * b, da + db
-            elif op == "+":
-                form, degree = a + b, da
-            else:
-                form, degree = transvect(a, b, op), da + db
+    def _node(self, name: str) -> BinaryForm:
+        form = self._forms.get(name)
+        if form is None:
+            left, right, op, order = self._plan.steps[name]
+            a, b = self._node(left), self._node(right)
+            form = a * b if op == "*" else a + b if op == "+" else transvect(a, b, op)
             if len(form.vec[1]) - 1 != order:
                 raise OrderBookkeepingError(
                     f"{name} has order {len(form.vec[1]) - 1}, expected {order}")
-            value = self._values[name] = (form, degree)
-        return value
+            self._forms[name] = form
+        return form
 
-
-class _Covariants(Mapping):
-    """Read-only name -> covariant map over a chain; a covariant is computed
-    when it is first read."""
-
-    def __init__(self, chain: _Chain, names: tuple):
-        self._chain = chain
-        self._names = names
+    def vector(self) -> InvariantVector:
+        """The plan's invariant vector, computing only the nodes its entries read."""
+        entries = {}
+        for name, degree, definition, prefactor in self._plan.entries:
+            value = self._node(name).constant_value()
+            entries[name] = (value if prefactor is None else prefactor * value, degree, definition)
+        return InvariantVector(self._plan.kind, entries, self, self._plan.unavailable)
 
     def __getitem__(self, name: str) -> BinaryForm:
-        if name not in self._names:
+        if name not in self._plan.covariants:
             raise KeyError(name)
-        return self._chain[name][0]
+        return self._node(name)
 
     def __contains__(self, name) -> bool:
-        return name in self._names
+        return name in self._plan.covariants
 
     def __iter__(self):
-        return iter(self._names)
+        return iter(self._plan.covariants)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._plan.covariants)
 
 
-def _system(kind, plan: _Plan, chain: _Chain) -> InvariantVector:
-    """The invariant vector of ``plan``'s entries over ``chain``, computing
-    only the nodes they need."""
-    entries = {}
-    for name, definition, prefactor in plan.entries:
-        form, degree = chain[name]
-        value = form.constant_value()
-        if prefactor is not None:
-            value = prefactor * value
-        entries[name] = (value, degree, definition)
-    return InvariantVector(kind, entries, _Covariants(chain, plan.covariants), plan.unavailable)
-
-
-def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
-    """Absolute invariants of ``v`` from ``table``: name -> (numerator,
-    denominator), each a map invariant name -> exponent.
+def _ratios(v: InvariantVector, table) -> AbsoluteInvariants:
+    """Absolute invariants of ``v``, of its kind, from ``table``: name ->
+    (numerator, denominator), each a map invariant name -> exponent.
 
     Each side is one cleared element x / den (``scalars._power_product``),
     and the ratio is the one quotient of the package, ``scalars._quotient``,
@@ -330,7 +306,7 @@ def _ratios(kind, v: InvariantVector, table) -> AbsoluteInvariants:
             continue
         tden, top, tdisc = _power_product(v, num)
         values[name] = _quotient(tden, top, bden, bottom, _join_field(tdisc, bdisc))
-    return AbsoluteInvariants(kind, tuple(table), values, frozenset(undefined),
+    return AbsoluteInvariants(v.kind, tuple(table), values, frozenset(undefined),
                               frozenset(unavailable))
 
 
@@ -361,6 +337,7 @@ _SEXTIC = (
     ("J2", "f", "f", 6, 0), ("J4", "i", "i", 4, 0), ("J6", "l", "l", 2, 0),
     (None, "l", "l", "*", 4), ("l^3", "l*l", "l", "*", 6), ("J10", "f", "l^3", 6, 0),
 )
+_SEXTIC_PLAN = _Plan("sextic", _SEXTIC, "f", SEXTIC_NAMES)
 
 _SEXTIC_ABSOLUTE = {
     "t1": ({"J2": 5}, {"J10": 1}),
@@ -372,14 +349,13 @@ _SEXTIC_ABSOLUTE = {
 def sextic_invariants(f: BinaryForm) -> InvariantVector:
     """J2, J4, J6, J10 of a binary sextic, with the covariants H, i, l."""
     _require_degree(f, 6)
-    plan = _fixed_plan("sextic", _SEXTIC, "f", SEXTIC_NAMES)
-    return _system("sextic", plan, _Chain(plan, f))
+    return _Chain(_SEXTIC_PLAN, f).vector()
 
 
 def sextic_absolute(f) -> AbsoluteInvariants:
     """t1 = J2^5/J10, t2 = J2^3*J4/J10, t3 = J2^2*J6/J10."""
     v = f if isinstance(f, InvariantVector) else sextic_invariants(f)
-    return _ratios("sextic", v, _SEXTIC_ABSOLUTE)
+    return _ratios(v, _SEXTIC_ABSOLUTE)
 
 
 def genus2_isomorphic(f1: BinaryForm, f2: BinaryForm) -> bool:
@@ -422,6 +398,7 @@ _OCT_PREF = {
     "J9": rational(2 ** 19 * 3 ** 2 * 5 * 7 ** 9),
     "J10": rational(2 ** 22 * 3 ** 2 * 5 ** 2 * 7 ** 11),
 }
+_OCTAVIC_PLAN = _Plan("octavic", _OCTAVIC, "f", OCTAVIC_NAMES, prefactors=_OCT_PREF)
 
 _OCTAVIC_ABSOLUTE = {
     "t1": ({"J3": 2}, {"J2": 3}),
@@ -436,15 +413,14 @@ _OCTAVIC_ABSOLUTE = {
 def octavic_invariants(f: BinaryForm) -> InvariantVector:
     """J2..J10 of a binary octavic, with their exact rational prefactors."""
     _require_degree(f, 8)
-    plan = _fixed_plan("octavic", _OCTAVIC, "f", OCTAVIC_NAMES, prefactors=_OCT_PREF)
-    return _system("octavic", plan, _Chain(plan, f))
+    return _Chain(_OCTAVIC_PLAN, f).vector()
 
 
 def octavic_absolute(f) -> AbsoluteInvariants:
     """t1 = J3^2/J2^3, t2 = J4/J2^2, t3 = J5/(J2*J3), t4 = J6/(J2*J4),
     t5 = J7/(J2*J5), t6 = J8/J2^4."""
     v = f if isinstance(f, InvariantVector) else octavic_invariants(f)
-    return _ratios("octavic", v, _OCTAVIC_ABSOLUTE)
+    return _ratios(v, _OCTAVIC_ABSOLUTE)
 
 
 def genus3_isomorphic(f1: BinaryForm, f2: BinaryForm) -> bool:
@@ -482,6 +458,7 @@ _DECIMIC = (
     (None, "(k,k)^2", "(k,k)^2", "*", 8), ("A14", "(k,k)^2*(k,k)^2", "(m,m)^2", 8, 0),
     ("J14_plus_A14", "J14", "A14", "+", 0),
 )
+_DECIMIC_PLAN = _Plan("decimic", _DECIMIC, "f", DECIMIC_NAMES)
 
 
 def decimic_invariants(f: BinaryForm) -> InvariantVector:
@@ -492,8 +469,7 @@ def decimic_invariants(f: BinaryForm) -> InvariantVector:
     The combined J14 + A14 is exposed as the extra entry "J14_plus_A14".
     """
     _require_degree(f, 10)
-    plan = _fixed_plan("decimic", _DECIMIC, "f", DECIMIC_NAMES)
-    return _system("decimic", plan, _Chain(plan, f))
+    return _Chain(_DECIMIC_PLAN, f).vector()
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +492,13 @@ def _general_nodes(d: int) -> tuple:
     return nodes + tuple(node for ok, *node in rows if ok)
 
 
+@lru_cache(maxsize=(MAX_DEGREE - 4) // 2)
 def _general_plan(d: int) -> _Plan:
     """The general system's plan at even degree d >= 6, compiled once per
-    degree up to ``MAX_DEGREE`` (a larger degree is compiled on each call)."""
-    plan = _GENERAL_PLANS.get(d)
-    if plan is None:
-        plan = _Plan(_general_nodes(d), "F", GENERAL_NAMES, definitions=_GENERAL_DEFINITIONS)
-        if d <= MAX_DEGREE:
-            _GENERAL_PLANS[d] = plan
-    return plan
+    degree: the cache holds one plan for each of the 48 even degrees 6 ..
+    ``MAX_DEGREE``, the least recently used leaving first past them."""
+    return _Plan("general", _general_nodes(d), "F", GENERAL_NAMES,
+                 definitions=_GENERAL_DEFINITIONS)
 
 
 _GENERAL_DEFINITIONS = {
@@ -563,8 +537,7 @@ def general_invariants(F: BinaryForm) -> InvariantVector:
     d = F.degree
     if d < 6 or d % 2:
         raise DegreeError(f"general invariants need even degree >= 6, got {d}")
-    plan = _general_plan(d)
-    return _system("general", plan, _Chain(plan, F))
+    return _Chain(_general_plan(d), F).vector()
 
 
 def general_absolute(F) -> AbsoluteInvariants:
@@ -576,7 +549,7 @@ def general_absolute(F) -> AbsoluteInvariants:
     scaling-invariant; it is computed as printed and documented as such.
     """
     v = F if isinstance(F, InvariantVector) else general_invariants(F)
-    return _ratios("general", v, _GENERAL_ABSOLUTE)
+    return _ratios(v, _GENERAL_ABSOLUTE)
 
 
 @dataclass(frozen=True)
@@ -591,6 +564,7 @@ _GENUS10 = (
     ("S", "J12", "J16", 12, 4), (None, "J16", "S", 4, 12),
     ("I12star", "(J16,S)^4", "(J16,S)^4", 12, 0),
 )
+_GENUS10_PLAN = _Plan("genus10", _GENUS10, "F", ("I6star_g10", "I12star"), base=_general_plan(22))
 
 _GENUS10_ABSOLUTE = {"v5": ({"I6star_g10": 1}, {"I12star": 1})}
 
@@ -598,12 +572,10 @@ _GENUS10_ABSOLUTE = {"v5": ({"I6star_g10": 1}, {"I12star": 1})}
 def genus10_special(F: BinaryForm) -> Genus10Result:
     """The auxiliary degree-22 quantities, defined only when I12(F) = 0."""
     _require_degree(F, 22)
-    plan = _fixed_plan("genus10", _GENUS10, "F", ("I6star_g10", "I12star"),
-                       base=_general_plan(22).steps)
-    chain = _Chain(plan, F)
-    I12 = chain["I12"][0].constant_value()
+    chain = _Chain(_GENUS10_PLAN, F)
+    I12 = chain._node("I12").constant_value()
     if not I12.is_zero:
         raise Genus10CaseError(f"I12 = {_int_str(I12)} != 0; the special invariants are only "
                                "defined on the I12 = 0 locus")
-    vec = _system("genus10", plan, chain)
-    return Genus10Result(vec, _ratios("genus10", vec, _GENUS10_ABSOLUTE))
+    vec = chain.vector()
+    return Genus10Result(vec, _ratios(vec, _GENUS10_ABSOLUTE))

@@ -322,7 +322,9 @@ class Scalar:
                                       f"value passes {_MAX_POWER_BITS} bits")
         x = self.inverse() if n < 0 else self
         a, b = _pow((x._a, x._b), e, x.disc)
-        return _scalar(x._den ** e, a, b, x.disc)
+        if x.disc:
+            return _scalar(x._den ** e, a, b, x.disc)
+        return _new(x._den ** e, a, 0, 0)  # gcd(den, a) = 1 gives gcd(den^e, a^e) = 1
 
     # -- comparison / hashing --------------------------------------------------
 

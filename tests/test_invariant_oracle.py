@@ -152,7 +152,7 @@ def test_genus10_special_matches_eager_oracle():
     res = inv.genus10_special(PAL22)
     expected = eager_invariants("genus10", PAL22)
     assert_same_vector(res.invariants, expected, ["S"])
-    assert res.absolute == inv._ratios("genus10", expected, inv._GENUS10_ABSOLUTE)
+    assert res.absolute == inv._ratios(expected, inv._GENUS10_ABSOLUTE)
 
 
 # -- work done ------------------------------------------------------------------------------------
@@ -192,18 +192,39 @@ def test_genus10_evaluates_no_node_twice(transvect_calls):
     assert len(transvect_calls) == 13
 
 
+def test_fixed_systems_build_no_plan(monkeypatch):
+    """The sextic, octavic, decimic and genus-10 plans are built at import,
+    so a call only evaluates nodes."""
+    built, plan = [], inv._Plan
+
+    def spy(*args, **kwargs):
+        built.append(args[0])
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "_Plan", spy)
+    inv.sextic_invariants(make_form(6, [1, -2, 0, 3, 0, 1, 1]))
+    inv.octavic_invariants(make_form(8, [1, 0, 2, 0, -1, 0, 0, 3, 1]))
+    inv.decimic_invariants(make_form(10, [1] + [0] * 4 + [2] + [0] * 4 + [1]))
+    inv.genus10_special(PAL22)
+    assert built == []
+
+
 def _with_order(nodes, name, order):
     return tuple(node[:4] + (order,) if node[0] == name else node for node in nodes)
 
 
+def _sextic_plan_with_order(name, order):
+    return inv._Plan("sextic", _with_order(inv._SEXTIC, name, order), "f", inv.SEXTIC_NAMES)
+
+
 def test_wrong_order_on_a_needed_node_raises_at_call_time(monkeypatch):
-    monkeypatch.setattr(inv, "_SEXTIC", _with_order(inv._SEXTIC, "i", 3))
+    monkeypatch.setattr(inv, "_SEXTIC_PLAN", _sextic_plan_with_order("i", 3))
     with pytest.raises(inv.OrderBookkeepingError, match="i has order 4, expected 3"):
         inv.sextic_invariants(make_form(6, [1, 0, 0, 0, 0, 0, 1]))
 
 
 def test_wrong_order_on_an_unread_covariant_raises_when_read(monkeypatch):
-    monkeypatch.setattr(inv, "_SEXTIC", _with_order(inv._SEXTIC, "H", 7))
+    monkeypatch.setattr(inv, "_SEXTIC_PLAN", _sextic_plan_with_order("H", 7))
     vec = inv.sextic_invariants(make_form(6, [1, 0, 0, 0, 0, 0, 1]))
     assert vec.covariants["i"].degree == 4
     with pytest.raises(inv.OrderBookkeepingError, match="H has order 8, expected 7"):

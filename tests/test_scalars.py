@@ -140,6 +140,38 @@ def test_pow_bound_admits_the_package_uses():
     assert x ** MAX_DEGREE == Scalar((10 ** 4299 + 7) ** MAX_DEGREE)
 
 
+def test_rational_pow_takes_no_gcd(monkeypatch):
+    """A power of a rational in lowest terms is in lowest terms, so it is
+    built without the content gcd."""
+    def refuse(*args):
+        raise AssertionError("a rational power took a gcd")
+
+    x, y, z = rational(-6, 35), rational(7), rational(2 ** 80 + 1, 3 ** 40)
+    monkeypatch.setattr(scalars, "_content", refuse)
+    assert x ** 3 == Fraction(-216, 42875) and y ** 2 == 49 and z ** 0 == 1
+    assert ZERO ** 5 == 0 and ZERO ** 0 == 1 and (-ONE) ** 7 == -1
+    assert z ** 2 == Fraction((2 ** 80 + 1) ** 2, 3 ** 80)
+
+
+parts = st.one_of(st.just(0), st.integers(-50, 50), rats)
+
+
+@given(st.sampled_from([0, 5, -3]).flatmap(lambda disc: st.tuples(
+    st.just(disc), parts, parts if disc else st.just(0), st.integers(-7, 7))))
+def test_pow_matches_the_canonical_route(args):
+    """Every base, rational or not, of either sign, integer or zero, to every
+    small n gives the Scalar that the canonical gcd of the plain power gives."""
+    disc, a, b, n = args
+    x = Scalar(a, b, disc)
+    if n < 0 and x.is_zero:
+        return
+    y = x.inverse() if n < 0 else x
+    num = scalars._pow((y._a, y._b), abs(n), y.disc)
+    assert x ** n == scalars._scalar(y._den ** abs(n), *num, y.disc)
+    if not disc:
+        assert x ** n == Fraction(a) ** n
+
+
 @pytest.mark.parametrize("text,value", [
     ("3", Scalar(3)),
     ("-7/2", rational(-7, 2)),

@@ -29,9 +29,10 @@ written once in ``src/``.  No pattern given to a function of ``re`` in
 is longer than 100 characters.
 
 Every cache in ``src/`` is listed in ``_MEMOS`` with its bound: a function
-under ``functools.cache`` or ``lru_cache``, a module-level name bound to an
-empty dict, list or set, or one a function rebinds through ``global``; the
-plan caches of ``invariants`` are filled to show their bounds hold.
+under ``functools.cache`` or ``lru_cache``, a method under
+``functools.cached_property``, a module-level name bound to an empty dict,
+list or set, or one a function rebinds through ``global``; the general plan
+cache of ``invariants`` is filled to show its bound holds.
 
 Two checks read ``tests/``: the differential tests share one model,
 ``tests/reference.py``, so a ``ref_*`` function or ``Ref*`` class is defined
@@ -47,7 +48,7 @@ from pathlib import Path
 import pytest
 
 from seacurves import cli, invariants
-from seacurves.forms import MAX_DEGREE, make_form
+from seacurves.forms import MAX_DEGREE
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -59,8 +60,10 @@ _MEMOS = {
     ("cli", "_build_parser"): "1 entry: the function takes no argument",
     ("catalog", "_last_built"): "1 entry: the last catalog text and the catalog built from it",
     ("transvection", "_TABLES"): "_CACHE_ENTRIES tables within _CACHE_BYTES, oldest out first",
-    ("invariants", "_PLANS"): "4 entries: the sextic, octavic, decimic and genus-10 plans",
-    ("invariants", "_GENERAL_PLANS"): "48 entries: one per even degree 6 .. MAX_DEGREE",
+    ("invariants", "_general_plan"): "48 entries: lru_cache sized to the even degrees 6 .. 100",
+    ("templates", "_form"): "1 value per template, computed on first read",
+    ("templates", "_support"): "1 value per template, computed on first read",
+    ("templates", "_support_sets"): "1 value per template, computed on first read",
 }
 
 _READ_ELSEWHERE = {
@@ -303,11 +306,15 @@ def test_hand_slots_and_reduce_have_few_homes():
         ("catalog", "Catalog"), ("forms", "_Cleared"), ("scalars", "Scalar")]
 
 
+_CACHE_DECORATORS = ("cache", "lru_cache", "cached_property")
+
+
 def _is_cache_decorator(node: ast.AST) -> bool:
-    """``functools.cache`` or ``lru_cache``, bare, called or as attributes."""
+    """``functools.cache``, ``lru_cache`` or ``cached_property``, bare,
+    called or as attributes."""
     node = node.func if isinstance(node, ast.Call) else node
-    return (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
-            or isinstance(node, ast.Name) and node.id in ("cache", "lru_cache"))
+    return (isinstance(node, ast.Attribute) and node.attr in _CACHE_DECORATORS
+            or isinstance(node, ast.Name) and node.id in _CACHE_DECORATORS)
 
 
 def _is_empty_container(node) -> bool:
@@ -320,7 +327,9 @@ def _is_empty_container(node) -> bool:
 
 def _memos(tree: ast.Module) -> set:
     """The names of the caches a module defines (see ``_MEMOS``)."""
-    names = set()
+    names = {method.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for method in cls.body if isinstance(method, ast.FunctionDef)
+             and any(map(_is_cache_decorator, method.decorator_list))}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and any(map(_is_cache_decorator,
                                                          node.decorator_list)):
@@ -340,22 +349,14 @@ def test_every_cache_is_listed_with_its_bound():
     assert found == set(_MEMOS)
 
 
-def test_plan_caches_keep_their_bounds(monkeypatch):
-    """The general plan cache holds at most 48 plans after every even degree
-    from 6 to MAX_DEGREE and one past it; the fixed plans are one per table;
-    the parser is built once."""
-    monkeypatch.setattr(invariants, "_GENERAL_PLANS", {})
-    monkeypatch.setattr(invariants, "_PLANS", {})
-    for d in [*range(6, MAX_DEGREE + 1, 2), MAX_DEGREE + 2, 6]:
+def test_plan_caches_keep_their_bounds():
+    """The general plan cache is sized to the 48 even degrees 6 .. MAX_DEGREE
+    and holds at most 48 plans after each of them and one past them; the
+    parser is built once."""
+    assert invariants._general_plan.cache_info().maxsize == 48
+    for d in range(6, MAX_DEGREE + 3, 2):
         invariants._general_plan(d)
-    assert sorted(invariants._GENERAL_PLANS) == list(range(6, MAX_DEGREE + 1, 2))
-    assert len(invariants._GENERAL_PLANS) == 48
-    for _ in range(2):
-        invariants.sextic_invariants(make_form(6, [1] * 7))
-        invariants.octavic_invariants(make_form(8, [1] * 9))
-        invariants.decimic_invariants(make_form(10, [1] * 11))
-        invariants.genus10_special(make_form(22, [1] + [0] * 21 + [1]))
-    assert sorted(invariants._PLANS) == ["decimic", "genus10", "octavic", "sextic"]
+        assert invariants._general_plan.cache_info().currsize <= 48
     assert cli._build_parser() is cli._build_parser()
     assert cli._build_parser.cache_info().currsize == 1
 

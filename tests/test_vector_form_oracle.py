@@ -181,13 +181,13 @@ def test_ratios_match_scalar_arithmetic(values):
         names = sorted({n for parts in table.values() for part in parts for n in part})
         # every fifth name missing, so some ratios are unavailable
         entries = {n: values[i % 4] for i, n in enumerate(names) if i % 5 != 4}
-        assert_ratios(inv._ratios("t", _vector("t", entries), table), entries, table)
+        assert_ratios(inv._ratios(_vector("t", entries), table), entries, table)
 
 
 def test_ratio_with_zero_denominator_is_undefined():
     entries = {"J2": Scalar(rational(1, 2), 3, -3), "J4": rational(2, 5),
                "J6": Scalar(0, 1, -3), "J10": Scalar(0)}
-    got = inv._ratios("sextic", _vector("sextic", entries), inv._SEXTIC_ABSOLUTE)
+    got = inv._ratios(_vector("sextic", entries), inv._SEXTIC_ABSOLUTE)
     assert_ratios(got, entries, inv._SEXTIC_ABSOLUTE)
     assert got.undefined == {"t1", "t2", "t3"} and not got.defined_items()
 
@@ -204,7 +204,7 @@ def test_ratio_with_zero_denominator_is_undefined():
      "J10": Scalar(rational(1, 2), rational(-3, 4), 5)},
 ], ids=["radical-bottom", "zero-top", "mixed-bottom"])
 def test_ratio_edge_cases(entries):
-    got = inv._ratios("sextic", _vector("sextic", entries), inv._SEXTIC_ABSOLUTE)
+    got = inv._ratios(_vector("sextic", entries), inv._SEXTIC_ABSOLUTE)
     assert_ratios(got, entries, inv._SEXTIC_ABSOLUTE)
     assert not got.undefined and len(got.defined_items()) == 3
 
