@@ -37,7 +37,7 @@ from ..curves import (
     make_curve,
 )
 from ..forms import DegreeError
-from ..scalars import SeacurvesError, _int_str, _repr_str
+from ..scalars import SeacurvesError, _int_str, _repr_str, _require_int
 from .templates import EquationTemplate, TemplateParamError, _numeral_key, parse_template
 
 __all__ = [
@@ -195,9 +195,11 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"no record with id {_repr_str(record_id)}") from None
 
-    def query(self, genus=None, reduced_group=None) -> list[FamilyRecord]:
-        """Records matching each filter given (a reduced group by kind or label,
-        as D2m or D_4), in the catalog's id order."""
+    def query(self, genus: int | None = None, reduced_group=None) -> list[FamilyRecord]:
+        """Records matching each filter given (a genus as an int, a reduced
+        group by kind or label, as D2m or D_4), in the catalog's id order."""
+        if genus is not None:
+            _require_int(genus, "genus")
         out = []
         for r in self.records:
             if genus is not None and r.genus != genus:
@@ -409,53 +411,55 @@ def verify_all(catalog: Catalog, genus: int | None = None) -> VerificationReport
 
 
 def _specializes(a: FamilyRecord, b: FamilyRecord, sets: dict) -> bool:
-    """True when a's template is a syntactic specialization of b's.
+    """True when a's template is a strict syntactic specialization of b's.
 
     Rule: same level n, delta(a) <= delta(b), and at every exponent either
     b's coefficient depends on parameters (assignable to whatever a has
-    there, 0 included) or it is a constant equal to a's.  Support maps hold
-    no zero coefficient (``EquationTemplate.symbolic`` drops them), so this
-    is containment of the sets ``sets`` maps each row id to
-    (``templates._containment_sets``): a's exponents are among b's, and each
-    fixed pair of b is a pair of a.  The delta gate keeps coupled-coefficient
-    templates (the f1 rows) from absorbing freer families: a specialization
-    can never have more parameters than the family it sits inside.
+    there, 0 included) or it is a constant equal to a's; and not the same
+    delta and support.  Supports hold no zero coefficient
+    (``EquationTemplate.symbolic`` drops them), so this is containment of
+    the two sets ``sets`` maps each row id to (``EquationTemplate._support``):
+    a's exponents are among b's, and each fixed pair of b is one of a's.
+    The delta gate keeps coupled-coefficient templates (the f1 rows) from
+    absorbing freer families: a specialization can never have more
+    parameters than the family it sits inside.  Two rows of one level
+    specialize each other, non-strictly, exactly when their deltas and both
+    sets are equal (g6-c8-5 and g6-c18-1, both x*(x^4 - 1)); the last gate
+    leaves such pairs without an edge, which keeps the relation acyclic.
     """
     if a.n != b.n or a.delta > b.delta:
         return False
-    (keys_a, _, items_a), (keys_b, fixed_b, _) = sets[a.id], sets[b.id]
-    return keys_a <= keys_b and fixed_b <= items_a
+    (keys_a, fixed_a), (keys_b, fixed_b) = sets[a.id], sets[b.id]
+    return (keys_a <= keys_b and fixed_b <= fixed_a
+            and (a.delta, keys_a, fixed_a) != (b.delta, keys_b, fixed_b))
 
 
 def inclusions(catalog: Catalog, genus: int) -> list[tuple[str, str]]:
-    """Directed edges A -> B: A's family is a syntactic specialization of B's.
+    """Directed edges A -> B: A's family is a strict syntactic specialization
+    of B's.
 
-    Reflexive edges and pairs that specialize each other are omitted, and
-    the transitive reduction is returned, sorted for determinism.  Rows of
+    The transitive reduction is returned, sorted for determinism.  Rows of
     different levels never specialize, so the rows are grouped by level n
     and :func:`_specializes` runs only within a level; the edges of a level
     are bitsets over its rows' positions.
     """
+    _require_int(genus, "genus")
     records = [r for r in catalog.query(genus=genus) if r.template is not None]
-    sets = {r.id: r.template._support_sets for r in records}
+    # every row's support before any pair test: a row alone at its level is
+    # expanded too, so a template past the product limit is refused
+    sets = {r.id: r.template._support for r in records}
     levels = {}
     for r in records:
         levels.setdefault(r.n, []).append(r)
     edges = []
     for rows in levels.values():
-        above, below = [0] * len(rows), [0] * len(rows)
+        above = [0] * len(rows)
         for i, a in enumerate(rows):
             for j, b in enumerate(rows):
                 if i != j and _specializes(a, b, sets):
                     above[i] |= 1 << j
-                    below[j] |= 1 << i
-        # templates that specialize each other (equal supports, as g6-c8-5
-        # and g6-c18-1, both x*(x^4 - 1)) would make a cycle: such pairs get
-        # no edge
-        above = [up & ~down for up, down in zip(above, below)]
-        # _specializes is transitive and so is what is left of it, so an
-        # edge is implied by the others exactly when it factors through a
-        # third row
+        # _specializes is transitive, so an edge is implied by the others
+        # exactly when it factors through a third row
         for i, up in enumerate(above):
             implied = 0
             for j in _bits(up):

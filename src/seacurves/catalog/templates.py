@@ -184,9 +184,8 @@ class EquationTemplate:
 
     A frozen dataclass on ``factors`` (any iterable, kept as a tuple).
     Construction is the one pass over the terms: it checks them and stores
-    each factor's term tuple and the parameter names; the cleared form, the
-    support map and the sets the inclusion pair test reads from it are
-    cached properties.
+    each factor's term tuple and the parameter names; the cleared form and
+    the support the inclusion pair test reads are cached properties.
     """
 
     factors: tuple
@@ -287,7 +286,8 @@ class EquationTemplate:
 
         Returns exp -> {monomial: Scalar} with monomial a sorted tuple of
         parameter names (with repetition).  Used by the inclusion DAG through
-        :meth:`support_classification`; identically-zero coefficients are dropped.
+        the support it caches, ``_support``; identically-zero coefficients are
+        dropped.
         The pass accumulates integer pairs (A, B), A + B*sqrt(disc), over the
         product of the factors' scales, and builds a Scalar for each entry that
         survives.  A template needing over ``_MAX_PRODUCTS`` term products
@@ -316,19 +316,21 @@ class EquationTemplate:
         return out
 
     @cached_property
-    def _support(self) -> dict:
-        return {e: ("const", poly[()]) if list(poly) == [()] else "param"
-                for e, poly in self.symbolic().items()}
-
-    @cached_property
-    def _support_sets(self) -> tuple:
-        return _containment_sets(self._support)
+    def _support(self) -> tuple[frozenset, frozenset]:
+        """``(exponents, fixed)``: the exponents of the nonzero coefficients
+        and the ``(exp, ("const", c))`` pair of each coefficient free of
+        parameters.  The inclusion pair test is containment of these sets."""
+        coeffs = self.symbolic()
+        return frozenset(coeffs), frozenset(
+            (e, ("const", poly[()])) for e, poly in coeffs.items() if list(poly) == [()])
 
     def support_classification(self) -> dict:
         """exp -> ("const", Scalar) for parameter-free coefficients,
-        exp -> "param" for parameter-dependent ones.  The template is expanded
-        on the first call only; every call returns its own copy of the map."""
-        return dict(self._support)
+        exp -> "param" for parameter-dependent ones, in ascending exponent
+        order.  The template is expanded on the first call only; every call
+        returns a new map."""
+        fixed = dict(self._support[1])
+        return {e: fixed.get(e, "param") for e in sorted(self._support[0])}
 
     def to_string(self) -> str:
         """Canonical text.  A factor of several terms is parenthesized in a
@@ -345,13 +347,6 @@ class EquationTemplate:
 
     def __repr__(self):
         return f"EquationTemplate({self.to_string()!r})"
-
-
-def _containment_sets(support: dict) -> tuple[frozenset, frozenset, frozenset]:
-    """The exponents, the fixed (exp, ("const", c)) pairs and all the pairs
-    of a support map: the inclusion pair test is containment of these."""
-    items = frozenset(support.items())
-    return frozenset(support), frozenset(i for i in items if i[1] != "param"), items
 
 
 def _term_to_string(term: Term) -> str:

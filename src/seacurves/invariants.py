@@ -200,20 +200,22 @@ class _Plan:
     """An invariant system's node table, compiled once for every call.
 
     ``steps`` maps each node name to ``(left, right, op, order)`` and
-    ``degrees`` each node, the leaf included, to its coefficient degree: the
-    leaf has degree 1, a sum keeps its left degree, and a product or a
-    transvectant adds both.  ``entries`` holds ``(name, degree, definition,
-    prefactor or None)`` for each entry the table has, its definition final;
-    ``covariants`` and ``unavailable`` are what every invariant vector of
-    ``kind`` exposes.  The table ``nodes`` may extend the plan ``base``; its
-    named transvectant nodes of positive order are the covariants, and an
-    entry it lacks is unavailable.  ``definitions`` overrides the nodes'
-    formulas, ``prefactors`` scales entries.  A plain class, not a dataclass:
-    defining a dataclass would cost every import.
+    ``degrees`` each node, the leaf included, to its coefficient degree.  The
+    leaf, the input form, is the first node's left operand, or the leaf of
+    ``base`` when there is one; it has degree 1, a sum keeps its left
+    degree, and a product or a transvectant adds both.  ``entries`` holds
+    ``(name, degree, definition, prefactor or None)`` for each entry the
+    table has, its definition final; ``covariants`` and ``unavailable`` are
+    what every invariant vector of ``kind`` exposes.  The table ``nodes`` may
+    extend the plan ``base``; its named transvectant nodes of positive order
+    are the covariants, and an entry it lacks is unavailable.
+    ``definitions`` overrides the nodes' formulas, ``prefactors`` scales
+    entries.  A plain class, not a dataclass: defining a dataclass would
+    cost every import.
     """
 
-    def __init__(self, kind: str, nodes, leaf: str, names, base=None, definitions=None,
-                 prefactors=None):
+    def __init__(self, kind: str, nodes, names, base=None, definitions=None, prefactors=None):
+        leaf = base.leaf if base else nodes[0][1]
         steps = dict(base.steps if base else ())
         degrees = dict(base.degrees if base else {leaf: 1})
         for name, left, right, op, order in nodes:
@@ -337,7 +339,7 @@ _SEXTIC = (
     ("J2", "f", "f", 6, 0), ("J4", "i", "i", 4, 0), ("J6", "l", "l", 2, 0),
     (None, "l", "l", "*", 4), ("l^3", "l*l", "l", "*", 6), ("J10", "f", "l^3", 6, 0),
 )
-_SEXTIC_PLAN = _Plan("sextic", _SEXTIC, "f", SEXTIC_NAMES)
+_SEXTIC_PLAN = _Plan("sextic", _SEXTIC, SEXTIC_NAMES)
 
 _SEXTIC_ABSOLUTE = {
     "t1": ({"J2": 5}, {"J10": 1}),
@@ -398,7 +400,7 @@ _OCT_PREF = {
     "J9": rational(2 ** 19 * 3 ** 2 * 5 * 7 ** 9),
     "J10": rational(2 ** 22 * 3 ** 2 * 5 ** 2 * 7 ** 11),
 }
-_OCTAVIC_PLAN = _Plan("octavic", _OCTAVIC, "f", OCTAVIC_NAMES, prefactors=_OCT_PREF)
+_OCTAVIC_PLAN = _Plan("octavic", _OCTAVIC, OCTAVIC_NAMES, prefactors=_OCT_PREF)
 
 _OCTAVIC_ABSOLUTE = {
     "t1": ({"J3": 2}, {"J2": 3}),
@@ -458,7 +460,7 @@ _DECIMIC = (
     (None, "(k,k)^2", "(k,k)^2", "*", 8), ("A14", "(k,k)^2*(k,k)^2", "(m,m)^2", 8, 0),
     ("J14_plus_A14", "J14", "A14", "+", 0),
 )
-_DECIMIC_PLAN = _Plan("decimic", _DECIMIC, "f", DECIMIC_NAMES)
+_DECIMIC_PLAN = _Plan("decimic", _DECIMIC, DECIMIC_NAMES)
 
 
 def decimic_invariants(f: BinaryForm) -> InvariantVector:
@@ -497,8 +499,7 @@ def _general_plan(d: int) -> _Plan:
     """The general system's plan at even degree d >= 6, compiled once per
     degree: the cache holds one plan for each of the 48 even degrees 6 ..
     ``MAX_DEGREE``, the least recently used leaving first past them."""
-    return _Plan("general", _general_nodes(d), "F", GENERAL_NAMES,
-                 definitions=_GENERAL_DEFINITIONS)
+    return _Plan("general", _general_nodes(d), GENERAL_NAMES, definitions=_GENERAL_DEFINITIONS)
 
 
 _GENERAL_DEFINITIONS = {
@@ -564,7 +565,7 @@ _GENUS10 = (
     ("S", "J12", "J16", 12, 4), (None, "J16", "S", 4, 12),
     ("I12star", "(J16,S)^4", "(J16,S)^4", 12, 0),
 )
-_GENUS10_PLAN = _Plan("genus10", _GENUS10, "F", ("I6star_g10", "I12star"), base=_general_plan(22))
+_GENUS10_PLAN = _Plan("genus10", _GENUS10, ("I6star_g10", "I12star"), base=_general_plan(22))
 
 _GENUS10_ABSOLUTE = {"v5": ({"I6star_g10": 1}, {"I12star": 1})}
 

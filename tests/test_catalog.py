@@ -2,6 +2,7 @@ import csv
 import importlib.resources
 import io
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -24,7 +25,7 @@ from seacurves.catalog import (
     verify_all,
     verify_record,
 )
-from seacurves.catalog.templates import EquationTemplate, _containment_sets
+from seacurves.catalog.templates import EquationTemplate
 from seacurves.curves import NotSquarefreeError, Signature
 from seacurves.scalars import Scalar, rational
 
@@ -192,6 +193,27 @@ def test_equations_respect_rotation_symmetry(catalog):
         assert len(residues) == 1, (r.id, sorted(residues))
         checked += 1
     assert checked == 175
+
+
+def _dihedral_normal_form(template: EquationTemplate, n: int) -> bool:
+    """f = x^k g with g(0) != 0, read from ``symbolic()``: g is palindromic or
+    antipalindromic as a polynomial in the parameters, so that x -> 1/x maps
+    the family to itself, and the branch indices over 0 and over infinity,
+    where f has multiplicities k and -deg f mod n, agree."""
+    coeffs = template.symbolic()
+    k, deg = min(coeffs), template.degree
+    mirrored = [(coeffs.get(k + i, {}), coeffs.get(deg - i, {})) for i in range(deg - k + 1)]
+    palindromic = all(low == high for low, high in mirrored)
+    antipalindromic = all(low == {m: -c for m, c in high.items()} for low, high in mirrored)
+    return (palindromic or antipalindromic) and n // math.gcd(n, k) == n // math.gcd(n, -deg % n)
+
+
+def test_dihedral_rows_are_invariant_under_inversion(catalog):
+    # a D_2m row's normal form adds x -> 1/x to the rotation x -> zeta_m x;
+    # this reads the group off the equation, which no verify check does
+    rows = [r for r in catalog if r.template is not None and r.reduced.kind == "D2m"]
+    assert len(rows) == 102
+    assert [r.id for r in rows if not _dihedral_normal_form(r.template, r.n)] == []
 
 
 def test_full_group_names_consistent_with_order(catalog):
@@ -525,15 +547,14 @@ def test_m_is_the_reduced_groups(catalog):
 
 
 def _path_reduced_inclusions(catalog, genus):
-    """inclusions as it was: every edge, mutual pairs dropped, then each edge
-    removed when a path of other edges joins its ends (a DFS per edge)."""
+    """inclusions as it was: every edge, then each edge removed when a path
+    of other edges joins its ends (a DFS per edge)."""
     from seacurves.catalog import _specializes
 
     records = [r for r in catalog.query(genus=genus) if r.template is not None]
-    sets = {r.id: _containment_sets(r.template.support_classification()) for r in records}
+    sets = {r.id: r.template._support for r in records}
     edges = {(a.id, b.id) for a in records for b in records
              if a.id != b.id and _specializes(a, b, sets)}
-    edges = {(x, y) for x, y in edges if (y, x) not in edges}
     adjacency = {}
     for x, y in edges:
         adjacency.setdefault(x, set()).add(y)
@@ -587,12 +608,24 @@ def test_inclusions_compare_rows_only_within_a_level(catalog, monkeypatch):
 def test_inclusions_drop_mutual_specializations(catalog):
     from seacurves.catalog import _specializes
 
-    # equal templates x*(x^4 - 1), same n and delta: each specializes the other
+    # equal templates x*(x^4 - 1), same n and delta: the pair test is strict,
+    # so neither specializes the other
     for genus, pair in ((6, ("g6-c8-5", "g6-c18-1")), (10, ("g10-c8-6", "g10-c18-1"))):
         a, b = (catalog[i] for i in pair)
-        sets = {r.id: _containment_sets(r.template.support_classification()) for r in (a, b)}
-        assert _specializes(a, b, sets) and _specializes(b, a, sets)
+        assert (a.template, a.n, a.delta) == (b.template, b.n, b.delta)
+        sets = {r.id: r.template._support for r in (a, b)}
+        assert not _specializes(a, b, sets) and not _specializes(b, a, sets)
         assert not any(set(e) == set(pair) for e in inclusions(catalog, genus))
+
+
+def test_a_genus_of_another_type_is_a_type_error(catalog):
+    """A genus is an int: a str, a float, or None where one genus is needed,
+    is refused instead of matching no row or the rows of an equal value."""
+    calls = (lambda: verify_all(catalog, genus="5"), lambda: inclusions(catalog, "5"),
+             lambda: catalog.query(genus=5.0), lambda: inclusions(catalog, None))
+    for call in calls:
+        with pytest.raises(TypeError, match="genus must be an int"):
+            call()
 
 
 def test_inclusions_structure(catalog):

@@ -214,7 +214,7 @@ def _with_order(nodes, name, order):
 
 
 def _sextic_plan_with_order(name, order):
-    return inv._Plan("sextic", _with_order(inv._SEXTIC, name, order), "f", inv.SEXTIC_NAMES)
+    return inv._Plan("sextic", _with_order(inv._SEXTIC, name, order), inv.SEXTIC_NAMES)
 
 
 def test_wrong_order_on_a_needed_node_raises_at_call_time(monkeypatch):

@@ -5,7 +5,9 @@ Every name a module imports is used there or exported: listed in its
 (whose imports are its public names).  Every module-level private name is
 referenced somewhere in ``src/`` beyond its own definition.  Names read
 only from outside ``src/`` are listed in ``_READ_ELSEWHERE`` with the
-reason.  Every defaulted parameter of a module-level private function is
+reason.  Every private name quoted in backticks in ``src/`` or the
+README, after a module or class name or not, names something ``src/``
+defines.  Every defaulted parameter of a module-level private function is
 passed, by position or by keyword, by some call in ``src/``: a default no
 caller overrides is a constant dressed as an option.  ``object.__setattr__``
 appears only in constructors (``__init__``, ``__new__``, ``__post_init__``,
@@ -43,6 +45,7 @@ package through public names only, so it imports no ``_``-prefixed name of
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,7 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 MODULES = sorted((SRC / "seacurves").rglob("*.py"))
 REFERENCE = TESTS / "reference.py"
+README = TESTS.parent / "README.md"
 
 # (module, name) -> the bound on what the cache holds, and why it holds
 _MEMOS = {
@@ -63,7 +67,6 @@ _MEMOS = {
     ("invariants", "_general_plan"): "48 entries: lru_cache sized to the even degrees 6 .. 100",
     ("templates", "_form"): "1 value per template, computed on first read",
     ("templates", "_support"): "1 value per template, computed on first read",
-    ("templates", "_support_sets"): "1 value per template, computed on first read",
 }
 
 _READ_ELSEWHERE = {
@@ -150,6 +153,47 @@ def test_every_private_name_is_referenced():
 def test_read_elsewhere_names_still_exist():
     for mod, name in _READ_ELSEWHERE:
         assert name in _private_definitions(_tree(SRC / "seacurves" / f"{mod}.py"))
+
+
+def _defined_anywhere(tree: ast.Module) -> set:
+    """Every name the module defines at any depth: functions, classes,
+    variables, attributes, parameters and the fields a constructor writes
+    through ``object.__setattr__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif (isinstance(node, ast.Call) and _callee(node) == "__setattr__"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+# a span of inline code, in single or double backticks; a private name in it,
+# bare or after a dot (``templates._form``), not the tail of a longer word
+_CODE_SPAN = re.compile(r"(`+)(.+?)\1", re.S)
+_PRIVATE_IN_SPAN = re.compile(r"(?<![\w*])_(?!_)\w+")
+
+
+def test_private_names_in_backticks_exist():
+    """Every private name quoted in backticks in ``src/`` or the README names
+    something ``src/`` defines, so a deletion leaves no dangling reference."""
+    defined = set().union(*(_defined_anywhere(_tree(p)) for p in MODULES))
+    dangling = []
+    for path in (*MODULES, README):
+        # a fenced block is code to run, not a reference
+        text = re.sub(r"^```.*?^```", "", path.read_text("utf-8"), flags=re.S | re.M)
+        where = str(path.relative_to(TESTS.parent))
+        for span in _CODE_SPAN.finditer(text):
+            dangling += [(where, name) for name in _PRIVATE_IN_SPAN.findall(span[2])
+                         if name not in defined]
+    assert dangling == []
 
 
 def _defaulted_params(func: ast.FunctionDef) -> list:
