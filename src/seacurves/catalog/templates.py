@@ -18,14 +18,14 @@ exponent or sum-block bound is an int (``TypeError`` otherwise), a constant
 a Scalar (``TypeError``), an exponent is >= 0 and a parameter is named ``a``
 followed by digits (:class:`TemplateError` otherwise).
 
-Construction is the one pass over a template's terms: after the degree
-check, so that a sum block past ``MAX_DEGREE`` is refused from its bounds,
-it enumerates each factor's terms once, checks them and stores the term
-tuples and the parameter names.  Arithmetic runs on the integer kernel of
+Construction checks a template's terms: after the degree check, so that a
+sum block past ``MAX_DEGREE`` is refused from its bounds, it enumerates each
+factor's terms once, checks them and stores only the parameter names; the
+factors are the one list of terms.  Arithmetic runs on the integer kernel of
 :mod:`seacurves.forms`.  Each template builds, on first use, one cleared
-form: per factor, its constants cleared by ``forms._clear`` into an integer
-scale and ``(exp, param, A, B)`` terms, each constant being
-(A + B*sqrt(D)) / scale.
+form, enumerating each factor's terms once more: per factor, its constants
+cleared by ``forms._clear`` into an integer scale and ``(exp, param, A, B)``
+terms, each constant being (A + B*sqrt(D)) / scale.
 :meth:`EquationTemplate.expand` is one pass for values of any fields: it
 clears the values over one denominator, each over its own field, builds one
 integer vector per factor, joining fields as Scalar arithmetic joins them,
@@ -182,14 +182,13 @@ def _numeral_key(digits: str) -> tuple[int, str]:
 class EquationTemplate:
     """Product of factors; expands to a UnivariatePoly at a parameter map.
 
-    A frozen dataclass on ``factors`` (any iterable, kept as a tuple).
-    Construction is the one pass over the terms: it checks them and stores
-    each factor's term tuple and the parameter names; the cleared form and
-    the support the inclusion pair test reads are cached properties.
+    A frozen dataclass on ``factors`` (any iterable, kept as a tuple), which
+    hold the terms.  Construction checks the terms and stores the parameter
+    names; the cleared form, the one other reader of the terms, and the
+    support the inclusion pair test reads are cached properties.
     """
 
     factors: tuple
-    _terms: tuple = field(init=False, compare=False, repr=False)  # per factor, all_terms()
     _names: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -210,7 +209,6 @@ class EquationTemplate:
             _join_coeff_field(t.const for fterms in terms for t in fterms)
         except FieldMixError as exc:
             raise TemplateError(str(exc)) from None
-        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_names", frozenset(
             t.param for fterms in terms for t in fterms if t.param))
 
@@ -227,7 +225,7 @@ class EquationTemplate:
         the leading term first, its constant being (A + B*sqrt(disc)) / scale.
         Each factor's constants are cleared once, by one ``_clear`` call."""
         disc, factors = 0, []
-        for terms in self._terms:
+        for terms in map(Factor.all_terms, self.factors):
             scale, a, b, fdisc = _clear([t.const for t in terms])
             disc = _join_field(disc, fdisc)
             factors.append((scale, len(terms), tuple(
@@ -337,10 +335,11 @@ class EquationTemplate:
         product, and a one-term factor whose coefficient is not 1 or -1
         always is, so that parsing splits no factor at its * or +."""
         bodies = []
-        for factor, terms in zip(self.factors, self._terms):
-            body = _factor_to_string(factor)
-            if (len(terms) > 1 and len(self.factors) > 1
-                    or len(terms) == 1 and terms[0].const not in (1, -1)):
+        for factor in self.factors:
+            body, items = _factor_to_string(factor), factor.items
+            # a factor of one item is one term: its lead, a nonzero constant
+            if (len(items) > 1 and len(self.factors) > 1
+                    or len(items) == 1 and items[0].const not in (1, -1)):
                 body = f"({body})"
             bodies.append(body)
         return "*".join(bodies)

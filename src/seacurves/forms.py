@@ -12,12 +12,14 @@ den > 0, gcd(den, A, B) = 1, and B None (and disc 0) exactly when every
 coefficient is rational; a polynomial's vector has no trailing zero.  This is
 the cleared value of a :class:`~seacurves.scalars.Scalar` for a whole vector,
 on the element helpers of :mod:`seacurves.scalars`.  The vector is canonical,
-so ``==`` and ``hash`` compare it, and the degree is its length minus one.  A
-value built from Scalars is cleared once, when it is constructed, and keeps
-only its vector: its Scalar tuple ``coeffs`` is built on each read.  Sums,
-products, scaling, the GL2 substitution, derivatives, ``monic``,
-(de)homogenization and the transvectant read vectors and return values built
-from vectors (``_from_vec``), on Python ints over Z[sqrt(D)]; fields join by
+so ``==`` and ``hash`` compare it, and the degree is its length minus one.
+One step, ``_Cleared._canonical``, writes every vector: a value built from
+Scalars is cleared (``_clear``) and passed through it once, when it is
+constructed, and keeps only its vector; its Scalar tuple ``coeffs`` is built
+on each read.  Sums, products, scaling, the GL2 substitution, derivatives,
+``monic``, (de)homogenization and the transvectant read vectors and return
+values built from vectors (``_from_vec``, through the same step), on Python
+ints over Z[sqrt(D)]; fields join by
 :func:`seacurves.scalars._join_field`, and every operation reads its
 operands as (A, B) pairs over the joint field through one lift, ``_lift``,
 which gives a rational vector over Q(sqrt(D)) its zero B.  Products convolve
@@ -234,9 +236,12 @@ class _Cleared:
 
     ``vec`` is (den, A, B, disc), coefficient i being
     (A[i] + B[i]*sqrt(disc)) / den; it is set once, at construction, and is
-    the only state.  The Scalar tuple ``coeffs`` is built from it on each
-    read.  A frozen dataclass on ``vec``: the vector is canonical, so equality
-    and hashing compare it, and the degree is its length minus one.  The slot
+    the only state.  Both constructors, ``__init__`` on Scalars and
+    ``_from_vec`` on a vector, write it through one step, ``_canonical``,
+    which a subclass may extend (a polynomial strips trailing zeros first).
+    The Scalar tuple ``coeffs`` is built from it on each read.  A frozen
+    dataclass on ``vec``: the vector is canonical, so equality and hashing
+    compare it, and the degree is its length minus one.  The slot
     is declared by hand (under ``slots=True`` assigning a new name raises
     TypeError), so copies and pickles are rebuilt through ``_from_vec``.
     """
@@ -245,16 +250,15 @@ class _Cleared:
     vec: tuple
 
     def __init__(self, coeffs: tuple):
-        den, a, b, disc = _clear(coeffs)
-        object.__setattr__(self, "vec", (den, tuple(a), b and tuple(b), disc))
+        object.__setattr__(self, "vec", self._canonical(*_clear(coeffs)))
 
-    @classmethod
-    def _from_vec(cls, den: int, a, b, disc: int):
-        """The value (A + B*sqrt(disc)) / den for den != 0, made canonical.
+    @staticmethod
+    def _canonical(den: int, a, b, disc: int) -> tuple:
+        """The canonical vector of (A + B*sqrt(disc)) / den for den != 0.
 
-        The content gcd(den, A, B) is divided out with the sign that makes den
-        positive (a norm from ``_over`` can be negative), and a B that
-        vanished (a form times its conjugate, say) is dropped with its field.
+        A B that vanished (a form times its conjugate, say) is dropped with
+        its field, and the content gcd(den, A, B) is divided out with the
+        sign that makes den positive (a norm from ``_over`` can be negative).
         """
         if b is None or not any(b):
             b, disc = None, 0
@@ -263,8 +267,13 @@ class _Cleared:
             den //= g
             a = [x // g for x in a]
             b = b and [x // g for x in b]
+        return den, tuple(a), b and tuple(b), disc
+
+    @classmethod
+    def _from_vec(cls, den: int, a, b, disc: int):
+        """The value (A + B*sqrt(disc)) / den for den != 0, made canonical."""
         obj = cls.__new__(cls)
-        object.__setattr__(obj, "vec", (den, tuple(a), b and tuple(b), disc))
+        object.__setattr__(obj, "vec", cls._canonical(den, a, b, disc))
         return obj
 
     def __reduce__(self):
@@ -581,16 +590,12 @@ class UnivariatePoly(_Cleared):
     __slots__ = ()
 
     def __init__(self, coeffs: Sequence):
-        cs = [_scal(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        super().__init__(tuple(cs))
+        super().__init__(tuple(_scal(c) for c in coeffs))
 
-    @classmethod
-    def _from_vec(cls, den: int, a, b, disc: int) -> UnivariatePoly:
+    @staticmethod
+    def _canonical(den: int, a, b, disc: int) -> tuple:
         """As for forms, with trailing zero coefficients stripped first."""
-        a, b = _trim((a, b))
-        return super()._from_vec(den, a, b, disc)
+        return _Cleared._canonical(den, *_trim((a, b)), disc)
 
     def leading(self) -> Scalar:
         if self.is_zero:

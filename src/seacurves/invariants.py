@@ -60,7 +60,7 @@ from functools import lru_cache
 
 from .forms import MAX_DEGREE, BinaryForm, DegreeError, dehomogenize, is_squarefree
 from .scalars import (Scalar, SeacurvesError, _int_str, _join_field, _power_product, _quotient,
-                      rational)
+                      _repr_str, rational)
 from .transvection import transvect
 
 __all__ = [
@@ -313,6 +313,10 @@ def _ratios(v: InvariantVector, table) -> AbsoluteInvariants:
 
 
 def _require_degree(f: BinaryForm, d: int):
+    """f is a form of degree d: a TypeError naming any other value, else a
+    DegreeError."""
+    if not isinstance(f, BinaryForm):
+        raise TypeError(f"form must be a BinaryForm, got {_repr_str(f)}")
     if f.degree != d:
         raise DegreeError(f"expected a degree-{d} form, got degree {f.degree}")
 
@@ -433,7 +437,6 @@ def genus3_isomorphic(f1: BinaryForm, f2: BinaryForm) -> bool:
     """
     vs = []
     for label, f in (("first", f1), ("second", f2)):
-        _require_degree(f, 8)
         v = octavic_invariants(f)
         bad = [n for n in ("J2", "J3", "J4", "J5") if v[n].is_zero]
         if bad:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import folded_rows, packaged_catalog, spy
+from reference import ref_product, ref_transvect, to_model
 from seacurves import catalog as catalog_mod
 from seacurves import forms
 from seacurves.catalog import (
@@ -27,7 +28,9 @@ from seacurves.catalog import (
 )
 from seacurves.catalog.templates import EquationTemplate
 from seacurves.curves import NotSquarefreeError, Signature
+from seacurves.forms import BinaryForm
 from seacurves.scalars import Scalar, rational
+from seacurves.transvection import transvect
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +217,91 @@ def test_dihedral_rows_are_invariant_under_inversion(catalog):
     rows = [r for r in catalog if r.template is not None and r.reduced.kind == "D2m"]
     assert len(rows) == 102
     assert [r.id for r in rows if not _dihedral_normal_form(r.template, r.n)] == []
+
+
+def _ground(degree: int, terms: dict) -> BinaryForm:
+    """The binary form sum c X^i Z^(degree-i) over the pairs i: c of terms."""
+    return BinaryForm(degree, [terms.get(i, 0) for i in range(degree + 1)])
+
+
+_SQRT_M3 = Scalar(0, 1, -3)
+
+# Klein's ground forms (Vorlesungen ueber das Ikosaeder, 1884), each at its
+# degree: the octahedron's vertices t, edges W and faces chi; the tetrahedral
+# Phi, whose conjugate Phi_ is the other tetrahedron; the icosahedron's
+# vertices f and faces H
+_KLEIN = {
+    "t": _ground(6, {5: 1, 1: -1}),
+    "W": _ground(8, {8: 1, 4: 14, 0: 1}),
+    "chi": _ground(12, {12: 1, 8: -33, 4: -33, 0: 1}),
+    "Phi": _ground(4, {4: 1, 2: 2 * _SQRT_M3, 0: 1}),
+    "Phi_": _ground(4, {4: 1, 2: -2 * _SQRT_M3, 0: 1}),
+    "f": _ground(12, {11: 1, 6: 11, 1: -1}),
+    "H": _ground(20, {20: 1, 15: -228, 10: 494, 5: 228, 0: 1}),
+}
+
+# (u, v, r, c, w): the transvectant (u, v)^r is c times the ground form w
+_KLEIN_RELATIONS = [
+    ("t", "t", 2, rational(-1, 18), "W"),
+    ("t", "W", 1, rational(-1, 6), "chi"),
+    ("f", "f", 2, rational(-1, 72), "H"),
+    ("Phi", "Phi", 2, rational(2, 3) * _SQRT_M3, "Phi_"),
+    ("Phi", "Phi_", 1, -2 * _SQRT_M3, "t"),
+]
+
+# every A4, S4 and A5 row as a product of ground forms; P = chi - a1*t^2 is
+# the A4 pencil
+_PLATONIC_ROWS = {
+    "g5-c20-1": "chi", "g10-c20-1": "chi", "g6-c18-1": "t", "g10-c18-1": "t",
+    "g9-c17-1": "W", "g6-c19-1": "t*W", "g8-c22-1": "t*chi", "g9-c21-1": "W*chi",
+    "g5-c25-1": "f", "g10-c25-1": "f", "g9-c27-1": "H",
+    "g5-c10-1": "P", "g10-c10-1": "P", "g7-c11-1": "Phi*P", "g8-c13-1": "t*P",
+    "g9-c12-1": "W*P", "g10-c14-1": "t*Phi*P",
+}
+
+
+def test_klein_ground_forms_are_covariants_of_one_another():
+    # the relations tie the ground forms written out above to Klein's
+    # covariants, by the kernel's transvectant and by the model's
+    for u, v, r, c, w in _KLEIN_RELATIONS:
+        got = transvect(_KLEIN[u], _KLEIN[v], r)
+        assert got == _KLEIN[w].scale(c), (u, v, r)
+        assert ref_transvect(to_model(_KLEIN[u]), to_model(_KLEIN[v]), r) == to_model(got)
+    assert _KLEIN["Phi"] * _KLEIN["Phi_"] == _KLEIN["W"]
+    assert ref_product(to_model(_KLEIN["Phi"]), to_model(_KLEIN["Phi_"])) == to_model(_KLEIN["W"])
+
+
+def _ground_product(names: str) -> dict:
+    """The product of the named ground forms as {monomial in the parameters:
+    form}; P, which a product holds at most once, is chi - a1*t^2."""
+    pencil = {(): _KLEIN["chi"], ("a1",): -(_KLEIN["t"] * _KLEIN["t"])}
+    out = {(): BinaryForm(0, [1])}
+    for name in names.split("*"):
+        factor = pencil if name == "P" else {(): _KLEIN[name]}
+        out = {m1 + m2: u * v for m1, u in out.items() for m2, v in factor.items()}
+    return out
+
+
+def _as_forms(template: EquationTemplate, degree: int) -> dict:
+    """A template's polynomial as {monomial in the parameters: the form of
+    that monomial's coefficients, homogenized at degree}, from ``symbolic()``."""
+    coeffs = template.symbolic()
+    assert max(coeffs) <= degree
+    monomials = {m for poly in coeffs.values() for m in poly}
+    return {m: BinaryForm(degree, [coeffs.get(e, {}).get(m, 0) for e in range(degree + 1)])
+            for m in monomials}
+
+
+def test_platonic_rows_are_products_of_klein_forms(catalog):
+    # reads the A4, S4 and A5 rows' groups off their equations, as the
+    # rotation and inversion tests read the C_m and D_2m rows'
+    rows = {r.id: r for r in catalog
+            if r.template is not None and r.reduced.kind in ("A4", "S4", "A5")}
+    assert sorted(rows) == sorted(_PLATONIC_ROWS)
+    for rid, names in _PLATONIC_ROWS.items():
+        expected = _ground_product(names)
+        degree = next(iter(expected.values())).degree
+        assert _as_forms(rows[rid].template, degree) == expected, rid
 
 
 def test_full_group_names_consistent_with_order(catalog):

@@ -9,6 +9,9 @@ from seacurves.forms import BinaryForm, DegreeError, make_form, moebius_act
 from seacurves.invariants import (
     decimic_invariants,
     form_is_squarefree,
+    genus2_isomorphic,
+    genus3_isomorphic,
+    genus10_special,
     octavic_absolute,
     octavic_invariants,
     sextic_absolute,
@@ -31,6 +34,21 @@ def test_sextic_fixtures():
 def test_sextic_wrong_degree():
     with pytest.raises(DegreeError):
         sextic_invariants(make_form(4, [1, 0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: sextic_invariants(v), lambda v: sextic_absolute(v),
+    lambda v: genus2_isomorphic(v, X6P), lambda v: genus2_isomorphic(X6P, v),
+    lambda v: octavic_invariants(v), lambda v: octavic_absolute(v),
+    lambda v: genus3_isomorphic(v, v), lambda v: decimic_invariants(v),
+    lambda v: genus10_special(v),
+], ids=["sextic", "sextic_absolute", "genus2-first", "genus2-second", "octavic",
+        "octavic_absolute", "genus3", "decimic", "genus10_special"])
+@pytest.mark.parametrize("value", [1, [1, 0, 0, 0, 0, 0, 1], "x^6+1"], ids=["int", "list", "str"])
+def test_a_value_that_is_not_a_form_is_a_type_error(call, value):
+    # the fixed-degree entry points check the type before the degree
+    with pytest.raises(TypeError, match=r"^form must be a BinaryForm, got "):
+        call(value)
 
 
 def test_sextic_covariant_orders():

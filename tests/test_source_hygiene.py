@@ -17,7 +17,9 @@ mutable container (``default_factory`` of ``dict``, ``list`` or ``set``).
 A dataclass keeps the ``__init__`` and ``__eq__`` the decorator generates:
 it neither turns them off nor writes its own (``forms._Cleared`` excepted).
 Only ``Scalar`` and the ``forms._Cleared`` family declare ``__slots__`` by
-hand, and only they and ``catalog.Catalog`` write ``__reduce__``.
+hand, and only they and ``catalog.Catalog`` write ``__reduce__``.  Every
+vector of that family is written through one step, ``_Cleared._canonical``:
+it alone divides out the content, and no subclass writes ``_from_vec``.
 A rational coefficient vector meets Q(sqrt D) with a zero radical part,
 ``(0,) * len(...)``, built in one function (``forms._lift``) and at no
 site that joins fields.  A Scalar's parts, the attributes ``_den``, ``_a``
@@ -348,6 +350,30 @@ def test_hand_slots_and_reduce_have_few_homes():
         ("scalars", "Scalar")]
     assert _classes_defining("__reduce__") == [
         ("catalog", "Catalog"), ("forms", "_Cleared"), ("scalars", "Scalar")]
+
+
+def _methods_where(tree: ast.Module, match) -> set:
+    """(class or None, function) of each module-level function or method
+    holding a node for which ``match`` holds."""
+    scopes = [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef)
+              for item in node.body if isinstance(item, ast.FunctionDef)]
+    scopes += [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    return {(cls, func.name) for cls, func in scopes if any(map(match, ast.walk(func)))}
+
+
+def test_every_vector_is_written_by_one_step():
+    """A form's or a polynomial's vector has one canonical step, whether it is
+    built from Scalars or from a vector: each write of ``vec`` stores what
+    ``_canonical`` returns, only ``_Cleared._canonical`` divides out the
+    content, and a subclass extends ``_canonical``, not ``_from_vec``."""
+    tree = _tree(SRC / "seacurves" / "forms.py")
+    stored = [node.args[2] for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _is_object_setattr(node.func)
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "vec"]
+    assert stored and all(isinstance(v, ast.Call) and _callee(v) == "_canonical" for v in stored)
+    assert _methods_where(tree, lambda node: isinstance(node, ast.Call)
+                          and _callee(node) == "_content") == {("_Cleared", "_canonical")}
+    assert _classes_defining("_from_vec") == [("forms", "_Cleared")]
 
 
 _CACHE_DECORATORS = ("cache", "lru_cache", "cached_property")

@@ -26,7 +26,8 @@ from reference import (assert_ratios, coefficients, from_model, ref_form_repr, r
                        ref_partial_derivative, ref_product, ref_transvect, to_model)
 from seacurves import forms
 from seacurves import invariants as inv
-from seacurves.forms import BinaryForm, DegreeError, Matrix2, moebius_act, partial_derivative
+from seacurves.forms import (BinaryForm, DegreeError, Matrix2, UnivariatePoly, moebius_act,
+                             partial_derivative)
 from seacurves.scalars import Scalar, rational
 from seacurves.transvection import transvect
 
@@ -161,6 +162,34 @@ def test_vectors_are_reduced_by_content():
     assert g.vec == (1, (1, 2, 3), None, 0) and g == BinaryForm(2, [1, 2, 3])
     h = BinaryForm(1, [Scalar(rational(1, 2), rational(1, 4), -3), 1])
     assert h.vec == (4, (2, 4), (1, 0), -3)
+
+
+@st.composite
+def scalar_lists(draw):
+    """Coefficient lists over Q, Q(sqrt -3) or Q(sqrt 5), empty or not, with
+    up to three trailing zeros and parts of up to 20 or 4300 digits."""
+    disc = draw(st.sampled_from([0, -3, 5]))
+    height = draw(st.sampled_from([HEIGHT, 10 ** 4300 - 1]))
+    coeffs = draw(st.lists(coefficients(disc, height), max_size=MAX_DEG + 1))
+    return coeffs + [Scalar(0)] * draw(st.integers(0, 3))
+
+
+@given(scalar_lists())
+@example([])
+@example([Scalar(0)] * 3)
+@example([Scalar(rational(10 ** 4299, 7), -(10 ** 4299 + 1), 5), Scalar(0, 3, 5), Scalar(0)])
+@settings(max_examples=120, deadline=None)
+def test_values_built_from_scalars_take_the_canonical_step(coeffs):
+    """A form or polynomial built from Scalars holds the vector that
+    ``_from_vec`` makes of the same Scalars cleared: one canonical step."""
+    cleared = forms._clear(coeffs)
+    built = [(UnivariatePoly(coeffs), UnivariatePoly._from_vec(*cleared))]
+    if coeffs:
+        built.append((BinaryForm(len(coeffs) - 1, coeffs), BinaryForm._from_vec(*cleared)))
+    for new, via_vec in built:
+        assert new.vec == via_vec.vec and new == via_vec and hash(new) == hash(via_vec)
+    poly, n = built[0][0], built[0][0].degree + 1  # the polynomial has no trailing zero
+    assert poly.coeffs == tuple(coeffs[:n]) and not any(coeffs[n:]) and (not n or coeffs[n - 1])
 
 
 def _vector(kind, entries):
