@@ -54,7 +54,8 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .scalars import (ZERO, Scalar, SeacurvesError, _conj, _content, _int_str, _join_field,
-                      _mul, _norm, _pow, _quo, _repr_str, _require_int, _scalar, parse_scalar)
+                      _mul, _new, _norm, _pow, _quo, _repr_str, _require_int, _scalar,
+                      parse_scalar)
 
 __all__ = [
     "BinaryForm",
@@ -360,10 +361,13 @@ class BinaryForm(_Cleared):
         return self.scale(-1)
 
     def constant_value(self) -> Scalar:
-        """The scalar value of a degree-0 form."""
+        """The scalar value of a degree-0 form, built straight from its
+        canonical vector (den, (a,), (b,) or None, disc): the vector's content
+        gcd(den, a, b) is already 1, so the Scalar takes no second gcd."""
         if self.degree != 0:
             raise DegreeError(f"form has degree {self.degree}, not 0")
-        return self.coeffs[0]
+        den, (a,), b, disc = self.vec
+        return _new(den, a, b[0] if b else 0, disc)
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
@@ -376,6 +380,12 @@ class BinaryForm(_Cleared):
         d = self.degree
         body = _render((_power("X", i) + _power("Z", d - i), c) for i, c in enumerate(self.coeffs))
         return f"BinaryForm<{d}>({body})"
+
+
+def _require_form(f) -> None:
+    """f is a BinaryForm, else a TypeError naming it."""
+    if not isinstance(f, BinaryForm):
+        raise TypeError(f"form must be a BinaryForm, got {_repr_str(f)}")
 
 
 def make_form(degree: int, coeffs: Sequence) -> BinaryForm:
@@ -463,10 +473,12 @@ def moebius_act(M: Matrix2, f: BinaryForm) -> BinaryForm:
       (:func:`seacurves.scalars._quo`).
 
     The result is over the denominator den(f) * e^n.  An M that is not a
-    :class:`Matrix2` is a TypeError naming it.
+    :class:`Matrix2`, or an f that is not a :class:`BinaryForm`, is a
+    TypeError naming it.
     """
     if not isinstance(M, Matrix2):
         raise TypeError(f"matrix M must be a Matrix2, got {_repr_str(M)}")
+    _require_form(f)
     e, ma, mb, mdisc = _clear((M.a, M.b, M.c, M.d))
     a, b, c, d = zip(ma, mb or repeat(0))
     ad, bc = _mul(a, d, mdisc), _mul(b, c, mdisc)

@@ -58,9 +58,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .forms import MAX_DEGREE, BinaryForm, DegreeError, dehomogenize, is_squarefree
+from .forms import (MAX_DEGREE, BinaryForm, DegreeError, _require_form, dehomogenize,
+                    is_squarefree)
 from .scalars import (Scalar, SeacurvesError, _int_str, _join_field, _power_product, _quotient,
-                      _repr_str, rational)
+                      rational)
 from .transvection import transvect
 
 __all__ = [
@@ -315,8 +316,7 @@ def _ratios(v: InvariantVector, table) -> AbsoluteInvariants:
 def _require_degree(f: BinaryForm, d: int):
     """f is a form of degree d: a TypeError naming any other value, else a
     DegreeError."""
-    if not isinstance(f, BinaryForm):
-        raise TypeError(f"form must be a BinaryForm, got {_repr_str(f)}")
+    _require_form(f)
     if f.degree != d:
         raise DegreeError(f"expected a degree-{d} form, got degree {f.degree}")
 
@@ -538,6 +538,7 @@ def general_invariants(F: BinaryForm) -> InvariantVector:
     marked unavailable (never silently zero): I3 needs 4 | d, I4' and I6'
     need d >= 8, I6* needs d >= 12, M and I12 need d >= 10.
     """
+    _require_form(F)
     d = F.degree
     if d < 6 or d % 2:
         raise DegreeError(f"general invariants need even degree >= 6, got {d}")

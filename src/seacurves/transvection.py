@@ -21,21 +21,26 @@ g = sum g_b X^b Z^(m-b) and P(x, j) = x!/(x-j)! the falling factorial,
 
 W depends only on the shape (n, m, r), so one builder, ``_table``, makes it
 once per shape, each alpha_k and beta_k row by the ratio recurrence of
-``forms._falling_products``.  A table keeps, per a, only the b with
-W(a, b) != 0 (these have 0 <= a + b - r <= n + m - 2r), as parallel tuples of
-b, the output index s = a + b - r and the weight W(a, b) / c.  The content
-c = gcd(P(n, r) P(m, r), every weight) is divided out once, as the table is
-built, and the table keeps the scale P(n, r) P(m, r) / c next to its rows:
-at n = m = 22 and r = 20, c has 109 bits and the largest weight 30, against
-138 undivided.  A transvectant is then one double loop over the rows on the
-forms' cleared vectors, read over their joint field by the one lift of
-:mod:`seacurves.forms` (``_lift``, which gives a rational operand over
-Q(sqrt D) a zero B), giving a vector over the denominator
-scale * den(f) den(g), made canonical once.
-``_weighted_sum`` keeps two loops, chosen by ``disc``: one on the integers
-over Q, which the gate benchmark runs, and one on the pairs
-(x + x' sqrt D)(y + y' sqrt D) over Q(sqrt D), which sqrt_ext runs; on Q the
-pair loop would multiply zeros.
+``forms._falling_products``.  A table keeps one entry per output index s,
+the dot product that gives coefficient s: with t = s + r, the range
+[lo, hi) of a from the first to the last a with W(a, t - a) != 0, the
+offset o = lo + m - t at which b = t - lo sits in g reversed, and the
+weights W(a, t - a) / c over that range (a zero inside it is kept).  The
+content c = gcd(P(n, r) P(m, r), every weight) is divided out once, as the
+table is built, and the table keeps the scale P(n, r) P(m, r) / c next to
+its entries: at n = m = 22 and r = 20, c has 109 bits and the largest
+weight 30, against 138 undivided.  A transvectant is then one pass over
+the entries on the forms' cleared vectors, read over their joint field by
+the one lift of :mod:`seacurves.forms` (``_lift``, which gives a rational
+operand over Q(sqrt D) a zero B), giving a vector over the denominator
+scale * den(f) den(g), made canonical once.  ``_weighted_sum`` reads g
+reversed, so the slices f[lo:hi] and g[o:o + hi - lo] run side by side.
+Over Q, which the gate benchmark runs, each output is one sum in C over
+the products of f's slice, g's slice and the weights; an order-0 output,
+an invariant, is one dot product of at most a dozen terms.  Over Q(sqrt D),
+which sqrt_ext runs, each output is one loop over the zipped slices of the
+(A, B) pairs, with D B of g taken once per call, for the pairs
+(x + x' sqrt D)(y + y' sqrt D); on Q the pair loop would multiply zeros.
 
 At r = 0 the weights are all 1 and (f, g)^0 is the product f * g, which
 ``transvect`` returns before any table is looked up: the same canonical
@@ -44,9 +49,9 @@ vector, and the same ``FieldMixError`` for operands over two fields.
 A self-transvectant (f, f)^r, recognised by equal cleared operands, uses the
 symmetry (f, g)^r = (-1)^r (g, f)^r, that is W(a, b) = (-1)^r W(b, a) when
 n = m: for odd r the result is zero and no table is built, and for even r
-the loop reads a symmetric half-table S(a, b) = W(a, b) + W(b, a) = 2 W(a, b)
+the sum reads a symmetric half-table S(a, b) = W(a, b) + W(b, a) = 2 W(a, b)
 over a < b, with S(a, a) = W(a, a): ``_table`` with its ``half`` flag set,
-which skips b < a while it builds.
+which skips b < a while it builds, so each entry's range ends at a <= t / 2.
 
 Tables are cached oldest-first-out under one key, (n, m, r, half), within
 two bounds, ``_CACHE_ENTRIES`` tables and ``_CACHE_BYTES`` (16 MiB) as
@@ -54,24 +59,25 @@ two bounds, ``_CACHE_ENTRIES`` tables and ``_CACHE_BYTES`` (16 MiB) as
 ints included, so the count over-states the memory a table holds.  A table
 larger than the byte bound is used and not kept, so the cache never holds
 more than 16 MiB.  At ``MAX_DEGREE`` = 100 the largest full table,
-(100, 100, 18), counts 1.1 MiB ((100, 100, 40) 0.99 MiB), the largest
-half-table 0.57 MiB and the 50 half-tables (even r >= 2) 19.7 MiB; the
-self-tables of degrees 6-22 (even r >= 2) count 1.55 MiB.  Six rounds of
+(100, 100, 20), counts 0.45 MiB, the largest
+half-table 0.24 MiB and the 50 half-tables (even r >= 2) 8.15 MiB; the
+self-tables of degrees 6-22 (even r >= 2) count 0.75 MiB.  Six rounds of
 seed 1 of the benchmark read 62 tables on gate (32 full, 30 half,
-0.52 MiB), 52 on sqrt_ext (0.36 MiB) and 31 on catalog_cli (0.12 MiB), so
+0.22 MiB), 52 on sqrt_ext (0.16 MiB) and 31 on catalog_cli (0.06 MiB), so
 neither bound binds there.  The byte bound caps the memory of in-process
 callers that use many shapes; the entry bound caps the dict and the recount
-on each insert, as the byte bound alone would admit about 23,000 of the
-smallest tables (724 B).
+on each insert, as the byte bound alone would admit about 42,000 of the
+smallest tables (400 B).
 """
 
 from __future__ import annotations
 
 import threading
 from math import comb, gcd, perm
+from operator import mul
 from sys import getsizeof
 
-from .forms import BinaryForm, _falling_products, _join_field, _lift
+from .forms import BinaryForm, _falling_products, _join_field, _lift, _require_form
 from .scalars import SeacurvesError, _int_str, _require_int
 
 __all__ = ["transvect", "TransvectionError"]
@@ -90,11 +96,14 @@ class TransvectionError(SeacurvesError):
 
 
 def _table(n: int, m: int, r: int, half: bool) -> tuple:
-    """(scale, rows): the weights of (f, g)^r for degrees n and m over their
-    content c, and the scale P(n, r) P(m, r) / c.  Row a lists the b with
-    W(a, b) != 0, their output indices a + b - r and the weights W(a, b) / c;
-    it gains alpha_k(a) beta_k(b) over b = k .. m - r + k, or with ``half``
-    (n = m, even r) over b >= a only, doubled at b > a to S(a, b)."""
+    """(scale, entries): the weights of (f, g)^r for degrees n and m over
+    their content c, and the scale P(n, r) P(m, r) / c.  Entry s, for each
+    output index s, is (lo, hi, o, ws): coefficient s sums f_a g_b W(a, b) / c
+    over a in [lo, hi), the a-range from the first to the last nonzero
+    weight, with b = s + r - a at offset o + (a - lo) of g reversed, and ws
+    the weights W(a, b) / c in order of a.  Row a of W gains
+    alpha_k(a) beta_k(b) over b = k .. m - r + k, or with ``half`` (n = m,
+    even r) over b >= a only, doubled at b > a to S(a, b)."""
     w = [[0] * (m + 1) for _ in range(n + 1)]
     for k in range(r + 1):
         c = -comb(r, k) if k % 2 else comb(r, k)
@@ -110,22 +119,25 @@ def _table(n: int, m: int, r: int, half: bool) -> tuple:
             row[a + 1:] = [2 * x for x in row[a + 1:]]
     scale = perm(n, r) * perm(m, r)
     content = gcd(scale, *(x for row in w for x in row))
-    rows = []
-    for a, row in enumerate(w):
-        bs = tuple(b for b, x in enumerate(row) if x)
-        rows.append((bs, tuple(a + b - r for b in bs), tuple(row[b] // content for b in bs)))
-    return scale // content, tuple(rows)
+    entries = []
+    for t in range(r, n + m - r + 1):  # t = s + r = a + b
+        first = max(0, t - m)
+        nonzero = [a for a in range(first, min(n, t // 2 if half else t) + 1) if w[a][t - a]]
+        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero else (first, first)
+        entries.append((lo, hi, lo + m - t, tuple(w[a][t - a] // content for a in range(lo, hi))))
+    return scale // content, tuple(entries)
 
 
 def _table_bytes(table: tuple) -> int:
     """The bytes of every tuple and int of a table, shared small ints included."""
-    scale, rows = table
-    return getsizeof(table) + getsizeof(scale) + getsizeof(rows) + sum(
-        getsizeof(row) + sum(getsizeof(t) + sum(map(getsizeof, t)) for t in row) for row in rows)
+    scale, entries = table
+    return getsizeof(table) + getsizeof(scale) + getsizeof(entries) + sum(
+        getsizeof(entry) + sum(map(getsizeof, entry[:3])) + getsizeof(entry[3])
+        + sum(map(getsizeof, entry[3])) for entry in entries)
 
 
 def _cached(key: tuple) -> tuple:
-    """``_table(*key)``, (scale, rows), kept in ``_TABLES`` within both cache bounds."""
+    """``_table(*key)``, (scale, entries), kept in ``_TABLES`` within both cache bounds."""
     hit = _TABLES.get(key)
     if hit is not None:
         return hit[0]
@@ -140,33 +152,34 @@ def _cached(key: tuple) -> tuple:
     return table
 
 
-def _weighted_sum(rows: tuple, f, g, disc: int, size: int):
-    """The (A, B) pair of sum f_a g_b W(a, b) / c at a + b - r over a table's rows, for
-    (A, B) pairs f and g lifted to Z[sqrt(disc)] (``forms._lift``): B is
-    None over Q, and a vector over Q(sqrt disc)."""
+def _weighted_sum(entries: tuple, f, g, disc: int):
+    """The (A, B) pair of sum f_a g_b W(a, b) / c at a + b - r over a table's
+    entries, for (A, B) pairs f and g lifted to Z[sqrt(disc)]
+    (``forms._lift``): B is None over Q, and a vector over Q(sqrt disc)."""
     (fa, fb), (ga, gb) = f, g
-    acc = [0] * size
+    ga = ga[::-1]
     if not disc:
-        for x, (bs, ss, ws) in zip(fa, rows):
-            if x:
-                for b, s, w in zip(bs, ss, ws):
-                    y = ga[b]
-                    if y:
-                        acc[s] += x * y * w
-        return acc, None
-    rad = [0] * size
-    for x0, x1, (bs, ss, ws) in zip(fa, fb, rows):
-        if x0 or x1:
-            for b, s, w in zip(bs, ss, ws):
-                y0, y1 = ga[b], gb[b]
-                if y0 or y1:
-                    acc[s] += (x0 * y0 + disc * x1 * y1) * w
-                    rad[s] += (x0 * y1 + x1 * y0) * w
+        return [sum(map(mul, map(mul, fa[lo:hi], ga[o:o + hi - lo]), ws))
+                for lo, hi, o, ws in entries], None
+    gb = gb[::-1]
+    gd = [disc * y for y in gb]
+    acc, rad = [], []
+    for lo, hi, o, ws in entries:
+        e = o + hi - lo
+        x = y = 0
+        for x0, x1, y0, y1, z1, w in zip(fa[lo:hi], fb[lo:hi], ga[o:e], gb[o:e], gd[o:e], ws):
+            x += (x0 * y0 + x1 * z1) * w
+            y += (x0 * y1 + x1 * y0) * w
+        acc.append(x)
+        rad.append(y)
     return acc, rad
 
 
 def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
-    """The r-transvection (f, g)^r, exact."""
+    """The r-transvection (f, g)^r, exact; an f or g that is not a
+    :class:`BinaryForm` is a TypeError naming it."""
+    _require_form(f)
+    _require_form(g)
     _require_int(r, "transvection order r")
     n, m = f.degree, g.degree
     if r < 0 or r > min(n, m):
@@ -180,6 +193,6 @@ def transvect(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     half = f.vec == g.vec
     if half and r % 2:
         return BinaryForm.zero(deg)
-    scale, rows = _cached((n, m, r, half))
-    a, b = _weighted_sum(rows, _lift(f.vec, disc), _lift(g.vec, disc), disc, deg + 1)
+    scale, entries = _cached((n, m, r, half))
+    a, b = _weighted_sum(entries, _lift(f.vec, disc), _lift(g.vec, disc), disc)
     return BinaryForm._from_vec(scale * f.vec[0] * g.vec[0], a, b, disc)

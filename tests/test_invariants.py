@@ -5,10 +5,12 @@ import random
 import pytest
 
 from conftest import rand_form, unimodular_matrix
-from seacurves.forms import BinaryForm, DegreeError, make_form, moebius_act
+from seacurves.forms import BinaryForm, DegreeError, Matrix2, make_form, moebius_act
 from seacurves.invariants import (
     decimic_invariants,
     form_is_squarefree,
+    general_absolute,
+    general_invariants,
     genus2_isomorphic,
     genus3_isomorphic,
     genus10_special,
@@ -41,12 +43,15 @@ def test_sextic_wrong_degree():
     lambda v: genus2_isomorphic(v, X6P), lambda v: genus2_isomorphic(X6P, v),
     lambda v: octavic_invariants(v), lambda v: octavic_absolute(v),
     lambda v: genus3_isomorphic(v, v), lambda v: decimic_invariants(v),
-    lambda v: genus10_special(v),
+    lambda v: genus10_special(v), lambda v: general_invariants(v),
+    lambda v: general_absolute(v), lambda v: transvect(v, X6P, 1),
+    lambda v: transvect(X6P, v, 1), lambda v: moebius_act(Matrix2(1, 0, 0, 1), v),
 ], ids=["sextic", "sextic_absolute", "genus2-first", "genus2-second", "octavic",
-        "octavic_absolute", "genus3", "decimic", "genus10_special"])
+        "octavic_absolute", "genus3", "decimic", "genus10_special", "general",
+        "general_absolute", "transvect-first", "transvect-second", "moebius_act"])
 @pytest.mark.parametrize("value", [1, [1, 0, 0, 0, 0, 0, 1], "x^6+1"], ids=["int", "list", "str"])
 def test_a_value_that_is_not_a_form_is_a_type_error(call, value):
-    # the fixed-degree entry points check the type before the degree
+    # every entry point that takes a form checks its type before its degree
     with pytest.raises(TypeError, match=r"^form must be a BinaryForm, got "):
         call(value)
 

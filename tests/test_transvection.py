@@ -141,31 +141,38 @@ def _weight(n: int, m: int, r: int, a: int, b: int) -> int:
 
 
 def test_tables_match_their_closed_form():
-    """Row a of every table with n, m <= 12 and r >= 1 lists exactly the b
-    with W(a, b) != 0, their output indices a + b - r and the weights over
-    the table's content c; a half-table row starts at b = a, with its weights
-    doubled at b > a.  c is the gcd of P(n, r) P(m, r) and every weight, and
-    the table's scale times c is P(n, r) P(m, r), so the scale and the
-    stored weights have no common factor."""
+    """Every table with n, m <= 12 and r >= 1 has one entry (lo, hi, o, ws)
+    per output index s.  With t = s + r, [lo, hi) runs from the first to the
+    last a with W(a, t - a) != 0 (a <= t - a in a half-table; lo = hi when
+    there is none), o = lo + m - t is where b = t - lo sits in g reversed,
+    and ws lists W(a, t - a) over a in [lo, hi), zeros inside the range
+    kept, over the table's content c; a half-table doubles the weights at
+    a < b.  c is the gcd of P(n, r) P(m, r) and every weight, and the
+    table's scale times c is P(n, r) P(m, r), so the scale and the stored
+    weights have no common factor."""
     shapes = [(n, m, r, False) for n in range(13) for m in range(13)
               for r in range(1, min(n, m) + 1)]
     shapes += [(n, n, r, True) for n in range(13) for r in range(2, n + 1, 2)]
     for n, m, r, half in shapes:
-        rows = []
-        for a in range(n + 1):
-            ws = {b: _weight(n, m, r, a, b) * (2 if half and b > a else 1)
-                  for b in range(a if half else 0, m + 1)}
-            rows.append({b: w for b, w in ws.items() if w})
+        columns = []
+        for t in range(r, n + m - r + 1):
+            ws = {a: _weight(n, m, r, a, t - a) * (2 if half and a < t - a else 1)
+                  for a in range(max(0, t - m), min(n, t) + 1) if not half or a <= t - a}
+            columns.append({a: w for a, w in ws.items() if w})
         falling = perm(n, r) * perm(m, r)
-        c = gcd(falling, *(w for row in rows for w in row.values()))
+        c = gcd(falling, *(w for column in columns for w in column.values()))
         scale, table = transvection._table(n, m, r, half)
         assert scale * c == falling, (n, m, r, half)
-        stored = [w for _, _, ws in table for w in ws]
-        assert gcd(scale, *stored) == 1, (n, m, r, half)
-        assert len(table) == n + 1
-        for a, ((bs, ss, ws), row) in enumerate(zip(table, rows)):
-            assert bs == tuple(row) and ss == tuple(a + b - r for b in bs), (n, m, r, half, a)
-            assert [w * c for w in ws] == list(row.values()), (n, m, r, half, a)
+        assert gcd(scale, *(w for *_, ws in table for w in ws)) == 1, (n, m, r, half)
+        assert len(table) == n + m - 2 * r + 1
+        for t, ((lo, hi, o, ws), column) in enumerate(zip(table, columns), r):
+            shape = (n, m, r, half, t - r)
+            if column:
+                assert (lo, hi) == (min(column), max(column) + 1), shape
+            else:
+                assert lo == hi, shape
+            assert max(0, t - m) <= lo <= hi <= min(n, t) + 1 and o == lo + m - t, shape
+            assert [w * c for w in ws] == [column.get(a, 0) for a in range(lo, hi)], shape
 
 
 def _big_form(rng: random.Random, digits: int) -> BinaryForm:
@@ -185,26 +192,35 @@ def test_largest_self_transvectant_meets_the_fuzz_deadline(monkeypatch):
 
 
 def test_table_cache_stays_within_its_byte_bound(monkeypatch):
-    """Distinct MAX_DEGREE shapes, full tables and half-tables, fill the cache
-    past its byte bound; after every call it counts at most _CACHE_BYTES."""
+    """Distinct MAX_DEGREE shapes, full tables and half-tables, build tables
+    that together count more than _CACHE_BYTES; after every call the cache
+    counts at most _CACHE_BYTES, so some of them were evicted."""
     monkeypatch.setattr(transvection, "_TABLES", {})
+    sizes = []
+    table = transvection._table
+
+    def counted(*key):
+        built = table(*key)
+        sizes.append(transvection._table_bytes(built))
+        return built
+
+    monkeypatch.setattr(transvection, "_table", counted)
     rng = random.Random(100)
     f, g = _big_form(rng, 2), _big_form(rng, 2)
-    calls = [(f, g, r) for r in range(0, MAX_DEGREE + 1, 25)]
-    calls += [(f, f, r) for r in range(0, MAX_DEGREE + 1, 2)]
-    built = 0
+    calls = [(f, g, r) for r in range(1, MAX_DEGREE + 1, 3)]
+    calls += [(f, f, r) for r in range(2, MAX_DEGREE + 1, 2)]
     for u, v, r in calls:
         transvect(u, v, r)
-        built += 1
         held = list(transvection._TABLES.values())
         assert sum(size for _, size in held) <= transvection._CACHE_BYTES
         assert len(held) <= transvection._CACHE_ENTRIES
-    assert all(size == transvection._table_bytes(table) for table, size in held)
-    # the bound was reached: some tables were evicted, the newest kept
-    assert len(held) < built
+    assert all(size == transvection._table_bytes(t) for t, size in held)
+    # one table per call, together past the bound: some were evicted, the newest kept
+    assert len(sizes) == len(calls) and sum(sizes) > transvection._CACHE_BYTES
+    assert len(held) < len(sizes)
     assert (MAX_DEGREE, MAX_DEGREE, MAX_DEGREE, True) in transvection._TABLES
     # the largest full table at MAX_DEGREE, as the module states it
-    assert transvection._table_bytes(transvection._table(100, 100, 40, False)) < 1.5 * 2 ** 20
+    assert transvection._table_bytes(table(100, 100, 20, False)) < 0.5 * 2 ** 20
 
 
 def test_table_past_the_byte_bound_is_used_and_not_kept(monkeypatch):

@@ -261,10 +261,12 @@ def test_transvect_on_kernel_built_forms_never_clears(monkeypatch, disc):
 ])
 def test_invariant_systems_build_scalars_once_per_entry(monkeypatch, system, degree):
     f = BinaryForm(degree, [rational(i * i - 7, i + 2) for i in range(degree + 1)])
-    calls = spy(monkeypatch, forms, "_to_scalars")
+    # each entry's Scalar is built once, by constant_value straight from its
+    # canonical degree-0 vector, without a Scalar tuple
+    built = spy(monkeypatch, forms, "_new")
+    tuples = spy(monkeypatch, forms, "_to_scalars")
     v = system(f)
-    assert len(calls) == len(v.names())
-    assert all(len(acc[0]) == 1 for acc, *_ in calls)
+    assert len(built) == len(v.names()) and tuples == []
 
 
 def test_coeffs_are_built_only_when_read_once_per_read(monkeypatch):
